@@ -31,18 +31,16 @@ from .criteria import (
     verify_criterion,
     verify_enclosing_pair,
 )
-from .linalg import Vector, dot, is_zero, vector, vsub
+from .linalg import Vector, dot, is_zero, vector
 from .polytope import (
     FacetBudgetExceededError,
+    Polytope,
     build_polytope,
     face_exposing_normal,
     parallel_face_pairs,
     smallest_face_containing,
 )
 from .signomial import Signomial, negatives, positives, restrict
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 CERTIFIED_EMPTY = "CertifiedEmpty"
 CERTIFIED_AT_MOST_ONE = "CertifiedAtMostOne"
@@ -141,7 +139,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     if P.dim >= 1:
         all_idx = tuple(range(len(P.points)))
         for v in parallel_face_pairs(P, all_idx):
-            edge = intersection_nonempty(f, v)
+            edge = intersection_nonempty(f, v, P)
             if edge is None:
                 continue
             face_v, face_mv = _parallel_faces(f, v)
@@ -149,8 +147,8 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
             child2 = _certify(restrict(f, face_mv), config, depth + 1)
             if child1.outcome not in CERTIFIED_OUTCOMES or child2.outcome not in CERTIFIED_OUTCOMES:
                 continue
-            w1 = negative_vertex_functional(restrict(f, face_v))
-            w2 = negative_vertex_functional(restrict(f, face_mv))
+            w1 = negative_vertex_functional(restrict(f, face_v), P)
+            w2 = negative_vertex_functional(restrict(f, face_mv), P)
             if w1 is None or w2 is None:  # cannot hold: the edge ends are such vertices
                 continue
             return Certificate(
@@ -179,31 +177,30 @@ def _parallel_faces(f: Signomial, v: Vector) -> Tuple[Tuple[Vector, ...], Tuple[
     return face_v, face_mv
 
 
-def intersection_nonempty(f: Signomial, v: Sequence) -> Optional[EdgeWitness]:
+def intersection_nonempty(
+    f: Signomial, v: Sequence, P: Optional[Polytope] = None
+) -> Optional[EdgeWitness]:
     """First pair of negative exponents on the two opposite faces in direction
-    v joined by an edge of the Newton polytope.
+    v joined by an edge of the Newton polytope ``P`` (built when not given).
 
-    Requires the support to lie on the two faces; the edge test then reduces
-    to exposing the pair strictly against every other support point, since no
-    support point can sit on the exposing hyperplane outside the segment.
+    Requires the support to lie on the two faces.  A pair is an edge when its
+    smallest face holds no other support point; the functional is the sum of
+    the normals of the facets through the edge, which exposes it strictly
+    against every other support point (zero when the edge is the whole hull).
     """
     vv = vector(v)
     face_v, face_mv = _parallel_faces(f, vv)
     if set(face_v) | set(face_mv) != set(f.support) or set(face_v) == set(face_mv):
         raise ValueError("support does not split across the faces of v and -v")
+    if P is None:
+        P = build_polytope(f.support)
+    index = {p: i for i, p in enumerate(P.points)}
     neg = set(negatives(f))
-    support = f.support
-    n = f.dimension
     for beta1 in sorted(set(face_v) & neg):
         for beta2 in sorted(set(face_mv) & neg):
-            rows = [(vsub(beta1, beta2), ZERO, "=")]
-            for q in support:
-                if q in (beta1, beta2):
-                    continue
-                rows.append((vsub(beta1, q), ONE, ">="))
-            res = lp.feasible(lp.LinearSystem.build(n, rows))
-            if res.is_feasible:
-                return EdgeWitness(beta1, beta2, res.witness)
+            pair = sorted((index[beta1], index[beta2]))
+            if list(smallest_face_containing(P, pair)[0]) == pair:
+                return EdgeWitness(beta1, beta2, face_exposing_normal(P, pair))
     return None
 
 
@@ -294,7 +291,10 @@ def upper_bound(
 
     evidence: Optional[IntersectionEvidence] = None
     if method == "graph-parallel":
-        edge = intersection_nonempty(f, vv)
+        try:
+            edge = intersection_nonempty(f, vv, build_polytope(f.support, config.facet_budget))
+        except FacetBudgetExceededError:
+            edge = None  # no negative-edge evidence: a weaker bound, never a wrong one
         if edge is not None:
             evidence = IntersectionEvidence("negative-edge", edge.beta1, edge.beta2)
         else:
@@ -408,6 +408,7 @@ def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> L
             or is_zero(cert.normal)
             or cert.edge is None
             or cert.child_nonempty is None
+            or len(cert.child_nonempty) != 2
             or len(cert.children) != 2
         ):
             fail("malformed parallel-split node")

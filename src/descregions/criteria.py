@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import lp
 from .linalg import Vector, affine_rank, dot, hyperplane_normal, is_zero, vector, vneg
-from .polytope import build_polytope, smallest_face_containing
+from .polytope import Polytope, build_polytope, face_exposing_normal, smallest_face_containing
 from .signomial import Signomial, negatives, newton_dim, positives
 
 ZERO = Fraction(0)
@@ -118,31 +118,34 @@ class CertifyConfig:
 
 
 def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitness]:
-    """First strict separating hyperplane found over canonical candidates.
+    """A strict separating hyperplane, from at most two feasibility problems.
 
-    For each negative exponent beta0 in support order, solves for (v, a) with
-    v.beta >= a on the negatives, v.alpha <= a on the positives and
-    v.beta0 >= a + 1 (homogeneous, so the unit slack loses nothing).
+    Both solve for (v, a) with v.beta >= a on the negatives and v.alpha <= a
+    on the positives.  The first adds v.beta0 >= a + 1 for the first negative
+    beta0 in support order; the second adds sum(v.beta - a) >= 1 over the
+    remaining negatives, which by homogeneity is feasible exactly when one of
+    them can be made strict.  The strict point is the first negative strictly
+    above the hyperplane.
     """
     neg = sorted(negatives(f))
     pos = sorted(positives(f))
     if not neg or not pos:
         return None
     n = f.dimension
-    for beta0 in neg:
-        rows = []
-        for beta in neg:
-            rows.append((tuple(beta) + (-ONE,), ZERO, ">="))
-        for alpha in pos:
-            rows.append((tuple(-a for a in alpha) + (ONE,), ZERO, ">="))
-        rows.append((tuple(beta0) + (-ONE,), ONE, ">="))
-        res = lp.feasible(lp.LinearSystem.build(n + 1, rows))
+    rows = [(tuple(beta) + (-ONE,), ZERO, ">=") for beta in neg]
+    rows += [(tuple(-a for a in alpha) + (ONE,), ZERO, ">=") for alpha in pos]
+    strict_rows = [(tuple(neg[0]) + (-ONE,), ONE, ">=")]
+    if len(neg) > 1:
+        total = tuple(map(sum, zip(*neg[1:])))
+        strict_rows.append((total + (1 - len(neg),), ONE, ">="))
+    for strict_row in strict_rows:
+        res = lp.feasible(lp.LinearSystem.build(n + 1, rows + [strict_row]))
         if res.is_feasible:
             v, a = res.witness[:n], res.witness[n]
-            witness = SeparatingWitness(v, a, True, beta0)
+            beta0 = next(beta for beta in neg if dot(v, beta) > a)
             if not verify_separating_hyperplane(f, v, a, strict=True, strict_point=beta0):
                 raise RuntimeError("separating witness failed re-verification")
-            return witness
+            return SeparatingWitness(v, a, True, beta0)
     return None
 
 
@@ -391,27 +394,25 @@ def closure_property(f: Signomial, facet_budget: Optional[int] = None) -> bool:
     return proper
 
 
-def has_negative_vertex(f: Signomial) -> Optional[Vector]:
-    """Some negative exponent that is a vertex of the Newton polytope."""
-    found = negative_vertex_functional(f)
-    return found[0] if found else None
-
-
-def negative_vertex_functional(f: Signomial) -> Optional[Tuple[Vector, Vector]]:
+def negative_vertex_functional(
+    f: Signomial, P: Optional[Polytope] = None
+) -> Optional[Tuple[Vector, Vector]]:
     """First negative exponent that is a vertex of the Newton polytope,
-    together with an exposing functional u (u.beta >= u.q + 1 for every other
-    support point q); certifies the negative region is nonempty."""
-    support = f.support
-    n = f.dimension
+    together with a functional u exposing it strictly (u.beta > u.q for every
+    other support point q); certifies the negative region is nonempty.
+
+    ``P`` defaults to the Newton polytope of f; it may also be the hull of a
+    larger point set of which f's support is a face, since the vertices of a
+    face are the vertices of the hull that lie in it.  The functional is the
+    sum of the normals of the facets through the vertex, or zero when the
+    hull is the vertex alone.
+    """
+    if P is None:
+        P = build_polytope(f.support)
+    index = {p: i for i, p in enumerate(P.points)}
     for beta in sorted(negatives(f)):
-        rows = []
-        for q in support:
-            if q == beta:
-                continue
-            rows.append((tuple(x - y for x, y in zip(beta, q)), ONE, ">="))
-        res = lp.feasible(lp.LinearSystem.build(n, rows))
-        if res.is_feasible:
-            return beta, res.witness
+        if index[beta] in P.vertices:
+            return beta, face_exposing_normal(P, [index[beta]])
     return None
 
 

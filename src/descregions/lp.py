@@ -1,10 +1,11 @@
 """Exact rational linear feasibility (phase-I simplex, Bland's rule).
 
-Only feasibility is ever needed: all the geometric questions (separating
-hyperplanes, vertex and edge tests, segment/hull disjointness) are positively
-homogeneous, so strict inequalities are pre-normalized by the callers to a
-">= 1" slack.  Pivoting follows Bland's rule with a fixed row order, so the
-returned witnesses are deterministic.
+Only feasibility is ever needed: the questions asked here (separating and
+enclosing hyperplanes, segment/hull disjointness) are positively homogeneous,
+so strict inequalities are pre-normalized by the callers to a ">= 1" slack.
+Vertex, edge and face questions need no LP: ``polytope`` answers them from
+the hull's facet incidences.  Pivoting follows Bland's rule with a fixed row
+order, so the returned witnesses are deterministic.
 """
 
 from __future__ import annotations

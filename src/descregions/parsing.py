@@ -98,7 +98,9 @@ class _Parser:
             den_tok = self.expect("number")
             if "." in num_tok.text or "." in den_tok.text:
                 self.error("ratio parts must be integers")
-            value = value / Fraction(den_tok.text)
+            if int(den_tok.text) == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.column)
+            value = value / int(den_tok.text)
         return -value if negative else value
 
     def exponent(self) -> Fraction:

@@ -5,7 +5,8 @@ lower-dimensional point sets (restrictions of a support to a face keep the
 ambient dimension) are handled without perturbation.  Facet normals are lifted
 back to the ambient space and normalized to coprime integer vectors; for a
 flat hull the lift is one deterministic representative of the many valid
-supporting normals.
+supporting normals.  Vertices, smallest faces and exposing normals are read
+off the vertex-facet incidences, with no linear programming.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from . import lp
 from .linalg import (
     Vector,
     _Echelon,
@@ -267,47 +267,21 @@ def build_polytope(
         Facet(h, frozenset(i for i, p in enumerate(pts) if dot(h.normal, p) == h.offset))
         for h in halfspaces
     )
-    vertices = frozenset(i for i in range(len(pts)) if _is_extreme(pts, i))
-    return Polytope(pts, hull, vertices, facets)
+    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets)
 
 
-def _is_extreme(points: Sequence[Vector], i: int) -> bool:
-    """Exact LP test: some direction exposes points[i] strictly."""
-    if len(points) == 1:
-        return True
-    n = len(points[0])
-    rows = []
-    for j, q in enumerate(points):
-        if j == i:
-            continue
-        rows.append((vsub(points[i], q), ONE, ">="))
-    return lp.feasible(lp.LinearSystem.build(n, rows)).is_feasible
-
-
-def face_in_direction(P: Polytope, v: Sequence) -> Tuple[int, ...]:
-    """Indices of the points attaining max v . mu (all points when v = 0)."""
-    vv = vector(v)
-    values = [dot(vv, p) for p in P.points]
-    top = max(values)
-    return tuple(i for i, val in enumerate(values) if val == top)
-
-
-def is_vertex(P: Polytope, i: int) -> bool:
-    return _is_extreme(P.points, i)
-
-
-def is_edge(P: Polytope, i: int, j: int) -> bool:
-    """True when some direction exposes exactly {points[i], points[j]} among
-    the vertices, i.e. their segment is a face of the hull."""
-    if i == j:
-        raise ValueError("edge endpoints must differ")
-    n = len(P.points[0])
-    rows = [(vsub(P.points[i], P.points[j]), ZERO, "=")]
-    for k in sorted(P.vertices):
-        if k in (i, j):
-            continue
-        rows.append((vsub(P.points[i], P.points[k]), ONE, ">="))
-    return lp.feasible(lp.LinearSystem.build(n, rows)).is_feasible
+def _vertices_from_incidences(count: int, facets: Sequence[Facet]) -> FrozenSet[int]:
+    """Points whose smallest face is the point alone: the facets through
+    point i meet in {i} (with no facets the hull is a single point)."""
+    vertices = []
+    for i in range(count):
+        common = set(range(count))
+        for f in facets:
+            if i in f.incident:
+                common &= f.incident
+        if common == {i}:
+            vertices.append(i)
+    return frozenset(vertices)
 
 
 def smallest_face_containing(
@@ -328,17 +302,16 @@ def smallest_face_containing(
     return tuple(sorted(common)), True
 
 
-def face_exposing_normal(P: Polytope, indices: Sequence[int]) -> Optional[Vector]:
-    """A normal exposing exactly the face obtained as the intersection of the
-    facets containing the given points (their normal sum), or None when no
-    facet contains them."""
+def face_exposing_normal(P: Polytope, indices: Sequence[int]) -> Vector:
+    """The primitive sum of the normals of the facets containing the given
+    points.  It exposes their smallest face strictly: u.p is largest exactly
+    on the points of that face.  It is zero when no facet contains them (the
+    face is the whole polytope)."""
     want = set(indices)
-    containing = [f for f in P.facets if want <= f.incident]
-    if not containing:
-        return None
     total = [ZERO] * len(P.points[0])
-    for f in containing:
-        total = [a + b for a, b in zip(total, f.halfspace.normal)]
+    for f in P.facets:
+        if want <= f.incident:
+            total = [a + b for a, b in zip(total, f.halfspace.normal)]
     return primitive(tuple(total))
 
 

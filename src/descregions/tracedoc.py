@@ -265,13 +265,17 @@ def document_to_json(doc: dict) -> str:
 
 
 def verify_document(doc: dict) -> List[str]:
-    """Re-verify every witness in a trace document; empty list means valid."""
+    """Re-verify every witness in a trace document; empty list means valid.
+    A document of the wrong shape or with wrongly typed fields is reported
+    as malformed, never raised."""
+    if not isinstance(doc, dict):
+        return [f"malformed document: expected an object, found {type(doc).__name__}"]
     if doc.get("schema") != SCHEMA_VERSION:
         return [f"unsupported schema {doc.get('schema')!r}"]
     try:
         f = signomial_from_json(doc["input"])
         cert = certificate_from_json(doc["tree"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, ArithmeticError) as exc:
         return [f"malformed document: {exc}"]
     errors = verify_certificate(f, cert)
     if doc.get("outcome") != cert.outcome:

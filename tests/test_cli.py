@@ -79,6 +79,24 @@ def test_verify_trace_rejects_tampered(poly, capsys, tmp_path):
     assert result["verified"] is False and result["errors"]
 
 
+def test_certify_zero_denominator_is_input_error(poly, capsys):
+    for name, text in (("exp.poly", "x^(1/0) - 1"), ("coeff.poly", "3/0*x - 1")):
+        code, out, err = run(capsys, "certify", poly(name, text))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "zero denominator" in err
+
+
+def test_verify_trace_rejects_malformed_documents(capsys, tmp_path):
+    trace = tmp_path / "trace.json"
+    for doc in ([1, 2], {"schema": 1, "input": {"dimension": 1, "terms": 5}, "tree": {}}):
+        trace.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "certify", "--verify-trace", str(trace))
+        assert code == 2
+        result = json.loads(out)
+        assert result["verified"] is False
+        assert result["errors"][0].startswith("malformed document: ")
+
+
 def test_oracle_command(poly, capsys):
     tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
     code, out, _ = run(capsys, "oracle", tenterm, "--grid", "200")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from descregions.criteria import (
     BOX,
@@ -22,7 +23,6 @@ from descregions.criteria import (
     closure_property,
     find_strict_enclosing_pair,
     find_strict_separating_hyperplane,
-    has_negative_vertex,
     negative_vertex_functional,
     simplex_halfspaces,
     verify_criterion,
@@ -30,8 +30,10 @@ from descregions.criteria import (
     verify_separating_hyperplane,
     verify_simplex_witness,
 )
-from descregions.signomial import Signomial, restrict, positives
-from descregions.linalg import dot
+from descregions import lp
+from descregions.signomial import Signomial, negatives, restrict, positives
+from descregions.linalg import dot, vsub
+from descregions.polytope import build_polytope
 
 from fixtures import (
     BOX_F,
@@ -49,6 +51,7 @@ from fixtures import (
     TEN_TERM_UPPER,
     vec,
 )
+from strategies import signed_supports
 
 F = Fraction
 
@@ -73,20 +76,11 @@ def test_find_strict_separating_none_for_neg_quadratic():
 
 
 def test_strict_separating_none_means_every_candidate_infeasible():
-    from descregions import lp
-    from descregions.signomial import negatives, positives
     from fixtures import STRIP_PAIR
 
     for f in (TEN_TERM, NEG_QUADRATIC, STRIP_PAIR):
         assert find_strict_separating_hyperplane(f) is None
-        neg = sorted(negatives(f))
-        pos = sorted(positives(f))
-        n = f.dimension
-        for beta0 in neg:
-            rows = [(tuple(b) + (-1,), 0, ">=") for b in neg]
-            rows += [(tuple(-c for c in a) + (1,), 0, ">=") for a in pos]
-            rows.append((tuple(beta0) + (-1,), 1, ">="))
-            assert not lp.feasible(lp.LinearSystem.build(n + 1, rows)).is_feasible
+        assert per_candidate_witnesses(f) == [None] * len(negatives(f))
 
 
 def test_verify_separating_saddle():
@@ -229,9 +223,9 @@ def test_closure_trivial_signs():
 
 
 def test_has_negative_vertex():
-    assert has_negative_vertex(TEN_TERM) == vec(3, 2)
-    assert has_negative_vertex(TEN_TERM_LOWER) is None
-    assert has_negative_vertex(Signomial.from_terms(1, [(1, (0,)), (1, (1,))])) is None
+    assert negative_vertex_functional(TEN_TERM)[0] == vec(3, 2)
+    assert negative_vertex_functional(TEN_TERM_LOWER) is None
+    assert negative_vertex_functional(Signomial.from_terms(1, [(1, (0,)), (1, (1,))])) is None
 
 
 def test_negative_vertex_functional_exposes():
@@ -345,3 +339,59 @@ def test_all_returned_witnesses_reverify():
         cert = check_connectivity(f, config)
         assert cert is not None
         assert verify_criterion(f, cert) is None
+
+
+# --- differential checks against one LP per candidate -------------------------
+
+
+def per_candidate_witnesses(f):
+    """Witness (or None) of the separation LP making each negative strict."""
+    neg = sorted(negatives(f))
+    pos = sorted(positives(f))
+    n = f.dimension
+    out = []
+    for beta0 in neg:
+        rows = [(tuple(b) + (-1,), 0, ">=") for b in neg]
+        rows += [(tuple(-c for c in a) + (1,), 0, ">=") for a in pos]
+        rows.append((tuple(beta0) + (-1,), 1, ">="))
+        out.append(lp.feasible(lp.LinearSystem.build(n + 1, rows)).witness)
+    return out
+
+
+@given(signed_supports())
+@settings(deadline=None, max_examples=60)
+def test_separation_matches_per_candidate_lps(f):
+    w = find_strict_separating_hyperplane(f)
+    if not negatives(f) or not positives(f):
+        assert w is None
+        return
+    witnesses = per_candidate_witnesses(f)
+    assert (w is not None) == any(x is not None for x in witnesses)
+    if w is not None:
+        assert verify_separating_hyperplane(f, w.normal, w.offset, True, w.strict_point)
+    if witnesses[0] is not None:  # the first candidate keeps its witness
+        n = f.dimension
+        assert (w.normal, w.offset) == (witnesses[0][:n], witnesses[0][n])
+
+
+@given(signed_supports())
+@settings(deadline=None, max_examples=40)
+def test_negative_vertex_functional_matches_lp(f):
+    support = f.support
+    n = f.dimension
+
+    def lp_vertex(beta):
+        rows = [(vsub(beta, q), 1, ">=") for q in support if q != beta]
+        return lp.feasible(lp.LinearSystem.build(n, rows)).is_feasible
+
+    expected = next((b for b in sorted(negatives(f)) if lp_vertex(b)), None)
+    found = negative_vertex_functional(f)
+    assert (found and found[0]) == expected
+    if found is not None:
+        beta, u = found
+        assert all(dot(u, beta) > dot(u, q) for q in support if q != beta)
+        # the hull of a larger support with f's support as a face gives the same answer
+        lifted = [q + (F(0),) for q in support] + [(F(0),) * n + (F(1),)]
+        P = build_polytope(lifted)
+        g = Signomial.from_terms(n + 1, [(t.coefficient, t.exponent + (F(0),)) for t in f.terms])
+        assert negative_vertex_functional(g, P)[0] == beta + (F(0),)

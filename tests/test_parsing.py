@@ -63,6 +63,17 @@ def test_parse_errors_carry_position():
     assert err.value.line == 2
 
 
+def test_zero_denominators_are_parse_errors():
+    with pytest.raises(ParseError) as err:
+        parse_signomial("x^(1/0) - 1")
+    assert err.value.column == 6
+    with pytest.raises(ParseError) as err:
+        parse_signomial("3/0*x - 1")
+    assert err.value.column == 3
+    with pytest.raises(ParseError):
+        parse_signomial("(2/00)*y + 1")
+
+
 def test_round_trip_all_fixtures():
     texts = [
         fixtures.TEN_TERM_TEXT,

@@ -2,16 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from descregions.linalg import affine_rank, dot, rank
+from descregions import lp
+from descregions.linalg import affine_rank, dot, rank, vsub
 from descregions.polytope import (
     FacetBudgetExceededError,
     affine_hull,
     build_polytope,
     face_exposing_normal,
-    face_in_direction,
-    is_edge,
-    is_vertex,
     parallel_face_pairs,
     smallest_face_containing,
 )
@@ -19,6 +18,7 @@ from descregions.signomial import negatives
 
 from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, vec
 from hull_oracle import brute_force_facets, polytope_facets_in_hull_coords
+from strategies import point_sets
 
 F = Fraction
 
@@ -55,22 +55,35 @@ def test_cube_hull_counts():
     assert len(P.facets) == 6
 
 
+def face_of(P, points):
+    """Points of the smallest face containing the given points."""
+    return {P.points[i] for i in smallest_face_containing(P, [idx_of(P, p) for p in points])[0]}
+
+
 def test_face_in_direction():
     P = build_polytope(TEN_TERM_LOWER.support)
-    face = {P.points[i] for i in face_in_direction(P, (-1, 0))}
-    assert face == {vec(0, 0), vec(0, 1), vec(0, 2), vec(0, 3), vec(0, 4)}
-    assert set(face_in_direction(P, (0, 0))) == set(range(len(P.points)))
+    left = {vec(0, 0), vec(0, 1), vec(0, 2), vec(0, 3), vec(0, 4)}
+    assert face_of(P, [vec(0, 1), vec(0, 3)]) == left
+    assert face_exposing_normal(P, [idx_of(P, vec(0, 1)), idx_of(P, vec(0, 3))]) == vec(-1, 0)
+    everything = list(range(len(P.points)))
+    assert smallest_face_containing(P, everything) == (tuple(everything), False)
+    assert face_exposing_normal(P, everything) == vec(0, 0)
     Q = build_polytope(STRIP_PAIR.support)
-    top = {Q.points[i] for i in face_in_direction(Q, (0, 1))}
-    assert top == {vec(0, 1), vec(1, 1), vec(4, 1)}
+    assert face_of(Q, [vec(0, 1), vec(4, 1)]) == {vec(0, 1), vec(1, 1), vec(4, 1)}
+    assert face_exposing_normal(Q, [idx_of(Q, vec(0, 1)), idx_of(Q, vec(4, 1))]) == vec(0, 1)
 
 
 def test_is_vertex_examples():
     P = build_polytope(TEN_TERM.support)
-    assert not is_vertex(P, idx_of(P, vec(0, 2)))
-    assert is_vertex(P, idx_of(P, vec(3, 2)))
+    assert idx_of(P, vec(0, 2)) not in P.vertices
+    assert idx_of(P, vec(3, 2)) in P.vertices
     single = build_polytope([vec(5, 5)])
-    assert is_vertex(single, 0)
+    assert 0 in single.vertices
+
+
+def is_edge(P, i, j):
+    """The segment is a face: its smallest face has exactly these vertices."""
+    return set(smallest_face_containing(P, [i, j])[0]) & P.vertices == {i, j}
 
 
 def test_is_edge_examples():
@@ -79,6 +92,8 @@ def test_is_edge_examples():
     P = build_polytope(TEN_TERM.support)
     assert is_edge(P, idx_of(P, vec(0, 0)), idx_of(P, vec(0, 4)))
     assert not is_edge(P, idx_of(P, vec(2, 0)), idx_of(P, vec(0, 4)))
+    # the edge also holds (0,1), (0,2) and (0,3)
+    assert face_of(P, [vec(0, 0), vec(0, 4)]) == {vec(0, k) for k in range(5)}
 
 
 def test_smallest_face_lower_restriction():
@@ -155,7 +170,9 @@ def test_facet_soundness_and_duality():
 def test_face_in_direction_of_facet_normal_gives_incident_set():
     P = build_polytope(TEN_TERM.support)
     for facet in P.facets:
-        assert set(face_in_direction(P, facet.halfspace.normal)) == set(facet.incident)
+        face, proper = smallest_face_containing(P, sorted(facet.incident))
+        assert proper and set(face) == set(facet.incident)
+        assert face_exposing_normal(P, sorted(facet.incident)) == facet.halfspace.normal
 
 
 def _random_points(rng):
@@ -189,7 +206,7 @@ def test_is_edge_implies_vertices():
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if is_edge(P, i, j):
-                    assert is_vertex(P, i) and is_vertex(P, j)
+                    assert i in P.vertices and j in P.vertices
 
 
 def test_facet_budget():
@@ -200,3 +217,39 @@ def test_facet_budget():
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         build_polytope([vec(0, 0), vec(0, 0)])
+
+
+# --- incidences against the LP definitions ------------------------------------
+
+
+def lp_exposes(points, face, others):
+    """Some functional is constant on ``face`` and exceeds it by at least one
+    on every point of ``others`` (exact LP)."""
+    first = points[face[0]]
+    rows = [(vsub(first, points[k]), 0, "=") for k in face[1:]]
+    rows += [(vsub(first, points[k]), 1, ">=") for k in others]
+    return lp.feasible(lp.LinearSystem.build(len(first), rows)).is_feasible
+
+
+@given(point_sets())
+@settings(deadline=None, max_examples=40)
+def test_incidences_match_lp_definitions(pts):
+    P = build_polytope(pts)
+    assert polytope_facets_in_hull_coords(P) == brute_force_facets(pts)
+    everything = range(len(pts))
+    vertices = {i for i in everything if lp_exposes(pts, [i], [k for k in everything if k != i])}
+    assert P.vertices == vertices
+    for i in everything:
+        for j in range(i + 1, len(pts)):
+            others = [k for k in everything if k not in (i, j)]
+            face = smallest_face_containing(P, [i, j])[0]
+            # the segment is a face holding no other point
+            assert (face == (i, j)) == lp_exposes(pts, [i, j], others)
+            # the segment is a face holding no other vertex
+            assert is_edge(P, i, j) == (
+                {i, j} <= vertices
+                and lp_exposes(pts, [i, j], [k for k in others if k in vertices])
+            )
+            u = face_exposing_normal(P, [i, j])
+            top = max(dot(u, p) for p in pts)
+            assert {k for k in everything if dot(u, pts[k]) == top} == set(face)

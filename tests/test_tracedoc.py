@@ -110,6 +110,30 @@ def test_document_rejects_unknown_schema():
     assert tracedoc.verify_document(doc) != []
 
 
+def test_malformed_documents_are_reported_not_raised():
+    cert = certify_connectivity(CUBE4)
+    good = tracedoc.make_document(CUBE4, CertifyConfig(), cert)
+    split = json.loads(json.dumps(good))
+    split["tree"]["children"][0]["child_nonempty"].pop()
+    bad_documents = [
+        [1, 2],
+        "trace",
+        None,
+        {"schema": 1, "input": {"dimension": 1, "terms": 5}, "tree": {}},
+        {"schema": 1, "input": [], "tree": {}},
+        {"schema": 1, "input": {"dimension": None, "terms": []}, "tree": {}},
+        {"schema": 1, "input": {"dimension": 1, "terms": [{"coefficient": "1/0", "exponent": ["1"]}]}, "tree": {}},
+        {"schema": 1, "input": good["input"], "tree": []},
+        {"schema": 1, "input": good["input"], "tree": {"kind": "criterion", "outcome": "x",
+                                                      "criterion": "strict-separating",
+                                                      "nonempty": True, "witness": [1]}},
+    ]
+    for doc in bad_documents:
+        errors = tracedoc.verify_document(doc)
+        assert len(errors) == 1 and errors[0].startswith("malformed document: "), doc
+    assert tracedoc.verify_document(split) == ["root.face: malformed parallel-split node"]
+
+
 def test_flagged_random_sweep_replays_and_round_trips():
     rng = random.Random(99991)
     config = CertifyConfig(
