@@ -94,7 +94,7 @@ def _cmd_certify(args) -> int:
     if args.verify_trace:
         try:
             doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         errors = tracedoc.verify_document(doc)

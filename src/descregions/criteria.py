@@ -15,8 +15,15 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import lp
-from .linalg import Vector, affine_rank, dot, hyperplane_normal, is_zero, vector, vneg
-from .polytope import Polytope, build_polytope, face_exposing_normal, smallest_face_containing
+from .linalg import Vector, affine_rank, dot, is_zero, vector
+from .polytope import (
+    DegenerateSimplexError,
+    Polytope,
+    build_polytope,
+    face_exposing_normal,
+    simplex_halfspaces,
+    smallest_face_containing,
+)
 from .signomial import Signomial, negatives, newton_dim, positives
 
 ZERO = Fraction(0)
@@ -44,10 +51,6 @@ _NONEMPTY_KINDS = {
 
 class EnclosingBudgetExceededError(RuntimeError):
     """The enclosing-pair search would enumerate too many side assignments."""
-
-
-class DegenerateSimplexError(ValueError):
-    """Simplex witness vertices are affinely dependent."""
 
 
 @dataclass(frozen=True)
@@ -238,26 +241,6 @@ def find_strict_enclosing_pair(
                 raise RuntimeError("enclosing witness failed re-verification")
             return EnclosingWitness(v, a, b, True)
     return None
-
-
-def simplex_halfspaces(vertices: Sequence[Vector]) -> Tuple[Tuple[Vector, Fraction], ...]:
-    """Outer halfspaces (v_j, a_j) of the simplex, the j-th supporting the
-    facet opposite vertex j.  Raises DegenerateSimplexError when the vertices
-    are affinely dependent."""
-    verts = [vector(p) for p in vertices]
-    n = len(verts[0])
-    if len(verts) != n + 1 or affine_rank(verts) != n:
-        raise DegenerateSimplexError("vertices do not form an n-simplex")
-    out = []
-    for j in range(n + 1):
-        others = [verts[i] for i in range(n + 1) if i != j]
-        normal = hyperplane_normal(others)
-        assert normal is not None
-        offset = dot(normal, others[0])
-        if dot(normal, verts[j]) > offset:
-            normal, offset = vneg(normal), -offset
-        out.append((normal, offset))
-    return tuple(out)
 
 
 def _matches_derived(provided, derived) -> bool:

@@ -25,14 +25,6 @@ def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 

@@ -4,14 +4,11 @@ coordinates and component counting over axis-adjacent negative cells.
 The positive orthant maps to R^n by coordinate-wise log, which preserves
 connected components, so the grid lives in a log-space box.  The count is
 approximate by construction; the box, resolution and tolerance are part of
-the report so results are reproducible.  ``DESC_REGIONS_THREADS`` caps the
-number of worker threads used for grid evaluation.
+the report so results are reproducible.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -72,30 +69,8 @@ class ComponentReport:
     grid: GridSpec
 
 
-def _max_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DESC_REGIONS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _axes(grid: GridSpec):
     return [np.linspace(lo, hi, grid.resolution) for lo, hi in grid.box]
-
-
-def _evaluate_chunk(f: Signomial, mesh, tolerance_factor: float):
-    values = np.zeros(mesh[0].shape)
-    scale = np.zeros(mesh[0].shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in f.terms:
-            e = np.zeros(mesh[0].shape)
-            for i, m in enumerate(t.exponent):
-                if m != 0:
-                    e = e + float(m) * mesh[i]
-            term = float(t.coefficient) * np.exp(e)
-            values = values + term
-            scale = scale + np.abs(term)
-        return values < -tolerance_factor * scale
 
 
 def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
@@ -108,21 +83,19 @@ def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
         raise GridBudgetExceededError(
             f"{grid.resolution}^{grid.dimension} cells exceed the cap {grid.cell_cap}"
         )
-    axes = _axes(grid)
-    threads = _max_threads()
-    if threads == 1 or grid.dimension == 0:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return _evaluate_chunk(f, mesh, grid.tolerance_factor)
-    # split along the first axis; per-cell arithmetic is unchanged, so the
-    # result is identical to the single-threaded one
-    chunk_bounds = np.array_split(np.arange(grid.resolution), threads)
-    def run(idx):
-        sub_axes = [axes[0][idx]] + axes[1:]
-        mesh = np.meshgrid(*sub_axes, indexing="ij")
-        return _evaluate_chunk(f, mesh, grid.tolerance_factor)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, chunk_bounds))
-    return np.concatenate(parts, axis=0)
+    mesh = np.meshgrid(*_axes(grid), indexing="ij")
+    values = np.zeros(mesh[0].shape)
+    scale = np.zeros(mesh[0].shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in f.terms:
+            e = np.zeros(mesh[0].shape)
+            for i, m in enumerate(t.exponent):
+                if m != 0:
+                    e = e + float(m) * mesh[i]
+            term = float(t.coefficient) * np.exp(e)
+            values = values + term
+            scale = scale + np.abs(term)
+        return values < -grid.tolerance_factor * scale
 
 
 def count_negative_components(f: Signomial, grid: Optional[GridSpec] = None) -> ComponentReport:
@@ -152,12 +125,6 @@ def _first_point(mask: np.ndarray, grid: GridSpec) -> Optional[Tuple[float, ...]
     idx = np.unravel_index(int(hits[0]), mask.shape)
     axes = _axes(grid)
     return tuple(float(axes[i][idx[i]]) for i in range(grid.dimension))
-
-
-def negativity_witness(f: Signomial, grid: Optional[GridSpec] = None) -> Optional[Tuple[float, ...]]:
-    """Some grid point (log coordinates) where f is negative, or None."""
-    grid = grid or default_grid(f.dimension)
-    return _first_point(negative_mask(f, grid), grid)
 
 
 def intersection_witness(

@@ -1,19 +1,22 @@
 """Exact convex-hull geometry of finite rational point sets.
 
-Hulls are built by incremental insertion inside affine-hull coordinates, so
+Hulls are built by beneath-beyond insertion inside affine-hull coordinates, so
 lower-dimensional point sets (restrictions of a support to a face keep the
-ambient dimension) are handled without perturbation.  Facet normals are lifted
-back to the ambient space and normalized to coprime integer vectors; for a
-flat hull the lift is one deterministic representative of the many valid
-supporting normals.  Vertices, smallest faces and exposing normals are read
-off the vertex-facet incidences, with no linear programming.
+ambient dimension) are handled without perturbation.  Each new facet is the
+positive combination of the two facets sharing its ridge that vanishes at the
+new point; ridges are read from the vertex-facet incidences, which insertion
+keeps up to date.  Facet normals are lifted back to the ambient space and
+normalized to coprime integer vectors; for a flat hull the lift is one
+deterministic representative of the many valid supporting normals.  Vertices,
+smallest faces and exposing normals are read off the incidences, with no
+linear programming.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .linalg import (
     Vector,
@@ -118,28 +121,61 @@ def _independent_point_indices(points: Sequence[Vector]) -> List[int]:
     return picked
 
 
+class DegenerateSimplexError(ValueError):
+    """Simplex vertices are affinely dependent."""
+
+
+def simplex_halfspaces(vertices: Sequence[Vector]) -> Tuple[Tuple[Vector, Fraction], ...]:
+    """Outer halfspaces (v_j, a_j) of the simplex, the j-th supporting the
+    facet opposite vertex j, with primitive integer normals.  Raises
+    DegenerateSimplexError when the vertices are affinely dependent."""
+    verts = [vector(p) for p in vertices]
+    n = len(verts[0])
+    if len(verts) != n + 1 or affine_rank(verts) != n:
+        raise DegenerateSimplexError("vertices do not form an n-simplex")
+    out = []
+    for j in range(n + 1):
+        others = [verts[i] for i in range(n + 1) if i != j]
+        normal = hyperplane_normal(others)
+        assert normal is not None
+        offset = dot(normal, others[0])
+        if dot(normal, verts[j]) > offset:
+            normal, offset = vneg(normal), -offset
+        out.append((normal, offset))
+    return tuple(out)
+
+
 def _facet_key(normal: Vector, offset: Fraction) -> Tuple[Vector, Fraction]:
+    """The halfspace scaled by the positive factor that makes its normal a
+    primitive integer vector (primitive() never flips sign)."""
     prim = primitive(normal)
-    # keep orientation: primitive() never flips sign
-    scale = None
-    for a, b in zip(prim, normal):
-        if b != 0:
-            scale = a / b
-            break
-    assert scale is not None and scale > 0
+    scale = next(a / b for a, b in zip(prim, normal) if b != 0)
+    assert scale > 0
     return prim, offset * scale
 
 
 def _incremental_facets(
     hp: Sequence[Vector], budget: Optional[int]
-) -> List[Tuple[Vector, Fraction]]:
+) -> List[Tuple[Tuple[Vector, Fraction], FrozenSet[int]]]:
     """Facets (outer normal, offset) of the hull of full-dimensional points
-    given in d >= 2 dimensional coordinates."""
+    given in d >= 2 dimensional coordinates, each with the indices of the
+    points on it.
+
+    Beneath-beyond insertion from a starting simplex.  For a new point p with
+    excess s = n.p - a over each facet, the facets with s > 0 are dropped,
+    those with s = 0 gain p, and every dropped facet v and facet h with s < 0
+    that share a ridge give the new facet (-s_h)(n_v, a_v) + s_v(n_h, a_h),
+    which vanishes at p and on the ridge.  Two facets share a ridge exactly
+    when no third facet holds all their common points (at least d - 1 of
+    them), so the new facet's points are those common points plus p."""
     d = len(hp[0])
     init = _independent_point_indices(hp)
     assert len(init) == d + 1
 
-    facets: Dict[Tuple[Vector, Fraction], Set[int]] = {}
+    facets: List[Tuple[Tuple[Vector, Fraction], Set[int]]] = [
+        (h, set(init) - {k})
+        for h, k in zip(simplex_halfspaces([hp[i] for i in init]), init)
+    ]
 
     def check_budget():
         if budget is not None and len(facets) > budget:
@@ -147,76 +183,27 @@ def _incremental_facets(
                 f"facet count exceeded budget of {budget}"
             )
 
-    def supporting(normal: Vector, offset: Fraction, idxs: Sequence[int]) -> bool:
-        return all(dot(normal, hp[i]) <= offset for i in idxs)
-
-    def orient(normal: Vector, offset: Fraction, idxs: Sequence[int]):
-        if supporting(normal, offset, idxs):
-            return normal, offset
-        if supporting(vneg(normal), -offset, idxs):
-            return vneg(normal), -offset
-        return None
-
-    processed: List[int] = list(init)
-    for k in init:
-        face_pts = [hp[i] for i in init if i != k]
-        normal = hyperplane_normal(face_pts)
-        assert normal is not None
-        offset = dot(normal, face_pts[0])
-        if dot(normal, hp[k]) > offset:
-            normal, offset = vneg(normal), -offset
-        facets[_facet_key(normal, offset)] = set()
     check_budget()
-
-    def refresh_incidence():
-        for (normal, offset), inc in facets.items():
-            inc.clear()
-            inc.update(i for i in processed if dot(normal, hp[i]) == offset)
-
-    refresh_incidence()
-
-    remaining = [i for i in range(len(hp)) if i not in set(init)]
-    for i in remaining:
-        p = hp[i]
-        visible = []
-        hidden = []
-        for key in facets:
-            normal, offset = key
-            if dot(normal, p) > offset:
-                visible.append(key)
-            else:
-                hidden.append(key)
-        processed.append(i)
-        if not visible:
-            refresh_incidence()
-            continue
-        new_facets: Dict[Tuple[Vector, Fraction], Set[int]] = {}
-        for kv in visible:
-            for kh in hidden:
-                ridge = facets[kv] & facets[kh]
-                if not ridge:
+    for i in sorted(set(range(len(hp))) - set(init)):
+        excess = [dot(normal, hp[i]) - offset for (normal, offset), _ in facets]
+        hidden = [(f, s) for f, s in zip(facets, excess) if s < 0]
+        new_facets = []
+        for (hv, inc_v), sv in zip(facets, excess):
+            if sv <= 0:
+                continue
+            for (hh, inc_h), sh in hidden:
+                ridge = inc_v & inc_h
+                if len(ridge) < d - 1 or sum(ridge <= inc for _, inc in facets) > 2:
                     continue
-                ridge_pts = [hp[j] for j in sorted(ridge)]
-                if affine_rank(ridge_pts) != d - 2:
-                    continue
-                normal = hyperplane_normal(ridge_pts + [p])
-                if normal is None:
-                    continue
-                offset = dot(normal, p)
-                oriented = orient(normal, offset, processed)
-                if oriented is None:
-                    continue
-                key = _facet_key(*oriented)
-                if key not in facets:  # an on-plane kept facet just extends
-                    new_facets[key] = set()
-        for kv in visible:
-            del facets[kv]
-        for key, inc in new_facets.items():
-            facets[key] = inc
+                normal = tuple(-sh * a + sv * b for a, b in zip(hv[0], hh[0]))
+                new_facets.append((_facet_key(normal, -sh * hv[1] + sv * hh[1]), ridge | {i}))
+        for (_, inc), s in zip(facets, excess):
+            if s == 0:
+                inc.add(i)
+        facets = [f for f, s in zip(facets, excess) if s <= 0] + new_facets
         check_budget()
-        refresh_incidence()
 
-    return sorted(facets.keys())
+    return [(h, frozenset(inc)) for h, inc in facets]
 
 
 def _lift_halfspace(hull: AffineHull, normal_h: Vector, offset_h: Fraction) -> Halfspace:
@@ -228,14 +215,8 @@ def _lift_halfspace(hull: AffineHull, normal_h: Vector, offset_h: Fraction) -> H
     rows = [list(b) for b in hull.basis]
     w = solve(rows, list(normal_h))
     assert w is not None
-    prim = primitive(w)
-    scale = None
-    for a, b in zip(prim, w):
-        if b != 0:
-            scale = a / b
-            break
-    assert scale is not None and scale > 0
-    return Halfspace(prim, Fraction(dot(prim, hull.base)) + offset_h * scale)
+    prim, offset = _facet_key(w, offset_h)
+    return Halfspace(prim, dot(prim, hull.base) + offset)
 
 
 def build_polytope(
@@ -251,21 +232,23 @@ def build_polytope(
     hull = affine_hull(pts)
     d = hull.dim
 
-    halfspaces: List[Halfspace] = []
+    hp = [hull.coords(p) for p in pts]
     if d == 1:
-        hp = [hull.coords(p) for p in pts]
         values = [c[0] for c in hp]
-        halfspaces.append(_lift_halfspace(hull, (ONE,), max(values)))
-        halfspaces.append(_lift_halfspace(hull, (-ONE,), -min(values)))
+        top, bottom = max(values), min(values)
+        hull_facets = [
+            (((ONE,), top), frozenset(i for i, x in enumerate(values) if x == top)),
+            (((-ONE,), -bottom), frozenset(i for i, x in enumerate(values) if x == bottom)),
+        ]
     elif d >= 2:
-        hp = [hull.coords(p) for p in pts]
-        for normal_h, offset_h in _incremental_facets(hp, facet_budget):
-            halfspaces.append(_lift_halfspace(hull, normal_h, offset_h))
-
-    halfspaces.sort(key=lambda h: (h.normal, h.offset))
+        hull_facets = _incremental_facets(hp, facet_budget)
+    else:
+        hull_facets = []
     facets = tuple(
-        Facet(h, frozenset(i for i, p in enumerate(pts) if dot(h.normal, p) == h.offset))
-        for h in halfspaces
+        sorted(
+            (Facet(_lift_halfspace(hull, *h), incident) for h, incident in hull_facets),
+            key=lambda f: (f.halfspace.normal, f.halfspace.offset),
+        )
     )
     return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets)
 

@@ -2,8 +2,8 @@
 
 A signomial is a finite sum of terms ``c * x^mu`` with ``c`` a nonzero rational
 and ``mu`` a rational exponent vector; it is a function on the open positive
-orthant.  Everything here is exact except the two evaluation helpers, which
-work in log coordinates (``x = exp(y)``) and carry an explicit sign tolerance.
+orthant.  Everything here is exact except ``evaluate_log``, which works in
+log coordinates (``x = exp(y)``) in floating point.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .linalg import Vector, affine_rank, dot, vector
+from .linalg import Vector, affine_rank, vector
 
 DEFAULT_TOLERANCE_FACTOR = 1e-12
 
@@ -72,9 +72,6 @@ class Signomial:
                 return t.coefficient
         return Fraction(0)
 
-    def __neg__(self) -> "Signomial":
-        return Signomial(self.dimension, tuple(Term(-t.coefficient, t.exponent) for t in self.terms))
-
 
 @dataclass(frozen=True)
 class SignedSupport:
@@ -121,89 +118,3 @@ def evaluate_log(f: Signomial, y: Sequence[float]) -> float:
         e = sum(float(m) * float(c) for m, c in zip(t.exponent, y))
         total += float(t.coefficient) * math.exp(e)
     return total
-
-
-def sign_at(f: Signomial, y: Sequence[float], tolerance_factor: float = DEFAULT_TOLERANCE_FACTOR) -> int:
-    """Sign of f at x = exp(y) with tolerance tau = factor * sum |c * exp(mu.y)|."""
-    if len(y) != f.dimension:
-        raise ValueError("point length does not match dimension")
-    total = 0.0
-    scale = 0.0
-    for t in f.terms:
-        e = sum(float(m) * float(c) for m, c in zip(t.exponent, y))
-        v = float(t.coefficient) * math.exp(e)
-        total += v
-        scale += abs(v)
-    tau = tolerance_factor * scale
-    if total < -tau:
-        return -1
-    if total > tau:
-        return 1
-    return 0
-
-
-@dataclass(frozen=True)
-class SignedCoefficientSequence:
-    """Signs of the coefficient groups of a univariate signomial, ordered by
-    strictly increasing exponent."""
-
-    entries: Tuple[Tuple[Fraction, int], ...]  # (exponent value, sign in {-1, +1})
-
-    def __post_init__(self):
-        values = [v for v, _ in self.entries]
-        if sorted(values) != values or len(set(values)) != len(values):
-            raise ValueError("exponent values must be strictly increasing")
-        if any(s not in (-1, 1) for _, s in self.entries):
-            raise ValueError("signs must be -1 or +1")
-
-    @property
-    def signs(self) -> Tuple[int, ...]:
-        return tuple(s for _, s in self.entries)
-
-    @property
-    def trailing_sign(self) -> Optional[int]:
-        return self.entries[0][1] if self.entries else None
-
-    @property
-    def leading_sign(self) -> Optional[int]:
-        return self.entries[-1][1] if self.entries else None
-
-
-def sign_variations(seq: SignedCoefficientSequence) -> int:
-    """Number of adjacent sign flips."""
-    signs = seq.signs
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def induced_sequence(
-    f: Signomial,
-    v: Sequence,
-    x: Sequence[float],
-    tolerance_factor: float = DEFAULT_TOLERANCE_FACTOR,
-) -> SignedCoefficientSequence:
-    """Coefficient sign sequence of t -> f(t^v * x) for a fixed positive x.
-
-    Terms are grouped by the exact value of v . mu; each group's coefficient
-    sum is evaluated in floating point and groups within the tolerance of
-    zero are dropped.
-    """
-    vv = vector(v)
-    if len(vv) != f.dimension or len(x) != f.dimension:
-        raise ValueError("vector length does not match dimension")
-    if any(c <= 0 for c in x):
-        raise ValueError("x must be strictly positive")
-    logs = [math.log(float(c)) for c in x]
-    groups: dict[Fraction, float] = {}
-    scale = 0.0
-    for t in f.terms:
-        key = dot(vv, t.exponent)
-        val = float(t.coefficient) * math.exp(sum(float(m) * l for m, l in zip(t.exponent, logs)))
-        groups[key] = groups.get(key, 0.0) + val
-        scale += abs(val)
-    tau = tolerance_factor * scale
-    entries = tuple(
-        (key, 1 if val > 0 else -1)
-        for key, val in sorted(groups.items())
-        if abs(val) > tau
-    )
-    return SignedCoefficientSequence(entries)

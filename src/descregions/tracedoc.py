@@ -275,9 +275,11 @@ def verify_document(doc: dict) -> List[str]:
     try:
         f = signomial_from_json(doc["input"])
         cert = certificate_from_json(doc["tree"])
+        errors = verify_certificate(f, cert)
+    except RecursionError:
+        return ["malformed document: trace nested too deeply"]
     except (KeyError, ValueError, TypeError, AttributeError, ArithmeticError) as exc:
         return [f"malformed document: {exc}"]
-    errors = verify_certificate(f, cert)
     if doc.get("outcome") != cert.outcome:
         errors.append("document outcome does not match the tree outcome")
     return errors

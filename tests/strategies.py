@@ -13,11 +13,15 @@ COORD = st.integers(-3, 3)
 def point_sets(draw, max_size=7):
     """Distinct integer points in 2 to 4 dimensions, sorted.  Besides general
     sets, draws single points, collinear sets and sets on a coordinate
-    hyperplane, whose hulls are lower-dimensional."""
+    hyperplane, whose hulls are lower-dimensional, and subsets of the lattice
+    {0,1,2}^n, with many coplanar points and non-simplicial facets."""
     n = draw(st.integers(2, 4))
-    shape = draw(st.sampled_from(("general", "general", "hyperplane", "collinear", "single")))
+    shape = draw(st.sampled_from(("general", "general", "hyperplane", "collinear", "single", "lattice")))
     if shape == "single":
         pts = {tuple(draw(COORD) for _ in range(n))}
+    elif shape == "lattice":
+        cell = st.tuples(*[st.integers(0, 2)] * n)
+        pts = set(draw(st.lists(cell, min_size=4, max_size=12, unique=True)))
     elif shape == "collinear":
         base = [draw(COORD) for _ in range(n)]
         step = [draw(st.integers(-2, 2)) for _ in range(n)]

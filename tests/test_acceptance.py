@@ -249,7 +249,8 @@ def test_criterion_7_printed_witnesses_accepted():
     negated = SimplexWitness(
         SIMPLEX_VERTICES, MODE_NEGATIVES_INSIDE, halfspaces=SIMPLEX_HALFSPACES
     )
-    assert verify_simplex_witness(-SIMPLEX_CONNECTED, negated)
+    negation = Signomial.from_terms(2, [(-t.coefficient, t.exponent) for t in SIMPLEX_CONNECTED.terms])
+    assert verify_simplex_witness(negation, negated)
     print("ACCEPTANCE 7 printed witnesses: PASS")
 
 

@@ -97,6 +97,19 @@ def test_verify_trace_rejects_malformed_documents(capsys, tmp_path):
         assert result["errors"][0].startswith("malformed document: ")
 
 
+def test_verify_trace_rejects_deeply_nested_trace(capsys, tmp_path):
+    node = '{"kind": "negative-face-reduction", "outcome": "CertifiedEmpty", "normal": ["1"], "face": [], "children": ['
+    tree = node * 5000 + '{"kind": "empty", "outcome": "CertifiedEmpty"}' + "]}" * 5000
+    trace = tmp_path / "trace.json"
+    trace.write_text(
+        '{"schema": 1, "input": {"dimension": 1, "terms": []}, "outcome": "CertifiedEmpty", "tree": ' + tree + "}",
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "certify", "--verify-trace", str(trace))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_oracle_command(poly, capsys):
     tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
     code, out, _ = run(capsys, "oracle", tenterm, "--grid", "200")

@@ -163,7 +163,8 @@ def test_simplex_witness_fails_without_interior_negative():
 
 def test_simplex_witness_negatives_inside_for_negation():
     w = SimplexWitness(SIMPLEX_VERTICES, MODE_NEGATIVES_INSIDE, halfspaces=SIMPLEX_HALFSPACES)
-    assert verify_simplex_witness(-SIMPLEX_CONNECTED, w)
+    negation = Signomial.from_terms(2, [(-t.coefficient, t.exponent) for t in SIMPLEX_CONNECTED.terms])
+    assert verify_simplex_witness(negation, w)
 
 
 def test_simplex_witness_wrong_halfspaces_rejected():

@@ -11,9 +11,8 @@ from descregions.oracle import (
     default_grid,
     intersection_witness,
     negative_mask,
-    negativity_witness,
 )
-from descregions.signomial import Signomial, evaluate_log, negatives, positives, restrict
+from descregions.signomial import evaluate_log, negatives, positives, restrict
 
 from fixtures import (
     NEG_QUADRATIC_SPLIT,
@@ -60,14 +59,6 @@ def test_witnesses_hold_at_higher_precision():
             e = sum(mpmath.mpf(m.numerator) / m.denominator * y for m, y in zip(t.exponent, w))
             total += mpmath.mpf(t.coefficient.numerator) / t.coefficient.denominator * mpmath.e**e
         assert total < 0
-
-
-def test_negativity_witness():
-    w = negativity_witness(TEN_TERM, grid2(200))
-    assert w is not None and evaluate_log(TEN_TERM, w) < 0
-    assert negativity_witness(Signomial.from_terms(1, [(1, (0,))])) is None
-    w0 = negativity_witness(Signomial.from_terms(1, [(-1, (0,))]), default_grid(1, resolution=10))
-    assert w0 == (-8.0,)
 
 
 def test_intersection_witness_parallel_faces():
@@ -122,13 +113,6 @@ def test_grid_validation():
         GridSpec(((8, -8),), 10)
     with pytest.raises(ValueError):
         negative_mask(TEN_TERM, default_grid(3))
-
-
-def test_thread_env_var_changes_nothing(monkeypatch):
-    base = negative_mask(TEN_TERM, grid2(150))
-    monkeypatch.setenv("DESC_REGIONS_THREADS", "3")
-    threaded = negative_mask(TEN_TERM, grid2(150))
-    assert np.array_equal(base, threaded)
 
 
 def test_stability_under_doubling_modest():

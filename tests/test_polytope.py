@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from descregions import lp
 from descregions.linalg import affine_rank, dot, rank, vsub
@@ -232,11 +232,17 @@ def lp_exposes(points, face, others):
 
 
 @given(point_sets())
+# during insertion two facets share three points but no ridge
+@example(sorted(vec(*p) for p in [(0, 0, 2, 2), (0, 1, 0, 2), (0, 2, 2, 0), (1, 0, 0, 0),
+                                  (1, 0, 1, 0), (1, 1, 0, 1), (1, 2, 0, 2), (2, 2, 2, 0)]))
 @settings(deadline=None, max_examples=40)
 def test_incidences_match_lp_definitions(pts):
     P = build_polytope(pts)
     assert polytope_facets_in_hull_coords(P) == brute_force_facets(pts)
     everything = range(len(pts))
+    for f in P.facets:
+        h = f.halfspace
+        assert f.incident == {i for i in everything if dot(h.normal, pts[i]) == h.offset}
     vertices = {i for i in everything if lp_exposes(pts, [i], [k for k in everything if k != i])}
     assert P.vertices == vertices
     for i in everything:

@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descregions.signomial import (
-    SignedCoefficientSequence,
     Signomial,
     Term,
     evaluate_log,
-    induced_sequence,
     negatives,
     newton_dim,
     positives,
     restrict,
-    sign_at,
-    sign_variations,
     signed_support,
 )
 
@@ -83,55 +79,12 @@ def test_evaluate_log_quadratic_at_one():
 
 def test_evaluate_log_ten_term_at_one():
     assert evaluate_log(TEN_TERM, (0.0, 0.0)) == pytest.approx(-3.0)
-    assert sign_at(TEN_TERM, (0.0, 0.0)) == -1
 
 
 def test_evaluate_log_overflow():
     f = Signomial.from_terms(1, [(1, (5,))])
     with pytest.raises(OverflowError):
         evaluate_log(f, (200.0,))
-
-
-def seq(*signs):
-    return SignedCoefficientSequence(tuple((F(i), s) for i, s in enumerate(signs)))
-
-
-def test_sign_variations_examples():
-    assert sign_variations(seq(1, 1, 1)) == 0
-    assert sign_variations(seq(-1, 1, 1, 1, -1)) == 2
-    assert sign_variations(seq(1, -1)) == 1
-
-
-@given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=10))
-@settings(deadline=None)
-def test_sign_variations_reversal(signs):
-    forward = seq(*signs)
-    backward = seq(*reversed(signs))
-    assert sign_variations(forward) == sign_variations(backward)
-
-
-def test_induced_sequence_ten_term():
-    s = induced_sequence(TEN_TERM, (1, 0), (1.0, 1.0))
-    assert [v for v, _ in s.entries] == [F(0), F(1), F(2), F(3)]
-    assert s.signs == (-1, 1, 1, -1)
-    assert sign_variations(s) == 2
-
-
-def test_induced_sequence_single_term():
-    f = Signomial.from_terms(1, [(-1, (1,))])
-    s = induced_sequence(f, (1,), (1.0,))
-    assert s.entries == ((F(1), -1),)
-
-
-def test_induced_sequence_lower_side_reversed_direction():
-    s = induced_sequence(TEN_TERM_LOWER, (-1, 0), (1.0, 1.0))
-    assert [v for v, _ in s.entries] == [F(-2), F(-1), F(0)]
-    assert s.signs == (1, 1, -1)
-
-
-def test_sequence_rejects_unsorted():
-    with pytest.raises(ValueError):
-        SignedCoefficientSequence(((F(1), 1), (F(0), -1)))
 
 
 def test_partition_counts():

@@ -124,6 +124,9 @@ def test_malformed_documents_are_reported_not_raised():
         {"schema": 1, "input": {"dimension": None, "terms": []}, "tree": {}},
         {"schema": 1, "input": {"dimension": 1, "terms": [{"coefficient": "1/0", "exponent": ["1"]}]}, "tree": {}},
         {"schema": 1, "input": good["input"], "tree": []},
+        {"schema": 1, "input": {"dimension": 1, "terms": []},
+         "tree": {"kind": "negative-face-reduction", "outcome": "CertifiedEmpty", "normal": ["1"], "face": [],
+                  "children": [{"kind": "empty", "outcome": "CertifiedEmpty"}]}},
         {"schema": 1, "input": good["input"], "tree": {"kind": "criterion", "outcome": "x",
                                                       "criterion": "strict-separating",
                                                       "nonempty": True, "witness": [1]}},
@@ -132,6 +135,15 @@ def test_malformed_documents_are_reported_not_raised():
         errors = tracedoc.verify_document(doc)
         assert len(errors) == 1 and errors[0].startswith("malformed document: "), doc
     assert tracedoc.verify_document(split) == ["root.face: malformed parallel-split node"]
+
+
+def test_deeply_nested_trace_is_reported_not_raised():
+    tree = {"kind": "empty", "outcome": "CertifiedEmpty"}
+    for _ in range(5000):
+        tree = {"kind": "negative-face-reduction", "outcome": "CertifiedEmpty",
+                "normal": ["1"], "face": [], "children": [tree]}
+    doc = {"schema": 1, "input": {"dimension": 1, "terms": []}, "outcome": "CertifiedEmpty", "tree": tree}
+    assert tracedoc.verify_document(doc) == ["malformed document: trace nested too deeply"]
 
 
 def test_flagged_random_sweep_replays_and_round_trips():
