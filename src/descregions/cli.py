@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import tracedoc
 from .certify import (
@@ -47,12 +47,13 @@ EXIT_INPUT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _read_signomial(path: str) -> Signomial:
+def _read_signomial(path: str) -> Tuple[Signomial, str]:
+    """The signomial in the file and the text it was parsed from."""
     text = Path(path).read_text(encoding="utf-8")
     f = parse_signomial(text)
     if not f.terms:
         raise ParseError("polynomial has empty support", 1, 1)
-    return f
+    return f, text
 
 
 def _parse_box(spec: Optional[str], dimension: int):
@@ -101,7 +102,7 @@ def _cmd_certify(args) -> int:
         print(json.dumps({"verified": not errors, "errors": errors}, indent=2))
         return EXIT_OK if not errors else EXIT_INCONCLUSIVE
 
-    f = _read_signomial(args.file)
+    f, text = _read_signomial(args.file)
     config = CertifyConfig(
         max_depth=args.max_depth,
         facet_budget=args.facet_budget,
@@ -110,7 +111,7 @@ def _cmd_certify(args) -> int:
         enable_box_criterion=args.enable_box,
     )
     cert = certify_connectivity(f, config)
-    doc = tracedoc.make_document(f, config, cert, source=Path(args.file).read_text(encoding="utf-8").strip())
+    doc = tracedoc.make_document(f, config, cert, source=text.strip())
     if args.format == "json":
         print(tracedoc.document_to_json(doc))
     else:
@@ -119,7 +120,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    f = _read_signomial(args.file)
+    f, _ = _read_signomial(args.file)
     box = _parse_box(args.box, f.dimension)
     grid = default_grid(f.dimension, box=box, resolution=args.grid, tolerance_factor=args.tol)
     report = count_negative_components(f, grid)
@@ -142,7 +143,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    f = _read_signomial(args.file)
+    f, _ = _read_signomial(args.file)
     neg = negatives(f)
     report = {
         "dimension": f.dimension,
@@ -193,7 +194,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    f = _read_signomial(args.file)
+    f, _ = _read_signomial(args.file)
     box = _parse_box(args.box, 2)
     grid = default_grid(2, box=box, resolution=args.grid or 200)
     hyperplane = None

@@ -1,4 +1,9 @@
-"""Exact rational vectors and the small amount of linear algebra the geometry needs."""
+"""Exact rational vectors and the small amount of linear algebra the geometry needs.
+
+Everything rests on one incremental reduced row echelon form: ranks, affine
+ranks and hyperplane normals are read off its rows, and ``polytope`` uses the
+same rows as the affine-hull frame, so no linear system is ever solved.
+"""
 
 from __future__ import annotations
 
@@ -58,7 +63,9 @@ def sign_canonical(u: Vector) -> Vector:
 
 
 class _Echelon:
-    """Incremental row echelon form over the rationals, for rank and span tests."""
+    """Incremental reduced row echelon form over the rationals, for rank and
+    span tests: each row has a 1 in its pivot column and a 0 in every other
+    row's pivot column."""
 
     def __init__(self, width: int):
         self.width = width
@@ -73,14 +80,19 @@ class _Echelon:
         return tuple(r)
 
     def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert v; returns True if it increased the rank."""
+        """Insert v; returns True if it increased the rank.  The new pivot
+        column is cleared from the older rows, so the rows stay reduced."""
         r = self.residual(v)
-        for col, a in enumerate(r):
-            if a != 0:
-                self.rows.append((col, tuple(x / a for x in r)))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
+        col = next((c for c, a in enumerate(r) if a != 0), None)
+        if col is None:
+            return False
+        new = tuple(x / r[col] for x in r)
+        for k, (c, row) in enumerate(self.rows):
+            if row[col] != 0:
+                self.rows[k] = (c, tuple(a - row[col] * b for a, b in zip(row, new)))
+        self.rows.append((col, new))
+        self.rows.sort(key=lambda t: t[0])
+        return True
 
     @property
     def rank(self) -> int:
@@ -104,52 +116,6 @@ def affine_rank(points: Sequence[Vector]) -> int:
     return rank([vsub(p, base) for p in points[1:]])
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[Vector]:
-    """One exact solution of rows * x = rhs (free variables set to 0), or None."""
-    m = len(rows)
-    if m == 0:
-        return ()
-    n = len(rows[0])
-    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(n):
-        sel = None
-        for i in range(prow, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        pv = aug[prow][col]
-        aug[prow] = [a / pv for a in aug[prow]]
-        for i in range(m):
-            if i != prow and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    for i in range(prow, m):
-        if aug[i][n] != 0:
-            return None
-    x = [ZERO] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
-    return tuple(x)
-
-
-def solve_combination(columns: Sequence[Vector], target: Vector) -> Optional[Vector]:
-    """Coefficients c with sum(c_i * columns[i]) = target, or None."""
-    if not columns:
-        return () if is_zero(target) else None
-    n = len(columns[0])
-    rows = [[col[i] for col in columns] for i in range(n)]
-    return solve(rows, target)
-
-
 def hyperplane_normal(points: Sequence[Vector]) -> Optional[Vector]:
     """Normal of the unique hyperplane through the points, or None when they do not
     span a space of codimension one."""
@@ -162,20 +128,11 @@ def hyperplane_normal(points: Sequence[Vector]) -> Optional[Vector]:
         ech.add(vsub(p, base))
     if ech.rank != d - 1:
         return None
-    # one nonzero vector orthogonal to all echelon rows
-    pivot_cols = [c for c, _ in ech.rows]
-    free_cols = [c for c in range(d) if c not in pivot_cols]
-    if len(free_cols) != 1:
-        return None
-    fc = free_cols[0]
-    # set the free coordinate to 1 and solve for the pivot coordinates
-    sub_rows = [[row[c] for c in pivot_cols] for _, row in ech.rows]
-    sub_rhs = [-row[fc] for _, row in ech.rows]
-    sol = solve(sub_rows, sub_rhs)
-    if sol is None:
-        return None
+    # the free coordinate is 1 and each pivot coordinate cancels its row there
+    pivot_cols = {c for c, _ in ech.rows}
+    free = next(c for c in range(d) if c not in pivot_cols)
     normal = [ZERO] * d
-    normal[fc] = ONE
-    for c, val in zip(pivot_cols, sol):
-        normal[c] = val
+    normal[free] = ONE
+    for c, row in ech.rows:
+        normal[c] = -row[free]
     return primitive(tuple(normal))

@@ -8,7 +8,9 @@ Grammar (whitespace insensitive)::
     exp    := ['-'] integer | '(' rational ')'
     coeff  := number | number '/' integer | '(' rational ')'
 
-Variables are x1..xn; x, y, z, w alias x1..x4.  Decimal literals are converted
+Variables are x1..xn with n <= MAX_VARIABLE_INDEX; x, y, z, w alias x1..x4
+(every exponent vector has one entry per variable up to the largest index
+used, so the cap bounds their size).  Decimal literals are converted
 exactly to rationals (9.5 becomes 19/2).  Repeated monomials are merged.
 """
 
@@ -22,6 +24,7 @@ from typing import List, Optional, Tuple
 from .signomial import Signomial
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
+MAX_VARIABLE_INDEX = 1000
 
 _TOKEN_RE = re.compile(
     r"(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^()/])|(?P<ws>\s+)|(?P<bad>.)"
@@ -124,9 +127,15 @@ class _Parser:
         name = tok.text
         if name in _ALIASES:
             return _ALIASES[name]
-        m = re.fullmatch(r"x(\d+)", name)
-        if m and int(m.group(1)) >= 1:
-            return int(m.group(1))
+        m = re.fullmatch(r"x0*([1-9]\d*)", name)
+        if m:
+            # compare lengths first: int() refuses very long digit strings
+            index = m.group(1)
+            if len(index) > len(str(MAX_VARIABLE_INDEX)) or int(index) > MAX_VARIABLE_INDEX:
+                raise ParseError(
+                    f"variable {name!r} exceeds the largest index x{MAX_VARIABLE_INDEX}", tok.line, tok.column
+                )
+            return int(index)
         raise ParseError(f"unknown variable {name!r}", tok.line, tok.column)
 
     def sterm(self) -> Tuple[Fraction, dict]:

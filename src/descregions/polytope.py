@@ -2,14 +2,16 @@
 
 Hulls are built by beneath-beyond insertion inside affine-hull coordinates, so
 lower-dimensional point sets (restrictions of a support to a face keep the
-ambient dimension) are handled without perturbation.  Each new facet is the
-positive combination of the two facets sharing its ridge that vanishes at the
-new point; ridges are read from the vertex-facet incidences, which insertion
-keeps up to date.  Facet normals are lifted back to the ambient space and
-normalized to coprime integer vectors; for a flat hull the lift is one
-deterministic representative of the many valid supporting normals.  Vertices,
-smallest faces and exposing normals are read off the incidences, with no
-linear programming.
+ambient dimension) are handled without perturbation.  The affine hull is held
+in reduced row echelon form: a point's hull coordinates are its pivot entries
+minus the base point's, and a hull facet normal is lifted back by placing it
+on the pivot columns, so neither direction solves a linear system.  For a flat
+hull that lift is the one supporting normal that is zero off the pivot
+columns.  Each new facet is the positive combination of the two facets
+sharing its ridge that vanishes at the new point; ridges are read from the
+vertex-facet incidences, which insertion keeps up to date.  Facet normals are
+coprime integer vectors.  Vertices, smallest faces and exposing normals are
+read off the incidences, with no linear programming.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ from .linalg import (
     is_zero,
     primitive,
     sign_canonical,
-    solve,
-    solve_combination,
     vector,
     vneg,
     vsub,
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class FacetBudgetExceededError(RuntimeError):
@@ -44,23 +43,30 @@ class FacetBudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffineHull:
+    """The affine span as base + the row space of basis.  The rows are in
+    reduced row echelon form: row j is 1 in column pivots[j] and 0 in the
+    other pivot columns, so a point's hull coordinates are its pivot entries
+    minus the base's."""
+
     base: Vector
     basis: Tuple[Vector, ...]
+    pivots: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coords(self, point: Vector) -> Vector:
-        """Exact coordinates of a point of the hull in the base/basis frame."""
-        if self.dim == 0:
-            if point != self.base:
-                raise ValueError("point is not in the affine hull")
-            return ()
-        sol = solve_combination(list(self.basis), vsub(point, self.base))
-        if sol is None:
+        """Exact coordinates of a point of the hull in the base/basis frame;
+        ValueError for a point off the hull."""
+        c = tuple(point[k] - self.base[k] for k in self.pivots)
+        rebuilt = tuple(
+            b + sum((a * row[k] for a, row in zip(c, self.basis)), ZERO)
+            for k, b in enumerate(self.base)
+        )
+        if rebuilt != tuple(point):
             raise ValueError("point is not in the affine hull")
-        return sol
+        return c
 
 
 @dataclass(frozen=True)
@@ -94,20 +100,15 @@ class Polytope:
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineHull:
-    """Exact base point plus independent direction basis of the affine span.
-
-    Basis directions are scaled to primitive integer vectors.
-    """
+    """Exact base point (the first point) plus the reduced echelon basis of
+    the differences to it."""
     if not points:
         raise ValueError("points must be nonempty")
     base = points[0]
     ech = _Echelon(len(base))
-    basis: List[Vector] = []
     for p in points[1:]:
-        d = vsub(p, base)
-        if ech.add(d):
-            basis.append(primitive(d))
-    return AffineHull(base, tuple(basis))
+        ech.add(vsub(p, base))
+    return AffineHull(base, tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
 
 
 def _independent_point_indices(points: Sequence[Vector]) -> List[int]:
@@ -157,9 +158,9 @@ def _facet_key(normal: Vector, offset: Fraction) -> Tuple[Vector, Fraction]:
 def _incremental_facets(
     hp: Sequence[Vector], budget: Optional[int]
 ) -> List[Tuple[Tuple[Vector, Fraction], FrozenSet[int]]]:
-    """Facets (outer normal, offset) of the hull of full-dimensional points
-    given in d >= 2 dimensional coordinates, each with the indices of the
-    points on it.
+    """Facets (outer primitive normal, offset) of the hull of
+    full-dimensional points given in d >= 1 dimensional coordinates, each
+    with the indices of the points on it.
 
     Beneath-beyond insertion from a starting simplex.  For a new point p with
     excess s = n.p - a over each facet, the facets with s > 0 are dropped,
@@ -207,16 +208,16 @@ def _incremental_facets(
 
 
 def _lift_halfspace(hull: AffineHull, normal_h: Vector, offset_h: Fraction) -> Halfspace:
-    """Ambient halfspace inducing the given hull-coordinate halfspace.
-
-    Solves basis^T w = normal_h; for flat hulls the solution is one
-    deterministic representative (free components set to zero).
-    """
-    rows = [list(b) for b in hull.basis]
-    w = solve(rows, list(normal_h))
-    assert w is not None
-    prim, offset = _facet_key(w, offset_h)
-    return Halfspace(prim, dot(prim, hull.base) + offset)
+    """Ambient halfspace inducing the given hull-coordinate halfspace: the
+    hull normal placed on the pivot columns, zero elsewhere.  Hull
+    coordinates are the pivot entries of p - base, so the placed normal w
+    has w.(p - base) = normal_h.c for every p on the hull with coordinates
+    c, and it stays primitive.  For a flat hull it is the one supporting
+    normal that is zero off the pivot columns."""
+    w = [ZERO] * len(hull.base)
+    for k, a in zip(hull.pivots, normal_h):
+        w[k] = a
+    return Halfspace(tuple(w), dot(w, hull.base) + offset_h)
 
 
 def build_polytope(
@@ -230,20 +231,8 @@ def build_polytope(
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     hull = affine_hull(pts)
-    d = hull.dim
-
     hp = [hull.coords(p) for p in pts]
-    if d == 1:
-        values = [c[0] for c in hp]
-        top, bottom = max(values), min(values)
-        hull_facets = [
-            (((ONE,), top), frozenset(i for i, x in enumerate(values) if x == top)),
-            (((-ONE,), -bottom), frozenset(i for i, x in enumerate(values) if x == bottom)),
-        ]
-    elif d >= 2:
-        hull_facets = _incremental_facets(hp, facet_budget)
-    else:
-        hull_facets = []
+    hull_facets = _incremental_facets(hp, facet_budget) if hull.dim >= 1 else []
     facets = tuple(
         sorted(
             (Facet(_lift_halfspace(hull, *h), incident) for h, incident in hull_facets),

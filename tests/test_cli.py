@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,29 @@ def test_certify_zero_denominator_is_input_error(poly, capsys):
         code, out, err = run(capsys, "certify", poly(name, text))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "zero denominator" in err
+
+
+def test_certify_caps_the_variable_index(poly, capsys):
+    code, out, err = run(capsys, "certify", poly("wide.poly", "x200000 - 1 + y"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "largest index" in err
+
+
+def test_certify_reads_its_input_once(poly, capsys, monkeypatch):
+    # a file that changes after the first read: the trace records the text
+    # that was certified
+    path = poly("changing.poly", fixtures.CUBE4_TEXT)
+    read_text = Path.read_text
+    reads = []
+
+    def changing(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs) if len(reads) == 1 else "x - 1"
+
+    monkeypatch.setattr(Path, "read_text", changing)
+    code, out, _ = run(capsys, "certify", path)
+    assert code == 0 and len(reads) == 1
+    assert json.loads(out)["input"]["source"] == fixtures.CUBE4_TEXT.strip()
 
 
 def test_verify_trace_rejects_malformed_documents(capsys, tmp_path):

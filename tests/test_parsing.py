@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from descregions.parsing import ParseError, format_signomial, parse_signomial
+from descregions.parsing import MAX_VARIABLE_INDEX, ParseError, format_signomial, parse_signomial
 from descregions.signomial import Signomial
 
 import fixtures
@@ -72,6 +72,14 @@ def test_zero_denominators_are_parse_errors():
     assert err.value.column == 3
     with pytest.raises(ParseError):
         parse_signomial("(2/00)*y + 1")
+
+
+def test_variable_index_is_capped():
+    assert parse_signomial(f"x{MAX_VARIABLE_INDEX} - 1").dimension == MAX_VARIABLE_INDEX
+    for text, column in ((f"1 + x{MAX_VARIABLE_INDEX + 1}", 5), ("x200000 - 1 + y", 1), ("y*x" + "9" * 5000, 3)):
+        with pytest.raises(ParseError) as err:
+            parse_signomial(text)
+        assert err.value.column == column and "largest index" in str(err.value)
 
 
 def test_round_trip_all_fixtures():

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 from descregions import lp
-from descregions.linalg import affine_rank, dot, rank, vsub
+from descregions.linalg import affine_rank, dot, hyperplane_normal, rank, vsub
 from descregions.polytope import (
     FacetBudgetExceededError,
     affine_hull,
@@ -212,6 +213,8 @@ def test_is_edge_implies_vertices():
 def test_facet_budget():
     with pytest.raises(FacetBudgetExceededError):
         build_polytope(CUBE3.support, facet_budget=3)
+    with pytest.raises(FacetBudgetExceededError):
+        build_polytope([vec(0), vec(1), vec(2)], facet_budget=1)
 
 
 def test_duplicate_points_rejected():
@@ -259,3 +262,67 @@ def test_incidences_match_lp_definitions(pts):
             u = face_exposing_normal(P, [i, j])
             top = max(dot(u, p) for p in pts)
             assert {k for k in everything if dot(u, pts[k]) == top} == set(face)
+
+
+# --- the reduced-echelon frame of the affine hull -----------------------------
+
+
+@given(point_sets())
+@settings(deadline=None, max_examples=60)
+def test_affine_hull_frame(pts):
+    hull = affine_hull(pts)
+    n = len(pts[0])
+    assert hull.dim == affine_rank(pts) == len(hull.pivots)
+    for j, row in enumerate(hull.basis):
+        assert [row[k] for k in hull.pivots] == [int(j == i) for i in range(hull.dim)]
+    for p in pts:
+        c = hull.coords(p)
+        assert tuple(b + sum(a * row[k] for a, row in zip(c, hull.basis)) for k, b in enumerate(hull.base)) == p
+    # a unit step along a column off the pivots leaves a flat hull
+    for k in set(range(n)) - set(hull.pivots):
+        off = tuple(a + (i == k) for i, a in enumerate(pts[0]))
+        assert affine_rank(pts + [off]) == hull.dim + 1
+        with pytest.raises(ValueError):
+            hull.coords(off)
+    for f in build_polytope(pts).facets:
+        assert all(f.halfspace.normal[k] == 0 for k in range(n) if k not in hull.pivots)
+
+
+@given(point_sets())
+@settings(deadline=None, max_examples=80)
+def test_hyperplane_normal_properties(pts):
+    d = len(pts[0])
+    for group in (pts, pts[:d]):
+        normal = hyperplane_normal(group)
+        diffs = np.array([[float(a - b) for a, b in zip(p, group[0])] for p in group[1:]] or [[0.0] * d])
+        if np.linalg.matrix_rank(diffs) != d - 1:
+            assert normal is None
+            continue
+        assert all(a.denominator == 1 for a in normal)
+        assert np.gcd.reduce([int(a) for a in normal]) == 1
+        assert all(dot(normal, vsub(p, group[0])) == 0 for p in group)
+        # the free coordinate of the echelon form is the last nonzero one
+        assert [a for a in normal if a != 0][-1] > 0
+
+
+def facet_list(P):
+    return [([str(c) for c in f.halfspace.normal], str(f.halfspace.offset), sorted(f.incident)) for f in P.facets]
+
+
+def test_flat_hull_facets_are_pinned():
+    # the lifted normal of a flat hull is one representative among many;
+    # these are the ones the traces record
+    segment = build_polytope([vec(1, 1, 1), vec(1, 3, 2), vec(1, 5, 3)])
+    assert segment.dim == 1 and segment.vertices == {0, 2}
+    assert facet_list(segment) == [(["0", "-1", "0"], "-1", [0]), (["0", "1", "0"], "5", [2])]
+    # a plane through (1, 0, 2, 1) spanned by (0, 2, 1, 1) and (0, 1, 3, -2)
+    plane = build_polytope([vec(1, 0, 2, 1), vec(1, 1, 5, -1), vec(1, 3, 6, 0),
+                            vec(1, 4, 4, 3), vec(1, 4, 9, -2), vec(1, 6, 10, -1)])
+    assert plane.dim == 2 and plane.vertices == {0, 1, 3, 4, 5}
+    assert facet_list(plane) == [
+        (["0", "-4", "3", "0"], "11", [1, 4]),
+        (["0", "-3", "1", "0"], "2", [0, 1]),
+        (["0", "-1", "2", "0"], "14", [4, 5]),
+        (["0", "1", "-2", "0"], "-4", [0, 3]),
+        (["0", "3", "-1", "0"], "8", [3, 5]),
+    ]
