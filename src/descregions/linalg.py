@@ -67,8 +67,7 @@ class _Echelon:
     span tests: each row has a 1 in its pivot column and a 0 in every other
     row's pivot column."""
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.rows: list[tuple[int, Vector]] = []  # (pivot column, row with pivot 1)
 
     def residual(self, v: Sequence[Fraction]) -> Vector:
@@ -100,9 +99,7 @@ class _Echelon:
 
 
 def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    if not vectors:
-        return 0
-    ech = _Echelon(len(vectors[0]))
+    ech = _Echelon()
     for v in vectors:
         ech.add(v)
     return ech.rank
@@ -123,7 +120,7 @@ def hyperplane_normal(points: Sequence[Vector]) -> Optional[Vector]:
         return None
     d = len(points[0])
     base = points[0]
-    ech = _Echelon(d)
+    ech = _Echelon()
     for p in points[1:]:
         ech.add(vsub(p, base))
     if ech.rank != d - 1:

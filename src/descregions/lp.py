@@ -6,13 +6,24 @@ so strict inequalities are pre-normalized by the callers to a ">= 1" slack.
 Vertex, edge and face questions need no LP: ``polytope`` answers them from
 the hull's facet incidences.  Pivoting follows Bland's rule with a fixed row
 order, so the returned witnesses are deterministic.
+
+The tableau holds Python integers: the rows are scaled by the lcm of every
+denominator in the system, and the rational tableau is the integer one over
+a single common denominator, the determinant of the current basis.  Each
+pivot updates the rows fraction-free (Edmonds 1967, Bareiss 1968, as in
+Avis's lrs) with exact integer divisions, so no ``Fraction`` is formed until
+the witness is read off.  Both answers are checked exactly before they are
+returned: a witness must satisfy every row, and an infeasible answer carries
+a Farkas certificate y, read off the final objective row, with y >= 0 on the
+">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Optional, Sequence, Tuple
+from math import lcm
+from typing import Iterable, List, Literal, Optional, Sequence, Tuple
 
 from .linalg import Vector, dot, vector
 
@@ -50,13 +61,13 @@ class LinearSystem:
 @dataclass(frozen=True)
 class FeasibilityResult:
     witness: Optional[Vector]  # None means infeasible
+    # for an infeasible system, row multipliers y (checked by ``_refutes``)
+    # with y >= 0 on the ">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0
+    farkas: Optional[Tuple[int, ...]] = None
 
     @property
     def is_feasible(self) -> bool:
         return self.witness is not None
-
-
-INFEASIBLE = FeasibilityResult(None)
 
 
 def _satisfies(system: LinearSystem, x: Sequence[Fraction]) -> bool:
@@ -69,11 +80,33 @@ def _satisfies(system: LinearSystem, x: Sequence[Fraction]) -> bool:
     return True
 
 
+def _refutes(system: LinearSystem, y: Sequence[int]) -> bool:
+    """Whether y is a Farkas certificate: combining the rows with y gives
+    0 . x >= (or =) a positive number, which no x satisfies."""
+    rows = system.rows
+    if any(yi < 0 for yi, row in zip(y, rows) if row.relation == ">="):
+        return False
+    for j in range(system.unknowns):
+        if sum((yi * row.coeffs[j] for yi, row in zip(y, rows)), ZERO) != 0:
+            return False
+    return sum((yi * row.rhs for yi, row in zip(y, rows)), ZERO) > 0
+
+
+def _pivot_row(row: List[int], pivot_row: List[int], p: int, enter: int, d: int) -> List[int]:
+    """One fraction-free update of a non-pivot row: the pivot p becomes the
+    common denominator in place of d."""
+    c = row[enter]
+    if c == 0:
+        return [p * a // d for a in row]
+    return [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
+
+
 def feasible(system: LinearSystem) -> FeasibilityResult:
     """Exact feasibility of a system of >=/= rows over free rational unknowns.
 
     Free variables are split as x = u - w, ">=" rows get surplus variables,
-    and a phase-I simplex minimizes the sum of one artificial per row.
+    and a phase-I simplex minimizes the sum of one artificial per row.  An
+    infeasible answer carries its Farkas certificate.
     """
     n = system.unknowns
     m = len(system.rows)
@@ -84,70 +117,84 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     ncols = 2 * n + n_surplus + m  # u, w, surplus, artificial
     art0 = 2 * n + n_surplus
 
-    tableau: list[list[Fraction]] = []
+    # Every row is multiplied by the lcm L of all denominators, so surplus
+    # coefficients read -L and an artificial, kept at coefficient 1, stands
+    # for L times the artificial of the unscaled row.  Every reduced cost and
+    # every ratio then changes by a positive factor only, so Bland's rule
+    # walks the same bases as over the unscaled rationals.
+    scale = lcm(*(a.denominator for row in system.rows for a in (*row.coeffs, row.rhs)))
+    tableau: List[List[int]] = []
+    signs: List[int] = []  # -1 for a row negated to make its rhs nonnegative
     surplus_at = 0
     for i, row in enumerate(system.rows):
-        line = [ZERO] * (ncols + 1)
+        line = [0] * (ncols + 1)
         for j, c in enumerate(row.coeffs):
-            line[j] = c
-            line[n + j] = -c
+            line[j] = c.numerator * (scale // c.denominator)
+            line[n + j] = -line[j]
         if row.relation == ">=":
-            line[2 * n + surplus_at] = -ONE
+            line[2 * n + surplus_at] = -scale
             surplus_at += 1
-        line[ncols] = row.rhs
+        line[ncols] = row.rhs.numerator * (scale // row.rhs.denominator)
+        signs.append(-1 if line[ncols] < 0 else 1)
         if line[ncols] < 0:
             line = [-a for a in line]
-        line[art0 + i] = ONE
+        line[art0 + i] = 1
         tableau.append(line)
 
     basis = [art0 + i for i in range(m)]
     # phase-I objective: minimize the sum of artificials; start from the
     # reduced costs for the all-artificial basis
-    obj = [ZERO] * (ncols + 1)
-    for j in range(ncols):
-        col_sum = sum(tableau[i][j] for i in range(m))
-        cost = ONE if j >= art0 else ZERO
-        obj[j] = cost - col_sum
-    obj[ncols] = -sum(tableau[i][ncols] for i in range(m))
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[art0:ncols] = [0] * m
 
+    # The rational tableau is tableau / d, where d is the determinant of the
+    # current basis.  Every entry of tableau is then a minor of the starting
+    # one, so the divisions in ``_pivot_row`` are exact (Edmonds, Bareiss).
+    d = 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best: Optional[Fraction] = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # rhs_i / a against rhs_leave / a_leave, cross-multiplied
+                here = tableau[i][ncols] * tableau[leave][enter]
+                best = tableau[leave][ncols] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # phase-I objective is bounded below by 0; unbounded cannot occur
             raise RuntimeError("phase-I simplex became unbounded")
-        piv = tableau[leave][enter]
-        tableau[leave] = [a / piv for a in tableau[leave]]
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                c = tableau[i][enter]
-                tableau[i] = [a - c * b for a, b in zip(tableau[i], tableau[leave])]
+            if i != leave:
+                tableau[i] = _pivot_row(tableau[i], pivot_row, p, enter, d)
+        obj = _pivot_row(obj, pivot_row, p, enter, d)
         if obj[enter] != 0:
-            c = obj[enter]
-            obj = [a - c * b for a, b in zip(obj, tableau[leave])]
+            # a broken update; without this the entering column could stay
+            # negative and be chosen again forever
+            raise RuntimeError("pivot left the entering column with a nonzero reduced cost")
+        d = p
         basis[leave] = enter
 
-    if -obj[ncols] != 0:
-        return INFEASIBLE
+    if obj[ncols] != 0:
+        # the simplex multipliers d * pi_i = d - obj[art_i]; undoing the row
+        # negation turns them into multipliers of the rows as given
+        y = tuple(s * (d - obj[art0 + i]) for i, s in enumerate(signs))
+        if not _refutes(system, y):
+            raise RuntimeError("simplex produced an invalid Farkas certificate")
+        return FeasibilityResult(None, y)
 
-    values = [ZERO] * ncols
+    values = [0] * ncols
     for i, b in enumerate(basis):
         values[b] = tableau[i][ncols]
-    witness = tuple(values[j] - values[n + j] for j in range(n))
+    witness = tuple(Fraction(values[j] - values[n + j], d) for j in range(n))
     if not _satisfies(system, witness):
         raise RuntimeError("simplex produced an invalid witness")
     return FeasibilityResult(witness)

@@ -66,6 +66,14 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+def _number(tok: _Token) -> Fraction:
+    """The exact value of a number token, decimals included."""
+    try:
+        return Fraction(tok.text)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise ParseError(f"number too long ({len(tok.text)} characters)", tok.line, tok.column) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -95,15 +103,16 @@ class _Parser:
             self.advance()
             negative = True
         num_tok = self.expect("number")
-        value = Fraction(num_tok.text)  # exact, including decimals
+        value = _number(num_tok)
         if self.here.kind == "/":
             self.advance()
             den_tok = self.expect("number")
             if "." in num_tok.text or "." in den_tok.text:
                 self.error("ratio parts must be integers")
-            if int(den_tok.text) == 0:
+            den = _number(den_tok)
+            if den == 0:
                 raise ParseError("zero denominator", den_tok.line, den_tok.column)
-            value = value / int(den_tok.text)
+            value = value / den
         return -value if negative else value
 
     def exponent(self) -> Fraction:
@@ -119,7 +128,7 @@ class _Parser:
         tok = self.expect("number")
         if "." in tok.text:
             self.error("exponents must be integers or parenthesized rationals")
-        value = Fraction(tok.text)
+        value = _number(tok)
         return -value if negative else value
 
     def variable(self) -> int:

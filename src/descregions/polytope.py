@@ -105,7 +105,7 @@ def affine_hull(points: Sequence[Vector]) -> AffineHull:
     if not points:
         raise ValueError("points must be nonempty")
     base = points[0]
-    ech = _Echelon(len(base))
+    ech = _Echelon()
     for p in points[1:]:
         ech.add(vsub(p, base))
     return AffineHull(base, tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
@@ -114,7 +114,7 @@ def affine_hull(points: Sequence[Vector]) -> AffineHull:
 def _independent_point_indices(points: Sequence[Vector]) -> List[int]:
     """Indices of an affinely independent subset spanning the affine hull,
     scanning in canonical order (first point always included)."""
-    ech = _Echelon(len(points[0]))
+    ech = _Echelon()
     picked = [0]
     for i in range(1, len(points)):
         if ech.add(vsub(points[i], points[0])):

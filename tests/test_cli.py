@@ -93,6 +93,12 @@ def test_certify_caps_the_variable_index(poly, capsys):
     assert err.startswith("error: ") and "largest index" in err
 
 
+def test_certify_reports_a_number_too_long_at_its_position(poly, capsys):
+    code, out, err = run(capsys, "certify", poly("long.poly", "x^" + "9" * 5000 + " - 1"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1, column 3: number too long")
+
+
 def test_certify_reads_its_input_once(poly, capsys, monkeypatch):
     # a file that changes after the first read: the trace records the text
     # that was certified

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from descregions import lp
 from descregions.lp import (
     LinearSystem,
     feasible,
@@ -131,3 +132,66 @@ def test_witnesses_satisfy_rows_exactly():
 def test_row_width_validation():
     with pytest.raises(ValueError):
         LinearSystem.build(2, [((1,), 0, ">=")])
+
+
+def test_rational_system_witness_is_pinned():
+    # non-integer coefficients, an "=" row and negative right-hand sides
+    rows = [
+        ((F(1, 2), F(-2, 3), F(1)), F(5, 4), ">="),
+        ((F(3, 5), F(1), F(-1, 7)), F(-2, 3), ">="),
+        ((F(1), F(1), F(1)), F(1, 3), "="),
+        ((F(-1, 3), F(1, 2), F(0)), F(-1), ">="),
+    ]
+    assert feasible(LinearSystem.build(3, rows)).witness == (F(175, 158), F(-299, 237), F(77, 158))
+
+
+def _rational_system(rng):
+    unknowns = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(unknowns))
+        rhs = F(rng.randint(-6, 6), rng.randint(1, 5))
+        rel = "=" if rng.random() < 0.25 else ">="
+        rows.append((coeffs, rhs, rel))
+    return unknowns, rows
+
+
+def _is_farkas_certificate(y, rows, unknowns):
+    return (
+        all(yi >= 0 for yi, (_, _, rel) in zip(y, rows) if rel == ">=")
+        and all(sum(yi * coeffs[j] for yi, (coeffs, _, _) in zip(y, rows)) == 0 for j in range(unknowns))
+        and sum(yi * rhs for yi, (_, rhs, _) in zip(y, rows)) > 0
+    )
+
+
+def test_rational_systems_match_fourier_motzkin_with_checked_answers():
+    rng = random.Random(2718)
+    infeasible = 0
+    for _ in range(300):
+        unknowns, rows = _rational_system(rng)
+        res = feasible(LinearSystem.build(unknowns, rows))
+        assert res.is_feasible == fm_feasible(rows, unknowns), (unknowns, rows)
+        if res.is_feasible:
+            assert res.farkas is None
+            for coeffs, rhs, rel in rows:
+                lhs = dot(coeffs, res.witness)
+                assert lhs == rhs if rel == "=" else lhs >= rhs
+        else:
+            infeasible += 1
+            assert _is_farkas_certificate(res.farkas, rows, unknowns), (unknowns, rows)
+    assert infeasible >= 50
+
+
+def test_farkas_check_rejects_a_wrong_certificate(monkeypatch):
+    # x >= 1, -x >= 0 and x = 3
+    system = LinearSystem.build(1, [((1,), 1, ">="), ((-1,), 0, ">="), ((1,), 3, "=")])
+    y = feasible(system).farkas
+    assert lp._refutes(system, y)
+    # a nonzero combination, a negative multiplier on a ">=" row, a
+    # nonpositive right-hand side
+    for wrong in ((1, 1, 1), (-1, 0, 1), (1, 0, -1), (0, 0, 0)):
+        assert not lp._refutes(system, wrong)
+    # a kernel whose certificate fails the check raises instead of answering
+    monkeypatch.setattr(lp, "_refutes", lambda system, y: False)
+    with pytest.raises(RuntimeError):
+        feasible(system)

@@ -82,6 +82,14 @@ def test_variable_index_is_capped():
         assert err.value.column == column and "largest index" in str(err.value)
 
 
+def test_numbers_too_long_to_convert_are_parse_errors():
+    digits = "9" * 5000
+    for text, column in ((digits + "*x - 1", 1), ("x^" + digits + " - 1", 3), ("x^(1/" + digits + ") - 1", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_signomial(text)
+        assert err.value.column == column and "number too long" in str(err.value)
+
+
 def test_round_trip_all_fixtures():
     texts = [
         fixtures.TEN_TERM_TEXT,
