@@ -196,7 +196,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_plot(args) -> int:
     f, _ = _read_signomial(args.file)
     box = _parse_box(args.box, 2)
-    grid = default_grid(2, box=box, resolution=args.grid or 200)
+    grid = default_grid(2, box=box, resolution=200 if args.grid is None else args.grid)
     hyperplane = None
     if args.hyperplane:
         parts = [Fraction(p) for p in args.hyperplane.split(",")]

@@ -15,9 +15,10 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import lp
-from .linalg import Vector, affine_rank, dot, is_zero, vector
+from .linalg import Vector, dot, is_zero, vector
 from .polytope import (
     DegenerateSimplexError,
+    FacetBudgetExceededError,
     Polytope,
     build_polytope,
     face_exposing_normal,
@@ -205,9 +206,18 @@ def verify_enclosing_pair(f: Signomial, v: Sequence, a, b, strict: bool) -> bool
 def find_strict_enclosing_pair(
     f: Signomial, max_negatives: int = 12
 ) -> Optional[EnclosingWitness]:
-    """Search for a strict enclosing pair by assigning the negatives to the two
-    outer sides (one feasibility problem per assignment, both sides required
-    strictly outside, 2^k assignments total).
+    """Search for a strict enclosing pair by assigning the k negatives to the
+    two outer sides, one feasibility problem per assignment with both sides
+    required strictly outside.
+
+    Assignment m (bit i set: the i-th negative above) is feasible exactly when
+    its complement is, via (v, a, b) -> (-v, -b, -a), so the first feasible
+    one of all 2^k - 2 leaves the last negative below: only those at most
+    2^(k-1) - 1 are tried, in increasing order.  The Farkas certificate of an
+    infeasible assignment uses the rows of some set S of negatives, so it
+    refutes every later assignment that puts S on the same sides, and by the
+    symmetry every one that puts S on the opposite sides; those are skipped
+    without a feasibility problem.
 
     Raises EnclosingBudgetExceededError when the negative count exceeds
     ``max_negatives``.
@@ -219,19 +229,25 @@ def find_strict_enclosing_pair(
         raise EnclosingBudgetExceededError(
             f"{k} negative exponents exceed the side-assignment budget {max_negatives}"
         )
+    if k < 2:
+        return None
     n = f.dimension
-    for mask in range(1, 2 ** k - 1):
-        upper = [neg[i] for i in range(k) if mask >> i & 1]
-        lower = [neg[i] for i in range(k) if not mask >> i & 1]
-        rows = []
-        # unknowns: v (n), a, b
-        for alpha in pos:
-            rows.append((tuple(-c for c in alpha) + (ONE, ZERO), ZERO, ">="))
-            rows.append((tuple(alpha) + (ZERO, -ONE), ZERO, ">="))
-        for beta in upper:
-            rows.append((tuple(beta) + (-ONE, ZERO), ONE, ">="))
-        for beta in lower:
-            rows.append((tuple(-c for c in beta) + (ZERO, ONE), ONE, ">="))
+    # unknowns: v (n), a, b
+    pos_rows = []
+    for alpha in pos:
+        pos_rows.append((tuple(-c for c in alpha) + (ONE, ZERO), ZERO, ">="))
+        pos_rows.append((tuple(alpha) + (ZERO, -ONE), ZERO, ">="))
+    nogoods: List[Tuple[int, int]] = []  # (S as a bit set, the sides of S refuted)
+    for mask in range(1, 2 ** (k - 1)):
+        if any((mask & s) in (sides, s ^ sides) for s, sides in nogoods):
+            continue
+        upper = [i for i in range(k) if mask >> i & 1]
+        lower = [i for i in range(k) if not mask >> i & 1]
+        rows = list(pos_rows)
+        for i in upper:
+            rows.append((tuple(neg[i]) + (-ONE, ZERO), ONE, ">="))
+        for i in lower:
+            rows.append((tuple(-c for c in neg[i]) + (ZERO, ONE), ONE, ">="))
         rows.append(((ZERO,) * n + (ONE, -ONE), ZERO, ">="))
         res = lp.feasible(lp.LinearSystem.build(n + 2, rows))
         if res.is_feasible:
@@ -240,6 +256,8 @@ def find_strict_enclosing_pair(
             if not verify_enclosing_pair(f, v, a, b, strict=True):
                 raise RuntimeError("enclosing witness failed re-verification")
             return EnclosingWitness(v, a, b, True)
+        s = sum(1 << i for i, y in zip(upper + lower, res.farkas[len(pos_rows):]) if y)
+        nogoods.append((s, mask & s))
     return None
 
 
@@ -307,6 +325,12 @@ def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
     derived = simplex_halfspaces(w.vertices)
     if w.halfspaces is not None and not _matches_derived(w.halfspaces, derived):
         return False
+    return _simplex_holds(f, w, derived)
+
+
+def _simplex_holds(f: Signomial, w: SimplexWitness, derived) -> bool:
+    """The criterion of ``verify_simplex_witness`` against the halfspaces
+    ``derived`` from ``w.vertices``."""
     pos = positives(f)
     neg = negatives(f)
 
@@ -400,16 +424,45 @@ def negative_vertex_functional(
 
 
 def _simplex_search(f: Signomial, config: CertifyConfig) -> Optional[CriterionCertificate]:
+    """First simplex witness spanned by n + 1 support points, combinations in
+    sorted order and negatives-inside before positives-inside.
+
+    Only candidates proven to fail are skipped.  The simplex is derived once
+    per combination; an affinely dependent one raises DegenerateSimplexError
+    and is passed over.  A vertex of the Newton polytope N(f) that lies in
+    the simplex, which is inside N(f), is a vertex of the simplex too, so
+    negatives-inside needs every negative vertex of N(f) among the
+    combination's points and positives-inside every positive one.  Without
+    the hull, as when it exceeds the facet budget, nothing is skipped this
+    way; a hull of dimension below n leaves no simplex at all.
+    """
     support = sorted(f.support)
     n = f.dimension
     if len(support) < n + 1:
         return None
+    needed = {MODE_NEGATIVES_INSIDE: set(), MODE_POSITIVES_INSIDE: set()}
+    try:
+        P = build_polytope(support, config.facet_budget)
+    except FacetBudgetExceededError:
+        pass
+    else:
+        if P.dim < n:
+            return None
+        neg = set(negatives(f))
+        for i in P.vertices:
+            mode = MODE_NEGATIVES_INSIDE if P.points[i] in neg else MODE_POSITIVES_INSIDE
+            needed[mode].add(P.points[i])
     for combo in combinations(support, n + 1):
-        if affine_rank(list(combo)) != n:
+        modes = [mode for mode, points in needed.items() if points.issubset(combo)]
+        if not modes:
             continue
-        for mode in (MODE_NEGATIVES_INSIDE, MODE_POSITIVES_INSIDE):
+        try:
+            derived = simplex_halfspaces(combo)
+        except DegenerateSimplexError:
+            continue
+        for mode in modes:
             w = SimplexWitness(tuple(combo), mode)
-            if verify_simplex_witness(f, w):
+            if _simplex_holds(f, w, derived):
                 kind = (
                     SIMPLEX_NEGATIVES_INSIDE
                     if mode == MODE_NEGATIVES_INSIDE

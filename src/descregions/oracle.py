@@ -35,6 +35,8 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
+        if not self.tolerance_factor >= 0:  # also rejects NaN
+            raise ValueError("tolerance_factor must be >= 0")
         for lo, hi in self.box:
             if not lo < hi:
                 raise ValueError("box intervals must satisfy lo < hi")

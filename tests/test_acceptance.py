@@ -20,8 +20,11 @@ from descregions.certify import (
 )
 from descregions.cli import main
 from descregions.criteria import (
+    BOX,
     MODE_NEGATIVES_INSIDE,
     MODE_POSITIVES_INSIDE,
+    SIMPLEX_NEGATIVES_INSIDE,
+    SIMPLEX_POSITIVES_INSIDE,
     STRICT_SEPARATING,
     CertifyConfig,
     SimplexWitness,
@@ -196,6 +199,44 @@ def test_criterion_4_random_soundness_against_oracle():
             assert report.component_count == 0, f
     assert certified >= 100  # the sweep must actually exercise the oracle
     print(f"ACCEPTANCE 4 random soundness ({certified} certified): PASS")
+
+
+def _criterion_kinds(cert, out):
+    if cert.criterion is not None:
+        out.append(cert.criterion.kind)
+    for child in cert.children:
+        _criterion_kinds(child, out)
+    return out
+
+
+def test_criterion_4_flagged_searches_against_oracle():
+    """The simplex and box searches, which skip candidates, against the grid
+    oracle at two resolutions on random signomials in two variables."""
+    rng = random.Random(20261018)
+    config = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True)
+    certified = flagged = 0
+    for _ in range(200):
+        pairs = []
+        for _ in range(rng.randint(5, 8)):
+            sign = -1 if rng.random() < 0.65 else 1
+            exp = (F(rng.randint(0, 6)), F(rng.randint(0, 6)))
+            pairs.append((sign * F(rng.randint(1, 40), rng.randint(1, 4)), exp))
+        f = Signomial.from_terms(2, pairs)
+        cert = certify_connectivity(f, config)
+        if cert.outcome == INCONCLUSIVE:
+            continue
+        certified += 1
+        kinds = _criterion_kinds(cert, [])
+        flagged += any(k in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE, BOX) for k in kinds)
+        for res in (200, 400):
+            report = count_negative_components(f, default_grid(2, resolution=res))
+            assert report.component_count <= 1, (res, cert.outcome, f)
+            if cert.outcome == CERTIFIED_EXACTLY_ONE:
+                assert report.component_count == 1, (res, f)
+            if cert.outcome == CERTIFIED_EMPTY:
+                assert report.component_count == 0, (res, f)
+    assert certified >= 100 and flagged >= 10, (certified, flagged)
+    print(f"ACCEPTANCE 4 flagged searches ({certified} certified, {flagged} by them): PASS")
 
 
 def test_criterion_5_lp_matches_fourier_motzkin():

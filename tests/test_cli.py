@@ -160,6 +160,18 @@ def test_oracle_box_flag(poly, capsys):
     assert report["component_count"] == 1
 
 
+def test_oracle_rejects_a_negative_or_nan_tolerance(poly, capsys):
+    # x^2 - x + 1 is positive everywhere: a negative tolerance used to call
+    # every cell negative, and NaN used to report 0 silently
+    f = poly("pos.poly", "x^2 - x + 1")
+    for tol in ("-1", "nan"):
+        code, out, err = run(capsys, "oracle", f, "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "tolerance_factor must be >= 0" in err
+    code, out, _ = run(capsys, "oracle", f, "--tol", "0", "--grid", "50")
+    assert code == 0 and json.loads(out)["component_count"] == 0
+
+
 def test_analyze_command(poly, capsys):
     tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
     code, out, _ = run(capsys, "analyze", tenterm)
@@ -227,6 +239,16 @@ def test_plot_hyperplane_overlay(poly, capsys, tmp_path):
     assert code == 0
     svg = out_path.read_text(encoding="utf-8")
     assert 'class="hplane"' in svg and 'class="pospt"' in svg
+
+
+def test_plot_rejects_a_grid_below_two(poly, capsys, tmp_path):
+    tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
+    out_path = tmp_path / "region.svg"
+    for grid in ("0", "1"):
+        code, out, err = run(capsys, "plot", tenterm, "--grid", grid, "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "resolution must be >= 2" in err
+    assert not out_path.exists()
 
 
 def test_plot_rejects_other_dimensions(poly, capsys, tmp_path):

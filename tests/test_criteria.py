@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from descregions.criteria import (
     CertifyConfig,
     DegenerateSimplexError,
     EnclosingBudgetExceededError,
+    EnclosingWitness,
     SimplexWitness,
     check_box_criterion,
     check_connectivity,
@@ -29,10 +31,11 @@ from descregions.criteria import (
     verify_enclosing_pair,
     verify_separating_hyperplane,
     verify_simplex_witness,
+    _simplex_search,
 )
-from descregions import lp
+from descregions import criteria, lp
 from descregions.signomial import Signomial, negatives, restrict, positives
-from descregions.linalg import dot, vsub
+from descregions.linalg import affine_rank, dot, vsub
 from descregions.polytope import build_polytope
 
 from fixtures import (
@@ -396,3 +399,121 @@ def test_negative_vertex_functional_matches_lp(f):
         P = build_polytope(lifted)
         g = Signomial.from_terms(n + 1, [(t.coefficient, t.exponent + (F(0),)) for t in f.terms])
         assert negative_vertex_functional(g, P)[0] == beta + (F(0),)
+
+
+# --- pruned searches against the unpruned enumerations ------------------------
+
+
+def unpruned_simplex_search(f):
+    """Every affinely independent combination of n + 1 support points in
+    sorted order, both modes, with no candidate skipped."""
+    support = sorted(f.support)
+    n = f.dimension
+    for combo in combinations(support, n + 1):
+        if affine_rank(list(combo)) != n:
+            continue
+        for mode in (MODE_NEGATIVES_INSIDE, MODE_POSITIVES_INSIDE):
+            w = SimplexWitness(tuple(combo), mode)
+            if verify_simplex_witness(f, w):
+                return w
+    return None
+
+
+def unpruned_enclosing_pair(f):
+    """One feasibility problem for every side assignment 1 .. 2^k - 2."""
+    neg = sorted(negatives(f))
+    pos = sorted(positives(f))
+    k = len(neg)
+    n = f.dimension
+    for mask in range(1, 2 ** k - 1):
+        rows = []
+        for alpha in pos:
+            rows.append((tuple(-c for c in alpha) + (1, 0), 0, ">="))
+            rows.append((tuple(alpha) + (0, -1), 0, ">="))
+        for i in range(k):
+            if mask >> i & 1:
+                rows.append((tuple(neg[i]) + (-1, 0), 1, ">="))
+        for i in range(k):
+            if not mask >> i & 1:
+                rows.append((tuple(-c for c in neg[i]) + (0, 1), 1, ">="))
+        rows.append(((0,) * n + (1, -1), 0, ">="))
+        res = lp.feasible(lp.LinearSystem.build(n + 2, rows))
+        if res.is_feasible:
+            w = res.witness
+            return EnclosingWitness(w[:n], w[n], w[n + 1], True)
+    return None
+
+
+@given(signed_supports(max_dimension=3))
+@settings(deadline=None, max_examples=60)
+def test_pruned_searches_match_unpruned_enumerations(f):
+    found = _simplex_search(f, CertifyConfig())
+    expected = unpruned_simplex_search(f)
+    assert (found and found.witness) == expected
+    if found is not None:
+        assert found.kind == (
+            SIMPLEX_NEGATIVES_INSIDE
+            if expected.mode == MODE_NEGATIVES_INSIDE
+            else SIMPLEX_POSITIVES_INSIDE
+        )
+    assert find_strict_enclosing_pair(f) == unpruned_enclosing_pair(f)
+
+
+def test_pruned_searches_on_a_flat_support():
+    # collinear in two variables: no simplex, and nothing to build one from
+    f = Signomial.from_terms(2, [(-1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 3))])
+    assert _simplex_search(f, CertifyConfig()) is None
+    found = find_strict_enclosing_pair(f)
+    assert found is not None and found == unpruned_enclosing_pair(f)
+
+
+def count_lp_calls(monkeypatch):
+    calls = []
+    feasible = lp.feasible
+
+    def counted(system):
+        calls.append(system)
+        return feasible(system)
+
+    monkeypatch.setattr(lp, "feasible", counted)
+    return calls
+
+
+def test_enclosing_search_lp_counts(monkeypatch):
+    calls = count_lp_calls(monkeypatch)
+    assert find_strict_enclosing_pair(TEN_TERM) is None
+    # 4 negatives: 14 side assignments, 7 with the last negative below, one
+    # of them refuted by an earlier Farkas certificate
+    assert len(calls) == 6
+    calls.clear()
+    assert find_strict_enclosing_pair(BOX_F) is not None
+    assert len(calls) == 3
+    # 6 negatives around the segment of two positives: 62 side assignments,
+    # 31 with the last negative below, all but 4 of them refuted by earlier
+    # certificates that use only some of the negatives
+    negs = ((0, 3), (1, 2), (1, 4), (3, 1), (3, 2), (4, 0))
+    f = Signomial.from_terms(2, [(1, (0, 0)), (1, (2, 4))] + [(-1, b) for b in negs])
+    calls.clear()
+    assert find_strict_enclosing_pair(f) is None
+    assert len(calls) == 4
+
+
+def test_simplex_search_over_facet_budget_prunes_nothing():
+    f = Signomial.from_terms(2, [(1, (0, 0)), (1, (4, 0)), (1, (0, 4)), (-1, (1, 0)), (-1, (0, 1))])
+    default = check_connectivity(f, CertifyConfig(enable_simplex_search=True))
+    assert default is not None and default.kind == SIMPLEX_NEGATIVES_INSIDE
+    assert check_connectivity(f, CertifyConfig(enable_simplex_search=True, facet_budget=1)) == default
+
+
+def test_simplex_search_derives_only_combinations_holding_newton_vertices(monkeypatch):
+    derived = []
+    real = criteria.simplex_halfspaces
+    monkeypatch.setattr(criteria, "simplex_halfspaces", lambda combo: derived.append(combo) or real(combo))
+    # N(TEN_TERM) has one negative and four positive vertices, so only the
+    # C(9, 2) = 36 combinations through the negative vertex can work
+    assert _simplex_search(TEN_TERM, CertifyConfig()) is None
+    assert len(derived) == 36
+    derived.clear()
+    # without the hull every one of the C(10, 3) = 120 combinations is tried
+    assert _simplex_search(TEN_TERM, CertifyConfig(facet_budget=1)) is None
+    assert len(derived) == 120

@@ -111,6 +111,10 @@ def test_grid_validation():
         GridSpec(((-8, 8),), 1)
     with pytest.raises(ValueError):
         GridSpec(((8, -8),), 10)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            GridSpec(((-8, 8),), 10, tolerance_factor=tol)
+    GridSpec(((-8, 8),), 10, tolerance_factor=0.0)
     with pytest.raises(ValueError):
         negative_mask(TEN_TERM, default_grid(3))
 
