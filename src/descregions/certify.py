@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import lp
 from .criteria import (
@@ -112,12 +112,13 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     if not negatives(f):
         return Certificate(KIND_EMPTY, CERTIFIED_EMPTY)
 
-    crit = check_connectivity(f, config)
+    newton = _once(lambda: build_polytope(f.support, config.facet_budget))
+    crit = check_connectivity(f, config, newton)
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
 
     try:
-        P = build_polytope(f.support, config.facet_budget)
+        P = newton()
     except FacetBudgetExceededError as exc:
         return Certificate(KIND_INCONCLUSIVE, INCONCLUSIVE, reason=str(exc))
 
@@ -166,6 +167,23 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
         reason="no criterion applies, no proper negative face, no certified parallel split"
         " (facet-normal scan only)",
     )
+
+
+def _once(build: Callable[[], Polytope]) -> Callable[[], Polytope]:
+    """``build`` run on the first call only: later calls return its hull or
+    raise its budget error again."""
+    memo: list = []
+
+    def get() -> Polytope:
+        if not memo:
+            try:
+                memo.append(build())
+            except FacetBudgetExceededError as exc:
+                memo.append(exc)
+        if isinstance(memo[0], FacetBudgetExceededError):
+            raise memo[0]
+        return memo[0]
+    return get
 
 
 def _parallel_faces(f: Signomial, v: Vector) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import lp
-from .linalg import Vector, dot, is_zero, vector
+from .linalg import Vector, dot, is_zero, lattice, vector
 from .polytope import (
     DegenerateSimplexError,
     FacetBudgetExceededError,
@@ -320,42 +320,48 @@ def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
 
     negatives-inside: negatives in the simplex, positives in the cone union.
     positives-inside (needs n >= 2): positives in the simplex, negatives in
-    the cone union, and some negative interior to the union.
+    the cone union, and some negative interior to the union.  All points
+    are checked in one lattice frame, set up here.
     """
-    derived = simplex_halfspaces(w.vertices)
-    if w.halfspaces is not None and not _matches_derived(w.halfspaces, derived):
+    k = len(w.vertices)
+    interior = [] if w.interior_negative is None else [vector(w.interior_negative)]
+    scale, frame = lattice([vector(p) for p in w.vertices] + list(f.support) + interior)
+    derived = simplex_halfspaces(frame[:k])
+    unscaled = [(v, Fraction(a, scale)) for v, a in derived]
+    if w.halfspaces is not None and not _matches_derived(w.halfspaces, unscaled):
         return False
-    return _simplex_holds(f, w, derived)
+    return _simplex_holds(f, frame[k:k + len(f.terms)], w.mode, frame[-1] if interior else None, derived)
 
 
-def _simplex_holds(f: Signomial, w: SimplexWitness, derived) -> bool:
-    """The criterion of ``verify_simplex_witness`` against the halfspaces
-    ``derived`` from ``w.vertices``."""
-    pos = positives(f)
-    neg = negatives(f)
+def _simplex_holds(f: Signomial, frame, mode: str, interior_negative, derived) -> bool:
+    """The criterion of ``verify_simplex_witness`` in a lattice frame: f's
+    support and the interior negative (or None) given there, against the
+    halfspaces ``derived`` from the simplex."""
+    pos = [p for p, t in zip(frame, f.terms) if t.coefficient > 0]
+    neg = [p for p, t in zip(frame, f.terms) if t.coefficient < 0]
 
-    def in_simplex(p: Vector) -> bool:
+    def in_simplex(p) -> bool:
         return all(dot(v, p) <= a for v, a in derived)
 
-    def in_cones(p: Vector) -> bool:
+    def in_cones(p) -> bool:
         return bool(_cone_memberships(derived, p)[0])
 
-    def in_cone_interior(p: Vector) -> bool:
+    def in_cone_interior(p) -> bool:
         return bool(_cone_memberships(derived, p)[1])
 
-    if w.mode == MODE_NEGATIVES_INSIDE:
+    if mode == MODE_NEGATIVES_INSIDE:
         return all(in_simplex(b) for b in neg) and all(in_cones(a) for a in pos)
-    if w.mode == MODE_POSITIVES_INSIDE:
+    if mode == MODE_POSITIVES_INSIDE:
         if f.dimension < 2:
             return False
         if not all(in_simplex(a) for a in pos):
             return False
         if not all(in_cones(b) for b in neg):
             return False
-        if w.interior_negative is not None:
-            return w.interior_negative in neg and in_cone_interior(w.interior_negative)
+        if interior_negative is not None:
+            return interior_negative in neg and in_cone_interior(interior_negative)
         return any(in_cone_interior(b) for b in sorted(neg))
-    raise ValueError(f"unknown simplex mode {w.mode!r}")
+    raise ValueError(f"unknown simplex mode {mode!r}")
 
 
 def check_box_criterion(
@@ -423,63 +429,65 @@ def negative_vertex_functional(
     return None
 
 
-def _simplex_search(f: Signomial, config: CertifyConfig) -> Optional[CriterionCertificate]:
+def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optional[CriterionCertificate]:
     """First simplex witness spanned by n + 1 support points, combinations in
     sorted order and negatives-inside before positives-inside.
 
     Only candidates proven to fail are skipped.  The simplex is derived once
-    per combination; an affinely dependent one raises DegenerateSimplexError
-    and is passed over.  A vertex of the Newton polytope N(f) that lies in
-    the simplex, which is inside N(f), is a vertex of the simplex too, so
-    negatives-inside needs every negative vertex of N(f) among the
-    combination's points and positives-inside every positive one.  Without
-    the hull, as when it exceeds the facet budget, nothing is skipped this
-    way; a hull of dimension below n leaves no simplex at all.
+    per combination, in the support's lattice frame; an affinely dependent
+    one raises DegenerateSimplexError and is passed over.  A vertex of the
+    Newton polytope N(f) that lies in the simplex, which is inside N(f), is
+    a vertex of the simplex too, so negatives-inside needs every negative
+    vertex of N(f) among the combination's points and positives-inside
+    every positive one.  Without the hull, as when it exceeds the facet
+    budget, nothing is skipped this way; a hull of dimension below n leaves
+    no simplex at all.
     """
-    support = sorted(f.support)
+    support = f.support
     n = f.dimension
     if len(support) < n + 1:
         return None
     needed = {MODE_NEGATIVES_INSIDE: set(), MODE_POSITIVES_INSIDE: set()}
     try:
-        P = build_polytope(support, config.facet_budget)
+        P = newton() if newton is not None else build_polytope(support, config.facet_budget)
     except FacetBudgetExceededError:
         pass
     else:
         if P.dim < n:
             return None
-        neg = set(negatives(f))
         for i in P.vertices:
-            mode = MODE_NEGATIVES_INSIDE if P.points[i] in neg else MODE_POSITIVES_INSIDE
-            needed[mode].add(P.points[i])
-    for combo in combinations(support, n + 1):
-        modes = [mode for mode, points in needed.items() if points.issubset(combo)]
+            positive = f.terms[i].coefficient > 0
+            needed[MODE_POSITIVES_INSIDE if positive else MODE_NEGATIVES_INSIDE].add(i)
+    frame = lattice(support)[1]
+    for combo in combinations(range(len(support)), n + 1):
+        modes = [mode for mode, vertices in needed.items() if vertices.issubset(combo)]
         if not modes:
             continue
         try:
-            derived = simplex_halfspaces(combo)
+            derived = simplex_halfspaces([frame[i] for i in combo])
         except DegenerateSimplexError:
             continue
         for mode in modes:
-            w = SimplexWitness(tuple(combo), mode)
-            if _simplex_holds(f, w, derived):
+            if _simplex_holds(f, frame, mode, None, derived):
                 kind = (
                     SIMPLEX_NEGATIVES_INSIDE
                     if mode == MODE_NEGATIVES_INSIDE
                     else SIMPLEX_POSITIVES_INSIDE
                 )
+                w = SimplexWitness(tuple(support[i] for i in combo), mode)
                 return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, w)
     return None
 
 
 def check_connectivity(
-    f: Signomial, config: Optional[CertifyConfig] = None
+    f: Signomial, config: Optional[CertifyConfig] = None, newton: Optional[Callable[[], Polytope]] = None
 ) -> Optional[CriterionCertificate]:
     """First applicable single-shot criterion, or None.
 
     Order: empty negative support, empty positive support, one negative
     coefficient, strict separating hyperplane, one positive coefficient (hull
     dimension >= 2), simplex witness, then the box criterion when enabled.
+    ``newton`` returns N(f) for the simplex search (built when not given).
     """
     config = config or CertifyConfig()
     neg = negatives(f)
@@ -509,7 +517,7 @@ def check_connectivity(
             )
             return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, w)
     if config.enable_simplex_search:
-        found = _simplex_search(f, config)
+        found = _simplex_search(f, config, newton)
         if found is not None:
             return found
     if config.enable_box_criterion:

@@ -1,29 +1,41 @@
-"""Exact rational vectors and the small amount of linear algebra the geometry needs.
+"""Exact vectors and the small amount of linear algebra the geometry needs.
 
-Everything rests on one incremental reduced row echelon form: ranks, affine
-ranks and hyperplane normals are read off its rows, and ``polytope`` uses the
-same rows as the affine-hull frame, so no linear system is ever solved.
+The geometry runs in one integer lattice frame: ``lattice`` scales a point
+set once by the lcm L of its denominators, and the kernels work on Python
+ints from there on.  Everything rests on one incremental reduced row echelon
+form, updated fraction-free (Bareiss 1968): ranks, affine ranks and
+hyperplane normals are read off its rows, and ``polytope`` uses the same rows
+as the affine-hull frame, so no linear system is ever solved.  Ranks and
+primitive normals do not change under the scaling; offsets are divided by L
+where they leave the frame.  ``rank``, ``affine_rank`` and
+``hyperplane_normal`` take exact rationals and scale them at entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+IntVector = Tuple[int, ...]
 
 
 def vector(coords: Iterable) -> Vector:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+def lattice(points: Sequence[Sequence]) -> Tuple[int, Tuple[IntVector, ...]]:
+    """The lcm L of the coordinates' denominators, and the points times L as
+    ints (ints and Fractions alike)."""
+    scale = lcm(*(a.denominator for p in points for a in p))
+    return scale, tuple(tuple(a.numerator * (scale // a.denominator) for a in p) for p in points)
+
+
+def dot(u: Sequence, v: Sequence):
     assert len(u) == len(v)
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    return sum(map(mul, u, v))
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
@@ -34,22 +46,14 @@ def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
-def is_zero(u: Sequence[Fraction]) -> bool:
+def is_zero(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
-def primitive(u: Vector) -> Vector:
-    """Scale by a positive rational so entries are coprime integers (direction kept)."""
-    if is_zero(u):
-        return u
-    denom_lcm = 1
-    for a in u:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in u]
-    g = 0
-    for k in ints:
-        g = gcd(g, k)
-    return tuple(Fraction(k // g) for k in ints)
+def primitive_int(u: Sequence[int]) -> IntVector:
+    """An integer vector divided by the gcd of its entries (direction kept)."""
+    g = gcd(*u)
+    return tuple(a // g for a in u) if g > 1 else tuple(u)
 
 
 def sign_canonical(u: Vector) -> Vector:
@@ -62,33 +66,47 @@ def sign_canonical(u: Vector) -> Vector:
     return u
 
 
+def residual(rows: Iterable[Tuple[int, IntVector]], v: Sequence[int]) -> List[int]:
+    """A nonzero multiple of v minus its part in the span of the echelon
+    rows (pivot column, row); zero exactly when v lies in that span."""
+    r = list(v)
+    for col, row in rows:
+        c = r[col]
+        if c:
+            q = row[col]
+            r = [q * a - c * b for a, b in zip(r, row)]
+    return r
+
+
 class _Echelon:
-    """Incremental reduced row echelon form over the rationals, for rank and
-    span tests: each row has a 1 in its pivot column and a 0 in every other
-    row's pivot column."""
+    """Incremental reduced row echelon form over the integers.  Row r with
+    pivot column c stands for the rational row r / r[c]: r is 0 in every
+    other row's pivot column, and its entries are coprime."""
 
     def __init__(self):
-        self.rows: list[tuple[int, Vector]] = []  # (pivot column, row with pivot 1)
+        self.rows: list[tuple[int, IntVector]] = []  # (pivot column, row)
 
-    def residual(self, v: Sequence[Fraction]) -> Vector:
-        r = list(v)
-        for col, row in self.rows:
-            if r[col] != 0:
-                c = r[col]
-                r = [a - c * b for a, b in zip(r, row)]
-        return tuple(r)
+    @classmethod
+    def affine(cls, points: Sequence[IntVector]) -> "_Echelon":
+        """The rows spanning the differences to the first point; ``picked``
+        holds the indices of the points that raised the rank, and 0."""
+        ech = cls()
+        ech.picked = [0] + [i for i, p in enumerate(points) if i and ech.add(vsub(p, points[0]))]
+        return ech
 
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v: Sequence[int]) -> bool:
         """Insert v; returns True if it increased the rank.  The new pivot
         column is cleared from the older rows, so the rows stay reduced."""
-        r = self.residual(v)
-        col = next((c for c, a in enumerate(r) if a != 0), None)
+        r = residual(self.rows, v)
+        col = next((c for c, a in enumerate(r) if a), None)
         if col is None:
             return False
-        new = tuple(x / r[col] for x in r)
+        new = primitive_int(r)
+        q = new[col]
         for k, (c, row) in enumerate(self.rows):
-            if row[col] != 0:
-                self.rows[k] = (c, tuple(a - row[col] * b for a, b in zip(row, new)))
+            b = row[col]
+            if b:
+                self.rows[k] = (c, primitive_int([q * a - b * x for a, x in zip(row, new)]))
         self.rows.append((col, new))
         self.rows.sort(key=lambda t: t[0])
         return True
@@ -97,39 +115,39 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def normal(self, width: int) -> Optional[IntVector]:
+        """Primitive integer normal of the row space when its codimension is
+        one (else None): 1 in the free column over the lcm of the pivots,
+        and each pivot column cancelling its row there."""
+        if self.rank != width - 1:
+            return None
+        pivots = {c for c, _ in self.rows}
+        free = next(c for c in range(width) if c not in pivots)
+        m = lcm(*(row[c] for c, row in self.rows))
+        normal = [0] * width
+        normal[free] = m
+        for c, row in self.rows:
+            normal[c] = -row[free] * (m // row[c])
+        return primitive_int(normal)
 
-def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
+
+def rank(vectors: Sequence[Sequence]) -> int:
     ech = _Echelon()
-    for v in vectors:
+    for v in lattice(vectors)[1]:
         ech.add(v)
     return ech.rank
 
 
-def affine_rank(points: Sequence[Vector]) -> int:
+def affine_rank(points: Sequence[Sequence]) -> int:
     """Dimension of the affine span of the points (-1 for the empty set)."""
     if not points:
         return -1
-    base = points[0]
-    return rank([vsub(p, base) for p in points[1:]])
+    return _Echelon.affine(lattice(points)[1]).rank
 
 
-def hyperplane_normal(points: Sequence[Vector]) -> Optional[Vector]:
-    """Normal of the unique hyperplane through the points, or None when they do not
-    span a space of codimension one."""
+def hyperplane_normal(points: Sequence[Sequence]) -> Optional[IntVector]:
+    """Primitive integer normal of the unique hyperplane through the points,
+    or None when they do not span a space of codimension one."""
     if not points:
         return None
-    d = len(points[0])
-    base = points[0]
-    ech = _Echelon()
-    for p in points[1:]:
-        ech.add(vsub(p, base))
-    if ech.rank != d - 1:
-        return None
-    # the free coordinate is 1 and each pivot coordinate cancels its row there
-    pivot_cols = {c for c, _ in ech.rows}
-    free = next(c for c in range(d) if c not in pivot_cols)
-    normal = [ZERO] * d
-    normal[free] = ONE
-    for c, row in ech.rows:
-        normal[c] = -row[free]
-    return primitive(tuple(normal))
+    return _Echelon.affine(lattice(points)[1]).normal(len(points[0]))

@@ -13,8 +13,9 @@ a single common denominator, the determinant of the current basis.  Each
 pivot updates the rows fraction-free (Edmonds 1967, Bareiss 1968, as in
 Avis's lrs) with exact integer divisions, so no ``Fraction`` is formed until
 the witness is read off.  Both answers are checked exactly before they are
-returned: a witness must satisfy every row, and an infeasible answer carries
-a Farkas certificate y, read off the final objective row, with y >= 0 on the
+returned, on the same integer rows: a witness x = values / d must satisfy
+every row, as row . values >= rhs * d, and an infeasible answer carries a
+Farkas certificate y, read off the final objective row, with y >= 0 on the
 ">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0.
 """
 
@@ -22,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 from typing import Iterable, List, Literal, Optional, Sequence, Tuple
 
-from .linalg import Vector, dot, vector
+from .linalg import IntVector, Vector, dot, lattice, vector
 
 Relation = Literal[">=", "="]
 
@@ -57,6 +58,13 @@ class LinearSystem:
         )
         return LinearSystem(unknowns, built)
 
+    @cached_property
+    def lattice(self) -> Tuple[int, Tuple[Tuple[IntVector, int, Relation], ...]]:
+        """The lcm L of every denominator in the system, and the rows
+        (coefficients, right-hand side, relation) times L as ints."""
+        scale, lines = lattice([(*row.coeffs, row.rhs) for row in self.rows])
+        return scale, tuple((line[:-1], line[-1], row.relation) for line, row in zip(lines, self.rows))
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -70,26 +78,26 @@ class FeasibilityResult:
         return self.witness is not None
 
 
-def _satisfies(system: LinearSystem, x: Sequence[Fraction]) -> bool:
-    for row in system.rows:
-        lhs = dot(row.coeffs, x)
-        if row.relation == "=" and lhs != row.rhs:
-            return False
-        if row.relation == ">=" and lhs < row.rhs:
+def _satisfies(system: LinearSystem, x: Sequence[int], d: int) -> bool:
+    """Whether x / d (d > 0) satisfies every row, checked on the integer rows."""
+    for coeffs, rhs, relation in system.lattice[1]:
+        lhs, target = dot(coeffs, x), rhs * d
+        if lhs < target or (relation == "=" and lhs != target):
             return False
     return True
 
 
 def _refutes(system: LinearSystem, y: Sequence[int]) -> bool:
     """Whether y is a Farkas certificate: combining the rows with y gives
-    0 . x >= (or =) a positive number, which no x satisfies."""
-    rows = system.rows
-    if any(yi < 0 for yi, row in zip(y, rows) if row.relation == ">="):
+    0 . x >= (or =) a positive number, which no x satisfies.  Checked on the
+    integer rows, a positive scaling of the system."""
+    rows = system.lattice[1]
+    if any(yi < 0 for yi, (_, _, relation) in zip(y, rows) if relation == ">="):
         return False
     for j in range(system.unknowns):
-        if sum((yi * row.coeffs[j] for yi, row in zip(y, rows)), ZERO) != 0:
+        if sum(yi * coeffs[j] for yi, (coeffs, _, _) in zip(y, rows)):
             return False
-    return sum((yi * row.rhs for yi, row in zip(y, rows)), ZERO) > 0
+    return sum(yi * rhs for yi, (_, rhs, _) in zip(y, rows)) > 0
 
 
 def _pivot_row(row: List[int], pivot_row: List[int], p: int, enter: int, d: int) -> List[int]:
@@ -122,19 +130,18 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     # for L times the artificial of the unscaled row.  Every reduced cost and
     # every ratio then changes by a positive factor only, so Bland's rule
     # walks the same bases as over the unscaled rationals.
-    scale = lcm(*(a.denominator for row in system.rows for a in (*row.coeffs, row.rhs)))
+    scale, rows = system.lattice
     tableau: List[List[int]] = []
     signs: List[int] = []  # -1 for a row negated to make its rhs nonnegative
     surplus_at = 0
-    for i, row in enumerate(system.rows):
+    for i, (coeffs, rhs, relation) in enumerate(rows):
         line = [0] * (ncols + 1)
-        for j, c in enumerate(row.coeffs):
-            line[j] = c.numerator * (scale // c.denominator)
-            line[n + j] = -line[j]
-        if row.relation == ">=":
+        line[:n] = coeffs
+        line[n:2 * n] = [-c for c in coeffs]
+        if relation == ">=":
             line[2 * n + surplus_at] = -scale
             surplus_at += 1
-        line[ncols] = row.rhs.numerator * (scale // row.rhs.denominator)
+        line[ncols] = rhs
         signs.append(-1 if line[ncols] < 0 else 1)
         if line[ncols] < 0:
             line = [-a for a in line]
@@ -194,10 +201,10 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     values = [0] * ncols
     for i, b in enumerate(basis):
         values[b] = tableau[i][ncols]
-    witness = tuple(Fraction(values[j] - values[n + j], d) for j in range(n))
-    if not _satisfies(system, witness):
+    x = [values[j] - values[n + j] for j in range(n)]
+    if not _satisfies(system, x, d):
         raise RuntimeError("simplex produced an invalid witness")
-    return FeasibilityResult(witness)
+    return FeasibilityResult(tuple(Fraction(a, d) for a in x))
 
 
 def separate_segment_from_hull(b1: Vector, b2: Vector, hull_points: Sequence[Vector]) -> FeasibilityResult:

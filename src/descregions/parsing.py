@@ -12,6 +12,9 @@ Variables are x1..xn with n <= MAX_VARIABLE_INDEX; x, y, z, w alias x1..x4
 (every exponent vector has one entry per variable up to the largest index
 used, so the cap bounds their size).  Decimal literals are converted
 exactly to rationals (9.5 becomes 19/2).  Repeated monomials are merged.
+A polynomial has at most MAX_TERMS terms as written, and each number in an
+exponent has at most MAX_EXPONENT_DIGITS digits, since the geometry scales
+every exponent by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .signomial import Signomial
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 MAX_VARIABLE_INDEX = 1000
+MAX_TERMS = 1000
+MAX_EXPONENT_DIGITS = 6
 
 _TOKEN_RE = re.compile(
     r"(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^()/])|(?P<ws>\s+)|(?P<bad>.)"
@@ -96,20 +101,29 @@ class _Parser:
             self.error(f"expected {kind!r}, found {self.here.text!r}")
         return self.advance()
 
+    def number(self, exponent: bool) -> Tuple[_Token, Fraction]:
+        """The next number token and its value; in an exponent, more than
+        MAX_EXPONENT_DIGITS digits are an error at the token."""
+        tok = self.expect("number")
+        value = _number(tok)
+        if exponent and len(tok.text) - tok.text.count(".") > MAX_EXPONENT_DIGITS:
+            raise ParseError(
+                f"exponent number has more than {MAX_EXPONENT_DIGITS} digits", tok.line, tok.column
+            )
+        return tok, value
+
     # rational := ['-'] number ['/' number]
-    def rational(self) -> Fraction:
+    def rational(self, exponent: bool = False) -> Fraction:
         negative = False
         if self.here.kind == "-":
             self.advance()
             negative = True
-        num_tok = self.expect("number")
-        value = _number(num_tok)
+        num_tok, value = self.number(exponent)
         if self.here.kind == "/":
             self.advance()
-            den_tok = self.expect("number")
+            den_tok, den = self.number(exponent)
             if "." in num_tok.text or "." in den_tok.text:
                 self.error("ratio parts must be integers")
-            den = _number(den_tok)
             if den == 0:
                 raise ParseError("zero denominator", den_tok.line, den_tok.column)
             value = value / den
@@ -118,17 +132,16 @@ class _Parser:
     def exponent(self) -> Fraction:
         if self.here.kind == "(":
             self.advance()
-            value = self.rational()
+            value = self.rational(exponent=True)
             self.expect(")")
             return value
         negative = False
         if self.here.kind == "-":
             self.advance()
             negative = True
-        tok = self.expect("number")
+        tok, value = self.number(exponent=True)
         if "." in tok.text:
             self.error("exponents must be integers or parenthesized rationals")
-        value = _number(tok)
         return -value if negative else value
 
     def variable(self) -> int:
@@ -188,6 +201,8 @@ class _Parser:
         elif self.here.kind == "+":
             self.advance()
         while True:
+            if len(terms) == MAX_TERMS:
+                self.error(f"more than {MAX_TERMS} terms")
             coeff, exponents = self.sterm()
             terms.append((sign * coeff, exponents))
             if self.here.kind == "eof":

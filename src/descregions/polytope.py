@@ -1,17 +1,22 @@
 """Exact convex-hull geometry of finite rational point sets.
 
-Hulls are built by beneath-beyond insertion inside affine-hull coordinates, so
-lower-dimensional point sets (restrictions of a support to a face keep the
-ambient dimension) are handled without perturbation.  The affine hull is held
-in reduced row echelon form: a point's hull coordinates are its pivot entries
-minus the base point's, and a hull facet normal is lifted back by placing it
-on the pivot columns, so neither direction solves a linear system.  For a flat
-hull that lift is the one supporting normal that is zero off the pivot
-columns.  Each new facet is the positive combination of the two facets
-sharing its ridge that vanishes at the new point; ridges are read from the
-vertex-facet incidences, which insertion keeps up to date.  Facet normals are
-coprime integer vectors.  Vertices, smallest faces and exposing normals are
-read off the incidences, with no linear programming.
+Hulls are built in the integer lattice frame of ``linalg``: the points are
+scaled once by the lcm L of their denominators, and every step below works
+on Python ints.  Beneath-beyond insertion runs inside affine-hull
+coordinates, so lower-dimensional point sets (restrictions of a support to a
+face keep the ambient dimension) are handled without perturbation.  The
+affine hull is held in reduced row echelon form: a point's hull coordinates
+are its pivot entries minus the base point's, and a hull facet normal is
+lifted back by placing it on the pivot columns, so neither direction solves
+a linear system.  For a flat hull that lift is the one supporting normal
+that is zero off the pivot columns.  Each new facet is the positive
+combination of the two facets sharing its ridge that vanishes at the new
+point; ridges are read from the vertex-facet incidences, which insertion
+keeps up to date.  Facet normals are coprime integer vectors, the same under
+any positive scaling; a facet offset is divided by L where it leaves the
+frame, so points, hulls and halfspaces hold their exact rational values.
+Vertices, smallest faces and exposing normals are read off the incidences,
+with no linear programming.
 """
 
 from __future__ import annotations
@@ -21,21 +26,19 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .linalg import (
+    IntVector,
     Vector,
     _Echelon,
-    affine_rank,
     dot,
-    hyperplane_normal,
     is_zero,
-    primitive,
+    lattice,
+    primitive_int,
+    residual,
     sign_canonical,
     vector,
     vneg,
     vsub,
 )
-
-ZERO = Fraction(0)
-
 
 class FacetBudgetExceededError(RuntimeError):
     """Raised when hull construction would exceed the configured facet budget."""
@@ -43,30 +46,31 @@ class FacetBudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffineHull:
-    """The affine span as base + the row space of basis.  The rows are in
-    reduced row echelon form: row j is 1 in column pivots[j] and 0 in the
-    other pivot columns, so a point's hull coordinates are its pivot entries
-    minus the base's."""
+    """The affine span as base + the row space of the integer reduced
+    echelon ``rows``: row j has its pivot q_j in column pivots[j] and 0 in
+    the other pivot columns, and stands for row / q_j, so a point's hull
+    coordinates are its pivot entries minus the base's."""
 
     base: Vector
-    basis: Tuple[Vector, ...]
+    rows: Tuple[IntVector, ...]
     pivots: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Tuple[Vector, ...]:
+        """The rational rows, 1 in their own pivot column."""
+        return tuple(tuple(Fraction(a, row[k]) for a in row) for k, row in zip(self.pivots, self.rows))
 
     def coords(self, point: Vector) -> Vector:
         """Exact coordinates of a point of the hull in the base/basis frame;
         ValueError for a point off the hull."""
-        c = tuple(point[k] - self.base[k] for k in self.pivots)
-        rebuilt = tuple(
-            b + sum((a * row[k] for a, row in zip(c, self.basis)), ZERO)
-            for k, b in enumerate(self.base)
-        )
-        if rebuilt != tuple(point):
+        diff = vsub(vector(point), self.base)
+        if any(residual(zip(self.pivots, self.rows), lattice([diff])[1][0])):
             raise ValueError("point is not in the affine hull")
-        return c
+        return tuple(diff[k] for k in self.pivots)
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,7 @@ class Polytope:
     hull: AffineHull
     vertices: FrozenSet[int]
     facets: Tuple[Facet, ...]
+    frame: Tuple[IntVector, ...]  # the points in the lattice frame
 
     @property
     def dim(self) -> int:
@@ -100,80 +105,57 @@ class Polytope:
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineHull:
-    """Exact base point (the first point) plus the reduced echelon basis of
+    """Exact base point (the first point) plus the reduced echelon rows of
     the differences to it."""
     if not points:
         raise ValueError("points must be nonempty")
-    base = points[0]
-    ech = _Echelon()
-    for p in points[1:]:
-        ech.add(vsub(p, base))
-    return AffineHull(base, tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
-
-
-def _independent_point_indices(points: Sequence[Vector]) -> List[int]:
-    """Indices of an affinely independent subset spanning the affine hull,
-    scanning in canonical order (first point always included)."""
-    ech = _Echelon()
-    picked = [0]
-    for i in range(1, len(points)):
-        if ech.add(vsub(points[i], points[0])):
-            picked.append(i)
-    return picked
+    ech = _Echelon.affine(lattice(points)[1])
+    return AffineHull(points[0], tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
 
 
 class DegenerateSimplexError(ValueError):
     """Simplex vertices are affinely dependent."""
 
 
-def simplex_halfspaces(vertices: Sequence[Vector]) -> Tuple[Tuple[Vector, Fraction], ...]:
+def simplex_halfspaces(vertices: Sequence[Sequence]) -> Tuple[Tuple[IntVector, Fraction], ...]:
     """Outer halfspaces (v_j, a_j) of the simplex, the j-th supporting the
     facet opposite vertex j, with primitive integer normals.  Raises
     DegenerateSimplexError when the vertices are affinely dependent."""
-    verts = [vector(p) for p in vertices]
+    scale, verts = lattice(vertices)
     n = len(verts[0])
-    if len(verts) != n + 1 or affine_rank(verts) != n:
+    if len(verts) != n + 1 or _Echelon.affine(verts).rank != n:
         raise DegenerateSimplexError("vertices do not form an n-simplex")
     out = []
     for j in range(n + 1):
-        others = [verts[i] for i in range(n + 1) if i != j]
-        normal = hyperplane_normal(others)
-        assert normal is not None
+        others = verts[:j] + verts[j + 1:]
+        normal = _Echelon.affine(others).normal(n)
         offset = dot(normal, others[0])
         if dot(normal, verts[j]) > offset:
             normal, offset = vneg(normal), -offset
-        out.append((normal, offset))
+        out.append((normal, offset if scale == 1 else Fraction(offset, scale)))
     return tuple(out)
 
 
-def _facet_key(normal: Vector, offset: Fraction) -> Tuple[Vector, Fraction]:
-    """The halfspace scaled by the positive factor that makes its normal a
-    primitive integer vector (primitive() never flips sign)."""
-    prim = primitive(normal)
-    scale = next(a / b for a, b in zip(prim, normal) if b != 0)
-    assert scale > 0
-    return prim, offset * scale
-
-
 def _incremental_facets(
-    hp: Sequence[Vector], budget: Optional[int]
-) -> List[Tuple[Tuple[Vector, Fraction], FrozenSet[int]]]:
+    hp: Sequence[IntVector], budget: Optional[int]
+) -> List[Tuple[Tuple[IntVector, int], FrozenSet[int]]]:
     """Facets (outer primitive normal, offset) of the hull of
-    full-dimensional points given in d >= 1 dimensional coordinates, each
-    with the indices of the points on it.
+    full-dimensional integer points given in d >= 1 dimensional coordinates,
+    each with the indices of the points on it.
 
     Beneath-beyond insertion from a starting simplex.  For a new point p with
     excess s = n.p - a over each facet, the facets with s > 0 are dropped,
     those with s = 0 gain p, and every dropped facet v and facet h with s < 0
     that share a ridge give the new facet (-s_h)(n_v, a_v) + s_v(n_h, a_h),
-    which vanishes at p and on the ridge.  Two facets share a ridge exactly
+    which vanishes at p and on the ridge, divided by the gcd of its entries
+    (that of the normal: the offset is n.p).  Two facets share a ridge exactly
     when no third facet holds all their common points (at least d - 1 of
     them), so the new facet's points are those common points plus p."""
     d = len(hp[0])
-    init = _independent_point_indices(hp)
+    init = _Echelon.affine(hp).picked
     assert len(init) == d + 1
 
-    facets: List[Tuple[Tuple[Vector, Fraction], Set[int]]] = [
+    facets: List[Tuple[Tuple[IntVector, int], Set[int]]] = [
         (h, set(init) - {k})
         for h, k in zip(simplex_halfspaces([hp[i] for i in init]), init)
     ]
@@ -196,8 +178,8 @@ def _incremental_facets(
                 ridge = inc_v & inc_h
                 if len(ridge) < d - 1 or sum(ridge <= inc for _, inc in facets) > 2:
                     continue
-                normal = tuple(-sh * a + sv * b for a, b in zip(hv[0], hh[0]))
-                new_facets.append((_facet_key(normal, -sh * hv[1] + sv * hh[1]), ridge | {i}))
+                h = primitive_int([-sh * a + sv * b for a, b in zip((*hv[0], hv[1]), (*hh[0], hh[1]))])
+                new_facets.append(((h[:-1], h[-1]), ridge | {i}))
         for (_, inc), s in zip(facets, excess):
             if s == 0:
                 inc.add(i)
@@ -207,17 +189,20 @@ def _incremental_facets(
     return [(h, frozenset(inc)) for h, inc in facets]
 
 
-def _lift_halfspace(hull: AffineHull, normal_h: Vector, offset_h: Fraction) -> Halfspace:
-    """Ambient halfspace inducing the given hull-coordinate halfspace: the
-    hull normal placed on the pivot columns, zero elsewhere.  Hull
-    coordinates are the pivot entries of p - base, so the placed normal w
-    has w.(p - base) = normal_h.c for every p on the hull with coordinates
-    c, and it stays primitive.  For a flat hull it is the one supporting
-    normal that is zero off the pivot columns."""
-    w = [ZERO] * len(hull.base)
+def _lift_halfspace(
+    hull: AffineHull, scale: int, base: IntVector, normal_h: IntVector, offset_h: int
+) -> Halfspace:
+    """Ambient halfspace inducing the given hull-coordinate halfspace of the
+    lattice frame with this scale and base point: the hull normal placed on
+    the pivot columns, zero elsewhere.  Hull coordinates are the pivot entries of
+    p - base, so the placed normal w has w.(p - base) = normal_h.c for every
+    p on the hull with coordinates c, and it stays primitive.  For a flat
+    hull it is the one supporting normal that is zero off the pivot columns.
+    The offset leaves the frame here, divided by the scale."""
+    w = [0] * len(base)
     for k, a in zip(hull.pivots, normal_h):
         w[k] = a
-    return Halfspace(tuple(w), dot(w, hull.base) + offset_h)
+    return Halfspace(tuple(map(Fraction, w)), Fraction(dot(w, base) + offset_h, scale))
 
 
 def build_polytope(
@@ -230,16 +215,17 @@ def build_polytope(
         raise ValueError("points must be nonempty")
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
+    scale, frame = lattice(pts)
     hull = affine_hull(pts)
-    hp = [hull.coords(p) for p in pts]
+    hp = [tuple(p[k] - frame[0][k] for k in hull.pivots) for p in frame]
     hull_facets = _incremental_facets(hp, facet_budget) if hull.dim >= 1 else []
     facets = tuple(
         sorted(
-            (Facet(_lift_halfspace(hull, *h), incident) for h, incident in hull_facets),
+            (Facet(_lift_halfspace(hull, scale, frame[0], *h), inc) for h, inc in hull_facets),
             key=lambda f: (f.halfspace.normal, f.halfspace.offset),
         )
     )
-    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets)
+    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets, frame)
 
 
 def _vertices_from_incidences(count: int, facets: Sequence[Facet]) -> FrozenSet[int]:
@@ -280,11 +266,11 @@ def face_exposing_normal(P: Polytope, indices: Sequence[int]) -> Vector:
     on the points of that face.  It is zero when no facet contains them (the
     face is the whole polytope)."""
     want = set(indices)
-    total = [ZERO] * len(P.points[0])
+    total = [0] * len(P.points[0])
     for f in P.facets:
         if want <= f.incident:
-            total = [a + b for a, b in zip(total, f.halfspace.normal)]
-    return primitive(tuple(total))
+            total = [a + b.numerator for a, b in zip(total, f.halfspace.normal)]
+    return tuple(map(Fraction, primitive_int(total)))
 
 
 def parallel_face_pairs(P: Polytope, support: Sequence[int]) -> List[Vector]:
@@ -298,8 +284,9 @@ def parallel_face_pairs(P: Polytope, support: Sequence[int]) -> List[Vector]:
         raise ValueError("parallel faces need dim >= 1")
     found = set()
     for f in P.facets:
-        v = f.halfspace.normal
-        values = {dot(v, P.points[i]) for i in support}
+        v = f.halfspace.normal  # primitive, with integer entries
+        w = [a.numerator for a in v]
+        values = {dot(w, P.frame[i]) for i in support}
         if len(values) == 2:
-            found.add(sign_canonical(primitive(v)))
+            found.add(sign_canonical(v))
     return sorted(found)

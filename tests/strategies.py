@@ -61,3 +61,13 @@ def signed_supports(draw, max_dimension=4):
     if hidden is not None:
         terms[hidden] = -1
     return Signomial.from_terms(n, [(c, tuple(Fraction(x) for x in p)) for p, c in terms.items()])
+
+
+@st.composite
+def rational_point_sets(draw, max_size=7):
+    """``point_sets`` with each coordinate divided by its own denominator
+    from {1, 2, 3, 4, 6, 12}.  A diagonal scaling keeps every affine
+    dependence, so the flat, collinear and lattice shapes stay."""
+    pts = draw(point_sets(max_size))
+    dens = [draw(st.sampled_from((1, 2, 3, 4, 6, 12))) for _ in pts[0]]
+    return sorted(tuple(a / d for a, d in zip(p, dens)) for p in pts)

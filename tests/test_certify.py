@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from descregions import certify, criteria, polytope
 from descregions.certify import (
     CERTIFIED_AT_MOST_ONE,
     CERTIFIED_EMPTY,
@@ -256,3 +257,27 @@ def test_termination_strict_decrease():
     for f in (CUBE4, TEN_TERM, BOX_F):
         cert = certify_connectivity(f)
         assert depth(cert) <= len(f.terms)
+
+
+def test_each_node_builds_its_newton_polytope_at_most_once(monkeypatch):
+    built = []
+
+    def counting(points, facet_budget=None):
+        built.append(tuple(points))
+        return polytope.build_polytope(points, facet_budget)
+
+    monkeypatch.setattr(certify, "build_polytope", counting)
+    monkeypatch.setattr(criteria, "build_polytope", counting)
+    flagged = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True)
+    # the simplex search declines at the root of TEN_TERM and of both cubes,
+    # whose certificates then need the hull again
+    for f in (TEN_TERM, CUBE3, CUBE4, SIMPLEX_CONNECTED):
+        built.clear()
+        assert verify_certificate(f, certify_connectivity(f, flagged)) == []
+        assert built and len(built) == len(set(built))
+    # a hull over the budget declines the simplex search and ends the node
+    built.clear()
+    cert = certify_connectivity(TEN_TERM, CertifyConfig(enable_simplex_search=True, facet_budget=1))
+    assert cert.outcome == INCONCLUSIVE and cert.reason == "facet count exceeded budget of 1"
+    assert built == [TEN_TERM.support]
+

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from descregions.cli import main
+from descregions.parsing import MAX_EXPONENT_DIGITS, MAX_TERMS
 
 import fixtures
 
@@ -97,6 +98,16 @@ def test_certify_reports_a_number_too_long_at_its_position(poly, capsys):
     code, out, err = run(capsys, "certify", poly("long.poly", "x^" + "9" * 5000 + " - 1"))
     assert code == 1 and out == ""
     assert err.startswith("error: line 1, column 3: number too long")
+
+
+def test_certify_caps_terms_and_exponent_digits(poly, capsys):
+    many = " + ".join(f"x^{i}" for i in range(MAX_TERMS + 1))
+    code, out, err = run(capsys, "certify", poly("many.poly", many))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"more than {MAX_TERMS} terms" in err
+    code, out, err = run(capsys, "certify", poly("deep.poly", "x^(1/" + "7" * (MAX_EXPONENT_DIGITS + 1) + ") - 1"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1, column 6: exponent number has more than")
 
 
 def test_certify_reads_its_input_once(poly, capsys, monkeypatch):

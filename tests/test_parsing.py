@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from descregions.parsing import MAX_VARIABLE_INDEX, ParseError, format_signomial, parse_signomial
+from descregions.parsing import (
+    MAX_EXPONENT_DIGITS,
+    MAX_TERMS,
+    MAX_VARIABLE_INDEX,
+    ParseError,
+    format_signomial,
+    parse_signomial,
+)
 from descregions.signomial import Signomial
 
 import fixtures
@@ -88,6 +95,31 @@ def test_numbers_too_long_to_convert_are_parse_errors():
         with pytest.raises(ParseError) as err:
             parse_signomial(text)
         assert err.value.column == column and "number too long" in str(err.value)
+
+
+def test_term_count_is_capped():
+    at_cap = " + ".join(f"x^{i}" for i in range(MAX_TERMS))
+    assert len(parse_signomial(at_cap).terms) == MAX_TERMS
+    # merged repeats count as written
+    with pytest.raises(ParseError) as err:
+        parse_signomial(at_cap + " - x")
+    assert err.value.column == len(at_cap) + 4 and f"more than {MAX_TERMS} terms" in str(err.value)
+
+
+def test_exponent_digits_are_capped():
+    big = "9" * MAX_EXPONENT_DIGITS
+    f = parse_signomial(f"x^{big} - x^(-{big}/{big}) + y^(0.{big[1:]}) + {big}9*y")
+    assert f.coefficient(vec(int(big), 0)) == 1 and f.coefficient(vec(-1, 0)) == -1
+    for text, column in (
+        (f"x^{big}9 - 1", 3),
+        (f"x^-{big}9 - 1", 4),
+        (f"1 + x^(1/{big}9)", 10),
+        (f"x^(-{big}9/2) - 1", 5),
+        (f"y^(0.{big}) - 1", 4),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_signomial(text)
+        assert err.value.column == column and f"more than {MAX_EXPONENT_DIGITS} digits" in str(err.value)
 
 
 def test_round_trip_all_fixtures():

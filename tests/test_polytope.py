@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from descregions import lp
 from descregions.linalg import affine_rank, dot, hyperplane_normal, rank, vsub
@@ -17,9 +17,10 @@ from descregions.polytope import (
 )
 from descregions.signomial import negatives
 
-from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, vec
+import hull_oracle
+from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, WIDE16, vec
 from hull_oracle import brute_force_facets, polytope_facets_in_hull_coords
-from strategies import point_sets
+from strategies import point_sets, rational_point_sets
 
 F = Fraction
 
@@ -326,3 +327,38 @@ def test_flat_hull_facets_are_pinned():
         (["0", "1", "-2", "0"], "-4", [0, 3]),
         (["0", "3", "-1", "0"], "8", [3, 5]),
     ]
+
+
+# --- the integer lattice frame -------------------------------------------------
+
+
+@given(rational_point_sets())
+@settings(deadline=None, max_examples=80)
+def test_integer_kernels_match_a_fraction_elimination(pts):
+    d = len(pts[0])
+    assert rank(pts) == len(hull_oracle.rref(pts))
+    for group in (pts, pts[:d], pts[:2]):
+        assert affine_rank(group) == len(hull_oracle.affine_rref(group))
+        assert hyperplane_normal(group) == hull_oracle.normal_of(group)
+
+
+@given(rational_point_sets(), st.integers(1, 60), st.integers(1, 60))
+@settings(deadline=None, max_examples=60)
+def test_hull_is_invariant_under_a_positive_scaling(pts, num, den):
+    r = F(num, den)
+    P = build_polytope(pts)
+    Q = build_polytope([tuple(r * a for a in p) for p in pts])
+    assert Q.vertices == P.vertices
+    assert Q.hull.pivots == P.hull.pivots and Q.hull.basis == P.hull.basis
+    assert [(f.halfspace.normal, f.incident) for f in Q.facets] == [
+        (f.halfspace.normal, f.incident) for f in P.facets
+    ]
+    assert [f.halfspace.offset for f in Q.facets] == [r * f.halfspace.offset for f in P.facets]
+
+
+def test_wide16_hull_matches_the_oracle():
+    # exponent denominators 2, 3 and 4 give the lattice frame a scale of 12
+    P = build_polytope(WIDE16.support)
+    assert P.dim == 16 and len(P.facets) == 17
+    assert P.frame == tuple(tuple(12 * a for a in p) for p in P.points)
+    assert polytope_facets_in_hull_coords(P) == brute_force_facets(list(WIDE16.support))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -13,8 +14,10 @@ from descregions.criteria import (
     CertifyConfig,
     SimplexWitness,
 )
+from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
+import fixtures
 from fixtures import (
     BOX_F,
     CUBE3,
@@ -164,3 +167,60 @@ def test_flagged_random_sweep_replays_and_round_trips():
         assert verify_certificate(f, cert) == []
         doc = json.loads(tracedoc.document_to_json(tracedoc.make_document(f, config, cert)))
         assert tracedoc.verify_document(doc) == []
+
+
+# --- pinned trace bytes ---------------------------------------------------------
+
+FLAGGED = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True, enable_enclosing_search=True)
+# lowdim-flagged-style 3-variable instances (the benchmark's seed-1 corpus):
+# one certified by the box criterion, one inconclusive after every search
+LOWDIM_TEXTS = {
+    "LOWDIM_BOX": "-7*x1^8*x2^12*x3^2 + 9*x2^6*x3 + 5*x2^12 + 7*x1^4*x2^12 - 3*x1^8*x3"
+    " - 9*x1^2*x3^4 + 3*x1^6*x2^6*x3^3 + 5*x1^4*x2^9*x3^3",
+    "LOWDIM_INCONCLUSIVE": "-7*x1^8*x2^3 - 8*x1^2*x2^4 + 4*x1^4*x2^2 + 2*x1^4*x2^4 - 7*x1^6"
+    " + 8*x1^8*x2^4 + 9*x1^6*x2",
+}
+# SHA-256 of the certify trace JSON (``make_document`` with the input text as
+# its source, then ``document_to_json``); a change to any witness, outcome or
+# serialized byte moves a digest
+TRACE_SHA256 = {
+    "BOX": "cd4e233a7ca9d8fed1fce471f7eeccb93e23bbeaf8b328f80d4caf7eb38de4fc",  # Inconclusive
+    "CUBE3": "2d98f7a9a0f3cfd468ea0ac15fe73101cdb748aa959da2022e68c7c69c0e0d9c",  # CertifiedExactlyOne
+    "CUBE4": "2692b2bab26cee80f6d04a85438a55dafcdc0dda3474e3fcd995555c274ff1a4",  # CertifiedExactlyOne
+    "ENCLOSED": "554702e11dacfd12d7b3316ab4ce62517387ffe840d9592807a38600c28d56b1",  # Inconclusive
+    "LADDER": "23aa97309284d1b256ddf06a50c61a49efec1ce0cf55b4e85a957b1b13ad0247",  # Inconclusive
+    "NEG_QUADRATIC_SPLIT": "1bb6a66043fa899393833cf25b07f23cbbde494343f864a60217c920139995dd",  # Inconclusive
+    "NEG_QUADRATIC": "c35767a103d3a04dca3eb2852fb3dba63d9b81cc18b2cef48ea6b6f91a4a6402",  # Inconclusive
+    "PERFECT_SQUARE": "3dd844005d1f55466a71e74cc863a7e883cbf906dd45796be69e9e13606bd4b3",  # CertifiedAtMostOne
+    "SADDLE": "82d63183f3ae69af38a606b7df1112553e8a23d125f289ac9792a347de175d0f",  # CertifiedAtMostOne
+    "SIMPLEX_CONNECTED": "cea229eb2af5b943458f6063d08513ccef8d8d1413429b01fad56be8d0f0c30a",  # Inconclusive
+    "SIMPLEX_SPLIT": "90cc302173ea370e9547755ba7bdc7f17629af61fdf42853c96db5ddf92cfa73",  # Inconclusive
+    "STRIP_PAIR": "6765eaae27cb0e6f386eeced899039a69ae22597a81a7c5148636ac2b62737f7",  # Inconclusive
+    "TEN_TERM_LOWER": "0f55a9edcae9a918079b79d877bb61590b71809ef290471c1f7031d04e7882bc",  # Inconclusive
+    "TEN_TERM": "9736cb0c25e16d72d85b2b9e4b9a30265937757a6d44533b788f30cb6be0120e",  # Inconclusive
+    "TEN_TERM_UPPER": "59bcf8d9594c1425733124cd97ca1b2b7e49af7ecbcc38b34c33b594c25afcd0",  # CertifiedExactlyOne
+    "WIDE16": "682a5d0658d29606ab5af2a249c31fc11977f7aded3679db4b7808814f652629",  # Inconclusive
+}
+FLAGGED_TRACE_SHA256 = {
+    "SIMPLEX_CONNECTED": "08b96e1fc547d4a91272707b355a7dcd3cc0058fb243c1b2d2617498459d17ad",  # CertifiedExactlyOne
+    "LOWDIM_BOX": "a9744a5ba8ae9cd7f9de63bb9fe1a2505798c734b29b9a281bf8a92604440a52",  # CertifiedExactlyOne
+    "LOWDIM_INCONCLUSIVE": "88df253d148d4f1d0861f22c68c5be20fdf12734e6890862f576747bb469ad9d",  # Inconclusive
+}
+
+
+def _trace_digest(text, config):
+    f = parse_signomial(text)
+    cert = certify_connectivity(f, config)
+    doc = tracedoc.make_document(f, config, cert, source=text)
+    assert verify_certificate(f, cert) == []
+    return hashlib.sha256(tracedoc.document_to_json(doc).encode()).hexdigest()
+
+
+def test_traces_match_pinned_digests():
+    texts = {name[:-5]: getattr(fixtures, name) for name in dir(fixtures) if name.endswith("_TEXT")}
+    assert texts.keys() == TRACE_SHA256.keys()  # every fixture is pinned
+    texts.update(LOWDIM_TEXTS)
+    got = {name: _trace_digest(texts[name], CertifyConfig()) for name in TRACE_SHA256}
+    assert got == TRACE_SHA256
+    got = {name: _trace_digest(texts[name], FLAGGED) for name in FLAGGED_TRACE_SHA256}
+    assert got == FLAGGED_TRACE_SHA256
