@@ -13,6 +13,13 @@ search.  Children certified "at most one" are upgraded to "exactly one"
 before a parallel split is emitted, witnessed by a negative exponent at a
 vertex of the child's Newton polytope (the restriction is then negative far
 along the exposing direction, so its negative region is nonempty).
+
+The search runs on each signomial's integer lattice frame: negatives are
+term indices, the hull's point indices are term indices, the two faces of
+a parallel split are read off the frame rows, and children are restricted
+by index.  Witnesses leave as the signomial's own Fraction exponents.
+Replay keeps its own Fraction reading of faces and restrictions
+(``_parallel_faces``, ``restrict``) rather than the search's.
 """
 
 from __future__ import annotations
@@ -28,19 +35,22 @@ from .criteria import (
     CriterionCertificate,
     negative_vertex_functional,
     check_connectivity,
+    hull_indices,
+    separation_found,
     verify_criterion,
     verify_enclosing_pair,
 )
-from .linalg import Vector, dot, is_zero, vector
+from .linalg import Vector, dot, is_zero, lattice, vector
 from .polytope import (
     FacetBudgetExceededError,
     Polytope,
     build_polytope,
     face_exposing_normal,
+    lazy_hull,
     parallel_face_pairs,
     smallest_face_containing,
 )
-from .signomial import Signomial, negatives, positives, restrict
+from .signomial import Signomial, negatives, positives, restrict, restrict_indices
 
 CERTIFIED_EMPTY = "CertifiedEmpty"
 CERTIFIED_AT_MOST_ONE = "CertifiedAtMostOne"
@@ -104,15 +114,21 @@ def certify_connectivity(f: Signomial, config: Optional[CertifyConfig] = None) -
     return _certify(f, config, depth=1)
 
 
-def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
+def _certify(
+    f: Signomial, config: CertifyConfig, depth: int, newton: Optional[Callable[[], Polytope]] = None
+) -> Certificate:
+    """The certificate of one node; ``newton`` returns N(f) when the caller
+    holds it already.  Faces are found by term index on the hull and on f's
+    lattice frame, and children are restricted by index."""
     if depth > config.max_depth:
         return Certificate(
             KIND_INCONCLUSIVE, INCONCLUSIVE, reason=f"recursion depth exceeded {config.max_depth}"
         )
-    if not negatives(f):
+    neg_idx = f.negative_indices
+    if not neg_idx:
         return Certificate(KIND_EMPTY, CERTIFIED_EMPTY)
 
-    newton = _once(lambda: build_polytope(f.support, config.facet_budget))
+    newton = newton or lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
     crit = check_connectivity(f, config, newton)
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
@@ -122,18 +138,16 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     except FacetBudgetExceededError as exc:
         return Certificate(KIND_INCONCLUSIVE, INCONCLUSIVE, reason=str(exc))
 
-    neg_set = set(negatives(f))
-    neg_idx = [i for i, p in enumerate(P.points) if p in neg_set]
+    # P is built from f.support, so its point indices are f's term indices
     face_idx, proper = smallest_face_containing(P, neg_idx)
     if proper:
         normal = face_exposing_normal(P, neg_idx)
-        face_exps = tuple(P.points[i] for i in face_idx)
-        child = _certify(restrict(f, face_exps), config, depth + 1)
+        child = _certify(restrict_indices(f, face_idx), config, depth + 1)
         return Certificate(
             KIND_NEGATIVE_FACE,
             child.outcome,
             normal=normal,
-            face=face_exps,
+            face=tuple(f.support[i] for i in face_idx),
             children=(child,),
         )
 
@@ -143,13 +157,13 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
             edge = intersection_nonempty(f, v, P)
             if edge is None:
                 continue
-            face_v, face_mv = _parallel_faces(f, v)
-            child1 = _certify(restrict(f, face_v), config, depth + 1)
-            child2 = _certify(restrict(f, face_mv), config, depth + 1)
+            f1, f2 = (restrict_indices(f, face) for face in _face_split(f, v))
+            child1 = _certify(f1, config, depth + 1)
+            child2 = _certify(f2, config, depth + 1)
             if child1.outcome not in CERTIFIED_OUTCOMES or child2.outcome not in CERTIFIED_OUTCOMES:
                 continue
-            w1 = negative_vertex_functional(restrict(f, face_v), P)
-            w2 = negative_vertex_functional(restrict(f, face_mv), P)
+            w1 = negative_vertex_functional(f1, P)
+            w2 = negative_vertex_functional(f2, P)
             if w1 is None or w2 is None:  # cannot hold: the edge ends are such vertices
                 continue
             return Certificate(
@@ -169,30 +183,34 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     )
 
 
-def _once(build: Callable[[], Polytope]) -> Callable[[], Polytope]:
-    """``build`` run on the first call only: later calls return its hull or
-    raise its budget error again."""
-    memo: list = []
-
-    def get() -> Polytope:
-        if not memo:
-            try:
-                memo.append(build())
-            except FacetBudgetExceededError as exc:
-                memo.append(exc)
-        if isinstance(memo[0], FacetBudgetExceededError):
-            raise memo[0]
-        return memo[0]
-    return get
-
-
 def _parallel_faces(f: Signomial, v: Vector) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
+    """The exponents on the faces in directions v and -v, in exact
+    rationals: replay's own reading of a recorded normal."""
     values = [(dot(v, mu), mu) for mu in f.support]
     top = max(val for val, _ in values)
     bot = min(val for val, _ in values)
     face_v = tuple(mu for val, mu in values if val == top)
     face_mv = tuple(mu for val, mu in values if val == bot)
     return face_v, face_mv
+
+
+def _face_split(f: Signomial, v: Sequence) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Indices of f's terms on the faces in directions v and -v, read off
+    f's lattice frame with v scaled to integers (a positive scaling)."""
+    w = lattice([vector(v)])[1][0]
+    values = [dot(w, row) for row in f.frame]
+    top, bottom = max(values), min(values)
+    return (
+        tuple(i for i, x in enumerate(values) if x == top),
+        tuple(i for i, x in enumerate(values) if x == bottom),
+    )
+
+
+def _splits(f: Signomial, faces: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> bool:
+    """Whether the two faces of ``_face_split`` are distinct and cover the
+    support (distinct faces are disjoint)."""
+    top, bottom = faces
+    return top != bottom and len(top) + len(bottom) == len(f.terms)
 
 
 def intersection_nonempty(
@@ -206,19 +224,19 @@ def intersection_nonempty(
     the normals of the facets through the edge, which exposes it strictly
     against every other support point (zero when the edge is the whole hull).
     """
-    vv = vector(v)
-    face_v, face_mv = _parallel_faces(f, vv)
-    if set(face_v) | set(face_mv) != set(f.support) or set(face_v) == set(face_mv):
+    faces = _face_split(f, v)
+    if not _splits(f, faces):
         raise ValueError("support does not split across the faces of v and -v")
     if P is None:
         P = build_polytope(f.support)
-    index = {p: i for i, p in enumerate(P.points)}
-    neg = set(negatives(f))
-    for beta1 in sorted(set(face_v) & neg):
-        for beta2 in sorted(set(face_mv) & neg):
-            pair = sorted((index[beta1], index[beta2]))
+    index = hull_indices(P, f)
+    neg = set(f.negative_indices)
+    top, bottom = ([i for i in face if i in neg] for face in faces)
+    for i in top:
+        for j in bottom:
+            pair = sorted((index[i], index[j]))
             if list(smallest_face_containing(P, pair)[0]) == pair:
-                return EdgeWitness(beta1, beta2, face_exposing_normal(P, pair))
+                return EdgeWitness(f.support[i], f.support[j], face_exposing_normal(P, pair))
     return None
 
 
@@ -277,10 +295,10 @@ def upper_bound(
         a, b = enclosing
         fa, fb = side_restrictions(f, vv, a, b)
     else:
-        face_v, face_mv = _parallel_faces(f, vv)
-        if set(face_v) | set(face_mv) == set(f.support) and set(face_v) != set(face_mv):
+        faces = _face_split(f, vv)
+        if _splits(f, faces):
             method = "graph-parallel"
-            fa, fb = restrict(f, face_v), restrict(f, face_mv)
+            fa, fb = (restrict_indices(f, face) for face in faces)
         elif config.enable_enclosing_search:
             # derive the tightest enclosing offsets along v
             method = "graph-ab"
@@ -347,7 +365,10 @@ def certify_and_check_closure(
     from .criteria import closure_property
 
     config = config or CertifyConfig()
-    return certify_connectivity(f, config), closure_property(f, config.facet_budget)
+    newton = lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
+    cert = _certify(f, config, 1, newton)
+    separated = None if cert.kind == KIND_EMPTY else separation_found(cert.criterion)
+    return cert, closure_property(f, config.facet_budget, newton, separated)
 
 
 # ---------------------------------------------------------------------------

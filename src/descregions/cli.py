@@ -36,6 +36,7 @@ from .parsing import ParseError, parse_signomial
 from .polytope import (
     FacetBudgetExceededError,
     build_polytope,
+    lazy_hull,
     parallel_face_pairs,
     smallest_face_containing,
 )
@@ -153,13 +154,13 @@ def _cmd_analyze(args) -> int:
         "newton_dim": newton_dim(f),
         "facet_budget_exceeded": False,
     }
+    newton = lazy_hull(lambda: build_polytope(f.support, args.facet_budget))
     try:
-        P = build_polytope(f.support, args.facet_budget)
+        P = newton()
         report["vertex_count"] = len(P.vertices)
         report["facet_count"] = len(P.facets)
         if neg:
-            neg_idx = [i for i, p in enumerate(P.points) if p in set(neg)]
-            face_idx, proper = smallest_face_containing(P, neg_idx)
+            face_idx, proper = smallest_face_containing(P, f.negative_indices)
             report["smallest_negative_face"] = {
                 "support": [[str(c) for c in P.points[i]] for i in face_idx],
                 "proper": proper,
@@ -185,7 +186,7 @@ def _cmd_analyze(args) -> int:
         else None
     )
     try:
-        report["closure_property"] = closure_property(f, args.facet_budget)
+        report["closure_property"] = closure_property(f, args.facet_budget, newton, sep is not None)
     except FacetBudgetExceededError:
         report["closure_property"] = None
         report["facet_budget_exceeded"] = True

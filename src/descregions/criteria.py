@@ -27,9 +27,6 @@ from .polytope import (
 )
 from .signomial import Signomial, negatives, newton_dim, positives
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 # criterion kinds
 NO_NEGATIVE_TERMS = "no-negative-terms"
 NO_POSITIVE_TERMS = "no-positive-terms"
@@ -121,32 +118,43 @@ class CertifyConfig:
             raise ValueError("max_depth must be >= 1")
 
 
+def _unframe(f: Signomial, w: Vector) -> Vector:
+    """A normal found on f's lattice frame, back in f's own coordinates.
+
+    An LP built from the frame rows L * mu in place of mu has its normal's
+    columns scaled by L; Bland's rule follows the same bases under a
+    positive column scaling, so its normal is w = v / L for the normal v
+    of the LP on the rational rows, and offsets are unchanged."""
+    return w if f.scale == 1 else tuple(f.scale * x for x in w)
+
+
 def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitness]:
     """A strict separating hyperplane, from at most two feasibility problems.
 
     Both solve for (v, a) with v.beta >= a on the negatives and v.alpha <= a
-    on the positives.  The first adds v.beta0 >= a + 1 for the first negative
-    beta0 in support order; the second adds sum(v.beta - a) >= 1 over the
-    remaining negatives, which by homogeneity is feasible exactly when one of
-    them can be made strict.  The strict point is the first negative strictly
-    above the hyperplane.
+    on the positives, with the rows taken from f's lattice frame.  The first
+    adds v.beta0 >= a + 1 for the first negative beta0 in support order; the
+    second adds sum(v.beta - a) >= 1 over the remaining negatives, which by
+    homogeneity is feasible exactly when one of them can be made strict.
+    The strict point is the first negative strictly above the hyperplane.
     """
-    neg = sorted(negatives(f))
-    pos = sorted(positives(f))
+    neg, pos = f.negative_indices, f.positive_indices
     if not neg or not pos:
         return None
     n = f.dimension
-    rows = [(tuple(beta) + (-ONE,), ZERO, ">=") for beta in neg]
-    rows += [(tuple(-a for a in alpha) + (ONE,), ZERO, ">=") for alpha in pos]
-    strict_rows = [(tuple(neg[0]) + (-ONE,), ONE, ">=")]
+    frame = f.frame
+    rows = [(frame[i] + (-1,), 0, ">=") for i in neg]
+    rows += [(tuple(-c for c in frame[i]) + (1,), 0, ">=") for i in pos]
+    strict_rows = [(frame[neg[0]] + (-1,), 1, ">=")]
     if len(neg) > 1:
-        total = tuple(map(sum, zip(*neg[1:])))
-        strict_rows.append((total + (1 - len(neg),), ONE, ">="))
+        total = tuple(map(sum, zip(*(frame[i] for i in neg[1:]))))
+        strict_rows.append((total + (1 - len(neg),), 1, ">="))
     for strict_row in strict_rows:
         res = lp.feasible(lp.LinearSystem.build(n + 1, rows + [strict_row]))
         if res.is_feasible:
-            v, a = res.witness[:n], res.witness[n]
-            beta0 = next(beta for beta in neg if dot(v, beta) > a)
+            w, a = res.witness[:n], res.witness[n]
+            beta0 = next(f.support[i] for i in neg if dot(w, frame[i]) > a)
+            v = _unframe(f, w)
             if not verify_separating_hyperplane(f, v, a, strict=True, strict_point=beta0):
                 raise RuntimeError("separating witness failed re-verification")
             return SeparatingWitness(v, a, True, beta0)
@@ -219,11 +227,11 @@ def find_strict_enclosing_pair(
     symmetry every one that puts S on the opposite sides; those are skipped
     without a feasibility problem.
 
-    Raises EnclosingBudgetExceededError when the negative count exceeds
+    The rows are taken from f's lattice frame.  Raises
+    EnclosingBudgetExceededError when the negative count exceeds
     ``max_negatives``.
     """
-    neg = sorted(negatives(f))
-    pos = sorted(positives(f))
+    neg, pos = f.negative_indices, f.positive_indices
     k = len(neg)
     if k > max_negatives:
         raise EnclosingBudgetExceededError(
@@ -232,11 +240,12 @@ def find_strict_enclosing_pair(
     if k < 2:
         return None
     n = f.dimension
+    frame = f.frame
     # unknowns: v (n), a, b
     pos_rows = []
-    for alpha in pos:
-        pos_rows.append((tuple(-c for c in alpha) + (ONE, ZERO), ZERO, ">="))
-        pos_rows.append((tuple(alpha) + (ZERO, -ONE), ZERO, ">="))
+    for i in pos:
+        pos_rows.append((tuple(-c for c in frame[i]) + (1, 0), 0, ">="))
+        pos_rows.append((frame[i] + (0, -1), 0, ">="))
     nogoods: List[Tuple[int, int]] = []  # (S as a bit set, the sides of S refuted)
     for mask in range(1, 2 ** (k - 1)):
         if any((mask & s) in (sides, s ^ sides) for s, sides in nogoods):
@@ -245,13 +254,13 @@ def find_strict_enclosing_pair(
         lower = [i for i in range(k) if not mask >> i & 1]
         rows = list(pos_rows)
         for i in upper:
-            rows.append((tuple(neg[i]) + (-ONE, ZERO), ONE, ">="))
+            rows.append((frame[neg[i]] + (-1, 0), 1, ">="))
         for i in lower:
-            rows.append((tuple(-c for c in neg[i]) + (ZERO, ONE), ONE, ">="))
-        rows.append(((ZERO,) * n + (ONE, -ONE), ZERO, ">="))
+            rows.append((tuple(-c for c in frame[neg[i]]) + (0, 1), 1, ">="))
+        rows.append(((0,) * n + (1, -1), 0, ">="))
         res = lp.feasible(lp.LinearSystem.build(n + 2, rows))
         if res.is_feasible:
-            v = res.witness[:n]
+            v = _unframe(f, res.witness[:n])
             a, b = res.witness[n], res.witness[n + 1]
             if not verify_enclosing_pair(f, v, a, b, strict=True):
                 raise RuntimeError("enclosing witness failed re-verification")
@@ -337,8 +346,8 @@ def _simplex_holds(f: Signomial, frame, mode: str, interior_negative, derived) -
     """The criterion of ``verify_simplex_witness`` in a lattice frame: f's
     support and the interior negative (or None) given there, against the
     halfspaces ``derived`` from the simplex."""
-    pos = [p for p, t in zip(frame, f.terms) if t.coefficient > 0]
-    neg = [p for p, t in zip(frame, f.terms) if t.coefficient < 0]
+    pos = [frame[i] for i in f.positive_indices]
+    neg = [frame[i] for i in f.negative_indices]
 
     def in_simplex(p) -> bool:
         return all(dot(v, p) <= a for v, a in derived)
@@ -368,43 +377,71 @@ def check_box_criterion(
     f: Signomial, config: Optional[CertifyConfig] = None
 ) -> Optional[CriterionCertificate]:
     """Strict enclosing pair plus a negative pair on opposite sides whose
-    segment misses the hull of the positives."""
+    segment misses the hull of the positives, each segment LP on f's
+    lattice frame."""
     config = config or CertifyConfig()
-    pos = sorted(positives(f))
+    neg, pos = f.negative_indices, f.positive_indices
     if not pos:
         return None
     pair = find_strict_enclosing_pair(f, config.enclosing_max_negatives)
     if pair is None:
         return None
-    v, a, b = pair.normal, pair.upper, pair.lower
-    above = [p for p in sorted(negatives(f)) if dot(v, p) >= a]
-    below = [p for p in sorted(negatives(f)) if dot(v, p) <= b]
-    for beta1 in above:
-        for beta2 in below:
-            res = lp.separate_segment_from_hull(beta1, beta2, pos)
+    frame = f.frame
+    # v.mu >= upper exactly when v.(L mu) >= L upper, and likewise below
+    v, a, b = pair.normal, f.scale * pair.upper, f.scale * pair.lower
+    above = [i for i in neg if dot(v, frame[i]) >= a]
+    below = [i for i in neg if dot(v, frame[i]) <= b]
+    hull = [frame[i] for i in pos]
+    for i in above:
+        for j in below:
+            res = lp.separate_segment_from_hull(frame[i], frame[j], hull)
             if res.is_feasible:
-                wn, wc = res.witness[: f.dimension], res.witness[f.dimension]
-                witness = BoxWitness(pair, beta1, beta2, wn, wc)
+                wn, wc = _unframe(f, res.witness[: f.dimension]), res.witness[f.dimension]
+                witness = BoxWitness(pair, f.support[i], f.support[j], wn, wc)
                 return CriterionCertificate(BOX, True, witness)
     return None
 
 
-def closure_property(f: Signomial, facet_budget: Optional[int] = None) -> bool:
+def closure_property(
+    f: Signomial,
+    facet_budget: Optional[int] = None,
+    newton: Optional[Callable[[], Polytope]] = None,
+    separated: Optional[bool] = None,
+) -> bool:
     """True when the closure of the negative region provably equals the set
     where f <= 0: strict separating hyperplane, or all negative exponents on a
-    proper face of the Newton polytope.  False means "not certified"."""
-    neg = negatives(f)
-    pos = positives(f)
+    proper face of the Newton polytope.  False means "not certified".
+
+    A caller that already has them passes ``newton``, returning N(f) (built
+    within ``facet_budget`` when not given), and ``separated``, whether a
+    strict separating hyperplane exists (searched for when None)."""
+    neg, pos = f.negative_indices, f.positive_indices
     if not f.terms:
         return False
     if not neg or not pos:
         return True  # f has constant sign on the whole orthant
-    if find_strict_separating_hyperplane(f) is not None:
+    if separated is None:
+        separated = find_strict_separating_hyperplane(f) is not None
+    if separated:
         return True
-    P = build_polytope(f.support, facet_budget)
-    neg_idx = [i for i, p in enumerate(P.points) if p in set(neg)]
-    _, proper = smallest_face_containing(P, neg_idx)
+    P = newton() if newton is not None else build_polytope(f.support, facet_budget)
+    _, proper = smallest_face_containing(P, neg)
     return proper
+
+
+def hull_indices(P: Polytope, f: Signomial) -> Sequence[int]:
+    """The index in ``P.points`` of each of f's exponents, matched on the two
+    lattice frames: when f's exponents are among P's points, f's scale
+    divides P's and their rows times the quotient are rows of P's frame.
+    ValueError when some exponent is not a point of P."""
+    if P.scale == f.scale and P.frame == f.frame:
+        return range(len(f.terms))
+    k, rem = divmod(P.scale, f.scale)
+    index = {row: i for i, row in enumerate(P.frame)}
+    rows = [tuple(k * a for a in row) for row in f.frame]
+    if rem or any(row not in index for row in rows):
+        raise ValueError("exponents are not points of the hull")
+    return [index[row] for row in rows]
 
 
 def negative_vertex_functional(
@@ -422,10 +459,10 @@ def negative_vertex_functional(
     """
     if P is None:
         P = build_polytope(f.support)
-    index = {p: i for i, p in enumerate(P.points)}
-    for beta in sorted(negatives(f)):
-        if index[beta] in P.vertices:
-            return beta, face_exposing_normal(P, [index[beta]])
+    index = hull_indices(P, f)
+    for i in f.negative_indices:
+        if index[i] in P.vertices:
+            return f.support[i], face_exposing_normal(P, [index[i]])
     return None
 
 
@@ -458,7 +495,7 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
         for i in P.vertices:
             positive = f.terms[i].coefficient > 0
             needed[MODE_POSITIVES_INSIDE if positive else MODE_NEGATIVES_INSIDE].add(i)
-    frame = lattice(support)[1]
+    frame = f.frame
     for combo in combinations(range(len(support)), n + 1):
         modes = [mode for mode, vertices in needed.items() if vertices.issubset(combo)]
         if not modes:
@@ -528,6 +565,16 @@ def check_connectivity(
         if found is not None:
             return found
     return None
+
+
+def separation_found(crit: Optional[CriterionCertificate]) -> Optional[bool]:
+    """Whether the ``check_connectivity`` call that returned ``crit`` found a
+    strict separating hyperplane; None when it returned before searching."""
+    if crit is None:
+        return False
+    if crit.kind in (NO_NEGATIVE_TERMS, NO_POSITIVE_TERMS, ONE_NEGATIVE_COEFF):
+        return None
+    return crit.kind == STRICT_SEPARATING
 
 
 def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:

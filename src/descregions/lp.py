@@ -17,6 +17,14 @@ returned, on the same integer rows: a witness x = values / d must satisfy
 every row, as row . values >= rhs * d, and an infeasible answer carries a
 Farkas certificate y, read off the final objective row, with y >= 0 on the
 ">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0.
+
+Rows may hold ints or Fractions.  The criteria build theirs as ints from a
+signomial's lattice frame, which multiplies the exponent columns by L: a
+positive column scaling changes every reduced cost of a column and every
+ratio of the entering column by a positive factor only, so Bland's rule
+walks the same bases, the witness on the frame is v / L in those columns,
+and the Farkas certificate keeps its support.  The witness comes back as
+Fractions; the criteria multiply the normal by L.
 """
 
 from __future__ import annotations
@@ -24,20 +32,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import Iterable, List, Literal, Optional, Sequence, Tuple, Union
 
-from .linalg import IntVector, Vector, dot, lattice, vector
+from .linalg import IntVector, Vector, dot, lattice
 
 Relation = Literal[">=", "="]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+Number = Union[int, Fraction]
+
+
+def _exact(x) -> Number:
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
 @dataclass(frozen=True)
 class LinearRow:
-    coeffs: Vector
-    rhs: Fraction
+    coeffs: Tuple[Number, ...]
+    rhs: Number
     relation: Relation
 
 
@@ -53,8 +67,10 @@ class LinearSystem:
 
     @staticmethod
     def build(unknowns: int, rows: Iterable[tuple]) -> "LinearSystem":
+        """Rows from (coefficients, rhs, relation); ints and Fractions are
+        kept as they are, anything else becomes a Fraction."""
         built = tuple(
-            LinearRow(vector(c), Fraction(b), rel) for c, b, rel in rows
+            LinearRow(tuple(map(_exact, c)), _exact(b), rel) for c, b, rel in rows
         )
         return LinearSystem(unknowns, built)
 
@@ -207,19 +223,22 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     return FeasibilityResult(tuple(Fraction(a, d) for a in x))
 
 
-def separate_segment_from_hull(b1: Vector, b2: Vector, hull_points: Sequence[Vector]) -> FeasibilityResult:
+def separate_segment_from_hull(b1: Sequence, b2: Sequence, hull_points: Sequence[Sequence]) -> FeasibilityResult:
     """Strictly separate the segment [b1, b2] from the convex hull of a point set.
 
     Feasible exactly when the segment and the hull are disjoint; the witness
     (w, c) satisfies w.b1 >= c+1, w.b2 >= c+1 and w.p <= c for every hull
-    point (the unit slack is harmless by homogeneity).
+    point (the unit slack is harmless by homogeneity).  The points may be
+    exact rationals or their rows in a lattice frame of scale L: scaling the
+    points is a positive scaling of the w columns, which Bland's rule
+    follows through the same bases, so the frame's witness is (w / L, c).
     """
     if not hull_points:
         raise ValueError("hull_points must be nonempty")
     n = len(b1)
     rows = []
-    rows.append((tuple(b1) + (-ONE,), ONE, ">="))
-    rows.append((tuple(b2) + (-ONE,), ONE, ">="))
+    rows.append((tuple(b1) + (-1,), 1, ">="))
+    rows.append((tuple(b2) + (-1,), 1, ">="))
     for p in sorted(hull_points):
-        rows.append((tuple(-a for a in p) + (ONE,), ZERO, ">="))
+        rows.append((tuple(-a for a in p) + (1,), 0, ">="))
     return feasible(LinearSystem.build(n + 1, rows))

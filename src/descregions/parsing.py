@@ -15,16 +15,26 @@ exactly to rationals (9.5 becomes 19/2).  Repeated monomials are merged.
 A polynomial has at most MAX_TERMS terms as written, and each number in an
 exponent has at most MAX_EXPONENT_DIGITS digits, since the geometry scales
 every exponent by the lcm of their denominators.
+
+Tokens are plain (kind, text, offset) tuples; a ParseError works out its
+line and column from the offset.  While parsing, integral numbers are ints
+and only decimals and ratios are Fractions.  Fractions begin in
+``parse_signomial``, which makes each coefficient and exponent entry one,
+and ``Signomial.from_terms`` merges and sorts the terms on their lattice
+frame rows.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
+from .linalg import vector
 from .signomial import Signomial
+
+Number = Union[int, Fraction]
+_ZERO = Fraction(0)
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 MAX_VARIABLE_INDEX = 1000
@@ -43,110 +53,105 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | one-character operator | "eof"
-    text: str
-    line: int
-    column: int
+# a token is (kind, text, offset): kind is "number", "name", the operator
+# character or "eof"; the line and column are worked out from the offset
+# only when an error is raised
+_Token = Tuple[str, str, int]
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """Line and column (both from 1) of an offset into the text."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    line = 1
-    line_start = 0
     for m in _TOKEN_RE.finditer(text):
-        col = m.start() - line_start + 1
-        if m.lastgroup == "ws":
-            nl = m.group().count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + m.group().rfind("\n") + 1
+        kind = m.lastgroup
+        if kind == "ws":
             continue
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        kind = m.lastgroup if m.lastgroup != "op" else m.group()
-        tokens.append(_Token(kind, m.group(), line, col))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
+        tok = m.group()
+        tokens.append((tok if kind == "op" else kind, tok, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-def _number(tok: _Token) -> Fraction:
-    """The exact value of a number token, decimals included."""
-    try:
-        return Fraction(tok.text)
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise ParseError(f"number too long ({len(tok.text)} characters)", tok.line, tok.column) from None
-
-
 class _Parser:
+    """Recursive descent over the token list; ``kind`` is the current
+    token's kind.  Integral numbers stay ints and ratios become Fractions."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    @property
-    def here(self) -> _Token:
-        return self.tokens[self.pos]
+        self.kind = self.tokens[0][0]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
+        self.kind = self.tokens[self.pos][0]
         return tok
 
-    def error(self, message: str):
-        raise ParseError(message, self.here.line, self.here.column)
+    def error(self, message: str, tok: Optional[_Token] = None) -> ParseError:
+        """The error at tok (the current token by default), for the caller to raise."""
+        offset = (tok or self.tokens[self.pos])[2]
+        return ParseError(message, *_position(self.text, offset))
 
     def expect(self, kind: str) -> _Token:
-        if self.here.kind != kind:
-            self.error(f"expected {kind!r}, found {self.here.text!r}")
+        if self.kind != kind:
+            raise self.error(f"expected {kind!r}, found {self.tokens[self.pos][1]!r}")
         return self.advance()
 
-    def number(self, exponent: bool) -> Tuple[_Token, Fraction]:
-        """The next number token and its value; in an exponent, more than
-        MAX_EXPONENT_DIGITS digits are an error at the token."""
+    def number(self, exponent: bool) -> Tuple[_Token, Number]:
+        """The next number token and its exact value, decimals included; in
+        an exponent, more than MAX_EXPONENT_DIGITS digits are an error at
+        the token."""
         tok = self.expect("number")
-        value = _number(tok)
-        if exponent and len(tok.text) - tok.text.count(".") > MAX_EXPONENT_DIGITS:
-            raise ParseError(
-                f"exponent number has more than {MAX_EXPONENT_DIGITS} digits", tok.line, tok.column
-            )
+        text = tok[1]
+        try:
+            value = Fraction(text) if "." in text else int(text)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise self.error(f"number too long ({len(text)} characters)", tok) from None
+        if exponent and len(text) - text.count(".") > MAX_EXPONENT_DIGITS:
+            raise self.error(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits", tok)
         return tok, value
 
     # rational := ['-'] number ['/' number]
-    def rational(self, exponent: bool = False) -> Fraction:
-        negative = False
-        if self.here.kind == "-":
+    def rational(self, exponent: bool = False) -> Number:
+        negative = self.kind == "-"
+        if negative:
             self.advance()
-            negative = True
         num_tok, value = self.number(exponent)
-        if self.here.kind == "/":
+        if self.kind == "/":
             self.advance()
             den_tok, den = self.number(exponent)
-            if "." in num_tok.text or "." in den_tok.text:
-                self.error("ratio parts must be integers")
+            if "." in num_tok[1] or "." in den_tok[1]:
+                raise self.error("ratio parts must be integers")
             if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.column)
-            value = value / den
+                raise self.error("zero denominator", den_tok)
+            value = Fraction(value, den)
         return -value if negative else value
 
-    def exponent(self) -> Fraction:
-        if self.here.kind == "(":
+    def exponent(self) -> Number:
+        if self.kind == "(":
             self.advance()
             value = self.rational(exponent=True)
             self.expect(")")
             return value
-        negative = False
-        if self.here.kind == "-":
+        negative = self.kind == "-"
+        if negative:
             self.advance()
-            negative = True
         tok, value = self.number(exponent=True)
-        if "." in tok.text:
-            self.error("exponents must be integers or parenthesized rationals")
+        if "." in tok[1]:
+            raise self.error("exponents must be integers or parenthesized rationals")
         return -value if negative else value
 
     def variable(self) -> int:
         tok = self.expect("name")
-        name = tok.text
+        name = tok[1]
         if name in _ALIASES:
             return _ALIASES[name]
         m = re.fullmatch(r"x0*([1-9]\d*)", name)
@@ -154,81 +159,76 @@ class _Parser:
             # compare lengths first: int() refuses very long digit strings
             index = m.group(1)
             if len(index) > len(str(MAX_VARIABLE_INDEX)) or int(index) > MAX_VARIABLE_INDEX:
-                raise ParseError(
-                    f"variable {name!r} exceeds the largest index x{MAX_VARIABLE_INDEX}", tok.line, tok.column
-                )
+                raise self.error(f"variable {name!r} exceeds the largest index x{MAX_VARIABLE_INDEX}", tok)
             return int(index)
-        raise ParseError(f"unknown variable {name!r}", tok.line, tok.column)
+        raise self.error(f"unknown variable {name!r}", tok)
 
-    def sterm(self) -> Tuple[Fraction, dict]:
-        coeff = Fraction(1)
-        exponents: dict[int, Fraction] = {}
+    def sterm(self) -> Tuple[Number, Dict[int, Number]]:
+        coeff: Number = 1
+        exponents: Dict[int, Number] = {}
         saw_coeff = False
-        if self.here.kind == "number":
+        if self.kind == "number":
             coeff = self.rational()
             saw_coeff = True
-        elif self.here.kind == "(":
+        elif self.kind == "(":
             self.advance()
             coeff = self.rational()
             self.expect(")")
             saw_coeff = True
         if saw_coeff:
-            if self.here.kind == "*":
+            if self.kind == "*":
                 self.advance()
-            elif self.here.kind != "name":
+            elif self.kind != "name":
                 return coeff, exponents
-        if self.here.kind != "name":
-            self.error("expected a variable or coefficient")
+        if self.kind != "name":
+            raise self.error("expected a variable or coefficient")
         while True:
             var = self.variable()
-            power = Fraction(1)
-            if self.here.kind == "^":
+            power: Number = 1
+            if self.kind == "^":
                 self.advance()
                 power = self.exponent()
-            exponents[var] = exponents.get(var, Fraction(0)) + power
-            if self.here.kind == "*" and self.tokens[self.pos + 1].kind == "name":
+            exponents[var] = exponents.get(var, 0) + power
+            if self.kind == "*" and self.tokens[self.pos + 1][0] == "name":
                 self.advance()
                 continue
             break
         return coeff, exponents
 
-    def poly(self) -> List[Tuple[Fraction, dict]]:
+    def poly(self) -> List[Tuple[Number, Dict[int, Number]]]:
         terms = []
-        sign = Fraction(1)
-        if self.here.kind == "-":
+        sign = 1
+        if self.kind == "-":
             self.advance()
-            sign = Fraction(-1)
-        elif self.here.kind == "+":
+            sign = -1
+        elif self.kind == "+":
             self.advance()
         while True:
             if len(terms) == MAX_TERMS:
-                self.error(f"more than {MAX_TERMS} terms")
+                raise self.error(f"more than {MAX_TERMS} terms")
             coeff, exponents = self.sterm()
             terms.append((sign * coeff, exponents))
-            if self.here.kind == "eof":
+            if self.kind == "eof":
                 return terms
-            if self.here.kind == "+":
-                sign = Fraction(1)
-            elif self.here.kind == "-":
-                sign = Fraction(-1)
+            if self.kind == "+":
+                sign = 1
+            elif self.kind == "-":
+                sign = -1
             else:
-                self.error(f"expected '+' or '-', found {self.here.text!r}")
+                raise self.error(f"expected '+' or '-', found {self.tokens[self.pos][1]!r}")
             self.advance()
 
 
 def parse_signomial(text: str, dimension: Optional[int] = None) -> Signomial:
     """Parse the text format; the dimension is the largest variable index used
-    unless given explicitly."""
-    parser = _Parser(text)
-    raw = parser.poly()
+    unless given explicitly.  Every coefficient and exponent entry becomes a
+    Fraction here, once."""
+    raw = _Parser(text).poly()
     max_var = max((max(e) for _, e in raw if e), default=1)
     n = dimension if dimension is not None else max_var
     if max_var > n:
         raise ParseError(f"variable x{max_var} exceeds dimension {n}", 1, 1)
-    pairs = []
-    for coeff, exponents in raw:
-        vec = tuple(exponents.get(i, Fraction(0)) for i in range(1, n + 1))
-        pairs.append((coeff, vec))
+    pairs = [(coeff, vector([exponents.get(i, _ZERO) for i in range(1, n + 1)])) for coeff, exponents in raw]
     return Signomial.from_terms(n, pairs)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .linalg import (
     IntVector,
@@ -98,6 +98,7 @@ class Polytope:
     vertices: FrozenSet[int]
     facets: Tuple[Facet, ...]
     frame: Tuple[IntVector, ...]  # the points in the lattice frame
+    scale: int  # the frame's scale L: frame = L * points
 
     @property
     def dim(self) -> int:
@@ -190,19 +191,19 @@ def _incremental_facets(
 
 
 def _lift_halfspace(
-    hull: AffineHull, scale: int, base: IntVector, normal_h: IntVector, offset_h: int
-) -> Halfspace:
-    """Ambient halfspace inducing the given hull-coordinate halfspace of the
-    lattice frame with this scale and base point: the hull normal placed on
-    the pivot columns, zero elsewhere.  Hull coordinates are the pivot entries of
-    p - base, so the placed normal w has w.(p - base) = normal_h.c for every
-    p on the hull with coordinates c, and it stays primitive.  For a flat
-    hull it is the one supporting normal that is zero off the pivot columns.
-    The offset leaves the frame here, divided by the scale."""
+    hull: AffineHull, base: IntVector, normal_h: IntVector, offset_h: int
+) -> Tuple[IntVector, int]:
+    """Ambient halfspace (normal, offset) of the lattice frame inducing the
+    given hull-coordinate halfspace, with ``base`` the base point's row: the
+    hull normal placed on the pivot columns, zero elsewhere.  Hull
+    coordinates are the pivot entries of p - base, so the placed normal w
+    has w.(p - base) = normal_h.c for every p on the hull with coordinates
+    c, and it stays primitive.  For a flat hull it is the one supporting
+    normal that is zero off the pivot columns."""
     w = [0] * len(base)
     for k, a in zip(hull.pivots, normal_h):
         w[k] = a
-    return Halfspace(tuple(map(Fraction, w)), Fraction(dot(w, base) + offset_h, scale))
+    return tuple(w), dot(w, base) + offset_h
 
 
 def build_polytope(
@@ -213,19 +214,36 @@ def build_polytope(
     pts = tuple(vector(p) for p in points)
     if not pts:
         raise ValueError("points must be nonempty")
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be pairwise distinct")
     scale, frame = lattice(pts)
+    if len(set(frame)) != len(frame):
+        raise ValueError("points must be pairwise distinct")
     hull = affine_hull(pts)
     hp = [tuple(p[k] - frame[0][k] for k in hull.pivots) for p in frame]
     hull_facets = _incremental_facets(hp, facet_budget) if hull.dim >= 1 else []
+    # sorted by (normal, offset) in the frame, the order of the exact values;
+    # the offset leaves the frame here, divided by the scale
+    lifted = sorted(((_lift_halfspace(hull, frame[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])
     facets = tuple(
-        sorted(
-            (Facet(_lift_halfspace(hull, scale, frame[0], *h), inc) for h, inc in hull_facets),
-            key=lambda f: (f.halfspace.normal, f.halfspace.offset),
-        )
+        Facet(Halfspace(tuple(map(Fraction, w)), Fraction(offset, scale)), inc) for (w, offset), inc in lifted
     )
-    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets, frame)
+    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets, frame, scale)
+
+
+def lazy_hull(build: Callable[[], Polytope]) -> Callable[[], Polytope]:
+    """``build`` run on the first call only: later calls return its hull or
+    raise its budget error again."""
+    memo: list = []
+
+    def get() -> Polytope:
+        if not memo:
+            try:
+                memo.append(build())
+            except FacetBudgetExceededError as exc:
+                memo.append(exc)
+        if isinstance(memo[0], FacetBudgetExceededError):
+            raise memo[0]
+        return memo[0]
+    return get
 
 
 def _vertices_from_incidences(count: int, facets: Sequence[Facet]) -> FrozenSet[int]:
@@ -284,9 +302,8 @@ def parallel_face_pairs(P: Polytope, support: Sequence[int]) -> List[Vector]:
         raise ValueError("parallel faces need dim >= 1")
     found = set()
     for f in P.facets:
-        v = f.halfspace.normal  # primitive, with integer entries
-        w = [a.numerator for a in v]
+        w = tuple(a.numerator for a in f.halfspace.normal)  # primitive, with integer entries
         values = {dot(w, P.frame[i]) for i in support}
         if len(values) == 2:
-            found.add(sign_canonical(v))
-    return sorted(found)
+            found.add(sign_canonical(w))
+    return [tuple(map(Fraction, w)) for w in sorted(found)]

@@ -4,16 +4,22 @@ A signomial is a finite sum of terms ``c * x^mu`` with ``c`` a nonzero rational
 and ``mu`` a rational exponent vector; it is a function on the open positive
 orthant.  Everything here is exact except ``evaluate_log``, which works in
 log coordinates (``x = exp(y)``) in floating point.
+
+Coefficients and exponent entries are Fractions.  Each signomial also
+carries its integer lattice frame, set up when it is built: the scale L
+and the exponent rows times L as ints, in term order, with the term
+indices of each sign.  The search reads exponents off the frame and
+restricts by term index; replay reads the Fraction exponents.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .linalg import Vector, affine_rank, vector
+from .linalg import IntVector, Vector, affine_rank, lattice, vector
 
 DEFAULT_TOLERANCE_FACTOR = 1e-12
 
@@ -30,10 +36,23 @@ class Term:
 
 @dataclass(frozen=True)
 class Signomial:
-    """Immutable signomial; terms are kept sorted lexicographically by exponent."""
+    """Immutable signomial; terms are kept sorted lexicographically by exponent.
+
+    Construction also sets up the signomial's integer lattice frame:
+    ``scale`` is the lcm L of the exponents' denominators and ``frame`` the
+    exponent vectors times L as ints, in term order.  A positive scaling
+    keeps the lexicographic order, so the sorted/distinct check runs on the
+    frame rows.  ``negative_indices`` and ``positive_indices`` hold the term
+    indices of each sign.  These are derived, so equality, hashing and repr
+    see only the dimension and the terms.
+    """
 
     dimension: int
     terms: Tuple[Term, ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    frame: Tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
+    negative_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    positive_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -41,25 +60,37 @@ class Signomial:
         for t in self.terms:
             if len(t.exponent) != self.dimension:
                 raise ValueError("exponent length does not match dimension")
-        exps = [t.exponent for t in self.terms]
-        if sorted(exps) != exps:
+        scale, frame = lattice([t.exponent for t in self.terms])
+        pairs = list(zip(frame, frame[1:]))
+        if any(a > b for a, b in pairs):
             raise ValueError("terms must be sorted by exponent")
-        if len(set(exps)) != len(exps):
+        if any(a == b for a, b in pairs):
             raise ValueError("exponent vectors must be pairwise distinct")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "frame", frame)
+        negative = [t.coefficient < 0 for t in self.terms]
+        object.__setattr__(self, "negative_indices", tuple(i for i, neg in enumerate(negative) if neg))
+        object.__setattr__(self, "positive_indices", tuple(i for i, neg in enumerate(negative) if not neg))
 
     @staticmethod
     def from_terms(dimension: int, pairs: Iterable[tuple]) -> "Signomial":
         """Build from (coefficient, exponent) pairs, merging repeated exponents
-        and dropping terms that cancel to zero."""
-        acc: dict[Vector, Fraction] = {}
+        and dropping terms that cancel to zero.  Terms are merged and sorted
+        by their exponents' rows in the lattice frame."""
+        coeffs, exps = [], []
         for coeff, exp in pairs:
             mu = vector(exp)
             if len(mu) != dimension:
                 raise ValueError("exponent length does not match dimension")
-            acc[mu] = acc.get(mu, Fraction(0)) + Fraction(coeff)
-        terms = tuple(
-            Term(c, mu) for mu, c in sorted(acc.items()) if c != 0
-        )
+            coeffs.append(coeff if type(coeff) is Fraction else Fraction(coeff))
+            exps.append(mu)
+        acc: dict = {}  # frame row -> [coefficient, exponent]
+        for row, c, mu in zip(lattice(exps)[1], coeffs, exps):
+            if row in acc:
+                acc[row][0] += c
+            else:
+                acc[row] = [c, mu]
+        terms = tuple(Term(c, mu) for c, mu in (acc[row] for row in sorted(acc)) if c != 0)
         return Signomial(dimension, terms)
 
     @property
@@ -81,17 +112,15 @@ class SignedSupport:
 
 def signed_support(f: Signomial) -> SignedSupport:
     """Partition the support by coefficient sign."""
-    pos = frozenset(t.exponent for t in f.terms if t.coefficient > 0)
-    neg = frozenset(t.exponent for t in f.terms if t.coefficient < 0)
-    return SignedSupport(pos, neg)
+    return SignedSupport(frozenset(positives(f)), frozenset(negatives(f)))
 
 
 def positives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple(t.exponent for t in f.terms if t.coefficient > 0)
+    return tuple(f.terms[i].exponent for i in f.positive_indices)
 
 
 def negatives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple(t.exponent for t in f.terms if t.coefficient < 0)
+    return tuple(f.terms[i].exponent for i in f.negative_indices)
 
 
 def restrict(f: Signomial, exponents: Iterable[Sequence]) -> Signomial:
@@ -101,9 +130,15 @@ def restrict(f: Signomial, exponents: Iterable[Sequence]) -> Signomial:
     return Signomial(f.dimension, tuple(t for t in f.terms if t.exponent in keep))
 
 
+def restrict_indices(f: Signomial, indices: Iterable[int]) -> Signomial:
+    """Restriction of f to the terms at the given increasing indices."""
+    return Signomial(f.dimension, tuple(f.terms[i] for i in indices))
+
+
 def newton_dim(f: Signomial) -> int:
-    """Dimension of the convex hull of the support (-1 when f has no terms)."""
-    return affine_rank(f.support)
+    """Dimension of the convex hull of the support (-1 when f has no terms),
+    read off the lattice frame."""
+    return affine_rank(f.frame)
 
 
 def evaluate_log(f: Signomial, y: Sequence[float]) -> float:

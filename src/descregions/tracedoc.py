@@ -36,9 +36,11 @@ from .criteria import (
     SeparatingWitness,
     SimplexWitness,
 )
+from .parsing import MAX_EXPONENT_DIGITS, MAX_TERMS
 from .signomial import Signomial, Term
 
 SCHEMA_VERSION = 1
+_EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
 
 def _frac(s) -> Fraction:
@@ -68,10 +70,18 @@ def signomial_to_json(f: Signomial) -> dict:
 
 
 def signomial_from_json(data: dict) -> Signomial:
-    terms = tuple(
-        Term(_frac(t["coefficient"]), _unvec(t["exponent"])) for t in data["terms"]
-    )
-    return Signomial(int(data["dimension"]), terms)
+    """The input signomial, under the text format's caps: at most MAX_TERMS
+    terms, and at most MAX_EXPONENT_DIGITS digits in each exponent entry's
+    numerator and denominator (ValueError beyond them)."""
+    if len(data["terms"]) > MAX_TERMS:
+        raise ValueError(f"more than {MAX_TERMS} terms")
+    terms = []
+    for t in data["terms"]:
+        exponent = _unvec(t["exponent"])
+        if any(abs(e.numerator) >= _EXPONENT_BOUND or e.denominator >= _EXPONENT_BOUND for e in exponent):
+            raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
+        terms.append(Term(_frac(t["coefficient"]), exponent))
+    return Signomial(int(data["dimension"]), tuple(terms))
 
 
 def config_to_json(config: CertifyConfig) -> dict:

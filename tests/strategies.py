@@ -71,3 +71,16 @@ def rational_point_sets(draw, max_size=7):
     pts = draw(point_sets(max_size))
     dens = [draw(st.sampled_from((1, 2, 3, 4, 6, 12))) for _ in pts[0]]
     return sorted(tuple(a / d for a, d in zip(p, dens)) for p in pts)
+
+
+@st.composite
+def rational_signed_supports(draw, max_dimension=4):
+    """``signed_supports`` with each exponent coordinate divided by its own
+    denominator from {1, 2, 3, 4, 6, 12}, so the lattice frame's scale is
+    often above one.  A positive diagonal scaling keeps every sign, face and
+    the sorted order."""
+    f = draw(signed_supports(max_dimension))
+    dens = [draw(st.sampled_from((1, 2, 3, 4, 6, 12))) for _ in range(f.dimension)]
+    return Signomial.from_terms(
+        f.dimension, [(t.coefficient, tuple(a / d for a, d in zip(t.exponent, dens))) for t in f.terms]
+    )

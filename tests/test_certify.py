@@ -36,6 +36,7 @@ from fixtures import (
     ENCLOSED,
     NEG_QUADRATIC,
     PERFECT_SQUARE,
+    SADDLE,
     SIMPLEX_CONNECTED,
     SIMPLEX_SPLIT,
     SIMPLEX_VERTICES,
@@ -281,3 +282,47 @@ def test_each_node_builds_its_newton_polytope_at_most_once(monkeypatch):
     assert cert.outcome == INCONCLUSIVE and cert.reason == "facet count exceeded budget of 1"
     assert built == [TEN_TERM.support]
 
+
+def _count_calls(monkeypatch, modules, name, wrapped):
+    """Record the first argument of every call to ``name`` made through any
+    of the modules, then run the original."""
+    calls = []
+
+    def counting(first, *args, **kwargs):
+        calls.append(tuple(first.support) if hasattr(first, "support") else tuple(first))
+        return wrapped(first, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_closure_check_reuses_the_certificates_hull_and_separation(monkeypatch):
+    built = _count_calls(monkeypatch, (certify, criteria), "build_polytope", polytope.build_polytope)
+    searched = _count_calls(
+        monkeypatch, (criteria,), "find_strict_separating_hyperplane", criteria.find_strict_separating_hyperplane
+    )
+    # one hull per distinct support: TEN_TERM certifies at its root, CUBE4 at
+    # its root and on one face
+    for f, hulls, closed in ((TEN_TERM, 1, False), (CUBE4, 2, True), (SIMPLEX_CONNECTED, 1, False)):
+        built.clear()
+        searched.clear()
+        cert, closure = certify_and_check_closure(f)
+        assert closure is closed and verify_certificate(f, cert) == []
+        assert len(built) == hulls == len(set(built))
+        assert len(searched) == len(set(searched))
+    # a strictly separated root needs neither a hull nor a second search
+    built.clear()
+    searched.clear()
+    cert, closure = certify_and_check_closure(TEN_TERM_UPPER)
+    assert cert.criterion.kind == STRICT_SEPARATING and closure is True
+    assert built == [] and searched == [TEN_TERM_UPPER.support]
+    # one negative: the criteria stop before the search, so closure runs it
+    searched.clear()
+    cert, closure = certify_and_check_closure(SADDLE)
+    assert searched == [SADDLE.support]
+    # a hull over the budget is attempted once and its error reaches the caller
+    built.clear()
+    with pytest.raises(polytope.FacetBudgetExceededError):
+        certify_and_check_closure(TEN_TERM, CertifyConfig(facet_budget=1))
+    assert built == [TEN_TERM.support]

@@ -276,3 +276,49 @@ def test_console_entry_point(poly):
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_analyze_builds_the_hull_and_searches_once(poly, capsys, monkeypatch):
+    from descregions import cli, criteria, polytope
+
+    calls = {"hull": 0, "separating": 0}
+
+    def counting(key, original):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    hull = counting("hull", polytope.build_polytope)
+    search = counting("separating", criteria.find_strict_separating_hyperplane)
+    for module in (cli, criteria):
+        monkeypatch.setattr(module, "build_polytope", hull)
+        monkeypatch.setattr(module, "find_strict_separating_hyperplane", search)
+    tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
+    code, out, _ = run(capsys, "analyze", tenterm)
+    assert code == 0 and json.loads(out)["closure_property"] is False
+    assert calls == {"hull": 1, "separating": 1}
+    # over the budget: one attempt, and the closure check reports no verdict
+    calls.update(hull=0, separating=0)
+    code, out, _ = run(capsys, "analyze", tenterm, "--facet-budget", "1")
+    report = json.loads(out)
+    assert code == 0 and report["facet_budget_exceeded"] is True and report["closure_property"] is None
+    assert calls == {"hull": 1, "separating": 1}
+
+
+def test_verify_trace_applies_the_input_caps(capsys, tmp_path):
+    from test_tracedoc import _capped_documents
+
+    doc, over = _capped_documents()
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "certify", "--verify-trace", str(trace))
+    assert code == 0 and json.loads(out)["verified"] is True
+    for bad, message in over:
+        trace.write_text(json.dumps(bad), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "descregions.cli", "certify", "--verify-trace", str(trace)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout) == {"verified": False, "errors": [f"malformed document: {message}"]}

@@ -54,7 +54,8 @@ from fixtures import (
     TEN_TERM_UPPER,
     vec,
 )
-from strategies import signed_supports
+from strategies import rational_signed_supports, signed_supports
+from test_lp import same_path
 
 F = Fraction
 
@@ -517,3 +518,76 @@ def test_simplex_search_derives_only_combinations_holding_newton_vertices(monkey
     # without the hull every one of the C(10, 3) = 120 combinations is tried
     assert _simplex_search(TEN_TERM, CertifyConfig(facet_budget=1)) is None
     assert len(derived) == 120
+
+
+# --- LPs on the lattice frame against the same LPs on rational rows ----------
+
+
+def _fraction_separation_lps(neg, pos):
+    """The separation LPs of ``find_strict_separating_hyperplane``, with rows
+    on the rational exponents."""
+    rows = [(tuple(b) + (-1,), 0, ">=") for b in neg] + [(tuple(-c for c in a) + (1,), 0, ">=") for a in pos]
+    strict = [(tuple(neg[0]) + (-1,), 1, ">=")]
+    if len(neg) > 1:
+        strict.append((tuple(map(sum, zip(*neg[1:]))) + (1 - len(neg),), 1, ">="))
+    return [rows + [s] for s in strict]
+
+
+def _fraction_enclosing_lp(neg, pos, mask):
+    n = len(neg[0])
+    rows = []
+    for alpha in pos:
+        rows.append((tuple(-c for c in alpha) + (1, 0), 0, ">="))
+        rows.append((tuple(alpha) + (0, -1), 0, ">="))
+    rows += [(tuple(b) + (-1, 0), 1, ">=") for i, b in enumerate(neg) if mask >> i & 1]
+    rows += [(tuple(-c for c in b) + (0, 1), 1, ">=") for i, b in enumerate(neg) if not mask >> i & 1]
+    return rows + [((0,) * n + (1, -1), 0, ">=")]
+
+
+def _check_frame_lps(f):
+    """Every separating, enclosing and segment LP gives the same unscaled
+    witness and a Farkas vector of the same support from f's frame rows
+    (columns of the normal times L) as from its rational rows, and each
+    search hands out the witness of the rational LPs."""
+    n, L = f.dimension, f.scale
+    neg, pos = sorted(negatives(f)), sorted(positives(f))
+    if not neg or not pos:
+        return
+    first = None
+    for rows in _fraction_separation_lps(neg, pos):
+        res = same_path(n + 1, rows, [L] * n + [1])
+        first = first or res.witness
+    sep = find_strict_separating_hyperplane(f)
+    assert (sep and (sep.normal, sep.offset)) == (first and (first[:n], first[n]))
+    for mask in range(1, 2 ** len(neg) - 1):
+        same_path(n + 2, _fraction_enclosing_lp(neg, pos, mask), [L] * n + [1, 1])
+    pair = find_strict_enclosing_pair(f)
+    assert pair == unpruned_enclosing_pair(f)
+    expected = None
+    for b1, b2 in combinations(neg, 2):
+        rows = [(tuple(b1) + (-1,), 1, ">="), (tuple(b2) + (-1,), 1, ">=")]
+        rows += [(tuple(-c for c in a) + (1,), 0, ">=") for a in pos]
+        same_path(n + 1, rows, [L] * n + [1])
+    if pair is not None:
+        above = [b for b in neg if dot(pair.normal, b) >= pair.upper]
+        below = [b for b in neg if dot(pair.normal, b) <= pair.lower]
+        for b1, b2 in ((b1, b2) for b1 in above for b2 in below):
+            res = lp.separate_segment_from_hull(b1, b2, pos)
+            if res.is_feasible:
+                expected = (b1, b2, res.witness[:n], res.witness[n])
+                break
+    box = check_box_criterion(f)
+    w = box and box.witness
+    assert (w and (w.beta1, w.beta2, w.separator_normal, w.separator_offset)) == expected
+
+
+@given(rational_signed_supports(max_dimension=3))
+@settings(deadline=None, max_examples=50)
+def test_frame_lps_follow_the_rational_lps(f):
+    _check_frame_lps(f)
+
+
+def test_frame_lps_follow_the_rational_lps_on_the_fixtures():
+    for f in (SIMPLEX_CONNECTED, SIMPLEX_SPLIT, TEN_TERM, TEN_TERM_UPPER, BOX_F, ENCLOSED):
+        _check_frame_lps(f)
+    assert SIMPLEX_CONNECTED.scale == 3

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -195,3 +196,35 @@ def test_farkas_check_rejects_a_wrong_certificate(monkeypatch):
     monkeypatch.setattr(lp, "_refutes", lambda system, y: False)
     with pytest.raises(RuntimeError):
         feasible(system)
+
+
+def same_path(unknowns, rows, scales):
+    """Solve the rows, and the rows with column j multiplied by scales[j] > 0
+    as the lattice frame does: the same answer, a witness with x_j =
+    scales[j] * x'_j, and Farkas vectors with the same support."""
+    plain = feasible(LinearSystem.build(unknowns, rows))
+    scaled_rows = [(tuple(c * s for c, s in zip(coeffs, scales)), rhs, rel) for coeffs, rhs, rel in rows]
+    scaled = feasible(LinearSystem.build(unknowns, scaled_rows))
+    assert plain.is_feasible == scaled.is_feasible
+    if plain.is_feasible:
+        assert plain.witness == tuple(s * x for s, x in zip(scales, scaled.witness))
+    else:
+        assert [y != 0 for y in plain.farkas] == [y != 0 for y in scaled.farkas]
+    return plain
+
+
+def test_column_scaling_keeps_the_bland_path_on_the_oracle_systems():
+    """Each column times the lcm of its denominators (its integer frame) and
+    a random positive factor, on the rational Fourier-Motzkin systems."""
+    rng = random.Random(4242)
+    infeasible = 0
+    for _ in range(300):
+        unknowns, rows = _rational_system(rng)
+        scales = [
+            math.lcm(*(coeffs[j].denominator for coeffs, _, _ in rows)) * rng.choice((1, 1, 2, 5))
+            for j in range(unknowns)
+        ]
+        res = same_path(unknowns, rows, scales)
+        assert res.is_feasible == fm_feasible(rows, unknowns)
+        infeasible += not res.is_feasible
+    assert infeasible >= 50

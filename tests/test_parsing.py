@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from descregions import parsing
 from descregions.parsing import (
     MAX_EXPONENT_DIGITS,
     MAX_TERMS,
@@ -13,6 +15,7 @@ from descregions.parsing import (
 from descregions.signomial import Signomial
 
 import fixtures
+import parse_oracle
 from fixtures import vec
 
 F = Fraction
@@ -154,3 +157,108 @@ def test_explicit_dimension():
     assert f.dimension == 3
     with pytest.raises(ParseError):
         parse_signomial("x3", dimension=2)
+
+
+# --- differential fuzzing against the previous parser (tests/parse_oracle.py) --
+
+_WS = st.sampled_from(["", " ", "  ", "\n", " \n\t", "\r\n"])
+_DIGITS = st.integers(0, 10 ** (MAX_EXPONENT_DIGITS + 1)).map(str)
+_VARIABLES = st.sampled_from(["x", "y", "z", "w", "x1", "x2", "x3", "x5", "x12", "x007", f"x{MAX_VARIABLE_INDEX}"])
+# fragments spliced into valid texts: stray characters, decimal exponents,
+# zero denominators, indices past the cap and numbers past every limit
+_SNIPPETS = st.sampled_from([
+    "$", "@", "_", "é", "٣", ".", "^", "*", "**", "(", ")", "/", "-", "+", "+-", "\n", " \n ",
+    "^1.5", "^-0.5", "^(0.5)", "/0", "(1/0)", "^(2/00)", "0.5/2", "3/0.5",
+    f"x{MAX_VARIABLE_INDEX + 1}", "x0", "x01000", "q", "x_1", "xy",
+    "9" * (MAX_EXPONENT_DIGITS + 1), "1" + "0" * MAX_EXPONENT_DIGITS, "9" * 5000, "1." + "5" * 5000,
+])
+
+
+# ratio parts may be decimals, which the grammar refuses
+_PARTS = st.one_of(_DIGITS, _DIGITS, st.builds("{}.{}".format, _DIGITS, _DIGITS))
+
+
+@st.composite
+def _rationals(draw):
+    num = draw(_PARTS)
+    if draw(st.booleans()):
+        return num
+    return f"{num}/{draw(_PARTS)}"
+
+
+@st.composite
+def _coefficients(draw):
+    form = draw(st.sampled_from(("int", "decimal", "ratio", "paren")))
+    if form == "int":
+        return draw(_DIGITS)
+    if form == "decimal":
+        return f"{draw(_DIGITS)}.{draw(_DIGITS)}"
+    if form == "ratio":
+        return f"{draw(_PARTS)}/{draw(_PARTS)}"
+    return f"({draw(st.sampled_from(['', '-']))}{draw(_rationals())})"
+
+
+@st.composite
+def _monomials(draw):
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        exponent = draw(st.sampled_from(("", "int", "neg", "paren")))
+        power = ""
+        if exponent == "int":
+            power = f"^{draw(_DIGITS)}"
+        elif exponent == "neg":
+            power = f"^-{draw(_DIGITS)}"
+        elif exponent == "paren":
+            power = f"^({draw(st.sampled_from(['', '-']))}{draw(_rationals())})"
+        factors.append(draw(_VARIABLES) + power)
+    return (draw(_WS) + "*" + draw(_WS)).join(factors)
+
+
+@st.composite
+def _terms(draw):
+    form = draw(st.sampled_from(("coeff", "mono", "product", "juxtaposed")))
+    if form == "coeff":
+        return draw(_coefficients())
+    if form == "mono":
+        return draw(_monomials())
+    joint = "*" if form == "product" else ""
+    return f"{draw(_coefficients())}{draw(_WS)}{joint}{draw(_WS)}{draw(_monomials())}"
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Valid texts, then up to three splices or deletions at random places."""
+    text = draw(st.sampled_from(["", "-", "+"])) + draw(_terms())
+    for _ in range(draw(st.integers(0, 5))):
+        text += f"{draw(_WS)}{draw(st.sampled_from(['+', '-']))}{draw(_WS)}{draw(_terms())}"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(_SNIPPETS) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+def _outcome(parser, text, dimension):
+    try:
+        return parser.parse_signomial(text, dimension)
+    except parser.ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+@given(polynomial_texts(), st.sampled_from([None, None, None, 1, 2, 4, 13]))
+@settings(deadline=None, max_examples=400)
+@example(" + ".join(["x"] * (MAX_TERMS + 1)), None)
+@example(" + ".join(f"x^{i}" for i in range(MAX_TERMS)) + " -\n x", None)
+@example(" + ".join(f"x^{i}" for i in range(MAX_TERMS)), None)
+def test_parser_matches_the_previous_parser(text, dimension):
+    """The parser returns an equal Signomial, or a ParseError with the same
+    message, line and column, wherever the previous parser does; nothing
+    else is raised by either."""
+    got = _outcome(parsing, text, dimension)
+    want = _outcome(parse_oracle, text, dimension)
+    assert got == want
+    if isinstance(got, Signomial):
+        assert all(type(t.coefficient) is Fraction for t in got.terms)
+        assert all(type(e) is Fraction for t in got.terms for e in t.exponent)

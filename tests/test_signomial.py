@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from descregions.signomial import (
     newton_dim,
     positives,
     restrict,
+    restrict_indices,
     signed_support,
 )
 
+import parse_oracle
 from fixtures import (
     SADDLE,
     TEN_TERM,
@@ -127,3 +130,72 @@ def test_dropping_negative_terms_never_decreases_value(point, mask):
     fy = evaluate_log(TEN_TERM, y)
     gy = evaluate_log(g, y)
     assert gy >= fy - 1e-9 * max(1.0, abs(fy))
+
+
+# --- the lattice frame and the types around it --------------------------------
+
+
+def _all_fractions(f):
+    """Every coefficient and exponent entry is a Fraction: an int that leaked
+    into a Vector would turn a later '/' into float division."""
+    return all(type(t.coefficient) is Fraction and all(type(e) is Fraction for e in t.exponent) for t in f.terms)
+
+
+def _frame_holds(f):
+    rows = tuple(tuple(f.scale * e for e in t.exponent) for t in f.terms)
+    dens = [e.denominator for t in f.terms for e in t.exponent]
+    return (
+        f.frame == rows
+        and all(type(a) is int for row in f.frame for a in row)
+        and f.scale == math.lcm(*dens)
+    )
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 6)))
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.tuples(
+                st.one_of(st.integers(-3, 3), _RATIONALS),
+                st.lists(st.one_of(st.integers(-2, 2), _RATIONALS), min_size=n, max_size=n),
+            ),
+            max_size=8,
+        ).map(lambda pairs: (n, pairs))
+    )
+)
+@settings(deadline=None, max_examples=150)
+def test_from_terms_sorts_and_merges_on_the_frame_like_the_fraction_sort(case):
+    n, pairs = case
+    f = Signomial.from_terms(n, pairs)
+    assert f == parse_oracle._from_terms(n, pairs)
+    assert _all_fractions(f) and _frame_holds(f)
+    kept = range(0, len(f.terms), 2)
+    for g in (restrict(f, [f.terms[i].exponent for i in kept]), restrict_indices(f, kept)):
+        assert g.terms == tuple(f.terms[i] for i in kept)
+        assert _all_fractions(g) and _frame_holds(g)
+
+
+def test_every_path_in_gives_fractions_and_a_frame():
+    from descregions.parsing import parse_signomial
+    from descregions.tracedoc import signomial_from_json, signomial_to_json
+
+    f = parse_signomial("3*x^(1/2)*y - 2*y^3 + 1.5 + x*y^(-2/3)")
+    assert f.scale == 6 and f.frame == ((0, 0), (0, 18), (3, 6), (6, -4))
+    g = Signomial.from_terms(2, [(3, (1, 2)), (-1, (0, 0)), (F(1, 2), [F(1, 3), 1])])
+    h = signomial_from_json(signomial_to_json(f))
+    for s in (f, g, h, restrict(f, f.support[:2]), restrict_indices(g, [0, 2])):
+        assert _all_fractions(s) and _frame_holds(s)
+    assert h == f
+
+
+def test_frame_check_keeps_its_messages():
+    with pytest.raises(ValueError, match="sorted"):
+        Signomial(1, (Term(F(1), (F(1, 2),)), Term(F(1), (F(1, 3),))))
+    with pytest.raises(ValueError, match="distinct"):
+        Signomial(1, (Term(F(1), (F(2, 4),)), Term(F(-1), (F(1, 2),))))
+    # a sorting problem is reported first, as before
+    with pytest.raises(ValueError, match="sorted"):
+        Signomial(1, (Term(F(1), (F(1),)), Term(F(1), (F(1),)), Term(F(1), (F(0),))))
+    assert Signomial(1, ()).frame == () and Signomial(1, ()).scale == 1

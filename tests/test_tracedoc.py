@@ -224,3 +224,34 @@ def test_traces_match_pinned_digests():
     assert got == TRACE_SHA256
     got = {name: _trace_digest(texts[name], FLAGGED) for name in FLAGGED_TRACE_SHA256}
     assert got == FLAGGED_TRACE_SHA256
+
+
+def _capped_documents():
+    """A valid document with MAX_TERMS terms and 6-digit exponent parts, and
+    one over each cap: a term too many, and a numerator and a denominator of
+    MAX_EXPONENT_DIGITS + 1 digits."""
+    from descregions.parsing import MAX_EXPONENT_DIGITS, MAX_TERMS
+
+    big = "9" * MAX_EXPONENT_DIGITS
+    terms = [{"coefficient": "1", "exponent": [str(i)]} for i in range(1 - MAX_TERMS, 0)]
+    terms.append({"coefficient": "-1", "exponent": [f"{big}/{int(big) - 1}"]})
+    f = tracedoc.signomial_from_json({"dimension": 1, "terms": terms})
+    doc = tracedoc.make_document(f, CertifyConfig(), certify_connectivity(f))
+    too_many = json.loads(json.dumps(doc))
+    too_many["input"]["terms"].insert(0, {"coefficient": "1", "exponent": [str(-MAX_TERMS)]})
+    numerator = json.loads(json.dumps(doc))
+    numerator["input"]["terms"][-1]["exponent"] = ["1" + "0" * MAX_EXPONENT_DIGITS]
+    denominator = json.loads(json.dumps(doc))
+    denominator["input"]["terms"][-1]["exponent"] = ["1/1" + "0" * MAX_EXPONENT_DIGITS]
+    return doc, [
+        (too_many, f"more than {MAX_TERMS} terms"),
+        (numerator, f"exponent number has more than {MAX_EXPONENT_DIGITS} digits"),
+        (denominator, f"exponent number has more than {MAX_EXPONENT_DIGITS} digits"),
+    ]
+
+
+def test_trace_input_is_capped_like_the_text_format():
+    doc, over = _capped_documents()
+    assert tracedoc.verify_document(doc) == []
+    for bad, message in over:
+        assert tracedoc.verify_document(bad) == [f"malformed document: {message}"]
