@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import lp
@@ -33,10 +34,12 @@ from .criteria import (
     NO_NEGATIVE_TERMS,
     CertifyConfig,
     CriterionCertificate,
+    SeparatingWitness,
     negative_vertex_functional,
     check_connectivity,
+    closure_property,
+    find_strict_separating_hyperplane,
     hull_indices,
-    separation_found,
     verify_criterion,
     verify_enclosing_pair,
 )
@@ -115,10 +118,15 @@ def certify_connectivity(f: Signomial, config: Optional[CertifyConfig] = None) -
 
 
 def _certify(
-    f: Signomial, config: CertifyConfig, depth: int, newton: Optional[Callable[[], Polytope]] = None
+    f: Signomial,
+    config: CertifyConfig,
+    depth: int,
+    newton: Optional[Callable[[], Polytope]] = None,
+    separating: Optional[Callable[[], Optional[SeparatingWitness]]] = None,
 ) -> Certificate:
-    """The certificate of one node; ``newton`` returns N(f) when the caller
-    holds it already.  Faces are found by term index on the hull and on f's
+    """The certificate of one node; ``newton`` returns N(f) and
+    ``separating`` the strict separating hyperplane search's result when the
+    caller shares them.  Faces are found by term index on the hull and on f's
     lattice frame, and children are restricted by index."""
     if depth > config.max_depth:
         return Certificate(
@@ -129,7 +137,7 @@ def _certify(
         return Certificate(KIND_EMPTY, CERTIFIED_EMPTY)
 
     newton = newton or lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
-    crit = check_connectivity(f, config, newton)
+    crit = check_connectivity(f, config, newton, separating)
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
 
@@ -157,13 +165,14 @@ def _certify(
             edge = intersection_nonempty(f, v, P)
             if edge is None:
                 continue
-            f1, f2 = (restrict_indices(f, face) for face in _face_split(f, v))
+            face1, face2 = _face_split(f, v)
+            f1, f2 = restrict_indices(f, face1), restrict_indices(f, face2)
             child1 = _certify(f1, config, depth + 1)
             child2 = _certify(f2, config, depth + 1)
             if child1.outcome not in CERTIFIED_OUTCOMES or child2.outcome not in CERTIFIED_OUTCOMES:
                 continue
-            w1 = negative_vertex_functional(f1, P)
-            w2 = negative_vertex_functional(f2, P)
+            w1 = negative_vertex_functional(f1, P, face1)
+            w2 = negative_vertex_functional(f2, P, face2)
             if w1 is None or w2 is None:  # cannot hold: the edge ends are such vertices
                 continue
             return Certificate(
@@ -362,13 +371,11 @@ def certify_and_check_closure(
 ) -> Tuple[Certificate, bool]:
     """Certificate plus the closure-property verdict, the pair consumed by the
     steady-state-region application."""
-    from .criteria import closure_property
-
     config = config or CertifyConfig()
     newton = lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
-    cert = _certify(f, config, 1, newton)
-    separated = None if cert.kind == KIND_EMPTY else separation_found(cert.criterion)
-    return cert, closure_property(f, config.facet_budget, newton, separated)
+    separating = cache(lambda: find_strict_separating_hyperplane(f))
+    cert = _certify(f, config, 1, newton, separating)
+    return cert, closure_property(f, config.facet_budget, newton, separating)
 
 
 # ---------------------------------------------------------------------------

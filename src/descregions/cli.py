@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -175,7 +176,8 @@ def _cmd_analyze(args) -> int:
             report["parallel_face_pairs"] = []
     except FacetBudgetExceededError:
         report["facet_budget_exceeded"] = True
-    sep = find_strict_separating_hyperplane(f)
+    separating = cache(lambda: find_strict_separating_hyperplane(f))
+    sep = separating()
     report["strict_separating"] = (
         {
             "normal": [str(c) for c in sep.normal],
@@ -186,7 +188,7 @@ def _cmd_analyze(args) -> int:
         else None
     )
     try:
-        report["closure_property"] = closure_property(f, args.facet_budget, newton, sep is not None)
+        report["closure_property"] = closure_property(f, args.facet_budget, newton, separating)
     except FacetBudgetExceededError:
         report["closure_property"] = None
         report["facet_budget_exceeded"] = True

@@ -406,23 +406,23 @@ def closure_property(
     f: Signomial,
     facet_budget: Optional[int] = None,
     newton: Optional[Callable[[], Polytope]] = None,
-    separated: Optional[bool] = None,
+    separating: Optional[Callable[[], Optional[SeparatingWitness]]] = None,
 ) -> bool:
     """True when the closure of the negative region provably equals the set
     where f <= 0: strict separating hyperplane, or all negative exponents on a
     proper face of the Newton polytope.  False means "not certified".
 
-    A caller that already has them passes ``newton``, returning N(f) (built
-    within ``facet_budget`` when not given), and ``separated``, whether a
-    strict separating hyperplane exists (searched for when None)."""
+    A caller that shares them with ``check_connectivity`` passes ``newton``,
+    returning N(f) (built within ``facet_budget`` when not given), and
+    ``separating``, returning the strict separating hyperplane search's
+    result (run here when not given)."""
     neg, pos = f.negative_indices, f.positive_indices
     if not f.terms:
         return False
     if not neg or not pos:
         return True  # f has constant sign on the whole orthant
-    if separated is None:
-        separated = find_strict_separating_hyperplane(f) is not None
-    if separated:
+    sep = separating() if separating is not None else find_strict_separating_hyperplane(f)
+    if sep is not None:
         return True
     P = newton() if newton is not None else build_polytope(f.support, facet_budget)
     _, proper = smallest_face_containing(P, neg)
@@ -430,22 +430,17 @@ def closure_property(
 
 
 def hull_indices(P: Polytope, f: Signomial) -> Sequence[int]:
-    """The index in ``P.points`` of each of f's exponents, matched on the two
-    lattice frames: when f's exponents are among P's points, f's scale
-    divides P's and their rows times the quotient are rows of P's frame.
-    ValueError when some exponent is not a point of P."""
-    if P.scale == f.scale and P.frame == f.frame:
+    """The index in ``P.points`` of each of f's exponents: the term indices
+    themselves when P is f's own hull, else looked up for a caller's larger
+    hull (KeyError when an exponent is not a point of P)."""
+    if P.points == f.support:
         return range(len(f.terms))
-    k, rem = divmod(P.scale, f.scale)
-    index = {row: i for i, row in enumerate(P.frame)}
-    rows = [tuple(k * a for a in row) for row in f.frame]
-    if rem or any(row not in index for row in rows):
-        raise ValueError("exponents are not points of the hull")
-    return [index[row] for row in rows]
+    index = {p: i for i, p in enumerate(P.points)}
+    return [index[mu] for mu in f.support]
 
 
 def negative_vertex_functional(
-    f: Signomial, P: Optional[Polytope] = None
+    f: Signomial, P: Optional[Polytope] = None, index: Optional[Sequence[int]] = None
 ) -> Optional[Tuple[Vector, Vector]]:
     """First negative exponent that is a vertex of the Newton polytope,
     together with a functional u exposing it strictly (u.beta > u.q for every
@@ -453,13 +448,16 @@ def negative_vertex_functional(
 
     ``P`` defaults to the Newton polytope of f; it may also be the hull of a
     larger point set of which f's support is a face, since the vertices of a
-    face are the vertices of the hull that lie in it.  The functional is the
+    face are the vertices of the hull that lie in it.  ``index`` gives the
+    index in ``P.points`` of each of f's exponents when the caller holds it,
+    as for a restriction of P's points by index.  The functional is the
     sum of the normals of the facets through the vertex, or zero when the
     hull is the vertex alone.
     """
     if P is None:
         P = build_polytope(f.support)
-    index = hull_indices(P, f)
+    if index is None:
+        index = hull_indices(P, f)
     for i in f.negative_indices:
         if index[i] in P.vertices:
             return f.support[i], face_exposing_normal(P, [index[i]])
@@ -517,14 +515,19 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
 
 
 def check_connectivity(
-    f: Signomial, config: Optional[CertifyConfig] = None, newton: Optional[Callable[[], Polytope]] = None
+    f: Signomial,
+    config: Optional[CertifyConfig] = None,
+    newton: Optional[Callable[[], Polytope]] = None,
+    separating: Optional[Callable[[], Optional[SeparatingWitness]]] = None,
 ) -> Optional[CriterionCertificate]:
     """First applicable single-shot criterion, or None.
 
     Order: empty negative support, empty positive support, one negative
     coefficient, strict separating hyperplane, one positive coefficient (hull
     dimension >= 2), simplex witness, then the box criterion when enabled.
-    ``newton`` returns N(f) for the simplex search (built when not given).
+    ``newton`` returns N(f) for the simplex search (built when not given),
+    and ``separating`` the strict separating hyperplane search's result (run
+    here when not given).
     """
     config = config or CertifyConfig()
     neg = negatives(f)
@@ -535,7 +538,7 @@ def check_connectivity(
         return CriterionCertificate(NO_POSITIVE_TERMS, True)
     if len(neg) == 1:
         return CriterionCertificate(ONE_NEGATIVE_COEFF, False, neg[0])
-    sep = find_strict_separating_hyperplane(f)
+    sep = separating() if separating is not None else find_strict_separating_hyperplane(f)
     if sep is not None:
         return CriterionCertificate(STRICT_SEPARATING, True, sep)
     if len(pos) == 1 and newton_dim(f) >= 2:
@@ -565,16 +568,6 @@ def check_connectivity(
         if found is not None:
             return found
     return None
-
-
-def separation_found(crit: Optional[CriterionCertificate]) -> Optional[bool]:
-    """Whether the ``check_connectivity`` call that returned ``crit`` found a
-    strict separating hyperplane; None when it returned before searching."""
-    if crit is None:
-        return False
-    if crit.kind in (NO_NEGATIVE_TERMS, NO_POSITIVE_TERMS, ONE_NEGATIVE_COEFF):
-        return None
-    return crit.kind == STRICT_SEPARATING
 
 
 def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:

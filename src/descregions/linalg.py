@@ -30,8 +30,6 @@ def lattice(points: Sequence[Sequence]) -> Tuple[int, Tuple[IntVector, ...]]:
     """The lcm L of the coordinates' denominators, and the points times L as
     ints (ints and Fractions alike)."""
     scale = lcm(*{a.denominator for p in points for a in p})
-    if scale == 1:
-        return 1, tuple([tuple([a.numerator for a in p]) for p in points])
     return scale, tuple([tuple([a.numerator * (scale // a.denominator) for a in p]) for p in points])
 
 

@@ -12,9 +12,11 @@ Variables are x1..xn with n <= MAX_VARIABLE_INDEX; x, y, z, w alias x1..x4
 (every exponent vector has one entry per variable up to the largest index
 used, so the cap bounds their size).  Decimal literals are converted
 exactly to rationals (9.5 becomes 19/2).  Repeated monomials are merged.
-A polynomial has at most MAX_TERMS terms as written, and each number in an
-exponent has at most MAX_EXPONENT_DIGITS digits, since the geometry scales
-every exponent by the lcm of their denominators.
+A polynomial has at most MAX_TERMS terms as written.  Each number in an
+exponent has at most MAX_EXPONENT_DIGITS digits, and so do the reduced
+numerator and denominator of each exponent entry once a term's repeated
+variables are merged (x^999999*x^999999 is refused), which is the cap that
+trace input is held to as well.
 
 Tokens are plain (kind, text, offset) tuples; a ParseError works out its
 line and column from the offset.  While parsing, integral numbers are ints
@@ -40,6 +42,8 @@ _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 MAX_VARIABLE_INDEX = 1000
 MAX_TERMS = 1000
 MAX_EXPONENT_DIGITS = 6
+# every exponent entry's reduced numerator and denominator lie below this
+EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
 _TOKEN_RE = re.compile(
     r"(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^()/])|(?P<ws>\s+)|(?P<bad>.)"
@@ -164,6 +168,7 @@ class _Parser:
         raise self.error(f"unknown variable {name!r}", tok)
 
     def sterm(self) -> Tuple[Number, Dict[int, Number]]:
+        start = self.tokens[self.pos]
         coeff: Number = 1
         exponents: Dict[int, Number] = {}
         saw_coeff = False
@@ -193,6 +198,9 @@ class _Parser:
                 self.advance()
                 continue
             break
+        for var, power in exponents.items():
+            if abs(power.numerator) >= EXPONENT_BOUND or power.denominator >= EXPONENT_BOUND:
+                raise self.error(f"merged exponent of x{var} has more than {MAX_EXPONENT_DIGITS} digits", start)
         return coeff, exponents
 
     def poly(self) -> List[Tuple[Number, Dict[int, Number]]]:

@@ -98,7 +98,6 @@ class Polytope:
     vertices: FrozenSet[int]
     facets: Tuple[Facet, ...]
     frame: Tuple[IntVector, ...]  # the points in the lattice frame
-    scale: int  # the frame's scale L: frame = L * points
 
     @property
     def dim(self) -> int:
@@ -226,7 +225,7 @@ def build_polytope(
     facets = tuple(
         Facet(Halfspace(tuple(map(Fraction, w)), Fraction(offset, scale)), inc) for (w, offset), inc in lifted
     )
-    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets, frame, scale)
+    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets, frame)
 
 
 def lazy_hull(build: Callable[[], Polytope]) -> Callable[[], Polytope]:

@@ -36,11 +36,10 @@ from .criteria import (
     SeparatingWitness,
     SimplexWitness,
 )
-from .parsing import MAX_EXPONENT_DIGITS, MAX_TERMS
+from .parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS
 from .signomial import Signomial, Term
 
 SCHEMA_VERSION = 1
-_EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
 
 def _frac(s) -> Fraction:
@@ -78,7 +77,7 @@ def signomial_from_json(data: dict) -> Signomial:
     terms = []
     for t in data["terms"]:
         exponent = _unvec(t["exponent"])
-        if any(abs(e.numerator) >= _EXPONENT_BOUND or e.denominator >= _EXPONENT_BOUND for e in exponent):
+        if any(abs(e.numerator) >= EXPONENT_BOUND or e.denominator >= EXPONENT_BOUND for e in exponent):
             raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
         terms.append(Term(_frac(t["coefficient"]), exponent))
     return Signomial(int(data["dimension"]), tuple(terms))

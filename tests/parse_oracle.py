@@ -3,7 +3,8 @@ before the tokenizer moved to plain tuples and integer arithmetic, kept as an
 independent oracle for the tests (like ``fm_oracle`` and ``hull_oracle``).
 
 Tokens are frozen dataclasses carrying their line and column, and every
-number is a ``Fraction`` from the start.  ``_from_terms`` is the merge and
+number is a ``Fraction`` from the start.  The one addition is the cap on
+merged exponent entries, checked at the same point of ``sterm``.  ``_from_terms`` is the merge and
 sort of ``Signomial.from_terms`` at the same point, on ``Fraction`` exponent
 tuples, so the oracle does not share the frame-based sort either.
 """
@@ -153,6 +154,7 @@ class _Parser:
         raise ParseError(f"unknown variable {name!r}", tok.line, tok.column)
 
     def sterm(self) -> Tuple[Fraction, dict]:
+        start = self.here
         coeff = Fraction(1)
         exponents: dict[int, Fraction] = {}
         saw_coeff = False
@@ -182,6 +184,12 @@ class _Parser:
                 self.advance()
                 continue
             break
+        bound = 10 ** MAX_EXPONENT_DIGITS
+        for var, power in exponents.items():
+            if abs(power.numerator) >= bound or power.denominator >= bound:
+                raise ParseError(
+                    f"merged exponent of x{var} has more than {MAX_EXPONENT_DIGITS} digits", start.line, start.column
+                )
         return coeff, exponents
 
     def poly(self) -> List[Tuple[Fraction, dict]]:

@@ -300,7 +300,7 @@ def _count_calls(monkeypatch, modules, name, wrapped):
 def test_closure_check_reuses_the_certificates_hull_and_separation(monkeypatch):
     built = _count_calls(monkeypatch, (certify, criteria), "build_polytope", polytope.build_polytope)
     searched = _count_calls(
-        monkeypatch, (criteria,), "find_strict_separating_hyperplane", criteria.find_strict_separating_hyperplane
+        monkeypatch, (certify, criteria), "find_strict_separating_hyperplane", criteria.find_strict_separating_hyperplane
     )
     # one hull per distinct support: TEN_TERM certifies at its root, CUBE4 at
     # its root and on one face

@@ -110,6 +110,21 @@ def test_certify_caps_terms_and_exponent_digits(poly, capsys):
     assert err.startswith("error: line 1, column 6: exponent number has more than")
 
 
+def test_certify_traces_at_the_merged_exponent_cap_replay(poly, capsys, tmp_path):
+    """A term's merged exponent is capped like a written one, so every trace
+    that certify emits passes the trace caps of --verify-trace."""
+    big = "9" * MAX_EXPONENT_DIGITS
+    code, out, err = run(capsys, "certify", poly("over.poly", f"1 - x^{big}*x^{big}"))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line 1, column 5: merged exponent of x1 has more than {MAX_EXPONENT_DIGITS} digits")
+    code, out, _ = run(capsys, "certify", poly("at.poly", f"1 - x^{big}*x^-1*x - y^(1/{big})*y^(1/{big})"))
+    assert code == 0
+    trace = tmp_path / "trace.json"
+    trace.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "certify", "--verify-trace", str(trace))
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
 def test_certify_reads_its_input_once(poly, capsys, monkeypatch):
     # a file that changes after the first read: the trace records the text
     # that was certified

@@ -13,6 +13,7 @@ from descregions.parsing import (
     parse_signomial,
 )
 from descregions.signomial import Signomial
+from descregions.tracedoc import signomial_from_json, signomial_to_json
 
 import fixtures
 import parse_oracle
@@ -123,6 +124,25 @@ def test_exponent_digits_are_capped():
         with pytest.raises(ParseError) as err:
             parse_signomial(text)
         assert err.value.column == column and f"more than {MAX_EXPONENT_DIGITS} digits" in str(err.value)
+
+
+def test_merged_exponents_are_capped():
+    """Repeated variables of a term merge before the cap applies: each merged
+    entry's reduced numerator and denominator stay below 10**MAX_EXPONENT_DIGITS,
+    and the error is at the term."""
+    big = "9" * MAX_EXPONENT_DIGITS
+    f = parse_signomial(f"x^{big}*x^-{big}*x^5 + x^{big}*x1^-1*x - 1")
+    assert f.coefficient(vec(5)) == 1 and f.coefficient(vec(int(big))) == 1
+    for text, column, var in (
+        (f"x^{big}*x^{big} - 1", 1, 1),
+        (f"1 - 2*y^{big} * y", 5, 2),
+        (f"x^(1/{big})*x^(1/{big[1:]}8) - 1", 1, 1),
+        (f"x - (3/2) x2^-{big}*x^2*x2^(-1)", 5, 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_signomial(text)
+        assert err.value.column == column
+        assert f"merged exponent of x{var} has more than {MAX_EXPONENT_DIGITS} digits" in str(err.value)
 
 
 def test_round_trip_all_fixtures():
@@ -252,13 +272,17 @@ def _outcome(parser, text, dimension):
 @example(" + ".join(["x"] * (MAX_TERMS + 1)), None)
 @example(" + ".join(f"x^{i}" for i in range(MAX_TERMS)) + " -\n x", None)
 @example(" + ".join(f"x^{i}" for i in range(MAX_TERMS)), None)
+@example("x^999999*x^999999 - 1", None)
+@example("x^(1/999999)*x^(1/999998) - 1", None)
 def test_parser_matches_the_previous_parser(text, dimension):
     """The parser returns an equal Signomial, or a ParseError with the same
     message, line and column, wherever the previous parser does; nothing
-    else is raised by either."""
+    else is raised by either.  Every accepted text gives trace input that
+    passes the trace caps."""
     got = _outcome(parsing, text, dimension)
     want = _outcome(parse_oracle, text, dimension)
     assert got == want
     if isinstance(got, Signomial):
         assert all(type(t.coefficient) is Fraction for t in got.terms)
         assert all(type(e) is Fraction for t in got.terms for e in t.exponent)
+        assert signomial_from_json(signomial_to_json(got)) == got
