@@ -168,21 +168,22 @@ def verify_separating_hyperplane(
     strict: bool,
     strict_point: Optional[Vector] = None,
 ) -> bool:
-    """Exact check of the separating-hyperplane definition."""
-    vv = vector(v)
-    aa = Fraction(a)
-    if is_zero(vv):
+    """Exact check of the separating-hyperplane definition, on f's lattice
+    frame: (v, a) times the lcm of its denominators is an int (w, t), and
+    v . mu >= a exactly when w . (L mu) >= L t, as both scalings are positive."""
+    _, ((*w, t),) = lattice([vector((*v, a))])
+    if is_zero(w):
         return False
-    neg = negatives(f)
-    pos = positives(f)
-    if any(dot(vv, beta) < aa for beta in neg):
+    frame, level = f.frame, f.scale * t
+    above = [dot(w, frame[i]) - level for i in f.negative_indices]
+    if any(x < 0 for x in above):
         return False
-    if any(dot(vv, alpha) > aa for alpha in pos):
+    if any(dot(w, frame[i]) > level for i in f.positive_indices):
         return False
     if strict:
         if strict_point is not None:
-            return strict_point in neg and dot(vv, strict_point) > aa
-        return any(dot(vv, beta) > aa for beta in neg)
+            return any(f.terms[i].exponent == strict_point and x > 0 for i, x in zip(f.negative_indices, above))
+        return any(x > 0 for x in above)
     return True
 
 

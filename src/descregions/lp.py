@@ -18,6 +18,15 @@ every row, as row . values >= rhs * d, and an infeasible answer carries a
 Farkas certificate y, read off the final objective row, with y >= 0 on the
 ">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0.
 
+The tableau stores only the u columns of the split x = u - w, one
+artificial column per row and the right-hand side.  Row operations keep
+every linear relation between columns, so the others are read off these:
+w_j is -u_j, and the surplus of row r is -L s_r times its artificial (s_r
+the row's sign flip), with reduced cost L y_r for the multiplier y_r that
+the Farkas readout uses.  Pricing, the ratio test and the readout run over
+the full set of columns in the same order, so Bland's rule walks the same
+bases as on the wide tableau, with the same witnesses and Farkas vectors.
+
 Rows may hold ints or Fractions.  The criteria build theirs as ints from a
 signomial's lattice frame, which multiplies the exponent columns by L: a
 positive column scaling changes every reduced cost of a column and every
@@ -116,12 +125,11 @@ def _refutes(system: LinearSystem, y: Sequence[int]) -> bool:
     return sum(yi * rhs for yi, (_, rhs, _) in zip(y, rows)) > 0
 
 
-def _pivot_row(row: List[int], pivot_row: List[int], p: int, enter: int, d: int) -> List[int]:
-    """One fraction-free update of a non-pivot row: the pivot p becomes the
-    common denominator in place of d."""
-    c = row[enter]
+def _pivot_row(row: List[int], pivot_row: List[int], p: int, c: int, d: int) -> List[int]:
+    """One fraction-free update of a non-pivot row whose entering-column
+    entry is c: the pivot p becomes the common denominator in place of d."""
     if c == 0:
-        return [p * a // d for a in row]
+        return row if p == d else [p * a // d for a in row]
     return [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
 
 
@@ -137,86 +145,86 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     if m == 0:
         return FeasibilityResult(tuple([ZERO] * n))
 
-    n_surplus = sum(1 for r in system.rows if r.relation == ">=")
-    ncols = 2 * n + n_surplus + m  # u, w, surplus, artificial
-    art0 = 2 * n + n_surplus
-
     # Every row is multiplied by the lcm L of all denominators, so surplus
     # coefficients read -L and an artificial, kept at coefficient 1, stands
     # for L times the artificial of the unscaled row.  Every reduced cost and
     # every ratio then changes by a positive factor only, so Bland's rule
-    # walks the same bases as over the unscaled rationals.
+    # walks the same bases as over the unscaled rationals.  The tableau
+    # stores the u and artificial columns and the rhs (width n + m + 1).
     scale, rows = system.lattice
+    width = n + m
     tableau: List[List[int]] = []
     signs: List[int] = []  # -1 for a row negated to make its rhs nonnegative
-    surplus_at = 0
-    for i, (coeffs, rhs, relation) in enumerate(rows):
-        line = [0] * (ncols + 1)
-        line[:n] = coeffs
-        line[n:2 * n] = [-c for c in coeffs]
-        if relation == ">=":
-            line[2 * n + surplus_at] = -scale
-            surplus_at += 1
-        line[ncols] = rhs
-        signs.append(-1 if line[ncols] < 0 else 1)
-        if line[ncols] < 0:
-            line = [-a for a in line]
-        line[art0 + i] = 1
+    for i, (coeffs, rhs, _) in enumerate(rows):
+        s = -1 if rhs < 0 else 1
+        line = [s * c for c in coeffs] + [0] * m + [s * rhs]
+        line[n + i] = 1
+        signs.append(s)
         tableau.append(line)
 
-    basis = [art0 + i for i in range(m)]
+    # The virtual columns u, w, surplus, artificial, in Bland's order, as
+    # (stored column, factor, shift): a constraint row holds factor * row[at]
+    # and the reduced cost is factor * obj[at] + shift * d.  Row operations
+    # keep w_j = -u_j, and surplus r = -L s_r art_r; the objective row is
+    # d c - y A, so surplus r costs L s_r (d - obj[art_r]), L times the
+    # multiplier y_r of the Farkas readout below.
+    columns = [(j, 1, 0) for j in range(n)] + [(j, -1, 0) for j in range(n)]
+    columns += [(n + i, -scale * s, scale * s) for i, s in enumerate(signs) if rows[i][2] == ">="]
+    columns += [(n + i, 1, 0) for i in range(m)]
+    basis = [len(columns) - m + i for i in range(m)]
     # phase-I objective: minimize the sum of artificials; start from the
     # reduced costs for the all-artificial basis
     obj = [-sum(column) for column in zip(*tableau)]
-    obj[art0:ncols] = [0] * m
+    obj[n:width] = [0] * m
 
     # The rational tableau is tableau / d, where d is the determinant of the
     # current basis.  Every entry of tableau is then a minor of the starting
     # one, so the divisions in ``_pivot_row`` are exact (Edmonds, Bareiss).
     d = 1
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
+        enter = next((j for j, (at, f, sh) in enumerate(columns) if f * obj[at] + sh * d < 0), -1)
         if enter < 0:
             break
+        at, f, sh = columns[enter]
+        entering = [f * row[at] for row in tableau]
         leave = -1
-        for i in range(m):
-            a = tableau[i][enter]
+        for i, a in enumerate(entering):
             if a > 0:
                 if leave < 0:
                     leave = i
                     continue
                 # rhs_i / a against rhs_leave / a_leave, cross-multiplied
-                here = tableau[i][ncols] * tableau[leave][enter]
-                best = tableau[leave][ncols] * a
+                here = tableau[i][width] * entering[leave]
+                best = tableau[leave][width] * a
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # phase-I objective is bounded below by 0; unbounded cannot occur
             raise RuntimeError("phase-I simplex became unbounded")
         pivot_row = tableau[leave]
-        p = pivot_row[enter]
+        p = entering[leave]
         for i in range(m):
             if i != leave:
-                tableau[i] = _pivot_row(tableau[i], pivot_row, p, enter, d)
-        obj = _pivot_row(obj, pivot_row, p, enter, d)
-        if obj[enter] != 0:
+                tableau[i] = _pivot_row(tableau[i], pivot_row, p, entering[i], d)
+        obj = _pivot_row(obj, pivot_row, p, f * obj[at] + sh * d, d)
+        if f * obj[at] + sh * p != 0:
             # a broken update; without this the entering column could stay
             # negative and be chosen again forever
             raise RuntimeError("pivot left the entering column with a nonzero reduced cost")
         d = p
         basis[leave] = enter
 
-    if obj[ncols] != 0:
+    if obj[width] != 0:
         # the simplex multipliers d * pi_i = d - obj[art_i]; undoing the row
         # negation turns them into multipliers of the rows as given
-        y = tuple(s * (d - obj[art0 + i]) for i, s in enumerate(signs))
+        y = tuple(s * (d - obj[n + i]) for i, s in enumerate(signs))
         if not _refutes(system, y):
             raise RuntimeError("simplex produced an invalid Farkas certificate")
         return FeasibilityResult(None, y)
 
-    values = [0] * ncols
+    values = [0] * len(columns)
     for i, b in enumerate(basis):
-        values[b] = tableau[i][ncols]
+        values[b] = tableau[i][width]
     x = [values[j] - values[n + j] for j in range(n)]
     if not _satisfies(system, x, d):
         raise RuntimeError("simplex produced an invalid witness")

@@ -7,8 +7,8 @@ re-verified after the fact.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from .certify import (
@@ -270,7 +270,45 @@ def make_document(
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    """The bytes of ``json.dumps(doc, indent=2)``, from a writer for the
+    types a document holds (dicts with str keys, lists, str, int, bool and
+    None); ``json`` falls back to its pure-Python encoder when indenting."""
+    out: List[str] = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(x, indent: str, out: List[str]) -> None:
+    if type(x) is str:
+        out.append(encode_basestring_ascii(x))
+    elif x is None or type(x) is bool:
+        out.append("null" if x is None else "true" if x else "false")
+    elif type(x) is int:
+        out.append(int.__repr__(x))
+    elif type(x) is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, value in x.items():
+            if type(key) is not str:
+                raise TypeError(f"document keys must be str, not {type(key).__name__}")
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = ","
+        out.append(indent + "}")
+    elif type(x) is list:
+        if not x:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for value in x:
+            out.append(sep + inner)
+            _write_json(value, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"{type(x).__name__} is not a document type")
 
 
 def verify_document(doc: dict) -> List[str]:

@@ -12,8 +12,12 @@ from descregions.lp import (
     separate_segment_from_hull,
 )
 from descregions.linalg import dot
-from descregions.signomial import negatives, positives
+from descregions.certify import certify_connectivity
+from descregions.criteria import CertifyConfig
+from descregions.signomial import Signomial, negatives, positives
 
+import fixtures
+import lp_oracle
 from fixtures import BOX_F, TEN_TERM, TEN_TERM_UPPER, vec
 from fm_oracle import fm_feasible
 
@@ -228,3 +232,63 @@ def test_column_scaling_keeps_the_bland_path_on_the_oracle_systems():
         assert res.is_feasible == fm_feasible(rows, unknowns)
         infeasible += not res.is_feasible
     assert infeasible >= 50
+
+
+def same_as_oracle(system):
+    """The half-width kernel against the wide tableau it replaced: the same
+    witness, or the same Farkas vector."""
+    got = feasible(system)
+    assert got == lp_oracle.feasible(system), system
+    return got
+
+
+RATIONAL = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 5)))
+
+
+@st.composite
+def rational_systems(draw):
+    """Up to 6 unknowns and 12 rows: >= and = rows, negative right-hand
+    sides, and zero rows."""
+    n = draw(st.integers(1, 6))
+    row = st.tuples(
+        st.one_of(st.just((F(0),) * n), st.tuples(*[RATIONAL] * n)),
+        RATIONAL,
+        st.sampled_from((">=", ">=", ">=", "=")),
+    )
+    return LinearSystem.build(n, draw(st.lists(row, min_size=1, max_size=12)))
+
+
+@given(rational_systems())
+@settings(deadline=None, max_examples=300)
+def test_half_width_kernel_matches_the_wide_tableau(system):
+    same_as_oracle(system)
+
+
+def test_half_width_kernel_matches_the_wide_tableau_on_the_oracle_systems():
+    rng = random.Random(3141)
+    answers = set()
+    for make in (_random_system, _rational_system):
+        for _ in range(300):
+            unknowns, rows = make(rng)
+            answers.add(same_as_oracle(LinearSystem.build(unknowns, rows)).is_feasible)
+    assert answers == {True, False}
+
+
+def test_half_width_kernel_matches_the_wide_tableau_on_the_fixture_lps(monkeypatch):
+    """Every separating, enclosing and segment LP that certifying the
+    fixtures solves, with the default searches and with every search on."""
+    systems = []
+
+    def record(system):
+        systems.append(system)
+        return lp_oracle.feasible(system)
+
+    monkeypatch.setattr(lp, "feasible", record)
+    flagged = CertifyConfig(enable_simplex_search=True, enable_enclosing_search=True, enable_box_criterion=True)
+    for f in vars(fixtures).values():
+        if isinstance(f, Signomial):
+            for config in (CertifyConfig(), flagged):
+                certify_connectivity(f, config)
+    monkeypatch.undo()
+    assert len(systems) > 100
+    assert {same_as_oracle(system).is_feasible for system in systems} == {True, False}

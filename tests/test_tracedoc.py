@@ -3,6 +3,9 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from descregions import tracedoc
 from descregions.certify import (
     INCONCLUSIVE,
@@ -224,6 +227,35 @@ def test_traces_match_pinned_digests():
     assert got == TRACE_SHA256
     got = {name: _trace_digest(texts[name], FLAGGED) for name in FLAGGED_TRACE_SHA256}
     assert got == FLAGGED_TRACE_SHA256
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.text(),
+    st.text("aé\u2603\U0001f600\"\\\n\x00"),  # non-ASCII, astral and escaped
+)
+DOCUMENTS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(DOCUMENTS)
+@settings(deadline=None, max_examples=300)
+def test_document_writer_matches_json_dumps(doc):
+    """Non-ASCII and escaped strings, big ints, empty containers and nesting
+    come out as ``json.dumps(doc, indent=2)`` writes them."""
+    assert tracedoc.document_to_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_document_writer_refuses_other_types():
+    for doc in ({"a": 0.5}, [Fraction(1, 2)], {1: "a"}, ("a",)):
+        with pytest.raises(TypeError):
+            tracedoc.document_to_json(doc)
 
 
 def _capped_documents():
