@@ -3,26 +3,25 @@ positive orthant has at most one connected component, with a grid-sampling
 oracle for desk-scale validation."""
 
 from .certify import (
-    CERTIFIED_AT_MOST_ONE,
-    CERTIFIED_EMPTY,
-    CERTIFIED_EXACTLY_ONE,
-    INCONCLUSIVE,
     BoundReport,
-    Certificate,
     certify_and_check_closure,
     certify_connectivity,
     intersection_nonempty,
     side_restrictions,
     upper_bound,
-    verify_certificate,
 )
-from .criteria import (
+from .check import (
+    CERTIFIED_AT_MOST_ONE,
+    CERTIFIED_EMPTY,
+    CERTIFIED_EXACTLY_ONE,
+    INCONCLUSIVE,
+    Certificate,
     CertifyConfig,
     CriterionCertificate,
     SimplexWitness,
-    check_connectivity,
-    closure_property,
+    verify_certificate,
 )
+from .criteria import check_connectivity, closure_property
 from .oracle import ComponentReport, GridSpec, count_negative_components, default_grid
 from .parsing import format_signomial, parse_signomial
 from .signomial import Signomial, Term, restrict, signed_support

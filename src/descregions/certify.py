@@ -8,42 +8,57 @@ faces covering the whole support, and when a polytope edge joins two negative
 exponents across the pair, certify both face restrictions and combine.
 
 Every emitted certificate is a replayable trace: all witnesses are exact and
-``verify_certificate`` re-checks them from scratch without re-running any
-search.  Children certified "at most one" are upgraded to "exactly one"
+``check.verify_certificate`` re-checks them from scratch without re-running
+any search.  Children certified "at most one" are upgraded to "exactly one"
 before a parallel split is emitted, witnessed by a negative exponent at a
 vertex of the child's Newton polytope (the restriction is then negative far
 along the exposing direction, so its negative region is nonempty).
 
 The search runs on each signomial's integer lattice frame: negatives are
 term indices, the hull's point indices are term indices, the two faces of
-a parallel split are read off the frame rows, and children are restricted
-by index.  Witnesses leave as the signomial's own Fraction exponents.
-Replay keeps its own Fraction reading of faces and restrictions
-(``_parallel_faces``, ``restrict``) rather than the search's.
+a parallel split are read off the frame rows by the face split that replay
+uses too, and children are restricted by index.  Witnesses leave as the
+signomial's own Fraction exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from . import lp
-from .criteria import (
-    NO_NEGATIVE_TERMS,
+from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certificate stay reachable here
+    CERTIFIED_AT_MOST_ONE,
+    CERTIFIED_EMPTY,
+    CERTIFIED_EXACTLY_ONE,
+    CERTIFIED_OUTCOMES,
+    INCONCLUSIVE,
+    KIND_CRITERION,
+    KIND_EMPTY,
+    KIND_INCONCLUSIVE,
+    KIND_NEGATIVE_FACE,
+    KIND_PARALLEL_SPLIT,
+    Certificate,
     CertifyConfig,
-    CriterionCertificate,
+    EdgeWitness,
+    NonemptyWitness,
     SeparatingWitness,
-    negative_vertex_functional,
+    _face_split,
+    _splits,
+    criterion_outcome,
+    frame_values,
+    verify_certificate,
+    verify_enclosing_pair,
+)
+from .criteria import (
     check_connectivity,
     closure_property,
     find_strict_separating_hyperplane,
     hull_indices,
-    verify_criterion,
-    verify_enclosing_pair,
+    negative_vertex_functional,
 )
-from .linalg import Vector, dot, is_zero, lattice, vector
+from .linalg import Vector, dot, vector
 from .polytope import (
     FacetBudgetExceededError,
     Polytope,
@@ -53,62 +68,11 @@ from .polytope import (
     parallel_face_pairs,
     smallest_face_containing,
 )
-from .signomial import Signomial, negatives, positives, restrict, restrict_indices
-
-CERTIFIED_EMPTY = "CertifiedEmpty"
-CERTIFIED_AT_MOST_ONE = "CertifiedAtMostOne"
-CERTIFIED_EXACTLY_ONE = "CertifiedExactlyOne"
-INCONCLUSIVE = "Inconclusive"
-
-CERTIFIED_OUTCOMES = (CERTIFIED_EMPTY, CERTIFIED_AT_MOST_ONE, CERTIFIED_EXACTLY_ONE)
-
-KIND_CRITERION = "criterion"
-KIND_NEGATIVE_FACE = "negative-face-reduction"
-KIND_PARALLEL_SPLIT = "parallel-split"
-KIND_EMPTY = "empty"
-KIND_INCONCLUSIVE = "inconclusive"
+from .signomial import Signomial, negatives, positives, restrict_indices
 
 
 class NotEnclosingError(ValueError):
     """The supplied (v, a, b) is not an enclosing pair for the signomial."""
-
-
-@dataclass(frozen=True)
-class NonemptyWitness:
-    """A negative exponent at a vertex of the Newton polytope with an exposing
-    functional; proves the negative region is nonempty."""
-
-    point: Vector
-    functional: Vector
-
-
-@dataclass(frozen=True)
-class EdgeWitness:
-    """Two negative exponents joined by an edge of the Newton polytope, with
-    the functional exposing exactly that edge."""
-
-    beta1: Vector
-    beta2: Vector
-    functional: Vector
-
-
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    outcome: str
-    criterion: Optional[CriterionCertificate] = None
-    normal: Optional[Vector] = None
-    face: Optional[Tuple[Vector, ...]] = None
-    edge: Optional[EdgeWitness] = None
-    child_nonempty: Optional[Tuple[NonemptyWitness, NonemptyWitness]] = None
-    children: Tuple["Certificate", ...] = ()
-    reason: Optional[str] = None
-
-
-def criterion_outcome(cert: CriterionCertificate) -> str:
-    if cert.kind == NO_NEGATIVE_TERMS:
-        return CERTIFIED_EMPTY
-    return CERTIFIED_EXACTLY_ONE if cert.nonempty else CERTIFIED_AT_MOST_ONE
 
 
 def certify_connectivity(f: Signomial, config: Optional[CertifyConfig] = None) -> Certificate:
@@ -192,36 +156,6 @@ def _certify(
     )
 
 
-def _parallel_faces(f: Signomial, v: Vector) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
-    """The exponents on the faces in directions v and -v, in exact
-    rationals: replay's own reading of a recorded normal."""
-    values = [(dot(v, mu), mu) for mu in f.support]
-    top = max(val for val, _ in values)
-    bot = min(val for val, _ in values)
-    face_v = tuple(mu for val, mu in values if val == top)
-    face_mv = tuple(mu for val, mu in values if val == bot)
-    return face_v, face_mv
-
-
-def _face_split(f: Signomial, v: Sequence) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Indices of f's terms on the faces in directions v and -v, read off
-    f's lattice frame with v scaled to integers (a positive scaling)."""
-    w = lattice([vector(v)])[1][0]
-    values = [dot(w, row) for row in f.frame]
-    top, bottom = max(values), min(values)
-    return (
-        tuple(i for i, x in enumerate(values) if x == top),
-        tuple(i for i, x in enumerate(values) if x == bottom),
-    )
-
-
-def _splits(f: Signomial, faces: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> bool:
-    """Whether the two faces of ``_face_split`` are distinct and cover the
-    support (distinct faces are disjoint)."""
-    top, bottom = faces
-    return top != bottom and len(top) + len(bottom) == len(f.terms)
-
-
 def intersection_nonempty(
     f: Signomial, v: Sequence, P: Optional[Polytope] = None
 ) -> Optional[EdgeWitness]:
@@ -252,22 +186,20 @@ def intersection_nonempty(
 def side_restrictions(f: Signomial, v: Sequence, a, b) -> Tuple[Signomial, Signomial]:
     """Restrictions to the two sides of an enclosing pair: negatives on or
     above the upper hyperplane plus all positives, and symmetrically below."""
-    vv = vector(v)
-    aa, bb = Fraction(a), Fraction(b)
-    if not verify_enclosing_pair(f, vv, aa, bb, strict=False):
+    if not verify_enclosing_pair(f, v, a, b, strict=False):
         raise NotEnclosingError("(v, a, b) is not an enclosing pair for this signomial")
-    pos = positives(f)
-    upper = [p for p in negatives(f) if dot(vv, p) >= aa] + list(pos)
-    lower = [p for p in negatives(f) if dot(vv, p) <= bb] + list(pos)
-    return restrict(f, upper), restrict(f, lower)
+    values, (a, b) = frame_values(f, v, a, b)
+    pos = list(f.positive_indices)
+    upper = [i for i in f.negative_indices if values[i] >= a] + pos
+    lower = [i for i in f.negative_indices if values[i] <= b] + pos
+    return restrict_indices(f, sorted(upper)), restrict_indices(f, sorted(lower))
 
 
 @dataclass(frozen=True)
 class IntersectionEvidence:
-    kind: str  # "negative-edge" | "segment-witness" | "sampled-point"
-    beta1: Optional[Vector] = None
-    beta2: Optional[Vector] = None
-    point: Optional[Tuple[float, ...]] = None
+    kind: str  # "negative-edge" | "segment-witness"
+    beta1: Vector
+    beta2: Vector
 
 
 @dataclass(frozen=True)
@@ -284,18 +216,17 @@ def upper_bound(
     v: Sequence,
     config: Optional[CertifyConfig] = None,
     enclosing: Optional[Tuple] = None,
-    grid=None,
 ) -> BoundReport:
     """Component-count bound from a two-vertex intersection graph.
 
     With ``enclosing=(a, b)`` the children are the side restrictions of the
     enclosing pair and an edge is a segment witness between their negative
     supports; otherwise the support must split across the parallel faces of v
-    and an edge is a negative-negative polytope edge, falling back to a
-    sampled common negative point.  Children must certify at most one
-    component each (otherwise the bound is unknown); any intersection
-    evidence shows both children's regions are nonempty and meet, so the
-    bound drops to one.
+    and an edge is a negative-negative polytope edge.  Children must
+    certify at most one component each (otherwise the bound is unknown);
+    any intersection evidence shows both children's regions are nonempty
+    and meet, so the bound drops to one.  Without it the bound is the sum,
+    two.
     """
     config = config or CertifyConfig()
     vv = vector(v)
@@ -342,15 +273,6 @@ def upper_bound(
             edge = None  # no negative-edge evidence: a weaker bound, never a wrong one
         if edge is not None:
             evidence = IntersectionEvidence("negative-edge", edge.beta1, edge.beta2)
-        else:
-            from . import oracle
-
-            try:
-                point = oracle.intersection_witness(fa, fb, grid)
-            except oracle.GridBudgetExceededError:
-                point = None
-            if point is not None:
-                evidence = IntersectionEvidence("sampled-point", point=point)
     else:
         pos_union = sorted(set(positives(fa)) | set(positives(fb)))
         for beta1 in sorted(negatives(fa)):
@@ -376,128 +298,3 @@ def certify_and_check_closure(
     separating = cache(lambda: find_strict_separating_hyperplane(f))
     cert = _certify(f, config, 1, newton, separating)
     return cert, closure_property(f, config.facet_budget, newton, separating)
-
-
-# ---------------------------------------------------------------------------
-# replay verification
-
-
-def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> List[str]:
-    """Re-check every witness in the trace exactly; no searches are re-run.
-
-    Returns a list of human-readable problems, empty when the certificate is
-    valid for f.
-    """
-    errors: List[str] = []
-
-    def fail(msg: str):
-        errors.append(f"{path}: {msg}")
-
-    vectors = []
-    if cert.normal is not None:
-        vectors.append(cert.normal)
-    vectors.extend(cert.face or ())
-    if cert.edge is not None:
-        vectors.extend((cert.edge.beta1, cert.edge.beta2, cert.edge.functional))
-    if any(len(v) != f.dimension for v in vectors):
-        fail("certificate vectors do not match the signomial dimension")
-        return errors
-
-    if cert.kind == KIND_EMPTY:
-        if negatives(f):
-            fail("empty node but f has negative terms")
-        if cert.outcome != CERTIFIED_EMPTY:
-            fail("empty node must be CertifiedEmpty")
-        return errors
-
-    if cert.kind == KIND_INCONCLUSIVE:
-        if cert.outcome != INCONCLUSIVE:
-            fail("inconclusive node with a certified outcome")
-        return errors
-
-    if cert.kind == KIND_CRITERION:
-        if cert.criterion is None:
-            fail("criterion node without criterion payload")
-            return errors
-        try:
-            problem = verify_criterion(f, cert.criterion)
-        except Exception as exc:  # malformed witness payloads must not crash replay
-            problem = f"criterion witness is malformed: {exc}"
-        if problem:
-            fail(problem)
-        if cert.outcome != criterion_outcome(cert.criterion):
-            fail("criterion outcome mismatch")
-        return errors
-
-    if cert.kind == KIND_NEGATIVE_FACE:
-        if cert.normal is None or is_zero(cert.normal) or cert.face is None or len(cert.children) != 1:
-            fail("malformed negative-face node")
-            return errors
-        values = [dot(cert.normal, mu) for mu in f.support]
-        top = max(values)
-        computed = {mu for mu, val in zip(f.support, values) if val == top}
-        if computed != set(cert.face):
-            fail("recorded face is not the face exposed by the recorded normal")
-        if not set(negatives(f)) <= computed:
-            fail("face does not contain all negative exponents")
-        if computed == set(f.support):
-            fail("face is not proper")
-        child_f = restrict(f, cert.face)
-        if cert.outcome != cert.children[0].outcome:
-            fail("outcome does not match the child outcome")
-        errors.extend(verify_certificate(child_f, cert.children[0], path + ".face"))
-        return errors
-
-    if cert.kind == KIND_PARALLEL_SPLIT:
-        if (
-            cert.normal is None
-            or is_zero(cert.normal)
-            or cert.edge is None
-            or cert.child_nonempty is None
-            or len(cert.child_nonempty) != 2
-            or len(cert.children) != 2
-        ):
-            fail("malformed parallel-split node")
-            return errors
-        values = {dot(cert.normal, mu) for mu in f.support}
-        if len(values) != 2:
-            fail("support does not lie on two parallel faces of the recorded normal")
-            return errors
-        face_v, face_mv = _parallel_faces(f, cert.normal)
-        neg = set(negatives(f))
-        e = cert.edge
-        if e.beta1 not in neg or e.beta1 not in face_v:
-            fail("edge endpoint beta1 is not a negative exponent on the upper face")
-        if e.beta2 not in neg or e.beta2 not in face_mv:
-            fail("edge endpoint beta2 is not a negative exponent on the lower face")
-        u = e.functional
-        if dot(u, e.beta1) != dot(u, e.beta2):
-            fail("edge functional is not constant on the edge")
-        for q in f.support:
-            if q in (e.beta1, e.beta2):
-                continue
-            if dot(u, e.beta1) <= dot(u, q):
-                fail("edge functional does not expose the edge strictly")
-                break
-        if cert.outcome != CERTIFIED_EXACTLY_ONE:
-            fail("parallel split must certify exactly one component")
-        for idx, (face, label) in enumerate(((face_v, "upper"), (face_mv, "lower"))):
-            child_f = restrict(f, face)
-            child = cert.children[idx]
-            if child.outcome not in CERTIFIED_OUTCOMES or child.outcome == CERTIFIED_EMPTY:
-                fail(f"{label} child is not certified with a nonempty-compatible outcome")
-            w = cert.child_nonempty[idx]
-            if w.point not in set(negatives(child_f)) or len(w.functional) != f.dimension:
-                fail(f"{label} nonempty witness is not a negative exponent of the child")
-            else:
-                for q in child_f.support:
-                    if q == w.point:
-                        continue
-                    if dot(w.functional, w.point) <= dot(w.functional, q):
-                        fail(f"{label} nonempty witness functional is not strictly exposing")
-                        break
-            errors.extend(verify_certificate(child_f, child, f"{path}.{label}"))
-        return errors
-
-    fail(f"unknown certificate kind {cert.kind!r}")
-    return errors

@@ -17,17 +17,17 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import tracedoc
-from .certify import (
+from .certify import certify_connectivity
+from .check import (
     CERTIFIED_OUTCOMES,
-    Certificate,
     KIND_CRITERION,
     KIND_EMPTY,
     KIND_NEGATIVE_FACE,
     KIND_PARALLEL_SPLIT,
-    certify_connectivity,
+    Certificate,
+    CertifyConfig,
 )
 from .criteria import (
-    CertifyConfig,
     EnclosingBudgetExceededError,
     closure_property,
     find_strict_separating_hyperplane,

@@ -4,118 +4,55 @@ Each criterion either certifies that the negative region has at most one
 connected component (some additionally certify it is nonempty) or declines.
 ``check_connectivity`` runs them in a fixed order and returns the first
 certificate; all returned witnesses re-verify under the exact ``verify_*``
-checks before being handed out.
+checks of ``check``, the ones replay runs, before being handed out.  The
+witness classes and criterion kinds live in ``check`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import lp
-from .linalg import Vector, dot, is_zero, lattice, vector
-from .polytope import (
+from .check import (
+    _NONEMPTY_KINDS,
+    BOX,
+    MODE_NEGATIVES_INSIDE,
+    MODE_POSITIVES_INSIDE,
+    NO_NEGATIVE_TERMS,
+    NO_POSITIVE_TERMS,
+    ONE_NEGATIVE_COEFF,
+    ONE_POSITIVE_COEFF,
+    SIMPLEX_NEGATIVES_INSIDE,
+    SIMPLEX_POSITIVES_INSIDE,
+    STRICT_SEPARATING,
+    BoxWitness,
+    CertifyConfig,
+    CriterionCertificate,
     DegenerateSimplexError,
+    EnclosingWitness,
+    SeparatingWitness,
+    SimplexWitness,
+    _simplex_holds,
+    frame_values,
+    simplex_halfspaces,
+    verify_enclosing_pair,
+    verify_separating_hyperplane,
+    verify_simplex_witness,
+)
+from .linalg import Vector, dot
+from .polytope import (
     FacetBudgetExceededError,
     Polytope,
     build_polytope,
     face_exposing_normal,
-    simplex_halfspaces,
     smallest_face_containing,
 )
 from .signomial import Signomial, negatives, newton_dim, positives
 
-# criterion kinds
-NO_NEGATIVE_TERMS = "no-negative-terms"
-NO_POSITIVE_TERMS = "no-positive-terms"
-ONE_NEGATIVE_COEFF = "one-negative-coeff"
-ONE_POSITIVE_COEFF = "one-positive-coeff"
-STRICT_SEPARATING = "strict-separating"
-SIMPLEX_NEGATIVES_INSIDE = "simplex-negatives-inside"
-SIMPLEX_POSITIVES_INSIDE = "simplex-positives-inside"
-BOX = "box"
-
-# kinds that also certify the negative region is nonempty
-_NONEMPTY_KINDS = {
-    NO_POSITIVE_TERMS,
-    ONE_POSITIVE_COEFF,
-    STRICT_SEPARATING,
-    SIMPLEX_POSITIVES_INSIDE,
-    BOX,
-}
-
 
 class EnclosingBudgetExceededError(RuntimeError):
     """The enclosing-pair search would enumerate too many side assignments."""
-
-
-@dataclass(frozen=True)
-class SeparatingWitness:
-    normal: Vector
-    offset: Fraction
-    strict: bool
-    strict_point: Optional[Vector] = None
-
-
-@dataclass(frozen=True)
-class EnclosingWitness:
-    normal: Vector
-    upper: Fraction
-    lower: Fraction
-    strict: bool
-
-
-MODE_NEGATIVES_INSIDE = "negatives-inside"
-MODE_POSITIVES_INSIDE = "positives-inside"
-
-
-@dataclass(frozen=True)
-class SimplexWitness:
-    """An n-simplex separating the signed support through its vertex cones.
-
-    ``halfspaces`` may carry a caller-supplied H-representation; it is checked
-    against the one derived from the vertices.  ``interior_negative`` is the
-    required negative exponent interior to the cone union (positives-inside
-    mode); when absent one is searched for.
-    """
-
-    vertices: Tuple[Vector, ...]
-    mode: str
-    interior_negative: Optional[Vector] = None
-    halfspaces: Optional[Tuple[Tuple[Vector, Fraction], ...]] = None
-
-
-@dataclass(frozen=True)
-class BoxWitness:
-    enclosing: EnclosingWitness
-    beta1: Vector
-    beta2: Vector
-    separator_normal: Vector
-    separator_offset: Fraction
-
-
-@dataclass(frozen=True)
-class CriterionCertificate:
-    kind: str
-    nonempty: bool
-    witness: object = None
-
-
-@dataclass(frozen=True)
-class CertifyConfig:
-    max_depth: int = 64
-    facet_budget: Optional[int] = 10000
-    enable_simplex_search: bool = False
-    enable_enclosing_search: bool = False
-    enable_box_criterion: bool = False
-    simplex_witness: Optional[SimplexWitness] = None
-    enclosing_max_negatives: int = 12
-
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 def _unframe(f: Signomial, w: Vector) -> Vector:
@@ -159,57 +96,6 @@ def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitnes
                 raise RuntimeError("separating witness failed re-verification")
             return SeparatingWitness(v, a, True, beta0)
     return None
-
-
-def verify_separating_hyperplane(
-    f: Signomial,
-    v: Sequence,
-    a,
-    strict: bool,
-    strict_point: Optional[Vector] = None,
-) -> bool:
-    """Exact check of the separating-hyperplane definition, on f's lattice
-    frame: (v, a) times the lcm of its denominators is an int (w, t), and
-    v . mu >= a exactly when w . (L mu) >= L t, as both scalings are positive."""
-    _, ((*w, t),) = lattice([vector((*v, a))])
-    if is_zero(w):
-        return False
-    frame, level = f.frame, f.scale * t
-    above = [dot(w, frame[i]) - level for i in f.negative_indices]
-    if any(x < 0 for x in above):
-        return False
-    if any(dot(w, frame[i]) > level for i in f.positive_indices):
-        return False
-    if strict:
-        if strict_point is not None:
-            return any(f.terms[i].exponent == strict_point and x > 0 for i, x in zip(f.negative_indices, above))
-        return any(x > 0 for x in above)
-    return True
-
-
-def verify_enclosing_pair(f: Signomial, v: Sequence, a, b, strict: bool) -> bool:
-    """Exact check of the enclosing-pair definition (positives inside the slab
-    [b, a] along v, negatives outside its interior)."""
-    vv = vector(v)
-    aa, bb = Fraction(a), Fraction(b)
-    if is_zero(vv) or aa < bb:
-        return False
-    for alpha in positives(f):
-        val = dot(vv, alpha)
-        if val > aa or val < bb:
-            return False
-    above = below = False
-    for beta in negatives(f):
-        val = dot(vv, beta)
-        if bb < val < aa:
-            return False
-        if val > aa:
-            above = True
-        if val < bb:
-            below = True
-    if strict:
-        return above and below
-    return True
 
 
 def find_strict_enclosing_pair(
@@ -271,109 +157,6 @@ def find_strict_enclosing_pair(
     return None
 
 
-def _matches_derived(provided, derived) -> bool:
-    """Each provided halfspace must be a positive scaling of a distinct derived
-    facet halfspace."""
-    remaining = list(derived)
-    for pv, pa in provided:
-        pv = vector(pv)
-        pa = Fraction(pa)
-        hit = None
-        for idx, (dv, da) in enumerate(remaining):
-            scale = None
-            ok = True
-            for a, b in zip(dv, pv):
-                if (a == 0) != (b == 0):
-                    ok = False
-                    break
-                if b != 0:
-                    s = a / b
-                    if s <= 0 or (scale is not None and s != scale):
-                        ok = False
-                        break
-                    scale = s
-            if ok and scale is not None and da == pa * scale:
-                hit = idx
-                break
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return not remaining
-
-
-def _cone_memberships(halfspaces, point: Vector) -> Tuple[List[int], List[int]]:
-    """Indices k with point in the vertex cone at vertex k, and those with the
-    membership strict (cone interior)."""
-    n1 = len(halfspaces)
-    inside, interior = [], []
-    for k in range(n1):
-        weak = strict = True
-        for j in range(n1):
-            if j == k:
-                continue
-            v, a = halfspaces[j]
-            val = dot(v, point)
-            if val < a:
-                weak = False
-                break
-            if val == a:
-                strict = False
-        if weak:
-            inside.append(k)
-            if strict:
-                interior.append(k)
-    return inside, interior
-
-
-def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
-    """Exact check of the simplex vertex-cone criterion.
-
-    negatives-inside: negatives in the simplex, positives in the cone union.
-    positives-inside (needs n >= 2): positives in the simplex, negatives in
-    the cone union, and some negative interior to the union.  All points
-    are checked in one lattice frame, set up here.
-    """
-    k = len(w.vertices)
-    interior = [] if w.interior_negative is None else [vector(w.interior_negative)]
-    scale, frame = lattice([vector(p) for p in w.vertices] + list(f.support) + interior)
-    derived = simplex_halfspaces(frame[:k])
-    unscaled = [(v, Fraction(a, scale)) for v, a in derived]
-    if w.halfspaces is not None and not _matches_derived(w.halfspaces, unscaled):
-        return False
-    return _simplex_holds(f, frame[k:k + len(f.terms)], w.mode, frame[-1] if interior else None, derived)
-
-
-def _simplex_holds(f: Signomial, frame, mode: str, interior_negative, derived) -> bool:
-    """The criterion of ``verify_simplex_witness`` in a lattice frame: f's
-    support and the interior negative (or None) given there, against the
-    halfspaces ``derived`` from the simplex."""
-    pos = [frame[i] for i in f.positive_indices]
-    neg = [frame[i] for i in f.negative_indices]
-
-    def in_simplex(p) -> bool:
-        return all(dot(v, p) <= a for v, a in derived)
-
-    def in_cones(p) -> bool:
-        return bool(_cone_memberships(derived, p)[0])
-
-    def in_cone_interior(p) -> bool:
-        return bool(_cone_memberships(derived, p)[1])
-
-    if mode == MODE_NEGATIVES_INSIDE:
-        return all(in_simplex(b) for b in neg) and all(in_cones(a) for a in pos)
-    if mode == MODE_POSITIVES_INSIDE:
-        if f.dimension < 2:
-            return False
-        if not all(in_simplex(a) for a in pos):
-            return False
-        if not all(in_cones(b) for b in neg):
-            return False
-        if interior_negative is not None:
-            return interior_negative in neg and in_cone_interior(interior_negative)
-        return any(in_cone_interior(b) for b in sorted(neg))
-    raise ValueError(f"unknown simplex mode {mode!r}")
-
-
 def check_box_criterion(
     f: Signomial, config: Optional[CertifyConfig] = None
 ) -> Optional[CriterionCertificate]:
@@ -388,10 +171,9 @@ def check_box_criterion(
     if pair is None:
         return None
     frame = f.frame
-    # v.mu >= upper exactly when v.(L mu) >= L upper, and likewise below
-    v, a, b = pair.normal, f.scale * pair.upper, f.scale * pair.lower
-    above = [i for i in neg if dot(v, frame[i]) >= a]
-    below = [i for i in neg if dot(v, frame[i]) <= b]
+    values, (a, b) = frame_values(f, pair.normal, pair.upper, pair.lower)
+    above = [i for i in neg if values[i] >= a]
+    below = [i for i in neg if values[i] <= b]
     hull = [frame[i] for i in pos]
     for i in above:
         for j in below:
@@ -465,6 +247,11 @@ def negative_vertex_functional(
     return None
 
 
+def _simplex_certificate(w: SimplexWitness) -> CriterionCertificate:
+    kind = SIMPLEX_NEGATIVES_INSIDE if w.mode == MODE_NEGATIVES_INSIDE else SIMPLEX_POSITIVES_INSIDE
+    return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, w)
+
+
 def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optional[CriterionCertificate]:
     """First simplex witness spanned by n + 1 support points, combinations in
     sorted order and negatives-inside before positives-inside.
@@ -505,13 +292,7 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
             continue
         for mode in modes:
             if _simplex_holds(f, frame, mode, None, derived):
-                kind = (
-                    SIMPLEX_NEGATIVES_INSIDE
-                    if mode == MODE_NEGATIVES_INSIDE
-                    else SIMPLEX_POSITIVES_INSIDE
-                )
-                w = SimplexWitness(tuple(support[i] for i in combo), mode)
-                return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, w)
+                return _simplex_certificate(SimplexWitness(tuple(support[i] for i in combo), mode))
     return None
 
 
@@ -551,12 +332,7 @@ def check_connectivity(
         except DegenerateSimplexError:
             ok = False
         if ok:
-            kind = (
-                SIMPLEX_NEGATIVES_INSIDE
-                if w.mode == MODE_NEGATIVES_INSIDE
-                else SIMPLEX_POSITIVES_INSIDE
-            )
-            return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, w)
+            return _simplex_certificate(w)
     if config.enable_simplex_search:
         found = _simplex_search(f, config, newton)
         if found is not None:
@@ -569,49 +345,3 @@ def check_connectivity(
         if found is not None:
             return found
     return None
-
-
-def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
-    """Re-check a criterion certificate exactly; returns an error string or None."""
-    neg = negatives(f)
-    pos = positives(f)
-    if cert.nonempty != (cert.kind in _NONEMPTY_KINDS):
-        return f"nonempty flag inconsistent with kind {cert.kind}"
-    if cert.kind == NO_NEGATIVE_TERMS:
-        return None if not neg else "negative support is not empty"
-    if cert.kind == NO_POSITIVE_TERMS:
-        if pos:
-            return "positive support is not empty"
-        return None if neg else "no terms at all"
-    if cert.kind == ONE_NEGATIVE_COEFF:
-        return None if len(neg) == 1 else "negative coefficient count is not one"
-    if cert.kind == ONE_POSITIVE_COEFF:
-        if len(pos) != 1:
-            return "positive coefficient count is not one"
-        return None if newton_dim(f) >= 2 else "Newton polytope dimension below two"
-    if cert.kind == STRICT_SEPARATING:
-        w = cert.witness
-        ok = verify_separating_hyperplane(f, w.normal, w.offset, True, w.strict_point)
-        return None if ok else "separating hyperplane does not verify"
-    if cert.kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
-        try:
-            ok = verify_simplex_witness(f, cert.witness)
-        except DegenerateSimplexError:
-            return "degenerate simplex witness"
-        return None if ok else "simplex witness does not verify"
-    if cert.kind == BOX:
-        w = cert.witness
-        e = w.enclosing
-        if not verify_enclosing_pair(f, e.normal, e.upper, e.lower, strict=True):
-            return "enclosing pair does not verify"
-        if w.beta1 not in neg or w.beta2 not in neg:
-            return "box endpoints are not negative exponents"
-        if dot(e.normal, w.beta1) < e.upper or dot(e.normal, w.beta2) > e.lower:
-            return "box endpoints on wrong sides"
-        c = Fraction(w.separator_offset)
-        if dot(w.separator_normal, w.beta1) <= c or dot(w.separator_normal, w.beta2) <= c:
-            return "segment separator not strict on endpoints"
-        if any(dot(w.separator_normal, alpha) > c for alpha in pos):
-            return "segment separator fails on a positive exponent"
-        return None
-    return f"unknown criterion kind {cert.kind!r}"

@@ -117,23 +117,3 @@ def count_negative_components(f: Signomial, grid: Optional[GridSpec] = None) -> 
         idx = np.unravel_index(index, mask.shape)
         witnesses.append(tuple(float(axes[i][idx[i]]) for i in range(grid.dimension)))
     return ComponentReport(int(count), int(mask.sum()), tuple(witnesses), grid)
-
-
-def _first_point(mask: np.ndarray, grid: GridSpec) -> Optional[Tuple[float, ...]]:
-    flat = mask.ravel()
-    hits = np.flatnonzero(flat)
-    if hits.size == 0:
-        return None
-    idx = np.unravel_index(int(hits[0]), mask.shape)
-    axes = _axes(grid)
-    return tuple(float(axes[i][idx[i]]) for i in range(grid.dimension))
-
-
-def intersection_witness(
-    f: Signomial, g: Signomial, grid: Optional[GridSpec] = None
-) -> Optional[Tuple[float, ...]]:
-    """Some grid point where both signomials are negative, or None."""
-    if f.dimension != g.dimension:
-        raise ValueError("signomials must share a dimension")
-    grid = grid or default_grid(f.dimension)
-    return _first_point(negative_mask(f, grid) & negative_mask(g, grid), grid)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from .check import simplex_halfspaces
 from .linalg import (
     IntVector,
     Vector,
@@ -36,7 +37,6 @@ from .linalg import (
     residual,
     sign_canonical,
     vector,
-    vneg,
     vsub,
 )
 
@@ -111,29 +111,6 @@ def affine_hull(points: Sequence[Vector]) -> AffineHull:
         raise ValueError("points must be nonempty")
     ech = _Echelon.affine(lattice(points)[1])
     return AffineHull(points[0], tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
-
-
-class DegenerateSimplexError(ValueError):
-    """Simplex vertices are affinely dependent."""
-
-
-def simplex_halfspaces(vertices: Sequence[Sequence]) -> Tuple[Tuple[IntVector, Fraction], ...]:
-    """Outer halfspaces (v_j, a_j) of the simplex, the j-th supporting the
-    facet opposite vertex j, with primitive integer normals.  Raises
-    DegenerateSimplexError when the vertices are affinely dependent."""
-    scale, verts = lattice(vertices)
-    n = len(verts[0])
-    if len(verts) != n + 1 or _Echelon.affine(verts).rank != n:
-        raise DegenerateSimplexError("vertices do not form an n-simplex")
-    out = []
-    for j in range(n + 1):
-        others = verts[:j] + verts[j + 1:]
-        normal = _Echelon.affine(others).normal(n)
-        offset = dot(normal, others[0])
-        if dot(normal, verts[j]) > offset:
-            normal, offset = vneg(normal), -offset
-        out.append((normal, offset if scale == 1 else Fraction(offset, scale)))
-    return tuple(out)
 
 
 def _incremental_facets(

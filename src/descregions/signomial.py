@@ -8,8 +8,8 @@ log coordinates (``x = exp(y)``) in floating point.
 Coefficients and exponent entries are Fractions.  Each signomial also
 carries its integer lattice frame, set up when it is built: the scale L
 and the exponent rows times L as ints, in term order, with the term
-indices of each sign.  The search reads exponents off the frame and
-restricts by term index; replay reads the Fraction exponents.
+indices of each sign.  The search and replay both read exponents off the
+frame and restrict by term index.
 """
 
 from __future__ import annotations

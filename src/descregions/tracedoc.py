@@ -11,30 +11,28 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
-from .certify import (
-    Certificate,
-    EdgeWitness,
+from .check import (
+    BOX,
     KIND_CRITERION,
     KIND_EMPTY,
     KIND_INCONCLUSIVE,
     KIND_NEGATIVE_FACE,
     KIND_PARALLEL_SPLIT,
-    NonemptyWitness,
-    verify_certificate,
-)
-from .criteria import (
-    BOX,
-    BoxWitness,
-    CertifyConfig,
-    CriterionCertificate,
-    EnclosingWitness,
     ONE_NEGATIVE_COEFF,
     ONE_POSITIVE_COEFF,
-    STRICT_SEPARATING,
     SIMPLEX_NEGATIVES_INSIDE,
     SIMPLEX_POSITIVES_INSIDE,
+    STRICT_SEPARATING,
+    BoxWitness,
+    Certificate,
+    CertifyConfig,
+    CriterionCertificate,
+    EdgeWitness,
+    EnclosingWitness,
+    NonemptyWitness,
     SeparatingWitness,
     SimplexWitness,
+    verify_certificate,
 )
 from .parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS
 from .signomial import Signomial, Term
@@ -42,12 +40,8 @@ from .signomial import Signomial, Term
 SCHEMA_VERSION = 1
 
 
-def _frac(s) -> Fraction:
-    return Fraction(s)
-
-
-def _fmt(x: Fraction) -> str:
-    return str(Fraction(x))
+def _fmt(x) -> str:
+    return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
 
 
 def _vec(v) -> List[str]:
@@ -55,7 +49,7 @@ def _vec(v) -> List[str]:
 
 
 def _unvec(v) -> Tuple[Fraction, ...]:
-    return tuple(_frac(a) for a in v)
+    return tuple(Fraction(a) for a in v)
 
 
 def signomial_to_json(f: Signomial) -> dict:
@@ -79,7 +73,7 @@ def signomial_from_json(data: dict) -> Signomial:
         exponent = _unvec(t["exponent"])
         if any(abs(e.numerator) >= EXPONENT_BOUND or e.denominator >= EXPONENT_BOUND for e in exponent):
             raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
-        terms.append(Term(_frac(t["coefficient"]), exponent))
+        terms.append(Term(Fraction(t["coefficient"]), exponent))
     return Signomial(int(data["dimension"]), tuple(terms))
 
 
@@ -128,7 +122,7 @@ def _simplex_from_json(data: dict) -> SimplexWitness:
     halfspaces = None
     if "halfspaces" in data:
         halfspaces = tuple(
-            (_unvec(h["normal"]), _frac(h["offset"])) for h in data["halfspaces"]
+            (_unvec(h["normal"]), Fraction(h["offset"])) for h in data["halfspaces"]
         )
     interior = data.get("interior_negative")
     return SimplexWitness(
@@ -175,7 +169,7 @@ def _criterion_from_json(data: dict) -> CriterionCertificate:
         w = data["witness"]
         witness = SeparatingWitness(
             _unvec(w["normal"]),
-            _frac(w["offset"]),
+            Fraction(w["offset"]),
             True,
             _unvec(w["strict_point"]) if w.get("strict_point") else None,
         )
@@ -184,11 +178,11 @@ def _criterion_from_json(data: dict) -> CriterionCertificate:
     elif kind == BOX:
         w = data["witness"]
         witness = BoxWitness(
-            EnclosingWitness(_unvec(w["normal"]), _frac(w["upper"]), _frac(w["lower"]), True),
+            EnclosingWitness(_unvec(w["normal"]), Fraction(w["upper"]), Fraction(w["lower"]), True),
             _unvec(w["beta1"]),
             _unvec(w["beta2"]),
             _unvec(w["separator_normal"]),
-            _frac(w["separator_offset"]),
+            Fraction(w["separator_offset"]),
         )
     return CriterionCertificate(kind, nonempty, witness)
 

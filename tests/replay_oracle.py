@@ -1,0 +1,273 @@
+"""Replay as it stood before the checks moved into ``check`` and read faces
+on the lattice frame, kept as an independent oracle for the tests (like
+``lp_oracle`` and ``parse_oracle``).
+
+``verify_certificate`` reads faces and exposing functionals with Fraction
+dot products (``_parallel_faces`` and inline scans) and restricts children
+by exponent; ``verify_criterion`` and ``verify_enclosing_pair`` check the
+box criterion the same way, and ``verify_separating_hyperplane`` scales its
+own witness to the frame.  The functions are unchanged; they share with the
+package only the constants, the witness types and the simplex check.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
+
+from descregions.check import (
+    _NONEMPTY_KINDS,
+    BOX,
+    CERTIFIED_EMPTY,
+    CERTIFIED_EXACTLY_ONE,
+    CERTIFIED_OUTCOMES,
+    INCONCLUSIVE,
+    KIND_CRITERION,
+    KIND_EMPTY,
+    KIND_INCONCLUSIVE,
+    KIND_NEGATIVE_FACE,
+    KIND_PARALLEL_SPLIT,
+    NO_NEGATIVE_TERMS,
+    NO_POSITIVE_TERMS,
+    ONE_NEGATIVE_COEFF,
+    ONE_POSITIVE_COEFF,
+    SIMPLEX_NEGATIVES_INSIDE,
+    SIMPLEX_POSITIVES_INSIDE,
+    STRICT_SEPARATING,
+    Certificate,
+    CriterionCertificate,
+    DegenerateSimplexError,
+    criterion_outcome,
+    verify_simplex_witness,
+)
+from descregions.linalg import Vector, dot, is_zero, lattice, vector
+from descregions.signomial import Signomial, negatives, newton_dim, positives, restrict
+
+
+def _parallel_faces(f: Signomial, v: Vector) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
+    """The exponents on the faces in directions v and -v, in exact
+    rationals: replay's own reading of a recorded normal."""
+    values = [(dot(v, mu), mu) for mu in f.support]
+    top = max(val for val, _ in values)
+    bot = min(val for val, _ in values)
+    face_v = tuple(mu for val, mu in values if val == top)
+    face_mv = tuple(mu for val, mu in values if val == bot)
+    return face_v, face_mv
+
+
+def verify_separating_hyperplane(
+    f: Signomial,
+    v: Sequence,
+    a,
+    strict: bool,
+    strict_point: Optional[Vector] = None,
+) -> bool:
+    """Exact check of the separating-hyperplane definition, on f's lattice
+    frame: (v, a) times the lcm of its denominators is an int (w, t), and
+    v . mu >= a exactly when w . (L mu) >= L t, as both scalings are positive."""
+    _, ((*w, t),) = lattice([vector((*v, a))])
+    if is_zero(w):
+        return False
+    frame, level = f.frame, f.scale * t
+    above = [dot(w, frame[i]) - level for i in f.negative_indices]
+    if any(x < 0 for x in above):
+        return False
+    if any(dot(w, frame[i]) > level for i in f.positive_indices):
+        return False
+    if strict:
+        if strict_point is not None:
+            return any(f.terms[i].exponent == strict_point and x > 0 for i, x in zip(f.negative_indices, above))
+        return any(x > 0 for x in above)
+    return True
+
+
+def verify_enclosing_pair(f: Signomial, v: Sequence, a, b, strict: bool) -> bool:
+    """Exact check of the enclosing-pair definition (positives inside the slab
+    [b, a] along v, negatives outside its interior)."""
+    vv = vector(v)
+    aa, bb = Fraction(a), Fraction(b)
+    if is_zero(vv) or aa < bb:
+        return False
+    for alpha in positives(f):
+        val = dot(vv, alpha)
+        if val > aa or val < bb:
+            return False
+    above = below = False
+    for beta in negatives(f):
+        val = dot(vv, beta)
+        if bb < val < aa:
+            return False
+        if val > aa:
+            above = True
+        if val < bb:
+            below = True
+    if strict:
+        return above and below
+    return True
+
+
+def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
+    """Re-check a criterion certificate exactly; returns an error string or None."""
+    neg = negatives(f)
+    pos = positives(f)
+    if cert.nonempty != (cert.kind in _NONEMPTY_KINDS):
+        return f"nonempty flag inconsistent with kind {cert.kind}"
+    if cert.kind == NO_NEGATIVE_TERMS:
+        return None if not neg else "negative support is not empty"
+    if cert.kind == NO_POSITIVE_TERMS:
+        if pos:
+            return "positive support is not empty"
+        return None if neg else "no terms at all"
+    if cert.kind == ONE_NEGATIVE_COEFF:
+        return None if len(neg) == 1 else "negative coefficient count is not one"
+    if cert.kind == ONE_POSITIVE_COEFF:
+        if len(pos) != 1:
+            return "positive coefficient count is not one"
+        return None if newton_dim(f) >= 2 else "Newton polytope dimension below two"
+    if cert.kind == STRICT_SEPARATING:
+        w = cert.witness
+        ok = verify_separating_hyperplane(f, w.normal, w.offset, True, w.strict_point)
+        return None if ok else "separating hyperplane does not verify"
+    if cert.kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
+        try:
+            ok = verify_simplex_witness(f, cert.witness)
+        except DegenerateSimplexError:
+            return "degenerate simplex witness"
+        return None if ok else "simplex witness does not verify"
+    if cert.kind == BOX:
+        w = cert.witness
+        e = w.enclosing
+        if not verify_enclosing_pair(f, e.normal, e.upper, e.lower, strict=True):
+            return "enclosing pair does not verify"
+        if w.beta1 not in neg or w.beta2 not in neg:
+            return "box endpoints are not negative exponents"
+        if dot(e.normal, w.beta1) < e.upper or dot(e.normal, w.beta2) > e.lower:
+            return "box endpoints on wrong sides"
+        c = Fraction(w.separator_offset)
+        if dot(w.separator_normal, w.beta1) <= c or dot(w.separator_normal, w.beta2) <= c:
+            return "segment separator not strict on endpoints"
+        if any(dot(w.separator_normal, alpha) > c for alpha in pos):
+            return "segment separator fails on a positive exponent"
+        return None
+    return f"unknown criterion kind {cert.kind!r}"
+
+
+def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> List[str]:
+    """Re-check every witness in the trace exactly; no searches are re-run.
+
+    Returns a list of human-readable problems, empty when the certificate is
+    valid for f.
+    """
+    errors: List[str] = []
+
+    def fail(msg: str):
+        errors.append(f"{path}: {msg}")
+
+    vectors = []
+    if cert.normal is not None:
+        vectors.append(cert.normal)
+    vectors.extend(cert.face or ())
+    if cert.edge is not None:
+        vectors.extend((cert.edge.beta1, cert.edge.beta2, cert.edge.functional))
+    if any(len(v) != f.dimension for v in vectors):
+        fail("certificate vectors do not match the signomial dimension")
+        return errors
+
+    if cert.kind == KIND_EMPTY:
+        if negatives(f):
+            fail("empty node but f has negative terms")
+        if cert.outcome != CERTIFIED_EMPTY:
+            fail("empty node must be CertifiedEmpty")
+        return errors
+
+    if cert.kind == KIND_INCONCLUSIVE:
+        if cert.outcome != INCONCLUSIVE:
+            fail("inconclusive node with a certified outcome")
+        return errors
+
+    if cert.kind == KIND_CRITERION:
+        if cert.criterion is None:
+            fail("criterion node without criterion payload")
+            return errors
+        try:
+            problem = verify_criterion(f, cert.criterion)
+        except Exception as exc:  # malformed witness payloads must not crash replay
+            problem = f"criterion witness is malformed: {exc}"
+        if problem:
+            fail(problem)
+        if cert.outcome != criterion_outcome(cert.criterion):
+            fail("criterion outcome mismatch")
+        return errors
+
+    if cert.kind == KIND_NEGATIVE_FACE:
+        if cert.normal is None or is_zero(cert.normal) or cert.face is None or len(cert.children) != 1:
+            fail("malformed negative-face node")
+            return errors
+        values = [dot(cert.normal, mu) for mu in f.support]
+        top = max(values)
+        computed = {mu for mu, val in zip(f.support, values) if val == top}
+        if computed != set(cert.face):
+            fail("recorded face is not the face exposed by the recorded normal")
+        if not set(negatives(f)) <= computed:
+            fail("face does not contain all negative exponents")
+        if computed == set(f.support):
+            fail("face is not proper")
+        child_f = restrict(f, cert.face)
+        if cert.outcome != cert.children[0].outcome:
+            fail("outcome does not match the child outcome")
+        errors.extend(verify_certificate(child_f, cert.children[0], path + ".face"))
+        return errors
+
+    if cert.kind == KIND_PARALLEL_SPLIT:
+        if (
+            cert.normal is None
+            or is_zero(cert.normal)
+            or cert.edge is None
+            or cert.child_nonempty is None
+            or len(cert.child_nonempty) != 2
+            or len(cert.children) != 2
+        ):
+            fail("malformed parallel-split node")
+            return errors
+        values = {dot(cert.normal, mu) for mu in f.support}
+        if len(values) != 2:
+            fail("support does not lie on two parallel faces of the recorded normal")
+            return errors
+        face_v, face_mv = _parallel_faces(f, cert.normal)
+        neg = set(negatives(f))
+        e = cert.edge
+        if e.beta1 not in neg or e.beta1 not in face_v:
+            fail("edge endpoint beta1 is not a negative exponent on the upper face")
+        if e.beta2 not in neg or e.beta2 not in face_mv:
+            fail("edge endpoint beta2 is not a negative exponent on the lower face")
+        u = e.functional
+        if dot(u, e.beta1) != dot(u, e.beta2):
+            fail("edge functional is not constant on the edge")
+        for q in f.support:
+            if q in (e.beta1, e.beta2):
+                continue
+            if dot(u, e.beta1) <= dot(u, q):
+                fail("edge functional does not expose the edge strictly")
+                break
+        if cert.outcome != CERTIFIED_EXACTLY_ONE:
+            fail("parallel split must certify exactly one component")
+        for idx, (face, label) in enumerate(((face_v, "upper"), (face_mv, "lower"))):
+            child_f = restrict(f, face)
+            child = cert.children[idx]
+            if child.outcome not in CERTIFIED_OUTCOMES or child.outcome == CERTIFIED_EMPTY:
+                fail(f"{label} child is not certified with a nonempty-compatible outcome")
+            w = cert.child_nonempty[idx]
+            if w.point not in set(negatives(child_f)) or len(w.functional) != f.dimension:
+                fail(f"{label} nonempty witness is not a negative exponent of the child")
+            else:
+                for q in child_f.support:
+                    if q == w.point:
+                        continue
+                    if dot(w.functional, w.point) <= dot(w.functional, q):
+                        fail(f"{label} nonempty witness functional is not strictly exposing")
+                        break
+            errors.extend(verify_certificate(child_f, child, f"{path}.{label}"))
+        return errors
+
+    fail(f"unknown certificate kind {cert.kind!r}")
+    return errors

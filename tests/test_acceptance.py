@@ -8,19 +8,14 @@ import json
 import random
 from fractions import Fraction
 
-from descregions.certify import (
+from descregions.check import (
+    BOX,
     CERTIFIED_EMPTY,
     CERTIFIED_EXACTLY_ONE,
     INCONCLUSIVE,
     KIND_CRITERION,
     KIND_NEGATIVE_FACE,
     KIND_PARALLEL_SPLIT,
-    certify_connectivity,
-    verify_certificate,
-)
-from descregions.cli import main
-from descregions.criteria import (
-    BOX,
     MODE_NEGATIVES_INSIDE,
     MODE_POSITIVES_INSIDE,
     SIMPLEX_NEGATIVES_INSIDE,
@@ -28,10 +23,13 @@ from descregions.criteria import (
     STRICT_SEPARATING,
     CertifyConfig,
     SimplexWitness,
+    verify_certificate,
     verify_enclosing_pair,
     verify_separating_hyperplane,
     verify_simplex_witness,
 )
+from descregions.certify import certify_connectivity
+from descregions.cli import main
 from descregions.lp import LinearSystem, feasible
 from descregions.oracle import count_negative_components, default_grid
 from descregions.polytope import build_polytope

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from descregions import certify, criteria, polytope
-from descregions.certify import (
+from descregions.check import (
     CERTIFIED_AT_MOST_ONE,
     CERTIFIED_EMPTY,
     CERTIFIED_EXACTLY_ONE,
@@ -13,19 +13,19 @@ from descregions.certify import (
     KIND_INCONCLUSIVE,
     KIND_NEGATIVE_FACE,
     KIND_PARALLEL_SPLIT,
+    MODE_POSITIVES_INSIDE,
+    STRICT_SEPARATING,
+    CertifyConfig,
+    SimplexWitness,
+    verify_certificate,
+)
+from descregions.certify import (
     NotEnclosingError,
     certify_and_check_closure,
     certify_connectivity,
     intersection_nonempty,
     side_restrictions,
     upper_bound,
-    verify_certificate,
-)
-from descregions.criteria import (
-    MODE_POSITIVES_INSIDE,
-    STRICT_SEPARATING,
-    CertifyConfig,
-    SimplexWitness,
 )
 from descregions.signomial import Signomial
 
@@ -153,11 +153,16 @@ def test_intersection_nonempty_negatives_on_one_side():
     assert intersection_nonempty(f, (0, 1)) is None
 
 
-def test_upper_bound_strip_pair_sampled():
+def test_upper_bound_strip_pair_without_negative_edge_is_two():
+    # both faces certify at most one component and neither is empty, and no
+    # polytope edge joins their negatives: with no exact intersection
+    # evidence the bound is the sum of the children's
     report = upper_bound(STRIP_PAIR, (0, 1))
-    assert report.bound == 1
-    assert report.method == "graph-parallel"
-    assert report.edges[0].kind == "sampled-point"
+    assert intersection_nonempty(STRIP_PAIR, (0, 1)) is None
+    assert [c.outcome for c in report.children] == [CERTIFIED_AT_MOST_ONE, CERTIFIED_EXACTLY_ONE]
+    assert report.bound == 2
+    assert report.method == "sum"
+    assert report.edges == ()
 
 
 def test_upper_bound_cube_edge():

@@ -1,0 +1,292 @@
+"""The trusted checker: its import boundary, the names the benchmark reads,
+and replay against the previous replay on traces and tampered traces."""
+
+import ast
+import copy
+import importlib
+import itertools
+import json
+import random
+from fractions import Fraction
+from functools import cache, reduce
+from operator import getitem
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+import descregions
+from descregions import tracedoc
+from descregions.certify import certify_connectivity
+from descregions.check import (
+    BOX,
+    BoxWitness,
+    CertifyConfig,
+    CriterionCertificate,
+    EnclosingWitness,
+    frame_values,
+    verify_criterion,
+)
+from descregions.parsing import parse_signomial
+from descregions.signomial import Signomial
+
+import fixtures
+import replay_oracle
+from strategies import rational_signed_supports, signed_supports
+
+PACKAGE = Path(descregions.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that ``descregions.<module>`` imports."""
+    out = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("descregions"):
+            out.add(node.module.split(".")[1] if "." in node.module else node.module)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("descregions."))
+    return out
+
+
+def test_replay_imports_no_search():
+    assert _package_imports("check") <= {"linalg", "signomial"}
+    assert _package_imports("tracedoc") <= {"check", "parsing", "signomial"}
+
+
+def test_every_witness_check_is_defined_in_the_checker():
+    """``tracedoc.verify_document`` decodes a document and hands it to
+    ``check.verify_certificate``; every other ``verify_*`` is in ``check``."""
+    outside = {
+        (path.stem, node.name)
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "check"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+    }
+    assert outside == {("tracedoc", "verify_document")}
+
+
+def _bench_names():
+    """``(module, name)`` for every descregions name the benchmark reads: its
+    span targets and the names its scripts import or take off an imported
+    module."""
+    layers = ast.parse((BENCH / "layers.py").read_text())
+    spans = next(
+        node.value for node in layers.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and "SPANS" in [t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    )
+    names = [tuple(ast.literal_eval(key).split(".")) for key in spans.keys]
+    for path in BENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "descregions":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("descregions."):
+                names += [(node.module.split(".")[1], a.name) for a in node.names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                names.append((modules[node.value.id], node.attr))
+    return names
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    names = _bench_names()
+    assert ("certify", "verify_certificate") in names and ("criteria", "CertifyConfig") in names
+    missing = [
+        f"{module}.{name}" for module, name in names
+        if not hasattr(importlib.import_module(f"descregions.{module}"), name)
+    ]
+    assert missing == []
+
+
+def test_frame_values_compare_as_the_rationals_do():
+    f = Signomial.from_terms(2, [(1, (Fraction(1, 2), 0)), (-1, (0, Fraction(2, 3))), (1, (1, 1))])
+    v, offsets = (Fraction(3, 4), Fraction(-1, 6)), (Fraction(1, 3), Fraction(5, 12))
+    values, levels = frame_values(f, v, *offsets)
+    exact = [sum(a * b for a, b in zip(v, mu)) for mu in f.support]
+    assert all(type(x) is int for x in values + list(levels))
+    for (x, p), (y, q) in itertools.product(zip(values + list(levels), exact + list(offsets)), repeat=2):
+        assert (x < y) == (p < q) and (x == y) == (p == q)
+
+
+def test_box_endpoints_may_lie_on_the_enclosing_hyperplanes():
+    """Negatives at x = 0, 1, 6, 7 and positives at x = 3, 4 one row up: the
+    slab 1 <= x <= 6 encloses the pair, and the endpoints x = 6 and x = 1
+    lie on its two hyperplanes, as the criterion allows."""
+    f = Signomial.from_terms(2, [(-1, (x, 0)) for x in (0, 1, 6, 7)] + [(1, (x, 1)) for x in (3, 4)])
+    pair = EnclosingWitness((1, 0), Fraction(6), Fraction(1), True)
+    box = BoxWitness(pair, (Fraction(6), Fraction(0)), (Fraction(1), Fraction(0)), (0, -1), Fraction(-1))
+    cert = CriterionCertificate(BOX, True, box)
+    assert verify_criterion(f, cert) is None and replay_oracle.verify_criterion(f, cert) is None
+
+
+# --- replay against the previous replay -------------------------------------------
+
+FLAGGED = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True, enable_enclosing_search=True)
+CONFIGS = (CertifyConfig(), FLAGGED)
+# string fields that hold one rational; the entries of a vector are the others
+RATIONAL_KEYS = {"coefficient", "offset", "upper", "lower", "separator_offset"}
+
+
+def _document(f, config) -> dict:
+    cert = certify_connectivity(f, config)
+    return json.loads(tracedoc.document_to_json(tracedoc.make_document(f, config, cert)))
+
+
+@cache
+def fixture_documents():
+    """The trace documents of every fixture but WIDE16, under the default and
+    the flagged config."""
+    texts = [getattr(fixtures, name) for name in sorted(dir(fixtures)) if name.endswith("_TEXT")]
+    return [_document(parse_signomial(t), c) for t in texts if t != fixtures.WIDE16_TEXT for c in CONFIGS]
+
+
+def _kinds(node) -> set:
+    return {node["kind"]}.union(*(_kinds(child) for child in node.get("children", ())))
+
+
+def _cube_signomial(rng, n: int, lift: bool) -> Signomial:
+    """Signed vertices of the n-cube, and with ``lift`` a new last variable
+    that only a few positive terms hold, so that the negatives lie on a
+    proper face."""
+    corners = list(itertools.product((0, 1), repeat=n))
+    points = rng.sample(corners, rng.randint(n + 1, len(corners)))
+    terms = [(rng.choice((1, -1)), p) for p in points]
+    if lift:
+        terms = [(c, p + (0,)) for c, p in terms]
+        terms += [(1, p + (rng.randint(1, 3),)) for p in rng.sample(corners, rng.randint(1, 2))]
+    return Signomial.from_terms(n + lift, terms)
+
+
+@cache
+def recursion_documents():
+    """Trace documents of seeded random cube supports, 24 that hold a
+    parallel split and 24 that hold a negative-face reduction, under both
+    configs."""
+    rng = random.Random(20231)
+    found = {"parallel-split": [], "negative-face-reduction": []}
+    while any(len(docs) < 24 for docs in found.values()):
+        lift = rng.random() < 0.5
+        doc = _document(_cube_signomial(rng, 3 if lift else 4, lift), rng.choice(CONFIGS))
+        for kind, docs in found.items():
+            if kind in _kinds(doc["tree"]) and len(docs) < 24:
+                docs.append(doc)
+    return [doc for docs in found.values() for doc in docs]
+
+
+@st.composite
+def documents(draw):
+    """A fixture's trace, a seeded cube support's trace with recursion in it,
+    or the trace of a random signed support."""
+    source = draw(st.sampled_from(("fixture", "recursion", "recursion", "random")))
+    if source == "fixture":
+        return draw(st.sampled_from(fixture_documents()))
+    if source == "recursion":
+        return draw(st.sampled_from(recursion_documents()))
+    f = draw(st.one_of(signed_supports(3), rational_signed_supports(3)))
+    return _document(f, draw(st.sampled_from(CONFIGS)))
+
+
+def _sites(node, path):
+    """(path, kind) of every single-field mutation below ``path``: a
+    rational, a vector, a face's points, the input's terms, a key and a pair
+    of children."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,), "key"
+            yield from _sites(value, path + (key,))
+        if len(node.get("children", ())) == 2:
+            yield path + ("children",), "children"
+    elif isinstance(node, list):
+        if node and all(isinstance(x, str) for x in node):
+            yield path, "vector"
+        elif path[-1] == "face":
+            yield path, "points"
+        elif path[-1] == "terms" and node:
+            yield path, "terms"
+        for i, value in enumerate(node):
+            yield from _sites(value, path + (i,))
+    elif isinstance(node, str) and (isinstance(path[-1], int) or path[-1] in RATIONAL_KEYS):
+        yield path, "rational"
+
+
+def _field(path) -> str:
+    return next(p for p in reversed(path) if isinstance(p, str))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _mutate(doc: dict, data) -> dict:
+    """One field of ``doc`` changed: a rational replaced, negated or zeroed,
+    a vector shortened or replaced by another of the document's vectors, a
+    point of a face added, a term of the input dropped, a key dropped or the
+    children swapped.  The field
+    is drawn evenly among the field names of a kind, in the tree three times
+    in four, so that rare fields such as an edge functional come up."""
+    part = data.draw(st.sampled_from(("tree", "tree", "tree", "input")))
+    sites = list(_sites(doc[part], (part,)))
+    kind = data.draw(st.sampled_from(sorted({k for _, k in sites})))
+    field = data.draw(st.sampled_from(sorted({_field(p) for p, k in sites if k == kind})))
+    path = data.draw(st.sampled_from([p for p, k in sites if k == kind and _field(p) == field]))
+    event(f"mutation: {kind} at {field}")
+    everywhere = [(p, k) for part in ("input", "tree") for p, k in _sites(doc[part], (part,))]
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = reduce(getitem, head, doc)
+    value = parent[last]
+    if kind == "key":
+        del parent[last]
+    elif kind == "children":
+        value.reverse()
+    elif kind == "vector":
+        others = [reduce(getitem, p, doc) for p, k in everywhere if k == "vector"]
+        others = [v for v in others if len(v) == len(value) and v != value]
+        if others and data.draw(st.booleans()):
+            parent[last] = list(data.draw(st.sampled_from(others)))
+        else:
+            value.pop()
+    elif kind == "terms":
+        del value[data.draw(st.integers(0, len(value) - 1))]
+    elif kind == "points":
+        others = [reduce(getitem, p, doc) for p, k in everywhere if k == "vector"]
+        value.append(list(data.draw(st.sampled_from([v for v in others if len(v) == len(value[0] if value else v)]))))
+    else:
+        old = Fraction(value)
+        new = data.draw(st.one_of(st.just(-old), st.just(Fraction(0)), RATIONALS.filter(lambda x: x != old)))
+        parent[last] = str(new)
+    return doc
+
+
+def _messages(errors):
+    """A replay's messages, with the text of a quoted exception cut off."""
+    return [e.split(":")[0] if e.startswith("malformed document: ") else e for e in errors]
+
+
+def _replays_alike(doc):
+    errors = tracedoc.verify_document(doc)
+    with mock.patch.object(tracedoc, "verify_certificate", replay_oracle.verify_certificate):
+        expected = tracedoc.verify_document(doc)
+    event(f"rejected: {bool(expected)}")
+    assert _messages(errors) == _messages(expected)
+    return errors
+
+
+@given(documents())
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+def test_every_trace_replays_as_before(doc):
+    assert _replays_alike(doc) == []
+
+
+@given(documents(), st.data())
+@settings(deadline=None, max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
+def test_tampered_traces_replay_as_before(doc, data):
+    """On single-field mutations of certify's traces, replay never raises and
+    reports what the previous replay reports: nothing exactly when it does,
+    in the same messages."""
+    _replays_alike(_mutate(doc, data))

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from descregions.criteria import (
+from descregions.check import (
     BOX,
     MODE_NEGATIVES_INSIDE,
     MODE_POSITIVES_INSIDE,
@@ -12,25 +12,27 @@ from descregions.criteria import (
     NO_POSITIVE_TERMS,
     ONE_NEGATIVE_COEFF,
     ONE_POSITIVE_COEFF,
-    STRICT_SEPARATING,
     SIMPLEX_NEGATIVES_INSIDE,
     SIMPLEX_POSITIVES_INSIDE,
+    STRICT_SEPARATING,
     CertifyConfig,
     DegenerateSimplexError,
-    EnclosingBudgetExceededError,
     EnclosingWitness,
     SimplexWitness,
+    simplex_halfspaces,
+    verify_criterion,
+    verify_enclosing_pair,
+    verify_separating_hyperplane,
+    verify_simplex_witness,
+)
+from descregions.criteria import (
+    EnclosingBudgetExceededError,
     check_box_criterion,
     check_connectivity,
     closure_property,
     find_strict_enclosing_pair,
     find_strict_separating_hyperplane,
     negative_vertex_functional,
-    simplex_halfspaces,
-    verify_criterion,
-    verify_enclosing_pair,
-    verify_separating_hyperplane,
-    verify_simplex_witness,
     _simplex_search,
 )
 from descregions import criteria, lp

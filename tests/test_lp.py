@@ -13,7 +13,7 @@ from descregions.lp import (
 )
 from descregions.linalg import dot
 from descregions.certify import certify_connectivity
-from descregions.criteria import CertifyConfig
+from descregions.check import CertifyConfig
 from descregions.signomial import Signomial, negatives, positives
 
 import fixtures

@@ -9,7 +9,6 @@ from descregions.oracle import (
     GridSpec,
     count_negative_components,
     default_grid,
-    intersection_witness,
     negative_mask,
 )
 from descregions.signomial import evaluate_log, negatives, positives, restrict
@@ -17,11 +16,9 @@ from descregions.signomial import evaluate_log, negatives, positives, restrict
 from fixtures import (
     NEG_QUADRATIC_SPLIT,
     SIMPLEX_SPLIT,
-    STRIP_PAIR,
     TEN_TERM,
     TEN_TERM_LOWER,
     TEN_TERM_UPPER,
-    vec,
 )
 
 F = Fraction
@@ -59,30 +56,6 @@ def test_witnesses_hold_at_higher_precision():
             e = sum(mpmath.mpf(m.numerator) / m.denominator * y for m, y in zip(t.exponent, w))
             total += mpmath.mpf(t.coefficient.numerator) / t.coefficient.denominator * mpmath.e**e
         assert total < 0
-
-
-def test_intersection_witness_parallel_faces():
-    top = restrict(STRIP_PAIR, [vec(0, 1), vec(1, 1), vec(4, 1)])
-    bottom = restrict(STRIP_PAIR, [vec(1, 0), vec(2, 0), vec(4, 0)])
-    w = intersection_witness(top, bottom, grid2(200))
-    assert w is not None
-    assert evaluate_log(top, w) < 0 and evaluate_log(bottom, w) < 0
-
-
-def test_intersection_witness_disjoint_sides():
-    assert intersection_witness(TEN_TERM_UPPER, TEN_TERM_LOWER, grid2(400)) is None
-
-
-def test_intersection_witness_overlapping_restrictions():
-    # restrictions to two overlapping subsets of the ten-term support meet
-    # near x = 2, y = 1
-    r_set = [vec(3, 2), vec(2, 1), vec(2, 3), vec(1, 3), vec(2, 0)]
-    s_set = [vec(0, 3), vec(0, 1), vec(1, 3), vec(0, 4), vec(0, 2), vec(0, 0)]
-    fr = restrict(TEN_TERM, r_set)
-    fs = restrict(TEN_TERM, s_set)
-    w = intersection_witness(fr, fs, grid2(200))
-    assert w is not None
-    assert evaluate_log(fr, w) < 0 and evaluate_log(fs, w) < 0
 
 
 def test_restriction_masks_nest():

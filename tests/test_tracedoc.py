@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from descregions import tracedoc
-from descregions.certify import (
+from descregions.check import (
     INCONCLUSIVE,
-    certify_connectivity,
-    verify_certificate,
-)
-from descregions.criteria import (
     MODE_POSITIVES_INSIDE,
     CertifyConfig,
     SimplexWitness,
+    verify_certificate,
 )
+from descregions.certify import certify_connectivity
 from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
