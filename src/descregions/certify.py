@@ -24,6 +24,7 @@ signomial's own Fraction exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -58,7 +59,7 @@ from .criteria import (
     hull_indices,
     negative_vertex_functional,
 )
-from .linalg import Vector, dot, vector
+from .linalg import Vector, vector
 from .polytope import (
     FacetBudgetExceededError,
     Polytope,
@@ -242,10 +243,11 @@ def upper_bound(
         elif config.enable_enclosing_search:
             # derive the tightest enclosing offsets along v
             method = "graph-ab"
-            pos_values = [dot(vv, alpha) for alpha in positives(f)]
-            if not pos_values:
+            if not f.positive_indices:
                 raise ValueError("enclosing offsets need positive exponents")
-            a, b = max(pos_values), min(pos_values)
+            values, (unit,) = frame_values(f, vv, 1)
+            pos_values = [values[i] for i in f.positive_indices]
+            a, b = Fraction(max(pos_values), unit), Fraction(min(pos_values), unit)
             fa, fb = side_restrictions(f, vv, a, b)
         else:
             raise ValueError(

@@ -10,8 +10,9 @@ witness classes and criterion kinds live in ``check`` too.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, List, Optional, Sequence, Tuple
+from heapq import merge
+from itertools import combinations, groupby
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import lp
 from .check import (
@@ -252,6 +253,15 @@ def _simplex_certificate(w: SimplexWitness) -> CriterionCertificate:
     return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, w)
 
 
+def _combinations_holding(vertices: frozenset, count: int, size: int) -> Iterator[Tuple[int, ...]]:
+    """The combinations of ``size`` indices below ``count`` that hold every
+    index in ``vertices``, in the order of ``combinations(range(count),
+    size)``: adding a fixed set to sorted choices from the rest keeps it."""
+    rest = [i for i in range(count) if i not in vertices]
+    for extra in combinations(rest, size - len(vertices)):
+        yield tuple(sorted(vertices.union(extra)))
+
+
 def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optional[CriterionCertificate]:
     """First simplex witness spanned by n + 1 support points, combinations in
     sorted order and negatives-inside before positives-inside.
@@ -281,11 +291,12 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
         for i in P.vertices:
             positive = f.terms[i].coefficient > 0
             needed[MODE_POSITIVES_INSIDE if positive else MODE_NEGATIVES_INSIDE].add(i)
+    # only the combinations that hold every needed vertex of some mode, in
+    # sorted order; none when each mode needs more than n + 1 vertices
+    holding = {frozenset(v) for v in needed.values() if len(v) <= n + 1}
     frame = f.frame
-    for combo in combinations(range(len(support)), n + 1):
+    for combo, _ in groupby(merge(*(_combinations_holding(v, len(support), n + 1) for v in holding))):
         modes = [mode for mode, vertices in needed.items() if vertices.issubset(combo)]
-        if not modes:
-            continue
         try:
             derived = simplex_halfspaces([frame[i] for i in combo])
         except DegenerateSimplexError:

@@ -4,28 +4,33 @@ Only feasibility is ever needed: the questions asked here (separating and
 enclosing hyperplanes, segment/hull disjointness) are positively homogeneous,
 so strict inequalities are pre-normalized by the callers to a ">= 1" slack.
 Vertex, edge and face questions need no LP: ``polytope`` answers them from
-the hull's facet incidences.  Pivoting follows Bland's rule with a fixed row
-order, so the returned witnesses are deterministic.
+the hull's facet incidences.  Pivoting follows Bland's rule with a fixed
+variable order, so the returned witnesses are deterministic.
+
+The simplex is narrow (Chvatal, *Linear Programming*, ch. 2-3 and 8).  Row r
+reads coeffs . x - s_r = rhs, with a surplus s_r >= 0 on a ">=" row.  A ">="
+row whose rhs is <= 0 starts with its surplus basic; only the others (rhs >
+0, and "=" rows) get an artificial, and phase I minimizes their sum.  The
+tableau is a dictionary, one row per basic variable and one column per
+nonbasic one, so the separating LP with one strict row is n + 3 entries
+wide.  In a pivot the leaving variable takes the entering one's column; a
+">=" row's artificial is dropped once it leaves.  The unknowns x stay free:
+one enters in whichever direction lowers the objective and, once basic, is
+never ratio-tested, so it never leaves.  Phase I stops once the sum is 0.
 
 The tableau holds Python integers: the rows are scaled by the lcm of every
-denominator in the system, and the rational tableau is the integer one over
-a single common denominator, the determinant of the current basis.  Each
-pivot updates the rows fraction-free (Edmonds 1967, Bareiss 1968, as in
-Avis's lrs) with exact integer divisions, so no ``Fraction`` is formed until
-the witness is read off.  Both answers are checked exactly before they are
-returned, on the same integer rows: a witness x = values / d must satisfy
-every row, as row . values >= rhs * d, and an infeasible answer carries a
-Farkas certificate y, read off the final objective row, with y >= 0 on the
-">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0.
-
-The tableau stores only the u columns of the split x = u - w, one
-artificial column per row and the right-hand side.  Row operations keep
-every linear relation between columns, so the others are read off these:
-w_j is -u_j, and the surplus of row r is -L s_r times its artificial (s_r
-the row's sign flip), with reduced cost L y_r for the multiplier y_r that
-the Farkas readout uses.  Pricing, the ratio test and the readout run over
-the full set of columns in the same order, so Bland's rule walks the same
-bases as on the wide tableau, with the same witnesses and Farkas vectors.
+denominator in the system, and the rational dictionary is the integer one
+over a single common denominator d, the determinant of the current basis.
+Each pivot updates the rows fraction-free (Edmonds 1967, Bareiss 1968, as in
+Avis's lrs) with exact integer divisions.  Both answers are checked exactly
+on the same integer rows before they are returned: a witness x = values / d
+must satisfy every row, as row . values >= rhs * d, and an infeasible answer
+carries a Farkas certificate y, with y >= 0 on the ">=" rows, sum y_i
+coeffs_i = 0 and sum y_i rhs_i > 0.  The final objective row is the sum of
+the artificials minus the combination y of the rows, so y_r is read off it
+as the reduced cost of s_r (0 while s_r is basic), or on an "=" row, whose
+artificial keeps its column, as one minus that of t_r, times the sign of
+the row's rhs.
 
 Rows may hold ints or Fractions.  The criteria build theirs as ints from a
 signomial's lattice frame, which multiplies the exponent columns by L: a
@@ -38,7 +43,7 @@ Fractions; the criteria multiply the normal by L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Literal, Optional, Sequence, Tuple, Union
@@ -46,9 +51,6 @@ from typing import Iterable, List, Literal, Optional, Sequence, Tuple, Union
 from .linalg import IntVector, Vector, dot, lattice
 
 Relation = Literal[">=", "="]
-
-ZERO = Fraction(0)
-
 
 Number = Union[int, Fraction]
 
@@ -97,6 +99,7 @@ class FeasibilityResult:
     # for an infeasible system, row multipliers y (checked by ``_refutes``)
     # with y >= 0 on the ">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0
     farkas: Optional[Tuple[int, ...]] = None
+    pivots: int = field(default=0, compare=False)  # simplex pivots made
 
     @property
     def is_feasible(self) -> bool:
@@ -125,110 +128,106 @@ def _refutes(system: LinearSystem, y: Sequence[int]) -> bool:
     return sum(yi * rhs for yi, (_, rhs, _) in zip(y, rows)) > 0
 
 
-def _pivot_row(row: List[int], pivot_row: List[int], p: int, c: int, d: int) -> List[int]:
-    """One fraction-free update of a non-pivot row whose entering-column
-    entry is c: the pivot p becomes the common denominator in place of d."""
+def _pivot_row(row: List[int], pivot_row: List[int], p: int, e: int, d: int) -> List[int]:
+    """One fraction-free exchange of a non-pivot row: the pivot p becomes the
+    common denominator in place of d, and column e, which the leaving
+    variable takes over, becomes minus the row's old entry there."""
+    c = row[e]
     if c == 0:
         return row if p == d else [p * a // d for a in row]
-    return [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
+    new = [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
+    new[e] = -c
+    return new
 
 
 def feasible(system: LinearSystem) -> FeasibilityResult:
     """Exact feasibility of a system of >=/= rows over free rational unknowns.
 
-    Free variables are split as x = u - w, ">=" rows get surplus variables,
-    and a phase-I simplex minimizes the sum of one artificial per row.  An
-    infeasible answer carries its Farkas certificate.
+    A phase-I simplex minimizes the sum of the artificials of the rows that
+    need one.  An infeasible answer carries its Farkas certificate.
     """
     n = system.unknowns
-    m = len(system.rows)
-    if m == 0:
-        return FeasibilityResult(tuple([ZERO] * n))
-
-    # Every row is multiplied by the lcm L of all denominators, so surplus
-    # coefficients read -L and an artificial, kept at coefficient 1, stands
-    # for L times the artificial of the unscaled row.  Every reduced cost and
-    # every ratio then changes by a positive factor only, so Bland's rule
-    # walks the same bases as over the unscaled rationals.  The tableau
-    # stores the u and artificial columns and the rhs (width n + m + 1).
-    scale, rows = system.lattice
-    width = n + m
+    _, rows = system.lattice
+    m = len(rows)
+    # variable labels, also Bland's order: x_j is j, the surplus of row r is
+    # n + r and its artificial n + m + r; artificials never enter
+    late = [r for r, (_, rhs, relation) in enumerate(rows) if relation == ">=" and rhs > 0]
+    labels = list(range(n)) + [n + r for r in late]  # the nonbasic variable of each column
+    basis: List[int] = []
     tableau: List[List[int]] = []
-    signs: List[int] = []  # -1 for a row negated to make its rhs nonnegative
-    for i, (coeffs, rhs, _) in enumerate(rows):
-        s = -1 if rhs < 0 else 1
-        line = [s * c for c in coeffs] + [0] * m + [s * rhs]
-        line[n + i] = 1
-        signs.append(s)
+    for r, (coeffs, rhs, relation) in enumerate(rows):
+        # basic + line . nonbasic = line[-1] >= 0, the basic's coefficient 1
+        s = -1 if rhs < 0 or (rhs == 0 and relation == ">=") else 1
+        line = [s * c for c in coeffs] + [-1 if q == r else 0 for q in late] + [s * rhs]
+        basis.append(n + r if s < 0 and relation == ">=" else n + m + r)
         tableau.append(line)
+    # phase-I objective row: the reduced costs times d, and -d * (sum of the
+    # artificials) in its last entry
+    obj = [0] * (len(labels) + 1)
+    for line, b in zip(tableau, basis):
+        if b >= n + m:
+            obj = [o - a for o, a in zip(obj, line)]
 
-    # The virtual columns u, w, surplus, artificial, in Bland's order, as
-    # (stored column, factor, shift): a constraint row holds factor * row[at]
-    # and the reduced cost is factor * obj[at] + shift * d.  Row operations
-    # keep w_j = -u_j, and surplus r = -L s_r art_r; the objective row is
-    # d c - y A, so surplus r costs L s_r (d - obj[art_r]), L times the
-    # multiplier y_r of the Farkas readout below.
-    columns = [(j, 1, 0) for j in range(n)] + [(j, -1, 0) for j in range(n)]
-    columns += [(n + i, -scale * s, scale * s) for i, s in enumerate(signs) if rows[i][2] == ">="]
-    columns += [(n + i, 1, 0) for i in range(m)]
-    basis = [len(columns) - m + i for i in range(m)]
-    # phase-I objective: minimize the sum of artificials; start from the
-    # reduced costs for the all-artificial basis
-    obj = [-sum(column) for column in zip(*tableau)]
-    obj[n:width] = [0] * m
-
-    # The rational tableau is tableau / d, where d is the determinant of the
-    # current basis.  Every entry of tableau is then a minor of the starting
-    # one, so the divisions in ``_pivot_row`` are exact (Edmonds, Bareiss).
-    d = 1
-    while True:
-        enter = next((j for j, (at, f, sh) in enumerate(columns) if f * obj[at] + sh * d < 0), -1)
-        if enter < 0:
+    # The rational dictionary is tableau / d, where d is the determinant of
+    # the current basis.  Every entry of tableau is then a minor of the
+    # starting one, so the divisions in ``_pivot_row`` are exact (Edmonds,
+    # Bareiss).  Pivots are positive, so d stays positive.
+    d, pivots = 1, 0
+    while obj[-1]:  # until the artificials are all 0, or no pivot lowers their sum
+        candidates = [j for j, v in enumerate(labels) if (obj[j] < 0 or obj[j] and v < n) and v < n + m]
+        if not candidates:
             break
-        at, f, sh = columns[enter]
-        entering = [f * row[at] for row in tableau]
+        e = min(candidates, key=labels.__getitem__)
+        if obj[e] > 0:  # a free unknown entering downwards: negate its column
+            for line in tableau:
+                line[e] = -line[e]
+            obj[e] = -obj[e]
+            labels[e] = ~labels[e]
         leave = -1
-        for i, a in enumerate(entering):
-            if a > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                # rhs_i / a against rhs_leave / a_leave, cross-multiplied
-                here = tableau[i][width] * entering[leave]
-                best = tableau[leave][width] * a
-                if here < best or (here == best and basis[i] < basis[leave]):
-                    leave = i
+        for i, line in enumerate(tableau):
+            a = line[e]
+            # the least ratio rhs_i / a, cross-multiplied, then the lower label
+            if a > 0 and basis[i] >= n and (
+                leave < 0 or (line[-1] * tableau[leave][e], basis[i]) < (tableau[leave][-1] * a, basis[leave])
+            ):
+                leave = i
         if leave < 0:
             # phase-I objective is bounded below by 0; unbounded cannot occur
             raise RuntimeError("phase-I simplex became unbounded")
         pivot_row = tableau[leave]
-        p = entering[leave]
+        p = pivot_row[e]
         for i in range(m):
             if i != leave:
-                tableau[i] = _pivot_row(tableau[i], pivot_row, p, entering[i], d)
-        obj = _pivot_row(obj, pivot_row, p, f * obj[at] + sh * d, d)
-        if f * obj[at] + sh * p != 0:
-            # a broken update; without this the entering column could stay
-            # negative and be chosen again forever
-            raise RuntimeError("pivot left the entering column with a nonzero reduced cost")
+                tableau[i] = _pivot_row(tableau[i], pivot_row, p, e, d)
+        obj = _pivot_row(obj, pivot_row, p, e, d)
+        pivot_row[e] = d
+        labels[e], basis[leave] = basis[leave], labels[e]
         d = p
-        basis[leave] = enter
+        pivots += 1
+        if labels[e] >= n + m and rows[labels[e] - n - m][2] == ">=":
+            for line in tableau:
+                del line[e]
+            del obj[e], labels[e]
 
-    if obj[width] != 0:
-        # the simplex multipliers d * pi_i = d - obj[art_i]; undoing the row
-        # negation turns them into multipliers of the rows as given
-        y = tuple(s * (d - obj[n + i]) for i, s in enumerate(signs))
+    if obj[-1] != 0:
+        cost = {v: obj[j] for j, v in enumerate(labels)}  # basic variables cost 0
+        y = [
+            cost.get(n + r, 0) if relation == ">=" else (1 if rhs >= 0 else -1) * (d - cost.get(n + m + r, 0))
+            for r, (_, rhs, relation) in enumerate(rows)
+        ]
         if not _refutes(system, y):
             raise RuntimeError("simplex produced an invalid Farkas certificate")
-        return FeasibilityResult(None, y)
+        return FeasibilityResult(None, tuple(y), pivots)
 
-    values = [0] * len(columns)
-    for i, b in enumerate(basis):
-        values[b] = tableau[i][width]
-    x = [values[j] - values[n + j] for j in range(n)]
+    x = [0] * n
+    for line, v in zip(tableau, basis):
+        if v < 0:
+            x[~v] = -line[-1]
+        elif v < n:
+            x[v] = line[-1]
     if not _satisfies(system, x, d):
         raise RuntimeError("simplex produced an invalid witness")
-    return FeasibilityResult(tuple(Fraction(a, d) for a in x))
+    return FeasibilityResult(tuple(Fraction(a, d) for a in x), None, pivots)
 
 
 def separate_segment_from_hull(b1: Sequence, b2: Sequence, hull_points: Sequence[Sequence]) -> FeasibilityResult:

@@ -1,19 +1,21 @@
-"""The exact simplex as it stood before its tableau went half-width, kept as
-an independent oracle for the tests (like ``fm_oracle`` and ``parse_oracle``).
+"""The exact simplex on the full phase-I tableau, kept as an independent
+oracle for the tests (like ``fm_oracle`` and ``parse_oracle``).
 
 The tableau stores every column of the phase-I formulation: u and w for the
 split x = u - w, one surplus per ">=" row, one artificial per row, and the
-right-hand side, in that order.  ``feasible`` is unchanged; it shares only
-the system type, the result type and the exact checks with ``lp``, so a
-difference in the Bland path, the witness or the Farkas vector shows.
+right-hand side, in that order, and starts from the all-artificial basis.
+It shares only the system type, the result type and the exact checks with
+``lp``, whose narrow dictionary walks another Bland path: the tests compare
+the feasibility status, and check each kernel's witness or Farkas vector.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List
 
-from descregions.lp import ZERO, FeasibilityResult, LinearSystem, _refutes, _satisfies
+from descregions.lp import FeasibilityResult, LinearSystem, _refutes, _satisfies
+
+ZERO = Fraction(0)
 
 
 def _pivot_row(row: List[int], pivot_row: List[int], p: int, enter: int, d: int) -> List[int]:

@@ -27,8 +27,10 @@ from descregions.certify import (
     side_restrictions,
     upper_bound,
 )
-from descregions.signomial import Signomial
+from descregions.linalg import dot, vector
+from descregions.signomial import Signomial, positives
 
+import fixtures
 from fixtures import (
     BOX_F,
     CUBE3,
@@ -190,6 +192,32 @@ def test_upper_bound_derives_enclosing_offsets():
     report = upper_bound(BOX_F, (1, 0), config)
     assert report.bound == 1
     assert report.edges[0].kind == "segment-witness"
+
+
+def test_upper_bound_enclosing_offsets_are_the_rational_extremes(monkeypatch):
+    """Offsets derived on the lattice frame are the max and min of the
+    Fraction dot products v . alpha over the positive exponents."""
+    seen = []
+    real = certify.side_restrictions
+    monkeypatch.setattr(certify, "side_restrictions", lambda f, v, a, b: seen.append((a, b)) or real(f, v, a, b))
+    config = CertifyConfig(enable_enclosing_search=True)
+    derived = 0
+    for f in vars(fixtures).values():
+        if not isinstance(f, Signomial) or f.dimension > 4 or not positives(f):
+            continue
+        n = f.dimension
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        for v in units + [(1,) * n, tuple(F(1, 2 + i) * (-1) ** i for i in range(n))]:
+            seen.clear()
+            try:
+                upper_bound(f, v, config)
+            except NotEnclosingError:
+                pass
+            if seen:
+                values = [dot(vector(v), alpha) for alpha in positives(f)]
+                assert seen[0] == (max(values), min(values))
+                derived += 1
+    assert derived > 10
 
 
 def test_upper_bound_disjoint_children():

@@ -522,6 +522,32 @@ def test_simplex_search_derives_only_combinations_holding_newton_vertices(monkey
     assert len(derived) == 120
 
 
+@given(signed_supports(max_dimension=3))
+@settings(deadline=None, max_examples=60)
+def test_simplex_search_walks_the_filtered_combinations_in_sorted_order(f):
+    """The combinations derived are those of all of them, in sorted order,
+    that hold every Newton vertex of one sign, up to the first witness."""
+    derived = []
+    real = criteria.simplex_halfspaces
+    criteria.simplex_halfspaces = lambda points: derived.append(points) or real(points)
+    try:
+        found = _simplex_search(f, CertifyConfig())
+    finally:
+        criteria.simplex_halfspaces = real
+    n = f.dimension
+    P = build_polytope(f.support)
+    if P.dim < n:
+        assert derived == []
+        return
+    needed = [{i for i in P.vertices if (f.terms[i].coefficient > 0) == positive} for positive in (False, True)]
+    expected = [
+        [f.frame[i] for i in combo]
+        for combo in combinations(range(len(f.terms)), n + 1)
+        if any(vertices.issubset(combo) for vertices in needed)
+    ]
+    assert derived == (expected[: len(derived)] if found else expected)
+
+
 # --- LPs on the lattice frame against the same LPs on rational rows ----------
 
 

@@ -203,7 +203,7 @@ TRACE_SHA256 = {
     "WIDE16": "682a5d0658d29606ab5af2a249c31fc11977f7aded3679db4b7808814f652629",  # Inconclusive
 }
 FLAGGED_TRACE_SHA256 = {
-    "SIMPLEX_CONNECTED": "08b96e1fc547d4a91272707b355a7dcd3cc0058fb243c1b2d2617498459d17ad",  # CertifiedExactlyOne
+    "SIMPLEX_CONNECTED": "53d0bfb6fc50d68d94da4d40e9397034470d329be62a2162230532394744b1b6",  # CertifiedExactlyOne
     "LOWDIM_BOX": "a9744a5ba8ae9cd7f9de63bb9fe1a2505798c734b29b9a281bf8a92604440a52",  # CertifiedExactlyOne
     "LOWDIM_INCONCLUSIVE": "88df253d148d4f1d0861f22c68c5be20fdf12734e6890862f576747bb469ad9d",  # Inconclusive
 }
