@@ -75,15 +75,11 @@ def _format_text(node: Certificate, indent: int = 0) -> List[str]:
     if node.kind == KIND_CRITERION:
         lines = [f"{pad}criterion {node.criterion.kind} -> {node.outcome}"]
     elif node.kind == KIND_NEGATIVE_FACE:
-        normal = ",".join(str(c) for c in node.normal)
+        normal = ",".join(map(str, node.normal))
         lines = [f"{pad}negative-face-reduction normal=({normal}) -> {node.outcome}"]
     elif node.kind == KIND_PARALLEL_SPLIT:
-        normal = ",".join(str(c) for c in node.normal)
-        b1 = ",".join(str(c) for c in node.edge.beta1)
-        b2 = ",".join(str(c) for c in node.edge.beta2)
-        lines = [
-            f"{pad}parallel-split normal=({normal}) edge=({b1})-({b2}) -> {node.outcome}"
-        ]
+        normal, b1, b2 = (",".join(map(str, v)) for v in (node.normal, node.edge.beta1, node.edge.beta2))
+        lines = [f"{pad}parallel-split normal=({normal}) edge=({b1})-({b2}) -> {node.outcome}"]
     elif node.kind == KIND_EMPTY:
         lines = [f"{pad}empty negative support -> {node.outcome}"]
     else:
@@ -109,7 +105,6 @@ def _cmd_certify(args) -> int:
         max_depth=args.max_depth,
         facet_budget=args.facet_budget,
         enable_simplex_search=args.enable_simplex_search,
-        enable_enclosing_search=args.enable_enclosing_search,
         enable_box_criterion=args.enable_box,
     )
     cert = certify_connectivity(f, config)
@@ -178,15 +173,11 @@ def _cmd_analyze(args) -> int:
         report["facet_budget_exceeded"] = True
     separating = cache(lambda: find_strict_separating_hyperplane(f))
     sep = separating()
-    report["strict_separating"] = (
-        {
-            "normal": [str(c) for c in sep.normal],
-            "offset": str(sep.offset),
-            "strict_point": [str(c) for c in sep.strict_point],
-        }
-        if sep
-        else None
-    )
+    report["strict_separating"] = None if sep is None else {
+        "normal": [str(c) for c in sep.normal],
+        "offset": str(sep.offset),
+        "strict_point": [str(c) for c in sep.strict_point],
+    }
     try:
         report["closure_property"] = closure_property(f, args.facet_budget, newton, separating)
     except FacetBudgetExceededError:
@@ -225,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--facet-budget", type=int, default=10000)
     p.add_argument("--enable-simplex-search", action="store_true")
-    p.add_argument("--enable-enclosing-search", action="store_true")
     p.add_argument("--enable-box", action="store_true")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--verify-trace", action="store_true", help="re-verify an emitted trace document")

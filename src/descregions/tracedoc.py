@@ -1,12 +1,16 @@
 """Versioned JSON documents for certificate traces.
 
-All rationals are serialized as exact "p/q" strings (never floats) so a trace
-round-trips to a structurally equal certificate and every witness can be
-re-verified after the fact.
+Every rational is an exact string, never a float, so a trace round-trips to
+a structurally equal certificate and every witness can be re-verified.  It
+is spelled as ``str(Fraction)`` writes it, and only so: ``-?(0|[1-9][0-9]*)``
+(never ``-0``), or ``-?[1-9][0-9]*/[1-9][0-9]*`` in lowest terms with a
+denominator of at least 2.  Any other spelling (a JSON number, ``"+2"``,
+``" 2"``, ``"2.0"``, ``"2/1"``, ``"4/2"``, ...) makes the document malformed.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
@@ -48,8 +52,26 @@ def _vec(v) -> List[str]:
     return [_fmt(a) for a in v]
 
 
-def _unvec(v) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(a) for a in v)
+_CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
+
+
+class _Rationals(dict):
+    """One document's rationals by spelling: a spelling not yet in the dict
+    is read, checked to be canonical and kept, so each is read once."""
+
+    def __missing__(self, text) -> Fraction:
+        match = _CANONICAL.fullmatch(text) if type(text) is str else None
+        value = match and Fraction(int(match[1]), int(match[2] or 1))
+        if not match or value.denominator != int(match[2] or 1):
+            raise ValueError(f"not a canonical rational: {text!r:.40}")
+        self[text] = value
+        return value
+
+
+def _unvec(v, q: _Rationals) -> Tuple[Fraction, ...]:
+    if type(v) is not list:
+        raise ValueError(f"expected a list of rationals, found {type(v).__name__}")
+    return tuple(map(q.__getitem__, v))
 
 
 def signomial_to_json(f: Signomial) -> dict:
@@ -66,14 +88,18 @@ def signomial_from_json(data: dict) -> Signomial:
     """The input signomial, under the text format's caps: at most MAX_TERMS
     terms, and at most MAX_EXPONENT_DIGITS digits in each exponent entry's
     numerator and denominator (ValueError beyond them)."""
+    return _signomial(data, _Rationals())
+
+
+def _signomial(data: dict, q: _Rationals) -> Signomial:
     if len(data["terms"]) > MAX_TERMS:
         raise ValueError(f"more than {MAX_TERMS} terms")
     terms = []
     for t in data["terms"]:
-        exponent = _unvec(t["exponent"])
+        exponent = _unvec(t["exponent"], q)
         if any(abs(e.numerator) >= EXPONENT_BOUND or e.denominator >= EXPONENT_BOUND for e in exponent):
             raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
-        terms.append(Term(Fraction(t["coefficient"]), exponent))
+        terms.append(Term(q[t["coefficient"]], exponent))
     return Signomial(int(data["dimension"]), tuple(terms))
 
 
@@ -91,45 +117,24 @@ def config_to_json(config: CertifyConfig) -> dict:
     return out
 
 
-def config_from_json(data: dict) -> CertifyConfig:
-    witness = data.get("simplex_witness")
-    return CertifyConfig(
-        max_depth=int(data.get("max_depth", 64)),
-        facet_budget=data.get("facet_budget"),
-        enable_simplex_search=bool(data.get("enable_simplex_search", False)),
-        enable_enclosing_search=bool(data.get("enable_enclosing_search", False)),
-        enable_box_criterion=bool(data.get("enable_box_criterion", False)),
-        simplex_witness=_simplex_from_json(witness) if witness else None,
-        enclosing_max_negatives=int(data.get("enclosing_max_negatives", 12)),
-    )
-
-
 def _simplex_to_json(w: SimplexWitness) -> dict:
-    out = {
-        "vertices": [_vec(v) for v in w.vertices],
-        "mode": w.mode,
-    }
+    out = {"vertices": [_vec(v) for v in w.vertices], "mode": w.mode}
     if w.interior_negative is not None:
         out["interior_negative"] = _vec(w.interior_negative)
     if w.halfspaces is not None:
-        out["halfspaces"] = [
-            {"normal": _vec(v), "offset": _fmt(a)} for v, a in w.halfspaces
-        ]
+        out["halfspaces"] = [{"normal": _vec(v), "offset": _fmt(a)} for v, a in w.halfspaces]
     return out
 
 
-def _simplex_from_json(data: dict) -> SimplexWitness:
-    halfspaces = None
-    if "halfspaces" in data:
-        halfspaces = tuple(
-            (_unvec(h["normal"]), Fraction(h["offset"])) for h in data["halfspaces"]
-        )
+def _simplex_from_json(data: dict, q: _Rationals) -> SimplexWitness:
     interior = data.get("interior_negative")
     return SimplexWitness(
-        vertices=tuple(_unvec(v) for v in data["vertices"]),
+        vertices=tuple(_unvec(v, q) for v in data["vertices"]),
         mode=data["mode"],
-        interior_negative=_unvec(interior) if interior else None,
-        halfspaces=halfspaces,
+        interior_negative=_unvec(interior, q) if interior else None,
+        halfspaces=tuple((_unvec(h["normal"], q), q[h["offset"]]) for h in data["halfspaces"])
+        if "halfspaces" in data
+        else None,
     )
 
 
@@ -159,30 +164,30 @@ def _criterion_to_json(cert: CriterionCertificate) -> dict:
     return out
 
 
-def _criterion_from_json(data: dict) -> CriterionCertificate:
+def _criterion_from_json(data: dict, q: _Rationals) -> CriterionCertificate:
     kind = data["criterion"]
     nonempty = bool(data["nonempty"])
     witness = None
     if kind in (ONE_NEGATIVE_COEFF, ONE_POSITIVE_COEFF) and "exponent" in data:
-        witness = _unvec(data["exponent"])
+        witness = _unvec(data["exponent"], q)
     elif kind == STRICT_SEPARATING:
         w = data["witness"]
         witness = SeparatingWitness(
-            _unvec(w["normal"]),
-            Fraction(w["offset"]),
+            _unvec(w["normal"], q),
+            q[w["offset"]],
             True,
-            _unvec(w["strict_point"]) if w.get("strict_point") else None,
+            _unvec(w["strict_point"], q) if w.get("strict_point") else None,
         )
     elif kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
-        witness = _simplex_from_json(data["witness"])
+        witness = _simplex_from_json(data["witness"], q)
     elif kind == BOX:
         w = data["witness"]
         witness = BoxWitness(
-            EnclosingWitness(_unvec(w["normal"]), Fraction(w["upper"]), Fraction(w["lower"]), True),
-            _unvec(w["beta1"]),
-            _unvec(w["beta2"]),
-            _unvec(w["separator_normal"]),
-            Fraction(w["separator_offset"]),
+            EnclosingWitness(_unvec(w["normal"], q), q[w["upper"]], q[w["lower"]], True),
+            _unvec(w["beta1"], q),
+            _unvec(w["beta2"], q),
+            _unvec(w["separator_normal"], q),
+            q[w["separator_offset"]],
         )
     return CriterionCertificate(kind, nonempty, witness)
 
@@ -213,30 +218,33 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(node: dict) -> Certificate:
-    kind = node["kind"]
-    outcome = node["outcome"]
+    return _certificate(node, _Rationals())
+
+
+def _certificate(node: dict, q: _Rationals) -> Certificate:
+    kind, outcome = node["kind"], node["outcome"]
     if kind == KIND_CRITERION:
-        return Certificate(kind, outcome, criterion=_criterion_from_json(node))
+        return Certificate(kind, outcome, criterion=_criterion_from_json(node, q))
     if kind == KIND_NEGATIVE_FACE:
         return Certificate(
             kind,
             outcome,
-            normal=_unvec(node["normal"]),
-            face=tuple(_unvec(p) for p in node["face"]),
-            children=tuple(certificate_from_json(c) for c in node["children"]),
+            normal=_unvec(node["normal"], q),
+            face=tuple(_unvec(p, q) for p in node["face"]),
+            children=tuple(_certificate(c, q) for c in node["children"]),
         )
     if kind == KIND_PARALLEL_SPLIT:
         e = node["edge"]
         return Certificate(
             kind,
             outcome,
-            normal=_unvec(node["normal"]),
-            edge=EdgeWitness(_unvec(e["beta1"]), _unvec(e["beta2"]), _unvec(e["functional"])),
+            normal=_unvec(node["normal"], q),
+            edge=EdgeWitness(_unvec(e["beta1"], q), _unvec(e["beta2"], q), _unvec(e["functional"], q)),
             child_nonempty=tuple(
-                NonemptyWitness(_unvec(w["point"]), _unvec(w["functional"]))
+                NonemptyWitness(_unvec(w["point"], q), _unvec(w["functional"], q))
                 for w in node["child_nonempty"]
             ),
-            children=tuple(certificate_from_json(c) for c in node["children"]),
+            children=tuple(_certificate(c, q) for c in node["children"]),
         )
     if kind == KIND_EMPTY:
         return Certificate(kind, outcome)
@@ -307,15 +315,17 @@ def _write_json(x, indent: str, out: List[str]) -> None:
 
 def verify_document(doc: dict) -> List[str]:
     """Re-verify every witness in a trace document; empty list means valid.
-    A document of the wrong shape or with wrongly typed fields is reported
-    as malformed, never raised."""
+    A document of the wrong shape, with wrongly typed fields or with a
+    rational not spelled canonically is reported as malformed, never
+    raised."""
     if not isinstance(doc, dict):
         return [f"malformed document: expected an object, found {type(doc).__name__}"]
     if doc.get("schema") != SCHEMA_VERSION:
         return [f"unsupported schema {doc.get('schema')!r}"]
     try:
-        f = signomial_from_json(doc["input"])
-        cert = certificate_from_json(doc["tree"])
+        q = _Rationals()
+        f = _signomial(doc["input"], q)
+        cert = _certificate(doc["tree"], q)
         errors = verify_certificate(f, cert)
     except RecursionError:
         return ["malformed document: trace nested too deeply"]

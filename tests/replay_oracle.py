@@ -1,13 +1,17 @@
 """Replay as it stood before the checks moved into ``check`` and read faces
-on the lattice frame, kept as an independent oracle for the tests (like
+on the lattice frame, and the trace reader as it stood before it read only
+canonical spellings, kept as an independent oracle for the tests (like
 ``lp_oracle`` and ``parse_oracle``).
 
 ``verify_certificate`` reads faces and exposing functionals with Fraction
 dot products (``_parallel_faces`` and inline scans) and restricts children
 by exponent; ``verify_criterion`` and ``verify_enclosing_pair`` check the
 box criterion the same way, and ``verify_separating_hyperplane`` scales its
-own witness to the frame.  The functions are unchanged; they share with the
-package only the constants, the witness types and the simplex check.
+own witness to the frame.  ``signomial_from_json`` and
+``certificate_from_json`` read every rational with ``Fraction(str)``, which
+takes any spelling ``Fraction`` takes.  The functions are unchanged; they
+share with the package only the constants, the witness types, the caps and
+the simplex check.
 """
 
 from __future__ import annotations
@@ -34,14 +38,21 @@ from descregions.check import (
     SIMPLEX_NEGATIVES_INSIDE,
     SIMPLEX_POSITIVES_INSIDE,
     STRICT_SEPARATING,
+    BoxWitness,
     Certificate,
     CriterionCertificate,
     DegenerateSimplexError,
+    EdgeWitness,
+    EnclosingWitness,
+    NonemptyWitness,
+    SeparatingWitness,
+    SimplexWitness,
     criterion_outcome,
     verify_simplex_witness,
 )
 from descregions.linalg import Vector, dot, is_zero, lattice, vector
-from descregions.signomial import Signomial, negatives, newton_dim, positives, restrict
+from descregions.parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS
+from descregions.signomial import Signomial, Term, negatives, newton_dim, positives, restrict
 
 
 def _parallel_faces(f: Signomial, v: Vector) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
@@ -271,3 +282,98 @@ def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> L
 
     fail(f"unknown certificate kind {cert.kind!r}")
     return errors
+
+
+def _unvec(v) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(a) for a in v)
+
+
+def signomial_from_json(data: dict) -> Signomial:
+    """The input signomial, under the text format's caps: at most MAX_TERMS
+    terms, and at most MAX_EXPONENT_DIGITS digits in each exponent entry's
+    numerator and denominator (ValueError beyond them)."""
+    if len(data["terms"]) > MAX_TERMS:
+        raise ValueError(f"more than {MAX_TERMS} terms")
+    terms = []
+    for t in data["terms"]:
+        exponent = _unvec(t["exponent"])
+        if any(abs(e.numerator) >= EXPONENT_BOUND or e.denominator >= EXPONENT_BOUND for e in exponent):
+            raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
+        terms.append(Term(Fraction(t["coefficient"]), exponent))
+    return Signomial(int(data["dimension"]), tuple(terms))
+
+
+def _simplex_from_json(data: dict) -> SimplexWitness:
+    halfspaces = None
+    if "halfspaces" in data:
+        halfspaces = tuple(
+            (_unvec(h["normal"]), Fraction(h["offset"])) for h in data["halfspaces"]
+        )
+    interior = data.get("interior_negative")
+    return SimplexWitness(
+        vertices=tuple(_unvec(v) for v in data["vertices"]),
+        mode=data["mode"],
+        interior_negative=_unvec(interior) if interior else None,
+        halfspaces=halfspaces,
+    )
+
+
+def _criterion_from_json(data: dict) -> CriterionCertificate:
+    kind = data["criterion"]
+    nonempty = bool(data["nonempty"])
+    witness = None
+    if kind in (ONE_NEGATIVE_COEFF, ONE_POSITIVE_COEFF) and "exponent" in data:
+        witness = _unvec(data["exponent"])
+    elif kind == STRICT_SEPARATING:
+        w = data["witness"]
+        witness = SeparatingWitness(
+            _unvec(w["normal"]),
+            Fraction(w["offset"]),
+            True,
+            _unvec(w["strict_point"]) if w.get("strict_point") else None,
+        )
+    elif kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
+        witness = _simplex_from_json(data["witness"])
+    elif kind == BOX:
+        w = data["witness"]
+        witness = BoxWitness(
+            EnclosingWitness(_unvec(w["normal"]), Fraction(w["upper"]), Fraction(w["lower"]), True),
+            _unvec(w["beta1"]),
+            _unvec(w["beta2"]),
+            _unvec(w["separator_normal"]),
+            Fraction(w["separator_offset"]),
+        )
+    return CriterionCertificate(kind, nonempty, witness)
+
+
+def certificate_from_json(node: dict) -> Certificate:
+    kind = node["kind"]
+    outcome = node["outcome"]
+    if kind == KIND_CRITERION:
+        return Certificate(kind, outcome, criterion=_criterion_from_json(node))
+    if kind == KIND_NEGATIVE_FACE:
+        return Certificate(
+            kind,
+            outcome,
+            normal=_unvec(node["normal"]),
+            face=tuple(_unvec(p) for p in node["face"]),
+            children=tuple(certificate_from_json(c) for c in node["children"]),
+        )
+    if kind == KIND_PARALLEL_SPLIT:
+        e = node["edge"]
+        return Certificate(
+            kind,
+            outcome,
+            normal=_unvec(node["normal"]),
+            edge=EdgeWitness(_unvec(e["beta1"]), _unvec(e["beta2"]), _unvec(e["functional"])),
+            child_nonempty=tuple(
+                NonemptyWitness(_unvec(w["point"]), _unvec(w["functional"]))
+                for w in node["child_nonempty"]
+            ),
+            children=tuple(certificate_from_json(c) for c in node["children"]),
+        )
+    if kind == KIND_EMPTY:
+        return Certificate(kind, outcome)
+    if kind == KIND_INCONCLUSIVE:
+        return Certificate(kind, outcome, reason=node.get("reason"))
+    raise ValueError(f"unknown certificate kind {kind!r}")

@@ -268,13 +268,35 @@ def _messages(errors):
     return [e.split(":")[0] if e.startswith("malformed document: ") else e for e in errors]
 
 
+def _previous_replay():
+    """``tracedoc.verify_document`` with the previous reader and checker."""
+    return mock.patch.multiple(
+        tracedoc,
+        _signomial=lambda data, _: replay_oracle.signomial_from_json(data),
+        _certificate=lambda node, _: replay_oracle.certificate_from_json(node),
+        verify_certificate=replay_oracle.verify_certificate,
+    )
+
+
 def _replays_alike(doc):
     errors = tracedoc.verify_document(doc)
-    with mock.patch.object(tracedoc, "verify_certificate", replay_oracle.verify_certificate):
+    with _previous_replay():
         expected = tracedoc.verify_document(doc)
     event(f"rejected: {bool(expected)}")
     assert _messages(errors) == _messages(expected)
     return errors
+
+
+def test_the_differential_replays_with_the_previous_reader():
+    """The previous reader takes any spelling ``Fraction`` takes; the reader
+    reads only the canonical ones.  A respelled coefficient tells them apart,
+    so the differential below does compare the two readers."""
+    doc = copy.deepcopy(fixture_documents()[0])
+    term = doc["input"]["terms"][0]
+    term["coefficient"] = f" {term['coefficient']} "
+    assert _messages(tracedoc.verify_document(doc)) == ["malformed document"]
+    with _previous_replay():
+        assert tracedoc.verify_document(doc) == []
 
 
 @given(documents())

@@ -1,7 +1,12 @@
+import copy
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,19 +90,6 @@ def test_every_certificate_kind_round_trips():
         "negative-face-reduction",
         "inconclusive",
     } <= seen
-
-
-def test_config_round_trip():
-    config = CertifyConfig(
-        max_depth=9,
-        facet_budget=123,
-        enable_simplex_search=True,
-        enable_enclosing_search=True,
-        enable_box_criterion=True,
-        simplex_witness=SIMPLEX_CONFIG.simplex_witness,
-        enclosing_max_negatives=7,
-    )
-    assert tracedoc.config_from_json(tracedoc.config_to_json(config)) == config
 
 
 def test_document_outcome_mismatch_detected():
@@ -285,3 +277,107 @@ def test_trace_input_is_capped_like_the_text_format():
     assert tracedoc.verify_document(doc) == []
     for bad, message in over:
         assert tracedoc.verify_document(bad) == [f"malformed document: {message}"]
+
+
+# --- canonical rational spellings ----------------------------------------------
+
+SPELLINGS = st.one_of(
+    st.text("0123456789-/+._e \u0663", max_size=10),  # U+0663: ARABIC-INDIC DIGIT THREE
+    st.fractions().map(str),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(-2, 20)),  # /0, /1, unreduced, negative
+)
+
+
+def _canonical_value(text):
+    """The Fraction whose ``str`` is text, or None when there is none."""
+    if not set(text) <= set("0123456789-/"):  # what str(Fraction) writes; also keeps "1e99999" unread
+        return None
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return x if str(x) == text else None
+
+
+@given(SPELLINGS)
+@settings(deadline=None, max_examples=1000)
+def test_reader_accepts_exactly_the_canonical_spellings(text):
+    expected = _canonical_value(text)
+    try:
+        got = tracedoc._Rationals()[text]
+    except ValueError:
+        got = None
+    assert got == expected and type(got) is type(expected)
+
+
+# every way to write 2 (or 0) that Fraction or json accepts but str(Fraction)
+# never writes, and a number of more digits than int() reads
+RESPELLINGS = [
+    2, 0.5, None, True, " 2", "2 ", "+2", "2_0", "\u0662", "\uff12",
+    "4/2", "2/1", "0/3", "-0", "2.0", "2e0", "02", "9" * 5000,
+]
+
+
+def test_respelled_rationals_are_malformed():
+    """Each respelling, put in an exponent entry, a coefficient or a witness
+    offset of a valid trace, makes it malformed, with one message, never a
+    traceback."""
+    f = TEN_TERM_UPPER  # certified by a strict separating witness at the root
+    doc = json.loads(tracedoc.document_to_json(tracedoc.make_document(f, CertifyConfig(), certify_connectivity(f))))
+    assert tracedoc.verify_document(doc) == []
+    sites = [("input", "terms", 1, "exponent", 1), ("input", "terms", 1, "coefficient"), ("tree", "witness", "offset")]
+    for *head, last in sites:
+        for spelling in RESPELLINGS:
+            bad = copy.deepcopy(doc)
+            reduce(getitem, head, bad)[last] = spelling
+            errors = tracedoc.verify_document(bad)
+            assert len(errors) == 1 and errors[0].startswith("malformed document: "), (head, last, spelling, errors)
+
+
+def _bench_corpus():
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+NOT_RATIONAL = {"kind", "outcome", "criterion", "mode", "reason", "source"}
+
+
+def _rational_strings(node, key=None):
+    """Every string of a document part that is not under a NOT_RATIONAL key."""
+    if isinstance(node, dict):
+        for k, value in node.items():
+            yield from _rational_strings(value, k)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _rational_strings(value, key)
+    elif isinstance(node, str) and key not in NOT_RATIONAL:
+        yield node
+
+
+def test_the_benchmark_traces_spell_every_rational_canonically():
+    """The writer and the reader agree: every rational in the traces of the
+    192 seed 1-3 instances of the three certify workloads reads back, and
+    each trace replays."""
+    corpus = _bench_corpus()
+    sizes = {"lowdim-flagged": 28, "cube-recursion": 26, "wide-hull": 10}  # bench/pipeline.py's CORPUS_SIZE
+    traces, seen = {}, set()
+    for workload, size in sizes.items():
+        config = FLAGGED if workload == "lowdim-flagged" else CertifyConfig()
+        for seed in (1, 2, 3):
+            for text in corpus.corpus(workload, seed, size):
+                if (text, config) not in traces:
+                    f = parse_signomial(text)
+                    doc = tracedoc.make_document(f, config, certify_connectivity(f, config), source=text)
+                    traces[text, config] = json.loads(tracedoc.document_to_json(doc))
+                seen.add((workload, seed, text))
+    assert len(seen) == 192
+    reader = tracedoc._Rationals()
+    for doc in traces.values():
+        assert tracedoc.verify_document(doc) == []
+        for part in (doc["input"]["terms"], doc["config"], doc["tree"]):
+            for text in _rational_strings(part):
+                assert str(reader[text]) == text
+    assert len(reader) > 100
