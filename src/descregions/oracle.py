@@ -4,11 +4,16 @@ coordinates and component counting over axis-adjacent negative cells.
 The positive orthant maps to R^n by coordinate-wise log, which preserves
 connected components, so the grid lives in a log-space box.  The count is
 approximate by construction; the box, resolution and tolerance are part of
-the report so results are reproducible.
+the report so results are reproducible.  The mask is evaluated slab by slab
+of axis-0 rows, in place, in one fixed order of floating-point operations,
+so cells that round or overflow come out the same on every run.  Each
+witness is the first cell of its component in row-major order, and the
+witnesses are listed in label order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -19,6 +24,9 @@ from .signomial import DEFAULT_TOLERANCE_FACTOR, Signomial
 
 DEFAULT_BOX = (-8.0, 8.0)
 DEFAULT_CELL_CAP = 20_000_000
+# cells per slab of axis-0 rows that negative_mask evaluates at a time, so
+# its three float buffers stay in cache
+_SLAB_CELLS = 1 << 15
 
 
 class GridBudgetExceededError(RuntimeError):
@@ -35,11 +43,15 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
-        if not self.tolerance_factor >= 0:  # also rejects NaN
-            raise ValueError("tolerance_factor must be >= 0")
+        if not 0 <= self.tolerance_factor < math.inf:  # also rejects NaN
+            raise ValueError("tolerance_factor must be >= 0 and finite")
         for lo, hi in self.box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("box ends must be finite")
             if not lo < hi:
                 raise ValueError("box intervals must satisfy lo < hi")
+            if not math.isfinite(hi - lo):
+                raise ValueError("box width hi - lo overflows")
 
     @property
     def dimension(self) -> int:
@@ -78,42 +90,62 @@ def _axes(grid: GridSpec):
 def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
     """Boolean grid of cells where f evaluates below -tau (tau pointwise
     relative to the term magnitudes).  Cells where the evaluation overflows to
-    an indeterminate value are conservatively not negative."""
+    an indeterminate value are conservatively not negative.
+
+    Each cell is evaluated in one fixed order: per term, the exponent entries
+    in variable order, then exp, then the coefficient; the terms are summed in
+    term order.  Rounded and overflowing cells therefore come out the same on
+    every run, whatever the slab the cell falls in."""
     if grid.dimension != f.dimension:
         raise ValueError("grid dimension does not match the signomial")
-    if grid.resolution ** grid.dimension > grid.cell_cap:
-        raise GridBudgetExceededError(
-            f"{grid.resolution}^{grid.dimension} cells exceed the cap {grid.cell_cap}"
-        )
-    mesh = np.meshgrid(*_axes(grid), indexing="ij")
-    values = np.zeros(mesh[0].shape)
-    scale = np.zeros(mesh[0].shape)
+    n, res = grid.dimension, grid.resolution
+    if res ** n > grid.cell_cap:
+        raise GridBudgetExceededError(f"{res}^{n} cells exceed the cap {grid.cell_cap}")
+    # axis i as a column that broadcasts along dimension i
+    cols = [axis.reshape((res,) + (1,) * (n - 1 - i)) for i, axis in enumerate(_axes(grid))]
+    rows = max(1, _SLAB_CELLS // res ** (n - 1))  # axis-0 rows per slab
+    values, scale, term = (np.empty((min(rows, res),) + (res,) * (n - 1)) for _ in range(3))
+    mask = np.empty((res,) * n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in f.terms:
-            e = np.zeros(mesh[0].shape)
-            for i, m in enumerate(t.exponent):
-                if m != 0:
-                    e = e + float(m) * mesh[i]
-            term = float(t.coefficient) * np.exp(e)
-            values = values + term
-            scale = scale + np.abs(term)
-        return values < -grid.tolerance_factor * scale
+        terms = [
+            (float(t.coefficient), [(i, float(m) * cols[i]) for i, m in enumerate(t.exponent) if m != 0])
+            for t in f.terms
+        ]
+        for a in range(0, res, rows):
+            b = min(a + rows, res)
+            v, s, t = values[: b - a], scale[: b - a], term[: b - a]
+            v.fill(0.0)
+            s.fill(0.0)
+            for c, entries in terms:
+                t.fill(0.0)
+                for i, e in entries:
+                    t += e[a:b] if i == 0 else e
+                np.exp(t, out=t)
+                t *= c
+                v += t
+                np.abs(t, out=t)
+                s += t
+            s *= -grid.tolerance_factor
+            np.less(v, s, out=mask[a:b])
+    return mask
 
 
 def count_negative_components(f: Signomial, grid: Optional[GridSpec] = None) -> ComponentReport:
     """Count connected components of the sampled negative region, joining
-    negative cells that are axis-adjacent (no diagonals)."""
+    negative cells that are axis-adjacent (no diagonals).  The witnesses are
+    the first cell of each component in row-major order, listed in label
+    order."""
     grid = grid or default_grid(f.dimension)
     mask = negative_mask(f, grid)
     structure = ndimage.generate_binary_structure(grid.dimension, 1)
     labels, count = ndimage.label(mask, structure=structure)
     axes = _axes(grid)
-    flat = labels.ravel()
-    uniq, first = np.unique(flat, return_index=True)
     witnesses = []
-    for label, index in sorted(zip(uniq.tolist(), first.tolist())):
-        if label == 0:
-            continue
-        idx = np.unravel_index(index, mask.shape)
+    for label, box in enumerate(ndimage.find_objects(labels), start=1):
+        # the component's first row-major cell lies in the first axis-0 row of its box
+        first = box[0].start
+        row = labels[(first,) + box[1:]] == label
+        rest = np.unravel_index(np.argmax(row), row.shape)
+        idx = (first,) + tuple(s.start + j for s, j in zip(box[1:], rest))
         witnesses.append(tuple(float(axes[i][idx[i]]) for i in range(grid.dimension)))
-    return ComponentReport(int(count), int(mask.sum()), tuple(witnesses), grid)
+    return ComponentReport(int(count), int(np.count_nonzero(mask)), tuple(witnesses), grid)

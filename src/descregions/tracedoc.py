@@ -92,6 +92,9 @@ def signomial_from_json(data: dict) -> Signomial:
 
 
 def _signomial(data: dict, q: _Rationals) -> Signomial:
+    dimension = data["dimension"]
+    if type(dimension) is not int:
+        raise ValueError(f"dimension is not a JSON integer: {dimension!r}")
     if len(data["terms"]) > MAX_TERMS:
         raise ValueError(f"more than {MAX_TERMS} terms")
     terms = []
@@ -100,7 +103,7 @@ def _signomial(data: dict, q: _Rationals) -> Signomial:
         if any(abs(e.numerator) >= EXPONENT_BOUND or e.denominator >= EXPONENT_BOUND for e in exponent):
             raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
         terms.append(Term(q[t["coefficient"]], exponent))
-    return Signomial(int(data["dimension"]), tuple(terms))
+    return Signomial(dimension, tuple(terms))
 
 
 def config_to_json(config: CertifyConfig) -> dict:

@@ -198,6 +198,27 @@ def test_oracle_rejects_a_negative_or_nan_tolerance(poly, capsys):
     assert code == 0 and json.loads(out)["component_count"] == 0
 
 
+def test_oracle_and_plot_reject_non_finite_grids(poly, capsys, tmp_path):
+    # x1 - 1 is negative on half of any box around 0: an infinite box used to
+    # report 0 components with numpy warnings and print -Infinity, and an
+    # infinite tolerance emptied the mask
+    f = poly("half.poly", "x1 - 1")
+    for argv, message in (
+        (("--box=-inf,inf", "--grid", "5"), "box ends must be finite"),
+        (("--box=0,nan",), "box ends must be finite"),
+        (("--box=-1e308,1e308",), "box width hi - lo overflows"),
+        (("--tol", "inf"), "tolerance_factor must be >= 0 and finite"),
+    ):
+        code, out, err = run(capsys, "oracle", f, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and message in err, argv
+    code, out, err = run(capsys, "plot", poly("y.poly", "x - y"), "--box=-inf,inf", "--out", str(tmp_path / "p.svg"))
+    assert code == 1 and out == "" and err.startswith("error: ") and "box ends must be finite" in err
+    assert not (tmp_path / "p.svg").exists()
+    code, out, _ = run(capsys, "oracle", f, "--box=-1,1", "--grid", "5")
+    assert code == 0 and json.loads(out)["negative_cell_count"] == 2
+
+
 def test_analyze_command(poly, capsys):
     tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
     code, out, _ = run(capsys, "analyze", tenterm)

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from descregions import oracle
 from descregions.oracle import (
     GridBudgetExceededError,
     GridSpec,
@@ -11,9 +14,13 @@ from descregions.oracle import (
     default_grid,
     negative_mask,
 )
-from descregions.signomial import evaluate_log, negatives, positives, restrict
+from descregions.parsing import parse_signomial
+from descregions.signomial import DEFAULT_TOLERANCE_FACTOR, Signomial, evaluate_log, negatives, positives, restrict
 
+import mask_oracle
 from fixtures import (
+    CUBE3,
+    CUBE4,
     NEG_QUADRATIC_SPLIT,
     SIMPLEX_SPLIT,
     TEN_TERM,
@@ -92,8 +99,161 @@ def test_grid_validation():
         negative_mask(TEN_TERM, default_grid(3))
 
 
+def test_grid_rejects_non_finite_boxes_and_tolerance():
+    inf = float("inf")
+    for box, message in (
+        (((-inf, inf),), "box ends must be finite"),
+        (((-8, inf),), "box ends must be finite"),
+        (((-inf, 8),), "box ends must be finite"),
+        (((float("nan"), 8),), "box ends must be finite"),
+        (((-8, 8), (-1e308, 1e308)), "box width hi - lo overflows"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(box, 10)
+    with pytest.raises(ValueError, match="tolerance_factor must be >= 0 and finite"):
+        GridSpec(((-8, 8),), 10, tolerance_factor=inf)
+    GridSpec(((-1e307, 1e307),), 10, tolerance_factor=1e300)
+
+
 def test_stability_under_doubling_modest():
     for f, lo in ((TEN_TERM, 200), (TEN_TERM_LOWER, 200)):
         a = count_negative_components(f, grid2(lo)).component_count
         b = count_negative_components(f, grid2(2 * lo)).component_count
         assert a == b
+
+
+# --- differential test against the full-grid mask ------------------------------
+
+EXPONENT = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3)),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-999999, 999999)),  # drives exp to inf, and sums to nan
+)
+COEFFICIENT = st.one_of(
+    st.builds(
+        lambda sign, p, q, e: sign * Fraction(p, q) * Fraction(10) ** e,
+        st.sampled_from((1, -1)), st.integers(1, 10**6), st.integers(1, 10**6),
+        st.one_of(st.just(0), st.integers(-20, 20)),
+    ),
+    # summed in another order these round to another sign, e.g. 1 - 1 - 1e-17
+    st.sampled_from((1, -1, Fraction(1, 10**17), -Fraction(1, 10**17), Fraction(1, 10), -Fraction(3, 10))),
+)
+AXIS = st.one_of(
+    st.sampled_from(((-8.0, 8.0), (-1.0, 1.0), (0.0, 2.0))),
+    st.tuples(st.floats(-20, 20), st.floats(1e-3, 30)).map(lambda p: (p[0], p[0] + p[1])),
+)
+MAX_RESOLUTION = {1: 60, 2: 60, 3: 27, 4: 12}
+
+
+@st.composite
+def signomials(draw):
+    """Signomials in 1 to 4 variables with rational exponents, whole zero
+    columns, constant terms and 6-digit exponents.  Half of them start from
+    -1 + 3 x^v - x^(2v), which is negative on both sides of a slab, so their
+    regions often have two components."""
+    n = draw(st.integers(1, 4))
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = []
+    if draw(st.booleans()):
+        v = draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+        pairs += [(-1, (0,) * n), (3, v), (-1, tuple(2 * x for x in v))]
+    for _ in range(draw(st.integers(0 if pairs else 1, 6))):
+        exponent = [Fraction(0) if z else draw(EXPONENT) for z in zero]
+        if draw(st.integers(0, 4)) == 0:
+            exponent = [Fraction(0)] * n
+        pairs.append((draw(COEFFICIENT), tuple(exponent)))
+    f = Signomial.from_terms(n, pairs)
+    return f if f.terms else Signomial.from_terms(n, [(-1, (Fraction(0),) * n)])
+
+
+@st.composite
+def mask_cases(draw):
+    """A signomial, a grid for it and a slab size: one cell, part of an
+    axis-0 row, or the module's own.  Half of the grids start every axis at
+    0, so their first cell sums the bare coefficients."""
+    f = draw(signomials())
+    n = f.dimension
+    if draw(st.booleans()):
+        box = tuple((0.0, draw(st.floats(1e-3, 30))) for _ in range(n))
+    else:
+        box = tuple(draw(AXIS) for _ in range(n))
+    tolerance = draw(st.sampled_from((0.0, DEFAULT_TOLERANCE_FACTOR)))
+    grid = GridSpec(box, draw(st.integers(2, MAX_RESOLUTION[n])), tolerance)
+    return f, grid, draw(st.sampled_from((1, 3, 64, oracle._SLAB_CELLS)))
+
+
+def assert_same_as_full_grid(f, grid):
+    assert np.array_equal(negative_mask(f, grid), mask_oracle.negative_mask(f, grid))
+    assert count_negative_components(f, grid) == mask_oracle.count_negative_components(f, grid)
+
+
+# at y = 0 the terms are 1, -1 and -1e-17: summed in term order they give
+# -1e-17, in reverse order 0
+ORDERED = Signomial.from_terms(1, [(1, (1,)), (-1, (2,)), (-Fraction(1, 10**17), (3,))])
+ORDERED_GRID = GridSpec(((-1.0, 1.0),), 3, tolerance_factor=0.0)
+
+
+@given(mask_cases())
+@example((ORDERED, ORDERED_GRID, 1))
+@settings(deadline=None, max_examples=300)
+def test_mask_and_report_match_the_full_grid_oracle(case):
+    """Slab by slab in place, the mask is the full-grid mask bit for bit and
+    the report the same report."""
+    f, grid, slab = case
+    with mock.patch.object(oracle, "_SLAB_CELLS", slab):
+        assert_same_as_full_grid(f, grid)
+
+
+def test_mask_matches_the_full_grid_oracle_across_slabs():
+    """The module's slab size on grids of many slabs with a partial last one,
+    and on a grid whose every axis-0 row holds more cells than a slab."""
+    for f, grid in (
+        (TEN_TERM, grid2(400)),
+        (SIMPLEX_SPLIT, grid2(333)),
+        (CUBE3, default_grid(3)),
+        (CUBE4, default_grid(4)),
+        (NEG_QUADRATIC_SPLIT, default_grid(1, resolution=100_000)),
+    ):
+        assert grid.resolution ** grid.dimension > oracle._SLAB_CELLS
+        assert_same_as_full_grid(f, grid)
+    # the smallest resolution at which one axis-0 row of a 5-D grid exceeds a slab
+    res = next(r for r in range(2, 100) if r**4 > oracle._SLAB_CELLS)
+    f = parse_signomial("x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + 1/2 - x1*x2*x3 - 2*x4*x5")
+    grid = default_grid(5, box=[(-2.0, 2.0)] * 5, resolution=res)
+    assert count_negative_components(f, grid).component_count > 0
+    assert_same_as_full_grid(f, grid)
+
+
+def test_term_sum_order_is_fixed():
+    """Only the term order makes the middle cell negative."""
+    assert negative_mask(ORDERED, ORDERED_GRID).tolist() == [False, True, True]
+
+
+def test_witnesses_are_the_first_cells_in_label_order():
+    """The witness of each component is its first cell in row-major order,
+    listed by label; here each component spans several rows and columns."""
+    f = parse_signomial("x^2 + y^2 - 3*x*y + 1/10")
+    grid = grid2(41)
+    report = count_negative_components(f, grid)
+    assert report.component_count >= 1
+    mask = negative_mask(f, grid)
+    assert report == mask_oracle.count_negative_components(f, grid)
+    axis = np.linspace(-8.0, 8.0, 41)
+    cells = np.argwhere(mask)
+    assert report.witnesses[0] == tuple(float(axis[i]) for i in cells[0])
+
+
+def test_count_goes_through_the_module_mask_once(monkeypatch):
+    """count_negative_components calls negative_mask through the module
+    global, once: the benchmark's oracle.negative_mask span wraps it there."""
+    calls = []
+
+    def counting(f, grid):
+        calls.append(grid)
+        return mask_oracle.negative_mask(f, grid)
+
+    monkeypatch.setattr(oracle, "negative_mask", counting)
+    grid = grid2(50)
+    report = oracle.count_negative_components(TEN_TERM, grid)
+    assert calls == [grid] and report.component_count == 3

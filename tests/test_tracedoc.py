@@ -127,6 +127,13 @@ def test_malformed_documents_are_reported_not_raised():
                                                       "criterion": "strict-separating",
                                                       "nonempty": True, "witness": [1]}},
     ]
+    # the dimension must be a JSON int: respelled, the CUBE3 trace used to replay
+    cube3 = json.loads(tracedoc.document_to_json(tracedoc.make_document(CUBE3, CertifyConfig(), certify_connectivity(CUBE3))))
+    assert tracedoc.verify_document(cube3) == []
+    for spelling in ("3", " 3", "+3", 3.0, 3.7, True, None, [3]):
+        bad = copy.deepcopy(cube3)
+        bad["input"]["dimension"] = spelling
+        bad_documents.append(bad)
     for doc in bad_documents:
         errors = tracedoc.verify_document(doc)
         assert len(errors) == 1 and errors[0].startswith("malformed document: "), doc
