@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import IntVector, Vector, _Echelon, dot, is_zero, lattice, primitive_int, vector, vneg
+from .linalg import IntVector, Vector, dot, is_zero, lattice, primitive_int, vector, vneg
 from .signomial import Signomial, newton_dim, restrict_indices
 
 # outcomes
@@ -220,16 +220,43 @@ class DegenerateSimplexError(ValueError):
 def simplex_halfspaces(vertices: Sequence[Sequence]) -> Tuple[Tuple[IntVector, Fraction], ...]:
     """Outer halfspaces (v_j, a_j) of the simplex, the j-th supporting the
     facet opposite vertex j, with primitive integer normals.  Raises
-    DegenerateSimplexError when the vertices are affinely dependent."""
+    DegenerateSimplexError when the vertices are affinely dependent.
+
+    One fraction-free inverse per simplex, one echelon per hull (the hull's
+    starting simplex takes its facets from here): a Gauss-Jordan elimination
+    of [M | I], with M the rows v_i - v_0 in the lattice frame and every step
+    divided exactly by the previous pivot (Bareiss 1968), leaves
+    [d I | d M^-1] with d = +-det M.  Column j of d M^-1 is orthogonal to
+    every row of M but the j-th, so it is normal to the facet opposite
+    v_j; the sum of the columns has the same product with every row, so it
+    is normal to the facet opposite v_0.  A zero pivot column means the
+    vertices are dependent.  Each normal is made primitive and turned away
+    from its opposite vertex."""
     scale, verts = lattice(vertices)
     n = len(verts[0])
-    if len(verts) != n + 1 or _Echelon.affine(verts).rank != n:
+    if len(verts) != n + 1:
         raise DegenerateSimplexError("vertices do not form an n-simplex")
+    base = verts[0]
+    rows = [[a - b for a, b in zip(p, base)] + [int(i == k) for k in range(n)] for i, p in enumerate(verts[1:])]
+    prev = 1
+    for k in range(n):
+        # each row holds columns k.. of the eliminated [M | I]
+        r = next((i for i in range(k, n) if rows[i][0]), None)
+        if r is None:
+            raise DegenerateSimplexError("vertices do not form an n-simplex")
+        rows[k], rows[r] = rows[r], rows[k]
+        q, pivot = rows[k][0], rows[k][1:]
+        rows = [
+            pivot if i == k else [(q * a - row[0] * b) // prev for a, b in zip(row[1:], pivot)]
+            for i, row in enumerate(rows)
+        ]
+        prev = q
+    # rows is now d M^-1
+    columns = [tuple(map(sum, rows))] + list(zip(*rows))
     out = []
-    for j in range(n + 1):
-        others = verts[:j] + verts[j + 1:]
-        normal = _Echelon.affine(others).normal(n)
-        offset = dot(normal, others[0])
+    for j, col in enumerate(columns):
+        normal = primitive_int(col)
+        offset = dot(normal, verts[1 if j == 0 else 0])
         if dot(normal, verts[j]) > offset:
             normal, offset = vneg(normal), -offset
         out.append((normal, offset if scale == 1 else Fraction(offset, scale)))

@@ -2,13 +2,14 @@
 
 The geometry runs in one integer lattice frame: ``lattice`` scales a point
 set once by the lcm L of its denominators, and the kernels work on Python
-ints from there on.  Everything rests on one incremental reduced row echelon
-form, updated fraction-free (Bareiss 1968): ranks, affine ranks and
-hyperplane normals are read off its rows, and ``polytope`` uses the same rows
-as the affine-hull frame, so no linear system is ever solved.  Ranks and
-primitive normals do not change under the scaling; offsets are divided by L
-where they leave the frame.  ``rank``, ``affine_rank`` and
-``hyperplane_normal`` take exact rationals and scale them at entry.
+ints from there on.  The linear algebra is one fraction-free inverse per
+simplex, one echelon per hull (both Bareiss 1968): the incremental reduced
+row echelon form here gives ranks, affine ranks and ``polytope``'s
+affine-hull frame with its starting simplex, and ``check.simplex_halfspaces``
+reads all of a simplex's facet normals off one inverse; no other linear
+system is solved.  Ranks and primitive normals do not change under the
+scaling; offsets are divided by L where they leave the frame.  ``rank`` and
+``affine_rank`` take exact rationals and scale them at entry.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 IntVector = Tuple[int, ...]
@@ -115,21 +116,6 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def normal(self, width: int) -> Optional[IntVector]:
-        """Primitive integer normal of the row space when its codimension is
-        one (else None): 1 in the free column over the lcm of the pivots,
-        and each pivot column cancelling its row there."""
-        if self.rank != width - 1:
-            return None
-        pivots = {c for c, _ in self.rows}
-        free = next(c for c in range(width) if c not in pivots)
-        m = lcm(*(row[c] for c, row in self.rows))
-        normal = [0] * width
-        normal[free] = m
-        for c, row in self.rows:
-            normal[c] = -row[free] * (m // row[c])
-        return primitive_int(normal)
-
 
 def rank(vectors: Sequence[Sequence]) -> int:
     ech = _Echelon()
@@ -144,10 +130,3 @@ def affine_rank(points: Sequence[Sequence]) -> int:
         return -1
     return _Echelon.affine(lattice(points)[1]).rank
 
-
-def hyperplane_normal(points: Sequence[Sequence]) -> Optional[IntVector]:
-    """Primitive integer normal of the unique hyperplane through the points,
-    or None when they do not span a space of codimension one."""
-    if not points:
-        return None
-    return _Echelon.affine(lattice(points)[1]).normal(len(points[0]))

@@ -33,6 +33,15 @@ class GridBudgetExceededError(RuntimeError):
     """The grid would have more cells than the configured cap."""
 
 
+def _finite(x) -> bool:
+    """``math.isfinite``, and False for an int or Fraction beyond the float
+    range, which it cannot convert."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class GridSpec:
     box: Tuple[Tuple[float, float], ...]  # per-axis (lo, hi) in log coordinates
@@ -46,11 +55,11 @@ class GridSpec:
         if not 0 <= self.tolerance_factor < math.inf:  # also rejects NaN
             raise ValueError("tolerance_factor must be >= 0 and finite")
         for lo, hi in self.box:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+            if not (_finite(lo) and _finite(hi)):
                 raise ValueError("box ends must be finite")
             if not lo < hi:
                 raise ValueError("box intervals must satisfy lo < hi")
-            if not math.isfinite(hi - lo):
+            if not _finite(hi - lo):
                 raise ValueError("box width hi - lo overflows")
 
     @property

@@ -5,11 +5,14 @@ scaled once by the lcm L of their denominators, and every step below works
 on Python ints.  Beneath-beyond insertion runs inside affine-hull
 coordinates, so lower-dimensional point sets (restrictions of a support to a
 face keep the ambient dimension) are handled without perturbation.  The
-affine hull is held in reduced row echelon form: a point's hull coordinates
-are its pivot entries minus the base point's, and a hull facet normal is
-lifted back by placing it on the pivot columns, so neither direction solves
-a linear system.  For a flat hull that lift is the one supporting normal
-that is zero off the pivot columns.  Each new facet is the positive
+linear algebra is one fraction-free inverse per simplex, one echelon per
+hull: the echelon of the lattice frame is the affine hull and picks the
+starting simplex, whose facets ``check.simplex_halfspaces`` reads off one
+inverse.  The echelon is reduced: a point's hull coordinates are its pivot
+entries minus the base point's, and a hull facet normal is lifted back by
+placing it on the pivot columns, so neither direction solves a linear
+system.  For a flat hull that lift is the one supporting normal that is
+zero off the pivot columns.  Each new facet is the positive
 combination of the two facets sharing its ridge that vanishes at the new
 point; ridges are read from the vertex-facet incidences, which insertion
 keeps up to date.  Facet normals are coprime integer vectors, the same under
@@ -104,24 +107,16 @@ class Polytope:
         return self.hull.dim
 
 
-def affine_hull(points: Sequence[Vector]) -> AffineHull:
-    """Exact base point (the first point) plus the reduced echelon rows of
-    the differences to it."""
-    if not points:
-        raise ValueError("points must be nonempty")
-    ech = _Echelon.affine(lattice(points)[1])
-    return AffineHull(points[0], tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
-
-
 def _incremental_facets(
-    hp: Sequence[IntVector], budget: Optional[int]
+    hp: Sequence[IntVector], init: Sequence[int], budget: Optional[int]
 ) -> List[Tuple[Tuple[IntVector, int], FrozenSet[int]]]:
     """Facets (outer primitive normal, offset) of the hull of
     full-dimensional integer points given in d >= 1 dimensional coordinates,
     each with the indices of the points on it.
 
-    Beneath-beyond insertion from a starting simplex.  For a new point p with
-    excess s = n.p - a over each facet, the facets with s > 0 are dropped,
+    Beneath-beyond insertion from the simplex on the d + 1 affinely
+    independent points ``init``.  For a new point p with excess
+    s = n.p - a over each facet, the facets with s > 0 are dropped,
     those with s = 0 gain p, and every dropped facet v and facet h with s < 0
     that share a ridge give the new facet (-s_h)(n_v, a_v) + s_v(n_h, a_h),
     which vanishes at p and on the ridge, divided by the gcd of its entries
@@ -129,7 +124,6 @@ def _incremental_facets(
     when no third facet holds all their common points (at least d - 1 of
     them), so the new facet's points are those common points plus p."""
     d = len(hp[0])
-    init = _Echelon.affine(hp).picked
     assert len(init) == d + 1
 
     facets: List[Tuple[Tuple[IntVector, int], Set[int]]] = [
@@ -193,9 +187,10 @@ def build_polytope(
     scale, frame = lattice(pts)
     if len(set(frame)) != len(frame):
         raise ValueError("points must be pairwise distinct")
-    hull = affine_hull(pts)
+    ech = _Echelon.affine(frame)
+    hull = AffineHull(pts[0], tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
     hp = [tuple(p[k] - frame[0][k] for k in hull.pivots) for p in frame]
-    hull_facets = _incremental_facets(hp, facet_budget) if hull.dim >= 1 else []
+    hull_facets = _incremental_facets(hp, ech.picked, facet_budget) if hull.dim >= 1 else []
     # sorted by (normal, offset) in the frame, the order of the exact values;
     # the offset leaves the frame here, divided by the scale
     lifted = sorted(((_lift_halfspace(hull, frame[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])

@@ -107,6 +107,10 @@ def test_grid_rejects_non_finite_boxes_and_tolerance():
         (((-inf, 8),), "box ends must be finite"),
         (((float("nan"), 8),), "box ends must be finite"),
         (((-8, 8), (-1e308, 1e308)), "box width hi - lo overflows"),
+        # ints beyond the float range, which math.isfinite cannot convert
+        (((0, 10**400),), "box ends must be finite"),
+        (((-(10**400), 0),), "box ends must be finite"),
+        (((-(10**308), 10**308),), "box width hi - lo overflows"),
     ):
         with pytest.raises(ValueError, match=message):
             GridSpec(box, 10)

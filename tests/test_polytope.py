@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from descregions import lp
-from descregions.linalg import affine_rank, dot, hyperplane_normal, rank, vsub
+from descregions.linalg import affine_rank, dot, rank, vsub
 from descregions.polytope import (
     FacetBudgetExceededError,
-    affine_hull,
     build_polytope,
     face_exposing_normal,
     parallel_face_pairs,
@@ -20,6 +19,7 @@ from descregions.signomial import negatives
 import hull_oracle
 from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, WIDE16, vec
 from hull_oracle import brute_force_facets, polytope_facets_in_hull_coords
+from simplex_oracle import hyperplane_normal
 from strategies import point_sets, rational_point_sets
 
 F = Fraction
@@ -30,12 +30,12 @@ def idx_of(P, point):
 
 
 def test_affine_hull_dims():
-    assert affine_hull([vec(0, 0), vec(1, 0), vec(0, 1)]).dim == 2
-    assert affine_hull([vec(1, 1)]).dim == 0
-    hull = affine_hull([vec(0, 0), vec(2, 2), vec(1, 1)])
+    assert build_polytope([vec(0, 0), vec(1, 0), vec(0, 1)]).hull.dim == 2
+    assert build_polytope([vec(1, 1)]).hull.dim == 0
+    hull = build_polytope([vec(0, 0), vec(2, 2), vec(1, 1)]).hull
     assert hull.dim == 1
     assert hull.basis == (vec(1, 1),)
-    assert affine_hull(CUBE3.support).dim == 3
+    assert build_polytope(CUBE3.support).hull.dim == 3
 
 
 def test_ten_term_hull_vertices():
@@ -271,7 +271,8 @@ def test_incidences_match_lp_definitions(pts):
 @given(point_sets())
 @settings(deadline=None, max_examples=60)
 def test_affine_hull_frame(pts):
-    hull = affine_hull(pts)
+    P = build_polytope(pts)
+    hull = P.hull
     n = len(pts[0])
     assert hull.dim == affine_rank(pts) == len(hull.pivots)
     for j, row in enumerate(hull.basis):
@@ -285,7 +286,7 @@ def test_affine_hull_frame(pts):
         assert affine_rank(pts + [off]) == hull.dim + 1
         with pytest.raises(ValueError):
             hull.coords(off)
-    for f in build_polytope(pts).facets:
+    for f in P.facets:
         assert all(f.halfspace.normal[k] == 0 for k in range(n) if k not in hull.pivots)
 
 
