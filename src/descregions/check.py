@@ -325,6 +325,8 @@ def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
     the cone union, and some negative interior to the union.  All points
     are checked in one lattice frame, set up here.
     """
+    if _simplex_shape_error(f, w):
+        return False
     k = len(w.vertices)
     interior = [] if w.interior_negative is None else [vector(w.interior_negative)]
     scale, frame = lattice([vector(p) for p in w.vertices] + list(f.support) + interior)
@@ -334,6 +336,14 @@ def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
         if sorted(_ray(v, a) for v, a in w.halfspaces) != sorted(_ray(v, Fraction(a, scale)) for v, a in derived):
             return False
     return _simplex_holds(f, frame[k:k + len(f.terms)], w.mode, frame[-1] if interior else None, derived)
+
+
+def _simplex_shape_error(f: Signomial, w: SimplexWitness) -> Optional[str]:
+    """Why the witness's vertices cannot span an n-simplex of f's space, or None."""
+    if len(w.vertices) != f.dimension + 1:
+        return f"simplex witness has {len(w.vertices)} vertices, not n + 1 = {f.dimension + 1}"
+    if any(len(p) != f.dimension for p in w.vertices):
+        return "simplex vertices do not match the signomial dimension"
 
 
 def _simplex_holds(f: Signomial, frame, mode: str, interior_negative, derived) -> bool:
@@ -389,6 +399,8 @@ def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
         ok = verify_separating_hyperplane(f, w.normal, w.offset, True, w.strict_point)
         return None if ok else "separating hyperplane does not verify"
     if cert.kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
+        if shape := _simplex_shape_error(f, cert.witness):
+            return shape
         try:
             ok = verify_simplex_witness(f, cert.witness)
         except DegenerateSimplexError:

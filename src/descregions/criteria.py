@@ -90,9 +90,9 @@ def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitnes
     for strict_row in strict_rows:
         res = lp.feasible(lp.LinearSystem.build(n + 1, rows + [strict_row]))
         if res.is_feasible:
-            w, a = res.witness[:n], res.witness[n]
-            beta0 = next(f.support[i] for i in neg if dot(w, frame[i]) > a)
-            v = _unframe(f, w)
+            values, _ = res.integer_witness  # (w, a) times d > 0
+            beta0 = next(f.support[i] for i in neg if dot(values[:n], frame[i]) > values[n])
+            v, a = _unframe(f, res.witness[:n]), res.witness[n]
             if not verify_separating_hyperplane(f, v, a, strict=True, strict_point=beta0):
                 raise RuntimeError("separating witness failed re-verification")
             return SeparatingWitness(v, a, True, beta0)

@@ -15,22 +15,26 @@ scaling; offsets are divided by L where they leave the frame.  ``rank`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 IntVector = Tuple[int, ...]
+_fraction = lru_cache(maxsize=1024)(Fraction)  # a signomial's entries are mostly small ints
 
 
 def vector(coords: Iterable) -> Vector:
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    return tuple([c if type(c) is Fraction else _fraction(c) for c in coords])
 
 
 def lattice(points: Sequence[Sequence]) -> Tuple[int, Tuple[IntVector, ...]]:
     """The lcm L of the coordinates' denominators, and the points times L as
-    ints (ints and Fractions alike)."""
+    ints (ints and Fractions alike): with L = 1, the numerators."""
     scale = lcm(*{a.denominator for p in points for a in p})
+    if scale == 1:
+        return 1, tuple([tuple([a.numerator for a in p]) for p in points])
     return scale, tuple([tuple([a.numerator * (scale // a.denominator) for a in p]) for p in points])
 
 

@@ -18,27 +18,29 @@ wide.  In a pivot the leaving variable takes the entering one's column; a
 one enters in whichever direction lowers the objective and, once basic, is
 never ratio-tested, so it never leaves.  Phase I stops once the sum is 0.
 
-The tableau holds Python integers: the rows are scaled by the lcm of every
-denominator in the system, and the rational dictionary is the integer one
-over a single common denominator d, the determinant of the current basis.
-Each pivot updates the rows fraction-free (Edmonds 1967, Bareiss 1968, as in
-Avis's lrs) with exact integer divisions.  Both answers are checked exactly
-on the same integer rows before they are returned: a witness x = values / d
-must satisfy every row, as row . values >= rhs * d, and an infeasible answer
-carries a Farkas certificate y, with y >= 0 on the ">=" rows, sum y_i
+The tableau holds Python integers, the phase-I objective as its last row:
+the rows are scaled by the lcm of every denominator in the system (a system
+of int rows is taken as it is), and the rational dictionary is the integer
+one over a single common denominator d, the determinant of the current
+basis.  Each pivot updates every other row in place, fraction-free
+(Edmonds 1967, Bareiss 1968, as in Avis's lrs), with exact integer
+divisions.  Both answers are checked exactly on the same integer rows before
+they are returned: a witness x = values / d must satisfy every row, as
+row . values >= rhs * d, and comes back with (values, d); an infeasible
+answer carries a Farkas certificate y, with y >= 0 on the ">=" rows, sum y_i
 coeffs_i = 0 and sum y_i rhs_i > 0.  The final objective row is the sum of
 the artificials minus the combination y of the rows, so y_r is read off it
 as the reduced cost of s_r (0 while s_r is basic), or on an "=" row, whose
 artificial keeps its column, as one minus that of t_r, times the sign of
 the row's rhs.
 
-Rows may hold ints or Fractions.  The criteria build theirs as ints from a
-signomial's lattice frame, which multiplies the exponent columns by L: a
-positive column scaling changes every reduced cost of a column and every
-ratio of the entering column by a positive factor only, so Bland's rule
-walks the same bases, the witness on the frame is v / L in those columns,
-and the Farkas certificate keeps its support.  The witness comes back as
-Fractions; the criteria multiply the normal by L.
+Rows hold ints or Fractions, kept as given.  The criteria build int rows
+from a signomial's lattice frame, which multiplies the exponent columns by
+L: a positive column scaling changes every reduced cost of a column and
+every ratio of the entering column by a positive factor only, so Bland's
+rule walks the same bases, the witness on the frame is v / L in those
+columns, and the Farkas certificate keeps its support.  The criteria
+compare on the frame with the int witness and multiply the normal by L.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Literal, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .linalg import IntVector, Vector, dot, lattice
 
@@ -55,12 +57,7 @@ Relation = Literal[">=", "="]
 Number = Union[int, Fraction]
 
 
-def _exact(x) -> Number:
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
-
-
-@dataclass(frozen=True)
-class LinearRow:
+class LinearRow(NamedTuple):
     coeffs: Tuple[Number, ...]
     rhs: Number
     relation: Relation
@@ -78,19 +75,20 @@ class LinearSystem:
 
     @staticmethod
     def build(unknowns: int, rows: Iterable[tuple]) -> "LinearSystem":
-        """Rows from (coefficients, rhs, relation); ints and Fractions are
-        kept as they are, anything else becomes a Fraction."""
-        built = tuple(
-            LinearRow(tuple(map(_exact, c)), _exact(b), rel) for c, b, rel in rows
-        )
-        return LinearSystem(unknowns, built)
+        """Rows from (coefficients, rhs, relation), their ints and Fractions
+        kept as they are."""
+        return LinearSystem(unknowns, tuple([LinearRow(tuple(c), b, rel) for c, b, rel in rows]))
 
     @cached_property
     def lattice(self) -> Tuple[int, Tuple[Tuple[IntVector, int, Relation], ...]]:
         """The lcm L of every denominator in the system, and the rows
-        (coefficients, right-hand side, relation) times L as ints."""
-        scale, lines = lattice([(*row.coeffs, row.rhs) for row in self.rows])
-        return scale, tuple((line[:-1], line[-1], row.relation) for line, row in zip(lines, self.rows))
+        (coefficients, right-hand side, relation) times L as ints; rows of
+        ints are their own, with L = 1."""
+        rows = self.rows
+        if {type(a) for row in rows for a in row.coeffs} | {type(row.rhs) for row in rows} <= {int}:
+            return 1, rows
+        scale, lines = lattice([(*row.coeffs, row.rhs) for row in rows])
+        return scale, tuple((line[:-1], line[-1], row.relation) for line, row in zip(lines, rows))
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,8 @@ class FeasibilityResult:
     # with y >= 0 on the ">=" rows, sum y_i coeffs_i = 0 and sum y_i rhs_i > 0
     farkas: Optional[Tuple[int, ...]] = None
     pivots: int = field(default=0, compare=False)  # simplex pivots made
+    # the witness on the integer rows: (values, d) with witness = values / d
+    integer_witness: Optional[Tuple[IntVector, int]] = field(default=None, compare=False)
 
     @property
     def is_feasible(self) -> bool:
@@ -128,18 +128,6 @@ def _refutes(system: LinearSystem, y: Sequence[int]) -> bool:
     return sum(yi * rhs for yi, (_, rhs, _) in zip(y, rows)) > 0
 
 
-def _pivot_row(row: List[int], pivot_row: List[int], p: int, e: int, d: int) -> List[int]:
-    """One fraction-free exchange of a non-pivot row: the pivot p becomes the
-    common denominator in place of d, and column e, which the leaving
-    variable takes over, becomes minus the row's old entry there."""
-    c = row[e]
-    if c == 0:
-        return row if p == d else [p * a // d for a in row]
-    new = [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
-    new[e] = -c
-    return new
-
-
 def feasible(system: LinearSystem) -> FeasibilityResult:
     """Exact feasibility of a system of >=/= rows over free rational unknowns.
 
@@ -161,16 +149,17 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         line = [s * c for c in coeffs] + [-1 if q == r else 0 for q in late] + [s * rhs]
         basis.append(n + r if s < 0 and relation == ">=" else n + m + r)
         tableau.append(line)
-    # phase-I objective row: the reduced costs times d, and -d * (sum of the
-    # artificials) in its last entry
+    # the phase-I objective row, last in the tableau: the reduced costs times
+    # d, and -d * (sum of the artificials) in its last entry
     obj = [0] * (len(labels) + 1)
     for line, b in zip(tableau, basis):
         if b >= n + m:
             obj = [o - a for o, a in zip(obj, line)]
+    tableau.append(obj)
 
     # The rational dictionary is tableau / d, where d is the determinant of
     # the current basis.  Every entry of tableau is then a minor of the
-    # starting one, so the divisions in ``_pivot_row`` are exact (Edmonds,
+    # starting one, so the divisions of a pivot are exact (Edmonds,
     # Bareiss).  Pivots are positive, so d stays positive.
     d, pivots = 1, 0
     while obj[-1]:  # until the artificials are all 0, or no pivot lowers their sum
@@ -181,33 +170,43 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         if obj[e] > 0:  # a free unknown entering downwards: negate its column
             for line in tableau:
                 line[e] = -line[e]
-            obj[e] = -obj[e]
             labels[e] = ~labels[e]
         leave = -1
-        for i, line in enumerate(tableau):
+        for i, (line, b) in enumerate(zip(tableau, basis)):
             a = line[e]
             # the least ratio rhs_i / a, cross-multiplied, then the lower label
-            if a > 0 and basis[i] >= n and (
-                leave < 0 or (line[-1] * tableau[leave][e], basis[i]) < (tableau[leave][-1] * a, basis[leave])
+            if a > 0 and b >= n and (
+                leave < 0 or (line[-1] * tableau[leave][e], b) < (tableau[leave][-1] * a, basis[leave])
             ):
                 leave = i
         if leave < 0:
             # phase-I objective is bounded below by 0; unbounded cannot occur
             raise RuntimeError("phase-I simplex became unbounded")
+        # one fraction-free exchange of every other row, the objective's too:
+        # the pivot p becomes the common denominator in place of d, and
+        # column e, which the leaving variable takes over, becomes minus the
+        # row's old entry there
         pivot_row = tableau[leave]
         p = pivot_row[e]
-        for i in range(m):
-            if i != leave:
-                tableau[i] = _pivot_row(tableau[i], pivot_row, p, e, d)
-        obj = _pivot_row(obj, pivot_row, p, e, d)
+        for i, row in enumerate(tableau):
+            c = row[e]
+            if i == leave:
+                continue
+            if c:
+                new = [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
+                new[e] = -c
+                tableau[i] = new
+            elif p != d:
+                tableau[i] = [p * a // d for a in row]
         pivot_row[e] = d
+        obj = tableau[-1]
         labels[e], basis[leave] = basis[leave], labels[e]
         d = p
         pivots += 1
         if labels[e] >= n + m and rows[labels[e] - n - m][2] == ">=":
             for line in tableau:
                 del line[e]
-            del obj[e], labels[e]
+            del labels[e]
 
     if obj[-1] != 0:
         cost = {v: obj[j] for j, v in enumerate(labels)}  # basic variables cost 0
@@ -227,7 +226,7 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
             x[v] = line[-1]
     if not _satisfies(system, x, d):
         raise RuntimeError("simplex produced an invalid witness")
-    return FeasibilityResult(tuple(Fraction(a, d) for a in x), None, pivots)
+    return FeasibilityResult(tuple(Fraction(a, d) for a in x), None, pivots, (tuple(x), d))
 
 
 def separate_segment_from_hull(b1: Sequence, b2: Sequence, hull_points: Sequence[Sequence]) -> FeasibilityResult:

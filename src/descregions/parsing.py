@@ -18,12 +18,11 @@ numerator and denominator of each exponent entry once a term's repeated
 variables are merged (x^999999*x^999999 is refused), which is the cap that
 trace input is held to as well.
 
-Tokens are plain (kind, text, offset) tuples; a ParseError works out its
-line and column from the offset.  While parsing, integral numbers are ints
-and only decimals and ratios are Fractions.  Fractions begin in
-``parse_signomial``, which makes each coefficient and exponent entry one,
-and ``Signomial.from_terms`` merges and sorts the terms on their lattice
-frame rows.
+Tokens are plain (kind, text, offset) tuples from one regex; a ParseError
+works out its line and column from the offset.  The parser works on ints,
+and only decimals and ratios are Fractions.  ``Signomial.from_terms`` takes
+each term's coefficient and exponent row as they are, merges and sorts
+them, and makes Fractions only for the terms that survive the merge.
 """
 
 from __future__ import annotations
@@ -32,11 +31,9 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .linalg import vector
 from .signomial import Signomial
 
 Number = Union[int, Fraction]
-_ZERO = Fraction(0)
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 MAX_VARIABLE_INDEX = 1000
@@ -45,9 +42,11 @@ MAX_EXPONENT_DIGITS = 6
 # every exponent entry's reduced numerator and denominator lie below this
 EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
-_TOKEN_RE = re.compile(
-    r"(?P<number>\d+(?:\.\d+)?)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^()/])|(?P<ws>\s+)|(?P<bad>.)"
-)
+# whitespace, then one token: 1 a number, 2 a name, 3 an operator, 4 a bad character
+_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z]\w*)|([-+*^()/])|(\S))")
+_KINDS = (None, "number", "name", None)
+# name -> index: the aliases, and each canonical xN (no leading zeros) once read
+_VARIABLES = dict(_ALIASES)
 
 
 class ParseError(ValueError):
@@ -72,13 +71,11 @@ def _position(text: str, offset: int) -> Tuple[int, int]:
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
-        tok = m.group()
-        tokens.append((tok if kind == "op" else kind, tok, m.start()))
+        group = m.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", *_position(text, m.start(4)))
+        tok = m[group]
+        tokens.append((_KINDS[group] or tok, tok, m.start(group)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -153,17 +150,17 @@ class _Parser:
             raise self.error("exponents must be integers or parenthesized rationals")
         return -value if negative else value
 
-    def variable(self) -> int:
-        tok = self.expect("name")
+    def variable(self, tok: _Token) -> int:
+        """The index of a name token that is not in ``_VARIABLES``."""
         name = tok[1]
-        if name in _ALIASES:
-            return _ALIASES[name]
         m = re.fullmatch(r"x0*([1-9]\d*)", name)
         if m:
             # compare lengths first: int() refuses very long digit strings
             index = m.group(1)
             if len(index) > len(str(MAX_VARIABLE_INDEX)) or int(index) > MAX_VARIABLE_INDEX:
                 raise self.error(f"variable {name!r} exceeds the largest index x{MAX_VARIABLE_INDEX}", tok)
+            if name == f"x{int(index)}":  # no leading zeros, ASCII digits
+                _VARIABLES[name] = int(index)
             return int(index)
         raise self.error(f"unknown variable {name!r}", tok)
 
@@ -187,12 +184,19 @@ class _Parser:
                 return coeff, exponents
         if self.kind != "name":
             raise self.error("expected a variable or coefficient")
-        while True:
-            var = self.variable()
+        while True:  # at a name token
+            tok = self.advance()
+            var = _VARIABLES.get(tok[1]) or self.variable(tok)
             power: Number = 1
             if self.kind == "^":
+                # at most MAX_EXPONENT_DIGITS ASCII digits are read here, any other power by ``exponent``
+                text = self.tokens[self.pos + 1][1]
                 self.advance()
-                power = self.exponent()
+                if len(text) <= MAX_EXPONENT_DIGITS and text.isascii() and text.isdigit():
+                    power = int(text)
+                    self.advance()
+                else:
+                    power = self.exponent()
             exponents[var] = exponents.get(var, 0) + power
             if self.kind == "*" and self.tokens[self.pos + 1][0] == "name":
                 self.advance()
@@ -229,14 +233,13 @@ class _Parser:
 
 def parse_signomial(text: str, dimension: Optional[int] = None) -> Signomial:
     """Parse the text format; the dimension is the largest variable index used
-    unless given explicitly.  Every coefficient and exponent entry becomes a
-    Fraction here, once."""
+    unless given explicitly."""
     raw = _Parser(text).poly()
     max_var = max((max(e) for _, e in raw if e), default=1)
     n = dimension if dimension is not None else max_var
     if max_var > n:
         raise ParseError(f"variable x{max_var} exceeds dimension {n}", 1, 1)
-    pairs = [(coeff, vector([exponents.get(i, _ZERO) for i in range(1, n + 1)])) for coeff, exponents in raw]
+    pairs = [(coeff, [exponents.get(i, 0) for i in range(1, n + 1)]) for coeff, exponents in raw]
     return Signomial.from_terms(n, pairs)
 
 

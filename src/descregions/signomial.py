@@ -75,22 +75,25 @@ class Signomial:
     @staticmethod
     def from_terms(dimension: int, pairs: Iterable[tuple]) -> "Signomial":
         """Build from (coefficient, exponent) pairs, merging repeated exponents
-        and dropping terms that cancel to zero.  Terms are merged and sorted
-        by their exponents' rows in the lattice frame."""
-        coeffs, exps = [], []
+        and dropping terms that cancel to zero.  Coefficients and exponent
+        entries are ints or Fractions, taken as they are: the terms are
+        merged and sorted by their exponents' rows in the lattice frame, and
+        each surviving term's coefficient and entries become Fractions there,
+        once."""
+        coeffs, rows = [], []
         for coeff, exp in pairs:
-            mu = vector(exp)
-            if len(mu) != dimension:
+            row = tuple(exp)
+            if len(row) != dimension:
                 raise ValueError("exponent length does not match dimension")
-            coeffs.append(coeff if type(coeff) is Fraction else Fraction(coeff))
-            exps.append(mu)
-        acc: dict = {}  # frame row -> [coefficient, exponent]
-        for row, c, mu in zip(lattice(exps)[1], coeffs, exps):
-            if row in acc:
-                acc[row][0] += c
+            coeffs.append(coeff)
+            rows.append(row)
+        acc: dict = {}  # frame row -> [coefficient, exponent row]
+        for key, c, row in zip(lattice(rows)[1], coeffs, rows):
+            if key in acc:
+                acc[key][0] += c
             else:
-                acc[row] = [c, mu]
-        terms = tuple(Term(c, mu) for c, mu in (acc[row] for row in sorted(acc)) if c != 0)
+                acc[key] = [c, row]
+        terms = tuple(Term(Fraction(c), vector(row)) for c, row in (acc[key] for key in sorted(acc)) if c != 0)
         return Signomial(dimension, terms)
 
     @property

@@ -98,10 +98,13 @@ def _signomial(data: dict, q: _Rationals) -> Signomial:
     if len(data["terms"]) > MAX_TERMS:
         raise ValueError(f"more than {MAX_TERMS} terms")
     terms = []
+    capped = set()  # the exponent spellings within the caps, each checked once
     for t in data["terms"]:
         exponent = _unvec(t["exponent"], q)
-        if any(abs(e.numerator) >= EXPONENT_BOUND or e.denominator >= EXPONENT_BOUND for e in exponent):
+        fresh = set(t["exponent"]) - capped
+        if any(abs(q[s].numerator) >= EXPONENT_BOUND or q[s].denominator >= EXPONENT_BOUND for s in fresh):
             raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
+        capped |= fresh
         terms.append(Term(q[t["coefficient"]], exponent))
     return Signomial(dimension, tuple(terms))
 

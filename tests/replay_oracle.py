@@ -11,7 +11,7 @@ own witness to the frame.  ``signomial_from_json`` and
 ``certificate_from_json`` read every rational with ``Fraction(str)``, which
 takes any spelling ``Fraction`` takes.  The functions are unchanged; they
 share with the package only the constants, the witness types, the caps and
-the simplex check.
+the simplex check, its vertex-count and dimension check included.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from descregions.check import (
     NonemptyWitness,
     SeparatingWitness,
     SimplexWitness,
+    _simplex_shape_error,
     criterion_outcome,
     verify_simplex_witness,
 )
@@ -140,6 +141,9 @@ def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
         ok = verify_separating_hyperplane(f, w.normal, w.offset, True, w.strict_point)
         return None if ok else "separating hyperplane does not verify"
     if cert.kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
+        shape = _simplex_shape_error(f, cert.witness)
+        if shape:
+            return shape
         try:
             ok = verify_simplex_witness(f, cert.witness)
         except DegenerateSimplexError:

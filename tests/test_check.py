@@ -19,19 +19,27 @@ import descregions
 from descregions import tracedoc
 from descregions.certify import certify_connectivity
 from descregions.check import (
+    _NONEMPTY_KINDS,
     BOX,
+    MODE_NEGATIVES_INSIDE,
+    MODE_POSITIVES_INSIDE,
+    SIMPLEX_NEGATIVES_INSIDE,
+    SIMPLEX_POSITIVES_INSIDE,
     BoxWitness,
     CertifyConfig,
     CriterionCertificate,
     EnclosingWitness,
+    SimplexWitness,
     frame_values,
     verify_criterion,
+    verify_simplex_witness,
 )
 from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
 import fixtures
 import replay_oracle
+from fixtures import vec
 from strategies import rational_signed_supports, signed_supports
 
 PACKAGE = Path(descregions.__file__).resolve().parent
@@ -123,6 +131,43 @@ def test_box_endpoints_may_lie_on_the_enclosing_hyperplanes():
     box = BoxWitness(pair, (Fraction(6), Fraction(0)), (Fraction(1), Fraction(0)), (0, -1), Fraction(-1))
     cert = CriterionCertificate(BOX, True, box)
     assert verify_criterion(f, cert) is None and replay_oracle.verify_criterion(f, cert) is None
+
+
+# vertices that cannot span a simplex of the 2-variable SIMPLEX_CONNECTED, and the reason
+MALFORMED_SIMPLICES = (
+    ((), "simplex witness has 0 vertices, not n + 1 = 3"),
+    ((vec(1), vec(2)), "simplex witness has 2 vertices, not n + 1 = 3"),
+    (fixtures.SIMPLEX_VERTICES + (vec(2, 2),), "simplex witness has 4 vertices, not n + 1 = 3"),
+    ((vec(1), vec(2), vec(3)), "simplex vertices do not match the signomial dimension"),
+    ((vec(1, 1), vec(4, 2), vec(1)), "simplex vertices do not match the signomial dimension"),
+    ((vec(1, 1), vec(4, 2), vec(1, 3, 0)), "simplex vertices do not match the signomial dimension"),
+)
+
+
+def test_malformed_simplex_witnesses_are_named():
+    """A vertex count other than n + 1, or a vertex not of dimension n, is a
+    named reason from ``verify_criterion``, and the witness does not verify,
+    so a search or replay handed one carries on."""
+    f = fixtures.SIMPLEX_CONNECTED
+    kinds = ((SIMPLEX_NEGATIVES_INSIDE, MODE_NEGATIVES_INSIDE), (SIMPLEX_POSITIVES_INSIDE, MODE_POSITIVES_INSIDE))
+    for vertices, reason in MALFORMED_SIMPLICES:
+        for kind, mode in kinds:
+            witness = SimplexWitness(vertices, mode)
+            assert verify_criterion(f, CriterionCertificate(kind, kind in _NONEMPTY_KINDS, witness)) == reason
+            assert not verify_simplex_witness(f, witness)
+            assert certify_connectivity(f, CertifyConfig(simplex_witness=witness)).outcome is not None
+
+
+def test_malformed_simplex_witnesses_in_a_trace_are_named():
+    """The same reasons through ``verify_document``, on the trace of a
+    printed simplex witness with its vertices replaced."""
+    config = CertifyConfig(simplex_witness=SimplexWitness(fixtures.SIMPLEX_VERTICES, MODE_POSITIVES_INSIDE))
+    doc = _document(fixtures.SIMPLEX_CONNECTED, config)
+    assert doc["tree"]["criterion"] == SIMPLEX_POSITIVES_INSIDE and tracedoc.verify_document(doc) == []
+    for vertices, reason in MALFORMED_SIMPLICES:
+        mutated = copy.deepcopy(doc)
+        mutated["tree"]["witness"]["vertices"] = [[str(a) for a in p] for p in vertices]
+        assert tracedoc.verify_document(mutated) == [f"root: {reason}"]
 
 
 # --- replay against the previous replay -------------------------------------------

@@ -238,7 +238,8 @@ def same_status_as_oracles(system, eliminate=True):
     """The narrow kernel against the wide tableau it replaced and, with
     ``eliminate``, Fourier-Motzkin: the same feasibility status.  Their
     Bland paths differ, so the witness or Farkas vector is checked exactly
-    on the rows as given instead."""
+    on the rows as given instead, and the integer witness (values, d) is
+    the witness times d."""
     got = feasible(system)
     rows = [(r.coeffs, r.rhs, r.relation) for r in system.rows]
     assert got.is_feasible == lp_oracle.feasible(system).is_feasible, system
@@ -249,8 +250,12 @@ def same_status_as_oracles(system, eliminate=True):
         for coeffs, rhs, rel in rows:
             lhs = dot(coeffs, got.witness)
             assert lhs == rhs if rel == "=" else lhs >= rhs
+        values, d = got.integer_witness
+        assert all(type(a) is int for a in values) and type(d) is int and d > 0
+        assert tuple(Fraction(a, d) for a in values) == got.witness
     else:
         assert _is_farkas_certificate(got.farkas, rows, system.unknowns), system
+        assert got.integer_witness is None
     return got
 
 

@@ -93,6 +93,18 @@ def test_variable_index_is_capped():
         assert err.value.column == column and "largest index" in str(err.value)
 
 
+def test_only_canonical_variable_names_are_remembered():
+    """Names resolve through one dict: the aliases, and x1..x1000 once read;
+    zero-padded spellings resolve to the same index but are not kept."""
+    padded = " + ".join(f"x{'0' * k}{i}" for k in (1, 3) for i in range(1, 200))
+    assert parse_signomial(padded) == parse_signomial(" + ".join(f"2*x{i}" for i in range(1, 200)))
+    every = " + ".join(f"x{i}" for i in range(1, MAX_VARIABLE_INDEX + 1))
+    assert parse_signomial(every).dimension == MAX_VARIABLE_INDEX
+    names = parsing._VARIABLES
+    assert all(name == f"x{index}" or name in ("x", "y", "z", "w") for name, index in names.items())
+    assert len(names) <= MAX_VARIABLE_INDEX + 4
+
+
 def test_numbers_too_long_to_convert_are_parse_errors():
     digits = "9" * 5000
     for text, column in ((digits + "*x - 1", 1), ("x^" + digits + " - 1", 3), ("x^(1/" + digits + ") - 1", 6)):
@@ -274,6 +286,18 @@ def _outcome(parser, text, dimension):
 @example(" + ".join(f"x^{i}" for i in range(MAX_TERMS)), None)
 @example("x^999999*x^999999 - 1", None)
 @example("x^(1/999999)*x^(1/999998) - 1", None)
+# the inline power: at the digit cap, one past it, non-ASCII digits, leading
+# zeros, zero, and a power that cancels another
+@example("x^999999 - 1", None)
+@example("x^1000000 - 1", None)
+@example("x^\u0663 - 1", None)
+@example("x^007 - y", None)
+@example("x^0 - y^0*x2^0 + z", None)
+@example("x^-3*x^3 + 1", None)
+# the variable dict: zero-padded names resolve without entering it
+@example("x0001*x1 - x2", None)
+@example(" + ".join(f"x{'0' * (i % 4)}{i}*x{i}^{i}" for i in range(1, 60)) + " - x0", None)
+@example(" - ".join(f"x{'0' * (i % 5)}{i}" for i in range(1, 120)) + " + 1", None)
 def test_parser_matches_the_previous_parser(text, dimension):
     """The parser returns an equal Signomial, or a ParseError with the same
     message, line and column, wherever the previous parser does; nothing

@@ -286,6 +286,26 @@ def test_trace_input_is_capped_like_the_text_format():
         assert tracedoc.verify_document(bad) == [f"malformed document: {message}"]
 
 
+def test_exponent_caps_hold_for_each_spelling_in_term_order():
+    """The caps are checked once per distinct exponent spelling, in term
+    order: a spelling first read as a coefficient is still capped as an
+    exponent, and an over-cap term is reported before a malformed later one."""
+    from descregions.parsing import MAX_EXPONENT_DIGITS
+
+    over = "1" + "0" * MAX_EXPONENT_DIGITS
+    message = f"exponent number has more than {MAX_EXPONENT_DIGITS} digits"
+    cases = [
+        [{"coefficient": over, "exponent": ["0", "1"]}, {"coefficient": "-1", "exponent": ["1", over]}],
+        [{"coefficient": "1", "exponent": ["0", "0"]}, {"coefficient": "-1", "exponent": [over, "0"]},
+         {"coefficient": "+2", "exponent": ["1", "1"]}],
+    ]
+    for terms in cases:
+        with pytest.raises(ValueError, match=message):
+            tracedoc.signomial_from_json({"dimension": 2, "terms": terms})
+    within = [{"coefficient": str(c), "exponent": [str(i % 3), "7/2"]} for c, i in zip((1, -2, 3), range(3))]
+    assert len(tracedoc.signomial_from_json({"dimension": 2, "terms": within}).terms) == 3
+
+
 # --- canonical rational spellings ----------------------------------------------
 
 SPELLINGS = st.one_of(
