@@ -2,14 +2,7 @@
 positive orthant has at most one connected component, with a grid-sampling
 oracle for desk-scale validation."""
 
-from .certify import (
-    BoundReport,
-    certify_and_check_closure,
-    certify_connectivity,
-    intersection_nonempty,
-    side_restrictions,
-    upper_bound,
-)
+from .certify import certify_connectivity, intersection_nonempty
 from .check import (
     CERTIFIED_AT_MOST_ONE,
     CERTIFIED_EMPTY,
@@ -29,7 +22,6 @@ from .signomial import Signomial, Term, restrict, signed_support
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CERTIFIED_AT_MOST_ONE",
     "CERTIFIED_EMPTY",
     "CERTIFIED_EXACTLY_ONE",
@@ -42,7 +34,6 @@ __all__ = [
     "Signomial",
     "SimplexWitness",
     "Term",
-    "certify_and_check_closure",
     "certify_connectivity",
     "check_connectivity",
     "closure_property",
@@ -52,8 +43,6 @@ __all__ = [
     "intersection_nonempty",
     "parse_signomial",
     "restrict",
-    "side_restrictions",
     "signed_support",
-    "upper_bound",
     "verify_certificate",
 ]

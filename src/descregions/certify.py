@@ -23,12 +23,8 @@ signomial's own Fraction exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from . import lp
 from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certificate stay reachable here
     CERTIFIED_AT_MOST_ONE,
     CERTIFIED_EMPTY,
@@ -44,22 +40,12 @@ from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certifica
     CertifyConfig,
     EdgeWitness,
     NonemptyWitness,
-    SeparatingWitness,
     _face_split,
     _splits,
     criterion_outcome,
-    frame_values,
     verify_certificate,
-    verify_enclosing_pair,
 )
-from .criteria import (
-    check_connectivity,
-    closure_property,
-    find_strict_separating_hyperplane,
-    hull_indices,
-    negative_vertex_functional,
-)
-from .linalg import Vector, vector
+from .criteria import check_connectivity, hull_indices, negative_vertex_functional
 from .polytope import (
     FacetBudgetExceededError,
     Polytope,
@@ -69,11 +55,7 @@ from .polytope import (
     parallel_face_pairs,
     smallest_face_containing,
 )
-from .signomial import Signomial, negatives, positives, restrict_indices
-
-
-class NotEnclosingError(ValueError):
-    """The supplied (v, a, b) is not an enclosing pair for the signomial."""
+from .signomial import Signomial, restrict_indices
 
 
 def certify_connectivity(f: Signomial, config: Optional[CertifyConfig] = None) -> Certificate:
@@ -82,17 +64,11 @@ def certify_connectivity(f: Signomial, config: Optional[CertifyConfig] = None) -
     return _certify(f, config, depth=1)
 
 
-def _certify(
-    f: Signomial,
-    config: CertifyConfig,
-    depth: int,
-    newton: Optional[Callable[[], Polytope]] = None,
-    separating: Optional[Callable[[], Optional[SeparatingWitness]]] = None,
-) -> Certificate:
-    """The certificate of one node; ``newton`` returns N(f) and
-    ``separating`` the strict separating hyperplane search's result when the
-    caller shares them.  Faces are found by term index on the hull and on f's
-    lattice frame, and children are restricted by index."""
+def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
+    """The certificate of one node.  N(f) is built at most once, when the
+    simplex search or the face scan first needs it; faces are found by term
+    index on the hull and on f's lattice frame, and children are restricted
+    by index."""
     if depth > config.max_depth:
         return Certificate(
             KIND_INCONCLUSIVE, INCONCLUSIVE, reason=f"recursion depth exceeded {config.max_depth}"
@@ -101,8 +77,8 @@ def _certify(
     if not neg_idx:
         return Certificate(KIND_EMPTY, CERTIFIED_EMPTY)
 
-    newton = newton or lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
-    crit = check_connectivity(f, config, newton, separating)
+    newton = lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
+    crit = check_connectivity(f, config, newton)
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
 
@@ -182,121 +158,3 @@ def intersection_nonempty(
             if list(smallest_face_containing(P, pair)[0]) == pair:
                 return EdgeWitness(f.support[i], f.support[j], face_exposing_normal(P, pair))
     return None
-
-
-def side_restrictions(f: Signomial, v: Sequence, a, b) -> Tuple[Signomial, Signomial]:
-    """Restrictions to the two sides of an enclosing pair: negatives on or
-    above the upper hyperplane plus all positives, and symmetrically below."""
-    if not verify_enclosing_pair(f, v, a, b, strict=False):
-        raise NotEnclosingError("(v, a, b) is not an enclosing pair for this signomial")
-    values, (a, b) = frame_values(f, v, a, b)
-    pos = list(f.positive_indices)
-    upper = [i for i in f.negative_indices if values[i] >= a] + pos
-    lower = [i for i in f.negative_indices if values[i] <= b] + pos
-    return restrict_indices(f, sorted(upper)), restrict_indices(f, sorted(lower))
-
-
-@dataclass(frozen=True)
-class IntersectionEvidence:
-    kind: str  # "negative-edge" | "segment-witness"
-    beta1: Vector
-    beta2: Vector
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    bound: Optional[int]  # None when unknown
-    method: str  # "graph-parallel" | "graph-ab" | "sum"
-    edges: Tuple[IntersectionEvidence, ...] = ()
-    reason: Optional[str] = None
-    children: Tuple[Certificate, ...] = ()
-
-
-def upper_bound(
-    f: Signomial,
-    v: Sequence,
-    config: Optional[CertifyConfig] = None,
-    enclosing: Optional[Tuple] = None,
-) -> BoundReport:
-    """Component-count bound from a two-vertex intersection graph.
-
-    With ``enclosing=(a, b)`` the children are the side restrictions of the
-    enclosing pair and an edge is a segment witness between their negative
-    supports; otherwise the support must split across the parallel faces of v
-    and an edge is a negative-negative polytope edge.  Children must
-    certify at most one component each (otherwise the bound is unknown);
-    any intersection evidence shows both children's regions are nonempty
-    and meet, so the bound drops to one.  Without it the bound is the sum,
-    two.
-    """
-    config = config or CertifyConfig()
-    vv = vector(v)
-    if enclosing is not None:
-        method = "graph-ab"
-        a, b = enclosing
-        fa, fb = side_restrictions(f, vv, a, b)
-    else:
-        faces = _face_split(f, vv)
-        if _splits(f, faces):
-            method = "graph-parallel"
-            fa, fb = (restrict_indices(f, face) for face in faces)
-        elif config.enable_enclosing_search:
-            # derive the tightest enclosing offsets along v
-            method = "graph-ab"
-            if not f.positive_indices:
-                raise ValueError("enclosing offsets need positive exponents")
-            values, (unit,) = frame_values(f, vv, 1)
-            pos_values = [values[i] for i in f.positive_indices]
-            a, b = Fraction(max(pos_values), unit), Fraction(min(pos_values), unit)
-            fa, fb = side_restrictions(f, vv, a, b)
-        else:
-            raise ValueError(
-                "support does not split across the faces of v and -v; supply"
-                " enclosing offsets or enable the enclosing search"
-            )
-
-    cert_a = _certify(fa, config, depth=1)
-    cert_b = _certify(fb, config, depth=1)
-    children = (cert_a, cert_b)
-    for cert in children:
-        if cert.outcome not in CERTIFIED_OUTCOMES:
-            return BoundReport(
-                None, method, reason="a child restriction is not certified", children=children
-            )
-    nonempty_children = [c for c in children if c.outcome != CERTIFIED_EMPTY]
-    if len(nonempty_children) < 2:
-        return BoundReport(max(1, len(nonempty_children)), "sum", children=children)
-
-    evidence: Optional[IntersectionEvidence] = None
-    if method == "graph-parallel":
-        try:
-            edge = intersection_nonempty(f, vv, build_polytope(f.support, config.facet_budget))
-        except FacetBudgetExceededError:
-            edge = None  # no negative-edge evidence: a weaker bound, never a wrong one
-        if edge is not None:
-            evidence = IntersectionEvidence("negative-edge", edge.beta1, edge.beta2)
-    else:
-        pos_union = sorted(set(positives(fa)) | set(positives(fb)))
-        for beta1 in sorted(negatives(fa)):
-            for beta2 in sorted(negatives(fb)):
-                if pos_union and lp.separate_segment_from_hull(beta1, beta2, pos_union).is_feasible:
-                    evidence = IntersectionEvidence("segment-witness", beta1, beta2)
-                    break
-            if evidence:
-                break
-
-    if evidence is not None:
-        return BoundReport(1, method, (evidence,), children=children)
-    return BoundReport(2, "sum", children=children)
-
-
-def certify_and_check_closure(
-    f: Signomial, config: Optional[CertifyConfig] = None
-) -> Tuple[Certificate, bool]:
-    """Certificate plus the closure-property verdict, the pair consumed by the
-    steady-state-region application."""
-    config = config or CertifyConfig()
-    newton = lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
-    separating = cache(lambda: find_strict_separating_hyperplane(f))
-    cert = _certify(f, config, 1, newton, separating)
-    return cert, closure_property(f, config.facet_budget, newton, separating)

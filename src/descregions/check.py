@@ -113,6 +113,10 @@ class CertifyConfig:
     max_depth: int = 64
     facet_budget: Optional[int] = 10000
     enable_simplex_search: bool = False
+    # Read by no search.  It stays because the trace's config records it
+    # (dropping it moves every trace's bytes) and the benchmark passes it;
+    # it goes with the node budget's key, once the benchmark stops passing
+    # it, so that the bytes move once.
     enable_enclosing_search: bool = False
     enable_box_criterion: bool = False
     simplex_witness: Optional[SimplexWitness] = None

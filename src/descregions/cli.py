@@ -27,11 +27,7 @@ from .check import (
     Certificate,
     CertifyConfig,
 )
-from .criteria import (
-    EnclosingBudgetExceededError,
-    closure_property,
-    find_strict_separating_hyperplane,
-)
+from .criteria import closure_property, find_strict_separating_hyperplane
 from .oracle import GridBudgetExceededError, count_negative_components, default_grid
 from .parsing import ParseError, parse_signomial
 from .polytope import (
@@ -249,14 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        OSError,
-        ValueError,
-        PlotUnsupportedError,
-        GridBudgetExceededError,
-        EnclosingBudgetExceededError,
-    ) as exc:
+    except (ParseError, OSError, ValueError, PlotUnsupportedError, GridBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

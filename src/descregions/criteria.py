@@ -311,16 +311,13 @@ def check_connectivity(
     f: Signomial,
     config: Optional[CertifyConfig] = None,
     newton: Optional[Callable[[], Polytope]] = None,
-    separating: Optional[Callable[[], Optional[SeparatingWitness]]] = None,
 ) -> Optional[CriterionCertificate]:
     """First applicable single-shot criterion, or None.
 
     Order: empty negative support, empty positive support, one negative
     coefficient, strict separating hyperplane, one positive coefficient (hull
     dimension >= 2), simplex witness, then the box criterion when enabled.
-    ``newton`` returns N(f) for the simplex search (built when not given),
-    and ``separating`` the strict separating hyperplane search's result (run
-    here when not given).
+    ``newton`` returns N(f) for the simplex search (built when not given).
     """
     config = config or CertifyConfig()
     neg = negatives(f)
@@ -331,7 +328,7 @@ def check_connectivity(
         return CriterionCertificate(NO_POSITIVE_TERMS, True)
     if len(neg) == 1:
         return CriterionCertificate(ONE_NEGATIVE_COEFF, False, neg[0])
-    sep = separating() if separating is not None else find_strict_separating_hyperplane(f)
+    sep = find_strict_separating_hyperplane(f)
     if sep is not None:
         return CriterionCertificate(STRICT_SEPARATING, True, sep)
     if len(pos) == 1 and newton_dim(f) >= 2:

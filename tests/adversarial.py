@@ -1,4 +1,5 @@
-"""Inputs within the parser's caps that once made the certifier run away.
+"""Inputs within the parser's caps that once made the certifier run away,
+or that drive a search to its budget.
 
 Each is polynomial text.  The tests bound the work they take by counted
 simplex pivots, which repeat exactly, not by wall time.
@@ -30,3 +31,14 @@ def prime_denominator_text(terms: int = 80) -> str:
         f"{'-' if i % 2 else '+'} x^({i + 1}/{primes[2 * i]})*y^({(i + 1) ** 2}/{primes[2 * i + 1]})"
         for i in range(terms)
     ).lstrip("+ ")
+
+
+def box_budget_text() -> str:
+    """Two variables, exponents in {0..6}^2, 12 negatives and 4 positives:
+    exactly the box criterion's default budget of negatives.  No Farkas
+    nogood refutes a later side assignment, so the enclosing-pair search
+    solves all 2^11 - 1 feasibility problems and finds no pair."""
+    return (
+        "1 - x2^2 - x2^3 - x2^5 - x1 + x1*x2^4 - x1^3 - x1^3*x2^2 - x1^3*x2^4 - x1^3*x2^5"
+        " - x1^3*x2^6 + x1^4 - x1^4*x2^6 + x1^5*x2^6 - x1^6*x2^3 - x1^6*x2^6"
+    )

@@ -5,10 +5,10 @@ import pytest
 
 from descregions import criteria, lp
 from descregions.check import CertifyConfig
-from descregions.criteria import _simplex_search, find_strict_separating_hyperplane
+from descregions.criteria import _simplex_search, find_strict_enclosing_pair, find_strict_separating_hyperplane
 from descregions.parsing import parse_signomial
 
-from adversarial import parabola_text, prime_denominator_text
+from adversarial import box_budget_text, parabola_text, prime_denominator_text
 
 
 @pytest.fixture
@@ -48,3 +48,13 @@ def test_simplex_search_walks_nothing_when_no_combination_holds_the_vertices(mon
     monkeypatch.setattr(criteria, "simplex_halfspaces", lambda points: derived.append(points) or simplex_halfspaces(points))
     assert _simplex_search(f, CertifyConfig(enable_simplex_search=True)) is None
     assert walks == [] and derived == []
+
+
+def test_enclosing_search_at_the_budget_is_bounded(pivots):
+    """12 negatives, the default budget: at most 2^11 - 1 side assignments,
+    each one LP, within twice the measured 8,402 pivots over all 2,047."""
+    f = parse_signomial(box_budget_text())
+    k = CertifyConfig().enclosing_max_negatives
+    assert len(f.negative_indices) == k == 12
+    assert find_strict_enclosing_pair(f, k) is None
+    assert len(pivots) <= 2 ** (k - 1) - 1 and sum(pivots) <= 16_804
