@@ -189,7 +189,12 @@ def _cmd_plot(args) -> int:
     grid = default_grid(2, box=box, resolution=200 if args.grid is None else args.grid)
     hyperplane = None
     if args.hyperplane:
-        parts = [Fraction(p) for p in args.hyperplane.split(",")]
+        try:  # the overlay is drawn in floats, so each part must convert to one
+            parts = [Fraction(p) for p in args.hyperplane.split(",")]
+            for p in parts:
+                float(p)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"hyperplane {args.hyperplane!r:.40} needs rationals within the float range") from None
         if len(parts) != 3:
             raise ValueError("hyperplane must be v1,v2,a")
         hyperplane = ((parts[0], parts[1]), parts[2])

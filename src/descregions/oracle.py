@@ -9,18 +9,23 @@ of axis-0 rows, in place, in one fixed order of floating-point operations,
 so cells that round or overflow come out the same on every run.  Each
 witness is the first cell of its component in row-major order, and the
 witnesses are listed in label order.
+
+numpy and scipy are imported inside the functions that use them, not at the
+top of the module, so that importing the package (and the exact ``certify``,
+``--verify-trace`` and ``analyze`` paths) never loads them; only the first
+grid of a process pays their import time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
-from scipy import ndimage
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .signomial import DEFAULT_TOLERANCE_FACTOR, Signomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BOX = (-8.0, 8.0)
 DEFAULT_CELL_CAP = 20_000_000
@@ -93,6 +98,8 @@ class ComponentReport:
 
 
 def _axes(grid: GridSpec):
+    import numpy as np
+
     return [np.linspace(lo, hi, grid.resolution) for lo, hi in grid.box]
 
 
@@ -105,6 +112,8 @@ def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
     in variable order, then exp, then the coefficient; the terms are summed in
     term order.  Rounded and overflowing cells therefore come out the same on
     every run, whatever the slab the cell falls in."""
+    import numpy as np
+
     if grid.dimension != f.dimension:
         raise ValueError("grid dimension does not match the signomial")
     n, res = grid.dimension, grid.resolution
@@ -144,6 +153,9 @@ def count_negative_components(f: Signomial, grid: Optional[GridSpec] = None) -> 
     negative cells that are axis-adjacent (no diagonals).  The witnesses are
     the first cell of each component in row-major order, listed in label
     order."""
+    import numpy as np
+    from scipy import ndimage
+
     grid = grid or default_grid(f.dimension)
     mask = negative_mask(f, grid)
     structure = ndimage.generate_binary_structure(grid.dimension, 1)

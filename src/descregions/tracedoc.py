@@ -75,11 +75,15 @@ def _unvec(v, q: _Rationals) -> Tuple[Fraction, ...]:
 
 
 def signomial_to_json(f: Signomial) -> dict:
+    if f.scale == 1:  # an integral frame: its rows are the exponents, as ints
+        exponents = [list(map(str, row)) for row in f.frame]
+    else:
+        exponents = [_vec(t.exponent) for t in f.terms]
     return {
         "dimension": f.dimension,
         "terms": [
-            {"coefficient": _fmt(t.coefficient), "exponent": _vec(t.exponent)}
-            for t in f.terms
+            {"coefficient": _fmt(t.coefficient), "exponent": e}
+            for t, e in zip(f.terms, exponents)
         ],
     }
 

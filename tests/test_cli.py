@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -288,6 +289,18 @@ def test_plot_hyperplane_overlay(poly, capsys, tmp_path):
     assert 'class="hplane"' in svg and 'class="pospt"' in svg
 
 
+def test_plot_rejects_a_bad_hyperplane(poly, capsys, tmp_path):
+    # a zero denominator used to raise ZeroDivisionError from Fraction, and a
+    # part beyond the float range OverflowError while drawing the overlay
+    upper = poly("upper.poly", fixtures.TEN_TERM_UPPER_TEXT)
+    out_path = tmp_path / "overlay.svg"
+    for spec in ("1/0,1,1", "1,1,1e999999"):
+        code, out, err = run(capsys, "plot", upper, "--grid", "20", "--out", str(out_path), "--hyperplane", spec)
+        assert code == 1 and out == "", spec
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err, spec
+    assert not out_path.exists()
+
+
 def test_plot_rejects_a_grid_below_two(poly, capsys, tmp_path):
     tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
     out_path = tmp_path / "region.svg"
@@ -358,3 +371,51 @@ def test_verify_trace_applies_the_input_caps(capsys, tmp_path):
         )
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert json.loads(proc.stdout) == {"verified": False, "errors": [f"malformed document: {message}"]}
+
+
+COLD_START = """
+import contextlib, io, json, sys
+import descregions, descregions.cli
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = descregions.cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+
+poly, trace = sys.argv[1:]
+code, doc = run("certify", poly)
+with open(trace, "w", encoding="utf-8") as fh:
+    fh.write(doc)
+codes = [code] + [
+    run(*argv)[0]
+    for argv in (("certify", poly, "--format", "text"), ("certify", "--verify-trace", trace), ("analyze", poly))
+]
+exact = loaded()
+code, report = run("oracle", poly, "--grid", "10")
+print(json.dumps({"codes": codes, "exact": exact, "oracle": [code, json.loads(report)["component_count"]], "grid": loaded()}))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_scipy(poly, tmp_path):
+    # a fresh interpreter: this one has numpy loaded already
+    from descregions.oracle import count_negative_components, default_grid
+
+    cube4 = poly("cube4.poly", fixtures.CUBE4_TEXT)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, cube4, str(tmp_path / "trace.json")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["exact"] == []
+    count = count_negative_components(fixtures.CUBE4, default_grid(4, resolution=10)).component_count
+    assert result["oracle"] == [0, count]
+    assert result["grid"] == ["numpy", "scipy"]
