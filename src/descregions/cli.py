@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -39,6 +40,9 @@ from .polytope import (
 )
 from .signomial import Signomial, negatives, newton_dim, positives
 from .svgplot import PlotUnsupportedError, render_region_svg
+
+# a number of the polynomial text: sign, digits, then a decimal part or a denominator
+_NUMBER_RE = re.compile(r"[-+]?[0-9]+(?:\.[0-9]+|/[0-9]+)?")
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -189,15 +193,19 @@ def _cmd_plot(args) -> int:
     grid = default_grid(2, box=box, resolution=200 if args.grid is None else args.grid)
     hyperplane = None
     if args.hyperplane:
-        try:  # the overlay is drawn in floats, so each part must convert to one
-            parts = [Fraction(p) for p in args.hyperplane.split(",")]
-            for p in parts:
-                float(p)
-        except (ZeroDivisionError, OverflowError):
-            raise ValueError(f"hyperplane {args.hyperplane!r:.40} needs rationals within the float range") from None
-        if len(parts) != 3:
-            raise ValueError("hyperplane must be v1,v2,a")
-        hyperplane = ((parts[0], parts[1]), parts[2])
+        parts = args.hyperplane.split(",")
+        # numbers as the polynomial text writes them, read exactly; the
+        # overlay is drawn in floats, so each must convert to one
+        try:
+            if len(parts) != 3 or not all(_NUMBER_RE.fullmatch(p.strip()) for p in parts):
+                raise ValueError
+            v1, v2, a = (Fraction(p) for p in parts)
+            float(v1), float(v2), float(a)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(
+                f"hyperplane {args.hyperplane!r:.40} must be v1,v2,a: numbers like -3, 1.5 or 2/3 within the float range"
+            ) from None
+        hyperplane = ((v1, v2), a)
     svg = render_region_svg(f, grid, hyperplane)
     out = args.out or str(Path(args.file).with_suffix(".svg"))
     Path(out).write_text(svg, encoding="utf-8")

@@ -59,10 +59,11 @@ class EnclosingBudgetExceededError(RuntimeError):
 def _unframe(f: Signomial, w: Vector) -> Vector:
     """A normal found on f's lattice frame, back in f's own coordinates.
 
-    An LP built from the frame rows L * mu in place of mu has its normal's
-    columns scaled by L; Bland's rule follows the same bases under a
-    positive column scaling, so its normal is w = v / L for the normal v
-    of the LP on the rational rows, and offsets are unchanged."""
+    The criteria's LPs are int ">=" rows on the frame: the normal's columns
+    hold the exponents times L, a positive column scaling that Bland's rule
+    follows through the same bases, so the frame's normal is w = v / L for
+    the normal v of the same LP on the rational exponents, and offsets are
+    unchanged."""
     return w if f.scale == 1 else tuple(f.scale * x for x in w)
 
 
@@ -81,14 +82,14 @@ def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitnes
         return None
     n = f.dimension
     frame = f.frame
-    rows = [(frame[i] + (-1,), 0, ">=") for i in neg]
-    rows += [(tuple(-c for c in frame[i]) + (1,), 0, ">=") for i in pos]
-    strict_rows = [(frame[neg[0]] + (-1,), 1, ">=")]
+    rows = [(frame[i] + (-1,), 0) for i in neg]
+    rows += [(tuple(-c for c in frame[i]) + (1,), 0) for i in pos]
+    strict_rows = [(frame[neg[0]] + (-1,), 1)]
     if len(neg) > 1:
         total = tuple(map(sum, zip(*(frame[i] for i in neg[1:]))))
-        strict_rows.append((total + (1 - len(neg),), 1, ">="))
+        strict_rows.append((total + (1 - len(neg),), 1))
     for strict_row in strict_rows:
-        res = lp.feasible(lp.LinearSystem.build(n + 1, rows + [strict_row]))
+        res = lp.feasible(lp.LinearSystem(n + 1, (*rows, strict_row)))
         if res.is_feasible:
             values, _ = res.integer_witness  # (w, a) times d > 0
             beta0 = next(f.support[i] for i in neg if dot(values[:n], frame[i]) > values[n])
@@ -132,8 +133,8 @@ def find_strict_enclosing_pair(
     # unknowns: v (n), a, b
     pos_rows = []
     for i in pos:
-        pos_rows.append((tuple(-c for c in frame[i]) + (1, 0), 0, ">="))
-        pos_rows.append((frame[i] + (0, -1), 0, ">="))
+        pos_rows.append((tuple(-c for c in frame[i]) + (1, 0), 0))
+        pos_rows.append((frame[i] + (0, -1), 0))
     nogoods: List[Tuple[int, int]] = []  # (S as a bit set, the sides of S refuted)
     for mask in range(1, 2 ** (k - 1)):
         if any((mask & s) in (sides, s ^ sides) for s, sides in nogoods):
@@ -142,11 +143,11 @@ def find_strict_enclosing_pair(
         lower = [i for i in range(k) if not mask >> i & 1]
         rows = list(pos_rows)
         for i in upper:
-            rows.append((frame[neg[i]] + (-1, 0), 1, ">="))
+            rows.append((frame[neg[i]] + (-1, 0), 1))
         for i in lower:
-            rows.append((tuple(-c for c in frame[neg[i]]) + (0, 1), 1, ">="))
-        rows.append(((0,) * n + (1, -1), 0, ">="))
-        res = lp.feasible(lp.LinearSystem.build(n + 2, rows))
+            rows.append((tuple(-c for c in frame[neg[i]]) + (0, 1), 1))
+        rows.append(((0,) * n + (1, -1), 0))
+        res = lp.feasible(lp.LinearSystem(n + 2, tuple(rows)))
         if res.is_feasible:
             v = _unframe(f, res.witness[:n])
             a, b = res.witness[n], res.witness[n + 1]

@@ -4,12 +4,12 @@ The geometry runs in one integer lattice frame: ``lattice`` scales a point
 set once by the lcm L of its denominators, and the kernels work on Python
 ints from there on.  The linear algebra is one fraction-free inverse per
 simplex, one echelon per hull (both Bareiss 1968): the incremental reduced
-row echelon form here gives ranks, affine ranks and ``polytope``'s
-affine-hull frame with its starting simplex, and ``check.simplex_halfspaces``
-reads all of a simplex's facet normals off one inverse; no other linear
-system is solved.  Ranks and primitive normals do not change under the
-scaling; offsets are divided by L where they leave the frame.  ``rank`` and
-``affine_rank`` take exact rationals and scale them at entry.
+row echelon form here gives affine ranks and ``polytope``'s affine-hull
+frame with its starting simplex, and ``check.simplex_halfspaces`` reads all
+of a simplex's facet normals off one inverse; no other linear system is
+solved.  Ranks and primitive normals do not change under the scaling, and
+offsets are multiplied by L.  ``affine_rank`` takes exact rationals and
+scales them at entry.
 """
 
 from __future__ import annotations
@@ -119,13 +119,6 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def rank(vectors: Sequence[Sequence]) -> int:
-    ech = _Echelon()
-    for v in lattice(vectors)[1]:
-        ech.add(v)
-    return ech.rank
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:

@@ -15,11 +15,11 @@ system.  For a flat hull that lift is the one supporting normal that is
 zero off the pivot columns.  Each new facet is the positive
 combination of the two facets sharing its ridge that vanishes at the new
 point; ridges are read from the vertex-facet incidences, which insertion
-keeps up to date.  Facet normals are coprime integer vectors, the same under
-any positive scaling; a facet offset is divided by L where it leaves the
-frame, so points, hulls and halfspaces hold their exact rational values.
-Vertices, smallest faces and exposing normals are read off the incidences,
-with no linear programming.
+keeps up to date.  A facet stays in the frame: its normal is a coprime
+integer vector, the same under any positive scaling, and its offset is the
+frame's int, L times the exact one.  Vertices, smallest faces and exposing
+normals are read off the incidences, with no linear programming; exposing
+and parallel-face normals leave as tuples of Fractions.
 """
 
 from __future__ import annotations
@@ -29,82 +29,29 @@ from fractions import Fraction
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .check import simplex_halfspaces
-from .linalg import (
-    IntVector,
-    Vector,
-    _Echelon,
-    dot,
-    is_zero,
-    lattice,
-    primitive_int,
-    residual,
-    sign_canonical,
-    vector,
-    vsub,
-)
+from .linalg import IntVector, Vector, _Echelon, dot, lattice, primitive_int, sign_canonical, vector
 
 class FacetBudgetExceededError(RuntimeError):
     """Raised when hull construction would exceed the configured facet budget."""
 
 
 @dataclass(frozen=True)
-class AffineHull:
-    """The affine span as base + the row space of the integer reduced
-    echelon ``rows``: row j has its pivot q_j in column pivots[j] and 0 in
-    the other pivot columns, and stands for row / q_j, so a point's hull
-    coordinates are its pivot entries minus the base's."""
-
-    base: Vector
-    rows: Tuple[IntVector, ...]
-    pivots: Tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def basis(self) -> Tuple[Vector, ...]:
-        """The rational rows, 1 in their own pivot column."""
-        return tuple(tuple(Fraction(a, row[k]) for a in row) for k, row in zip(self.pivots, self.rows))
-
-    def coords(self, point: Vector) -> Vector:
-        """Exact coordinates of a point of the hull in the base/basis frame;
-        ValueError for a point off the hull."""
-        diff = vsub(vector(point), self.base)
-        if any(residual(zip(self.pivots, self.rows), lattice([diff])[1][0])):
-            raise ValueError("point is not in the affine hull")
-        return tuple(diff[k] for k in self.pivots)
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Outer form v . mu <= a."""
-
-    normal: Vector
-    offset: Fraction
-
-    def __post_init__(self):
-        if is_zero(self.normal):
-            raise ValueError("halfspace normal must be nonzero")
-
-
-@dataclass(frozen=True)
 class Facet:
-    halfspace: Halfspace
+    """The facet normal . mu <= offset on the lattice frame: a primitive int
+    normal, an int offset, and the indices of the points on it."""
+
+    normal: IntVector
+    offset: int
     incident: FrozenSet[int]
 
 
 @dataclass(frozen=True)
 class Polytope:
     points: Tuple[Vector, ...]
-    hull: AffineHull
+    frame: Tuple[IntVector, ...]  # the points in the lattice frame
+    dim: int
     vertices: FrozenSet[int]
     facets: Tuple[Facet, ...]
-    frame: Tuple[IntVector, ...]  # the points in the lattice frame
-
-    @property
-    def dim(self) -> int:
-        return self.hull.dim
 
 
 def _incremental_facets(
@@ -160,18 +107,18 @@ def _incremental_facets(
     return [(h, frozenset(inc)) for h, inc in facets]
 
 
-def _lift_halfspace(
-    hull: AffineHull, base: IntVector, normal_h: IntVector, offset_h: int
+def _lift_facet(
+    pivots: Sequence[int], base: IntVector, normal_h: IntVector, offset_h: int
 ) -> Tuple[IntVector, int]:
-    """Ambient halfspace (normal, offset) of the lattice frame inducing the
-    given hull-coordinate halfspace, with ``base`` the base point's row: the
-    hull normal placed on the pivot columns, zero elsewhere.  Hull
-    coordinates are the pivot entries of p - base, so the placed normal w
-    has w.(p - base) = normal_h.c for every p on the hull with coordinates
-    c, and it stays primitive.  For a flat hull it is the one supporting
-    normal that is zero off the pivot columns."""
+    """Ambient facet (normal, offset) on the lattice frame inducing the given
+    hull-coordinate one, with ``base`` the base point's row: the hull normal
+    placed on the pivot columns, zero elsewhere.  Hull coordinates are the
+    pivot entries of p - base, so the placed normal w has w.(p - base) =
+    normal_h.c for every p on the hull with coordinates c, and it stays
+    primitive.  For a flat hull it is the one supporting normal that is zero
+    off the pivot columns."""
     w = [0] * len(base)
-    for k, a in zip(hull.pivots, normal_h):
+    for k, a in zip(pivots, normal_h):
         w[k] = a
     return tuple(w), dot(w, base) + offset_h
 
@@ -184,20 +131,17 @@ def build_polytope(
     pts = tuple(vector(p) for p in points)
     if not pts:
         raise ValueError("points must be nonempty")
-    scale, frame = lattice(pts)
+    frame = lattice(pts)[1]
     if len(set(frame)) != len(frame):
         raise ValueError("points must be pairwise distinct")
     ech = _Echelon.affine(frame)
-    hull = AffineHull(pts[0], tuple(row for _, row in ech.rows), tuple(c for c, _ in ech.rows))
-    hp = [tuple(p[k] - frame[0][k] for k in hull.pivots) for p in frame]
-    hull_facets = _incremental_facets(hp, ech.picked, facet_budget) if hull.dim >= 1 else []
-    # sorted by (normal, offset) in the frame, the order of the exact values;
-    # the offset leaves the frame here, divided by the scale
-    lifted = sorted(((_lift_halfspace(hull, frame[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])
-    facets = tuple(
-        Facet(Halfspace(tuple(map(Fraction, w)), Fraction(offset, scale)), inc) for (w, offset), inc in lifted
-    )
-    return Polytope(pts, hull, _vertices_from_incidences(len(pts), facets), facets, frame)
+    pivots = [c for c, _ in ech.rows]
+    hp = [tuple(p[k] - frame[0][k] for k in pivots) for p in frame]
+    hull_facets = _incremental_facets(hp, ech.picked, facet_budget) if pivots else []
+    # sorted by (normal, offset), the order of the exact values
+    lifted = sorted(((_lift_facet(pivots, frame[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])
+    facets = tuple(Facet(w, offset, inc) for (w, offset), inc in lifted)
+    return Polytope(pts, frame, len(pivots), _vertices_from_incidences(len(pts), facets), facets)
 
 
 def lazy_hull(build: Callable[[], Polytope]) -> Callable[[], Polytope]:
@@ -258,7 +202,7 @@ def face_exposing_normal(P: Polytope, indices: Sequence[int]) -> Vector:
     total = [0] * len(P.points[0])
     for f in P.facets:
         if want <= f.incident:
-            total = [a + b.numerator for a, b in zip(total, f.halfspace.normal)]
+            total = [a + b for a, b in zip(total, f.normal)]
     return tuple(map(Fraction, primitive_int(total)))
 
 
@@ -273,8 +217,7 @@ def parallel_face_pairs(P: Polytope, support: Sequence[int]) -> List[Vector]:
         raise ValueError("parallel faces need dim >= 1")
     found = set()
     for f in P.facets:
-        w = tuple(a.numerator for a in f.halfspace.normal)  # primitive, with integer entries
-        values = {dot(w, P.frame[i]) for i in support}
+        values = {dot(f.normal, P.frame[i]) for i in support}
         if len(values) == 2:
-            found.add(sign_canonical(w))
+            found.add(sign_canonical(f.normal))
     return [tuple(map(Fraction, w)) for w in sorted(found)]

@@ -112,11 +112,13 @@ def brute_force_facets(points):
 
 def polytope_facets_in_hull_coords(P):
     """The package's facet list mapped into this module's hull coordinates
-    for comparison."""
+    for comparison; a facet's offset is on the lattice frame, the points
+    times the lcm of their denominators."""
     base, basis, _ = _frame(P.points)
+    scale = lcm(*(a.denominator for p in P.points for a in p))
     out = set()
     for f in P.facets:
-        w, a = f.halfspace.normal, f.halfspace.offset
+        w, a = f.normal, Fraction(f.offset, scale)
         g = tuple(dot(w, b) for b in basis)
         c = a - dot(w, base)
         out.add(_key(g, c))

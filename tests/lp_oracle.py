@@ -2,15 +2,17 @@
 oracle for the tests (like ``fm_oracle`` and ``parse_oracle``).
 
 The tableau stores every column of the phase-I formulation: u and w for the
-split x = u - w, one surplus per ">=" row, one artificial per row, and the
+split x = u - w, one surplus and one artificial per row, and the
 right-hand side, in that order, and starts from the all-artificial basis.
 It shares only the system type, the result type and the exact checks with
 ``lp``, whose narrow dictionary walks another Bland path: the tests compare
 the feasibility status, and check each kernel's witness or Farkas vector.
+``int_system`` turns the tests' rational systems into ``lp``'s int rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List
 
 from descregions.lp import FeasibilityResult, LinearSystem, _refutes, _satisfies
@@ -27,41 +29,47 @@ def _pivot_row(row: List[int], pivot_row: List[int], p: int, enter: int, d: int)
     return [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
 
 
-def feasible(system: LinearSystem) -> FeasibilityResult:
-    """Exact feasibility of a system of >=/= rows over free rational unknowns.
+def int_system(unknowns: int, rows) -> LinearSystem:
+    """The rational rows (coeffs, rhs, relation), relation ">=" or "=", as
+    the int ">=" rows ``lp`` takes: every row times the lcm L of all the
+    system's denominators, a uniform positive scaling under which Bland's
+    rule walks the same bases to the same witness, and an "=" row as the
+    row and its negation."""
+    scale = lcm(*(a.denominator for coeffs, rhs, _ in rows for a in (*coeffs, rhs)))
+    out = []
+    for coeffs, rhs, relation in rows:
+        line = tuple(int(a * scale) for a in (*coeffs, rhs))
+        out.append((line[:-1], line[-1]))
+        if relation == "=":
+            out.append((tuple(-a for a in line[:-1]), -line[-1]))
+    return LinearSystem(unknowns, tuple(out))
 
-    Free variables are split as x = u - w, ">=" rows get surplus variables,
-    and a phase-I simplex minimizes the sum of one artificial per row.  An
-    infeasible answer carries its Farkas certificate.
+
+def feasible(system: LinearSystem) -> FeasibilityResult:
+    """Exact feasibility of a system of int ">=" rows over free rational
+    unknowns.
+
+    Free variables are split as x = u - w, every row gets a surplus
+    variable, and a phase-I simplex minimizes the sum of one artificial per
+    row.  An infeasible answer carries its Farkas certificate.
     """
     n = system.unknowns
     m = len(system.rows)
     if m == 0:
         return FeasibilityResult(tuple([ZERO] * n))
 
-    n_surplus = sum(1 for r in system.rows if r.relation == ">=")
-    ncols = 2 * n + n_surplus + m  # u, w, surplus, artificial
-    art0 = 2 * n + n_surplus
-
-    # Every row is multiplied by the lcm L of all denominators, so surplus
-    # coefficients read -L and an artificial, kept at coefficient 1, stands
-    # for L times the artificial of the unscaled row.  Every reduced cost and
-    # every ratio then changes by a positive factor only, so Bland's rule
-    # walks the same bases as over the unscaled rationals.
-    scale, rows = system.lattice
+    ncols = 2 * n + 2 * m  # u, w, surplus, artificial
+    art0 = 2 * n + m
     tableau: List[List[int]] = []
     signs: List[int] = []  # -1 for a row negated to make its rhs nonnegative
-    surplus_at = 0
-    for i, (coeffs, rhs, relation) in enumerate(rows):
+    for i, (coeffs, rhs) in enumerate(system.rows):
         line = [0] * (ncols + 1)
         line[:n] = coeffs
         line[n:2 * n] = [-c for c in coeffs]
-        if relation == ">=":
-            line[2 * n + surplus_at] = -scale
-            surplus_at += 1
+        line[2 * n + i] = -1
         line[ncols] = rhs
-        signs.append(-1 if line[ncols] < 0 else 1)
-        if line[ncols] < 0:
+        signs.append(-1 if rhs < 0 else 1)
+        if rhs < 0:
             line = [-a for a in line]
         line[art0 + i] = 1
         tableau.append(line)

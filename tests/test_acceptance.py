@@ -30,7 +30,7 @@ from descregions.check import (
 )
 from descregions.certify import certify_connectivity
 from descregions.cli import main
-from descregions.lp import LinearSystem, feasible
+from descregions.lp import feasible
 from descregions.oracle import count_negative_components, default_grid
 from descregions.polytope import build_polytope
 from descregions.signomial import Signomial
@@ -56,6 +56,7 @@ from fixtures import (
     vec,
 )
 from fm_oracle import fm_feasible
+from lp_oracle import int_system
 from hull_oracle import brute_force_facets, polytope_facets_in_hull_coords
 
 F = Fraction
@@ -249,7 +250,7 @@ def test_criterion_5_lp_matches_fourier_motzkin():
             rhs = F(rng.randint(-5, 5))
             rel = "=" if rng.random() < 0.25 else ">="
             rows.append((coeffs, rhs, rel))
-        got = feasible(LinearSystem.build(unknowns, rows)).is_feasible
+        got = feasible(int_system(unknowns, rows)).is_feasible
         want = fm_feasible(rows, unknowns)
         assert got == want, (unknowns, rows)
     print("ACCEPTANCE 5 exact simplex vs Fourier-Motzkin (500 systems): PASS")

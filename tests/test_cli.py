@@ -290,11 +290,13 @@ def test_plot_hyperplane_overlay(poly, capsys, tmp_path):
 
 
 def test_plot_rejects_a_bad_hyperplane(poly, capsys, tmp_path):
-    # a zero denominator used to raise ZeroDivisionError from Fraction, and a
-    # part beyond the float range OverflowError while drawing the overlay
+    # a zero denominator used to raise ZeroDivisionError from Fraction, a
+    # part beyond the float range OverflowError while drawing the overlay;
+    # an exponent, which the polynomial text has no spelling for, is refused
+    # before Fraction builds its power of ten (1e9999999 took seconds)
     upper = poly("upper.poly", fixtures.TEN_TERM_UPPER_TEXT)
     out_path = tmp_path / "overlay.svg"
-    for spec in ("1/0,1,1", "1,1,1e999999"):
+    for spec in ("1/0,1,1", "1,1,1e999999", "1e9999999,1,1", "1e-999999,1,1"):
         code, out, err = run(capsys, "plot", upper, "--grid", "20", "--out", str(out_path), "--hyperplane", spec)
         assert code == 1 and out == "", spec
         assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err, spec

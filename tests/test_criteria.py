@@ -57,6 +57,7 @@ from fixtures import (
     vec,
 )
 from strategies import rational_signed_supports, signed_supports
+from lp_oracle import int_system
 from test_lp import same_path
 
 F = Fraction
@@ -361,7 +362,7 @@ def per_candidate_witnesses(f):
         rows = [(tuple(b) + (-1,), 0, ">=") for b in neg]
         rows += [(tuple(-c for c in a) + (1,), 0, ">=") for a in pos]
         rows.append((tuple(beta0) + (-1,), 1, ">="))
-        out.append(lp.feasible(lp.LinearSystem.build(n + 1, rows)).witness)
+        out.append(lp.feasible(int_system(n + 1, rows)).witness)
     return out
 
 
@@ -389,7 +390,7 @@ def test_negative_vertex_functional_matches_lp(f):
 
     def lp_vertex(beta):
         rows = [(vsub(beta, q), 1, ">=") for q in support if q != beta]
-        return lp.feasible(lp.LinearSystem.build(n, rows)).is_feasible
+        return lp.feasible(int_system(n, rows)).is_feasible
 
     expected = next((b for b in sorted(negatives(f)) if lp_vertex(b)), None)
     found = negative_vertex_functional(f)
@@ -440,7 +441,7 @@ def unpruned_enclosing_pair(f):
             if not mask >> i & 1:
                 rows.append((tuple(-c for c in neg[i]) + (0, 1), 1, ">="))
         rows.append(((0,) * n + (1, -1), 0, ">="))
-        res = lp.feasible(lp.LinearSystem.build(n + 2, rows))
+        res = lp.feasible(int_system(n + 2, rows))
         if res.is_feasible:
             w = res.witness
             return EnclosingWitness(w[:n], w[n], w[n + 1], True)
@@ -572,6 +573,13 @@ def _fraction_enclosing_lp(neg, pos, mask):
     return rows + [((0,) * n + (1, -1), 0, ">=")]
 
 
+def _fraction_segment_lp(b1, b2, pos):
+    """The segment LP of ``lp.separate_segment_from_hull`` for sorted
+    ``pos``, with rows on the rational exponents."""
+    rows = [(tuple(b1) + (-1,), 1, ">="), (tuple(b2) + (-1,), 1, ">=")]
+    return rows + [(tuple(-c for c in a) + (1,), 0, ">=") for a in pos]
+
+
 def _check_frame_lps(f):
     """Every separating, enclosing and segment LP gives the same unscaled
     witness and a Farkas vector of the same support from f's frame rows
@@ -593,14 +601,12 @@ def _check_frame_lps(f):
     assert pair == unpruned_enclosing_pair(f)
     expected = None
     for b1, b2 in combinations(neg, 2):
-        rows = [(tuple(b1) + (-1,), 1, ">="), (tuple(b2) + (-1,), 1, ">=")]
-        rows += [(tuple(-c for c in a) + (1,), 0, ">=") for a in pos]
-        same_path(n + 1, rows, [L] * n + [1])
+        same_path(n + 1, _fraction_segment_lp(b1, b2, pos), [L] * n + [1])
     if pair is not None:
         above = [b for b in neg if dot(pair.normal, b) >= pair.upper]
         below = [b for b in neg if dot(pair.normal, b) <= pair.lower]
         for b1, b2 in ((b1, b2) for b1 in above for b2 in below):
-            res = lp.separate_segment_from_hull(b1, b2, pos)
+            res = lp.feasible(int_system(n + 1, _fraction_segment_lp(b1, b2, pos)))
             if res.is_feasible:
                 expected = (b1, b2, res.witness[:n], res.witness[n])
                 break

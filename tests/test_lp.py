@@ -11,13 +11,14 @@ from descregions.lp import (
     feasible,
     separate_segment_from_hull,
 )
-from descregions.linalg import dot
+from descregions.linalg import dot, lattice
 from descregions.certify import certify_connectivity
 from descregions.check import CertifyConfig
 from descregions.signomial import Signomial, negatives, positives
 
 import fixtures
 import lp_oracle
+from lp_oracle import int_system
 from fixtures import BOX_F, TEN_TERM, TEN_TERM_UPPER, vec
 from fm_oracle import fm_feasible
 
@@ -25,12 +26,12 @@ F = Fraction
 
 
 def test_infeasible_pair():
-    sys_ = LinearSystem.build(1, [((1,), 1, ">="), ((-1,), 0, ">=")])
+    sys_ = int_system(1, [((1,), 1, ">="), ((-1,), 0, ">=")])
     assert not feasible(sys_).is_feasible
 
 
 def test_feasible_triangle():
-    sys_ = LinearSystem.build(2, [((1, 1), 1, ">="), ((1, 0), 0, ">="), ((0, 1), 0, ">=")])
+    sys_ = int_system(2, [((1, 1), 1, ">="), ((1, 0), 0, ">="), ((0, 1), 0, ">=")])
     res = feasible(sys_)
     assert res.is_feasible
     x, y = res.witness
@@ -38,11 +39,11 @@ def test_feasible_triangle():
 
 
 def test_equality_rows():
-    sys_ = LinearSystem.build(2, [((1, 1), 2, "="), ((1, -1), 0, "="), ((1, 0), 1, ">=")])
+    sys_ = int_system(2, [((1, 1), 2, "="), ((1, -1), 0, "="), ((1, 0), 1, ">=")])
     res = feasible(sys_)
     assert res.is_feasible
     assert res.witness == (F(1), F(1))
-    sys_bad = LinearSystem.build(1, [((1,), 1, "="), ((1,), 2, "=")])
+    sys_bad = int_system(1, [((1,), 1, "="), ((1,), 2, "=")])
     assert not feasible(sys_bad).is_feasible
 
 
@@ -56,7 +57,7 @@ def test_separating_system_for_upper_restriction():
     for alpha in pos:
         rows.append((tuple(-c for c in alpha) + (1,), 0, ">="))
     rows.append(((3, 2, -1), 1, ">="))
-    res = feasible(LinearSystem.build(3, rows))
+    res = feasible(int_system(3, rows))
     assert res.is_feasible
     v = res.witness[:2]
     a = res.witness[2]
@@ -69,22 +70,23 @@ def test_separating_system_for_upper_restriction():
 
 
 def test_separate_segment_feasible_for_box_fixture():
-    pos = sorted(set(positives(BOX_F)))
-    res = separate_segment_from_hull(vec(0, 4), vec(4, 4), pos)
+    # integral exponents: the lattice frame is the exponents as ints
+    pos = lattice(sorted(set(positives(BOX_F))))[1]
+    res = separate_segment_from_hull((0, 4), (4, 4), pos)
     assert res.is_feasible
     w, c = res.witness[:2], res.witness[2]
-    assert min(dot(w, vec(0, 4)), dot(w, vec(4, 4))) > max(dot(w, p) for p in pos)
+    assert min(dot(w, (0, 4)), dot(w, (4, 4))) > max(dot(w, p) for p in pos)
 
 
 def test_separate_segment_shared_point_infeasible():
-    res = separate_segment_from_hull(vec(0, 0), vec(0, 0), [vec(0, 0)])
+    res = separate_segment_from_hull((0, 0), (0, 0), [(0, 0)])
     assert not res.is_feasible
 
 
 def test_separate_segment_through_hull_infeasible():
     # (0, 2) is a positive exponent lying on the segment (0,1)-(0,3)
-    pos = sorted(set(positives(TEN_TERM)))
-    res = separate_segment_from_hull(vec(0, 3), vec(0, 1), pos)
+    pos = lattice(sorted(set(positives(TEN_TERM))))[1]
+    res = separate_segment_from_hull((0, 3), (0, 1), pos)
     assert not res.is_feasible
 
 
@@ -103,7 +105,7 @@ def test_simplex_matches_fourier_motzkin_sample():
     rng = random.Random(1729)
     for _ in range(120):
         unknowns, rows = _random_system(rng)
-        got = feasible(LinearSystem.build(unknowns, rows)).is_feasible
+        got = feasible(int_system(unknowns, rows)).is_feasible
         want = fm_feasible(rows, unknowns)
         assert got == want, (unknowns, rows)
 
@@ -114,11 +116,11 @@ def test_scaling_invariance(scale_num):
     scale = F(scale_num, 977)
     rng = random.Random(scale_num)
     unknowns, rows = _random_system(rng)
-    base = feasible(LinearSystem.build(unknowns, rows)).is_feasible
+    base = feasible(int_system(unknowns, rows)).is_feasible
     scaled_rows = [
         (tuple(scale * c for c in coeffs), scale * rhs, rel) for coeffs, rhs, rel in rows
     ]
-    scaled = feasible(LinearSystem.build(unknowns, scaled_rows)).is_feasible
+    scaled = feasible(int_system(unknowns, scaled_rows)).is_feasible
     assert base == scaled
 
 
@@ -126,7 +128,7 @@ def test_witnesses_satisfy_rows_exactly():
     rng = random.Random(42)
     for _ in range(60):
         unknowns, rows = _random_system(rng)
-        res = feasible(LinearSystem.build(unknowns, rows))
+        res = feasible(int_system(unknowns, rows))
         if not res.is_feasible:
             continue
         for coeffs, rhs, rel in rows:
@@ -136,7 +138,7 @@ def test_witnesses_satisfy_rows_exactly():
 
 def test_row_width_validation():
     with pytest.raises(ValueError):
-        LinearSystem.build(2, [((1,), 0, ">=")])
+        LinearSystem(2, (((1,), 0),))
 
 
 def test_rational_system_witness_is_pinned():
@@ -147,7 +149,7 @@ def test_rational_system_witness_is_pinned():
         ((F(1), F(1), F(1)), F(1, 3), "="),
         ((F(-1, 3), F(1, 2), F(0)), F(-1), ">="),
     ]
-    assert feasible(LinearSystem.build(3, rows)).witness == (F(53, 42), F(-13, 14), F(0))
+    assert feasible(int_system(3, rows)).witness == (F(53, 42), F(-13, 14), F(0))
 
 
 def _rational_system(rng):
@@ -161,11 +163,14 @@ def _rational_system(rng):
     return unknowns, rows
 
 
-def _is_farkas_certificate(y, rows, unknowns):
+def _is_farkas_certificate(y, system):
+    """y >= 0 combines the int rows into 0 . x >= a positive number."""
+    rows = system.rows
     return (
-        all(yi >= 0 for yi, (_, _, rel) in zip(y, rows) if rel == ">=")
-        and all(sum(yi * coeffs[j] for yi, (coeffs, _, _) in zip(y, rows)) == 0 for j in range(unknowns))
-        and sum(yi * rhs for yi, (_, rhs, _) in zip(y, rows)) > 0
+        len(y) == len(rows)
+        and all(yi >= 0 for yi in y)
+        and all(sum(yi * coeffs[j] for yi, (coeffs, _) in zip(y, rows)) == 0 for j in range(system.unknowns))
+        and sum(yi * rhs for yi, (_, rhs) in zip(y, rows)) > 0
     )
 
 
@@ -174,7 +179,8 @@ def test_rational_systems_match_fourier_motzkin_with_checked_answers():
     infeasible = 0
     for _ in range(300):
         unknowns, rows = _rational_system(rng)
-        res = feasible(LinearSystem.build(unknowns, rows))
+        system = int_system(unknowns, rows)
+        res = feasible(system)
         assert res.is_feasible == fm_feasible(rows, unknowns), (unknowns, rows)
         if res.is_feasible:
             assert res.farkas is None
@@ -183,18 +189,18 @@ def test_rational_systems_match_fourier_motzkin_with_checked_answers():
                 assert lhs == rhs if rel == "=" else lhs >= rhs
         else:
             infeasible += 1
-            assert _is_farkas_certificate(res.farkas, rows, unknowns), (unknowns, rows)
+            assert _is_farkas_certificate(res.farkas, system), (unknowns, rows)
     assert infeasible >= 50
 
 
 def test_farkas_check_rejects_a_wrong_certificate(monkeypatch):
-    # x >= 1, -x >= 0 and x = 3
-    system = LinearSystem.build(1, [((1,), 1, ">="), ((-1,), 0, ">="), ((1,), 3, "=")])
+    # x >= 1, -x >= 0 and x = 3, the last as x >= 3 and -x >= -3
+    system = int_system(1, [((1,), 1, ">="), ((-1,), 0, ">="), ((1,), 3, "=")])
     y = feasible(system).farkas
     assert lp._refutes(system, y)
-    # a nonzero combination, a negative multiplier on a ">=" row, a
-    # nonpositive right-hand side
-    for wrong in ((1, 1, 1), (-1, 0, 1), (1, 0, -1), (0, 0, 0)):
+    # a nonzero combination, a negative multiplier, a nonpositive
+    # right-hand side
+    for wrong in ((1, 1, 1, 0), (-1, 0, 0, -1), (0, 0, 1, 1), (0, 0, 0, 0)):
         assert not lp._refutes(system, wrong)
     # a kernel whose certificate fails the check raises instead of answering
     monkeypatch.setattr(lp, "_refutes", lambda system, y: False)
@@ -206,9 +212,9 @@ def same_path(unknowns, rows, scales):
     """Solve the rows, and the rows with column j multiplied by scales[j] > 0
     as the lattice frame does: the same answer, a witness with x_j =
     scales[j] * x'_j, and Farkas vectors with the same support."""
-    plain = feasible(LinearSystem.build(unknowns, rows))
+    plain = feasible(int_system(unknowns, rows))
     scaled_rows = [(tuple(c * s for c, s in zip(coeffs, scales)), rhs, rel) for coeffs, rhs, rel in rows]
-    scaled = feasible(LinearSystem.build(unknowns, scaled_rows))
+    scaled = feasible(int_system(unknowns, scaled_rows))
     assert plain.is_feasible == scaled.is_feasible
     if plain.is_feasible:
         assert plain.witness == tuple(s * x for s, x in zip(scales, scaled.witness))
@@ -241,20 +247,17 @@ def same_status_as_oracles(system, eliminate=True):
     on the rows as given instead, and the integer witness (values, d) is
     the witness times d."""
     got = feasible(system)
-    rows = [(r.coeffs, r.rhs, r.relation) for r in system.rows]
     assert got.is_feasible == lp_oracle.feasible(system).is_feasible, system
     if eliminate:
-        assert got.is_feasible == fm_feasible(rows, system.unknowns), system
+        assert got.is_feasible == fm_feasible([(c, b, ">=") for c, b in system.rows], system.unknowns), system
     if got.is_feasible:
         assert got.farkas is None and len(got.witness) == system.unknowns
-        for coeffs, rhs, rel in rows:
-            lhs = dot(coeffs, got.witness)
-            assert lhs == rhs if rel == "=" else lhs >= rhs
+        assert all(dot(coeffs, got.witness) >= rhs for coeffs, rhs in system.rows)
         values, d = got.integer_witness
         assert all(type(a) is int for a in values) and type(d) is int and d > 0
         assert tuple(Fraction(a, d) for a in values) == got.witness
     else:
-        assert _is_farkas_certificate(got.farkas, rows, system.unknowns), system
+        assert _is_farkas_certificate(got.farkas, system), system
         assert got.integer_witness is None
     return got
 
@@ -272,7 +275,7 @@ def rational_systems(draw):
         RATIONAL,
         st.sampled_from((">=", ">=", ">=", "=")),
     )
-    return LinearSystem.build(n, draw(st.lists(row, min_size=1, max_size=12)))
+    return int_system(n, draw(st.lists(row, min_size=1, max_size=12)))
 
 
 @given(rational_systems())
@@ -287,7 +290,7 @@ def test_narrow_kernel_agrees_with_the_oracles_on_the_oracle_systems():
     for make in (_random_system, _rational_system):
         for _ in range(300):
             unknowns, rows = make(rng)
-            answers.add(same_status_as_oracles(LinearSystem.build(unknowns, rows)).is_feasible)
+            answers.add(same_status_as_oracles(int_system(unknowns, rows)).is_feasible)
     assert answers == {True, False}
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from descregions import lp
-from descregions.linalg import affine_rank, dot, rank, vsub
+from descregions.linalg import _Echelon, affine_rank, dot, lattice, vsub
 from descregions.polytope import (
     FacetBudgetExceededError,
     build_polytope,
@@ -19,6 +19,7 @@ from descregions.signomial import negatives
 import hull_oracle
 from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, WIDE16, vec
 from hull_oracle import brute_force_facets, polytope_facets_in_hull_coords
+from lp_oracle import int_system
 from simplex_oracle import hyperplane_normal
 from strategies import point_sets, rational_point_sets
 
@@ -30,12 +31,10 @@ def idx_of(P, point):
 
 
 def test_affine_hull_dims():
-    assert build_polytope([vec(0, 0), vec(1, 0), vec(0, 1)]).hull.dim == 2
-    assert build_polytope([vec(1, 1)]).hull.dim == 0
-    hull = build_polytope([vec(0, 0), vec(2, 2), vec(1, 1)]).hull
-    assert hull.dim == 1
-    assert hull.basis == (vec(1, 1),)
-    assert build_polytope(CUBE3.support).hull.dim == 3
+    assert build_polytope([vec(0, 0), vec(1, 0), vec(0, 1)]).dim == 2
+    assert build_polytope([vec(1, 1)]).dim == 0
+    assert build_polytope([vec(0, 0), vec(2, 2), vec(1, 1)]).dim == 1
+    assert build_polytope(CUBE3.support).dim == 3
 
 
 def test_ten_term_hull_vertices():
@@ -156,16 +155,16 @@ def test_facet_soundness_and_duality():
     for f in (TEN_TERM, CUBE3, CUBE4, STRIP_PAIR):
         P = build_polytope(f.support)
         d = P.dim
+        scale = lattice(P.points)[0]
         for facet in P.facets:
-            h = facet.halfspace
-            values = [dot(h.normal, p) for p in P.points]
-            assert all(v <= h.offset for v in values)
+            values = [dot(facet.normal, p) for p in P.points]
+            assert all(v <= Fraction(facet.offset, scale) for v in values)
             incident_pts = [P.points[i] for i in facet.incident]
             assert affine_rank(incident_pts) == d - 1
         # vertex/facet duality
         for i in range(len(P.points)):
-            normals = [f.halfspace.normal for f in P.facets if i in f.incident]
-            dual_vertex = len(normals) >= d and rank(normals) == d
+            normals = [f.normal for f in P.facets if i in f.incident]
+            dual_vertex = len(normals) >= d and len(hull_oracle.rref(normals)) == d
             assert dual_vertex == (i in P.vertices)
 
 
@@ -174,7 +173,7 @@ def test_face_in_direction_of_facet_normal_gives_incident_set():
     for facet in P.facets:
         face, proper = smallest_face_containing(P, sorted(facet.incident))
         assert proper and set(face) == set(facet.incident)
-        assert face_exposing_normal(P, sorted(facet.incident)) == facet.halfspace.normal
+        assert face_exposing_normal(P, sorted(facet.incident)) == facet.normal
 
 
 def _random_points(rng):
@@ -232,7 +231,7 @@ def lp_exposes(points, face, others):
     first = points[face[0]]
     rows = [(vsub(first, points[k]), 0, "=") for k in face[1:]]
     rows += [(vsub(first, points[k]), 1, ">=") for k in others]
-    return lp.feasible(lp.LinearSystem.build(len(first), rows)).is_feasible
+    return lp.feasible(int_system(len(first), rows)).is_feasible
 
 
 @given(point_sets())
@@ -244,9 +243,9 @@ def test_incidences_match_lp_definitions(pts):
     P = build_polytope(pts)
     assert polytope_facets_in_hull_coords(P) == brute_force_facets(pts)
     everything = range(len(pts))
+    scale = lattice(pts)[0]
     for f in P.facets:
-        h = f.halfspace
-        assert f.incident == {i for i in everything if dot(h.normal, pts[i]) == h.offset}
+        assert f.incident == {i for i in everything if dot(f.normal, pts[i]) == Fraction(f.offset, scale)}
     vertices = {i for i in everything if lp_exposes(pts, [i], [k for k in everything if k != i])}
     assert P.vertices == vertices
     for i in everything:
@@ -268,26 +267,24 @@ def test_incidences_match_lp_definitions(pts):
 # --- the reduced-echelon frame of the affine hull -----------------------------
 
 
+def echelon_pivots(pts):
+    """The pivot columns of the affine hull's echelon on the lattice frame."""
+    return [c for c, _ in _Echelon.affine(lattice(pts)[1]).rows]
+
+
 @given(point_sets())
 @settings(deadline=None, max_examples=60)
 def test_affine_hull_frame(pts):
     P = build_polytope(pts)
-    hull = P.hull
+    pivots = echelon_pivots(pts)
     n = len(pts[0])
-    assert hull.dim == affine_rank(pts) == len(hull.pivots)
-    for j, row in enumerate(hull.basis):
-        assert [row[k] for k in hull.pivots] == [int(j == i) for i in range(hull.dim)]
-    for p in pts:
-        c = hull.coords(p)
-        assert tuple(b + sum(a * row[k] for a, row in zip(c, hull.basis)) for k, b in enumerate(hull.base)) == p
+    assert P.dim == affine_rank(pts) == len(pivots)
     # a unit step along a column off the pivots leaves a flat hull
-    for k in set(range(n)) - set(hull.pivots):
+    for k in set(range(n)) - set(pivots):
         off = tuple(a + (i == k) for i, a in enumerate(pts[0]))
-        assert affine_rank(pts + [off]) == hull.dim + 1
-        with pytest.raises(ValueError):
-            hull.coords(off)
+        assert affine_rank(pts + [off]) == P.dim + 1
     for f in P.facets:
-        assert all(f.halfspace.normal[k] == 0 for k in range(n) if k not in hull.pivots)
+        assert all(f.normal[k] == 0 for k in range(n) if k not in pivots)
 
 
 @given(point_sets())
@@ -308,7 +305,8 @@ def test_hyperplane_normal_properties(pts):
 
 
 def facet_list(P):
-    return [([str(c) for c in f.halfspace.normal], str(f.halfspace.offset), sorted(f.incident)) for f in P.facets]
+    scale = lattice(P.points)[0]
+    return [([str(c) for c in f.normal], str(Fraction(f.offset, scale)), sorted(f.incident)) for f in P.facets]
 
 
 def test_flat_hull_facets_are_pinned():
@@ -337,7 +335,6 @@ def test_flat_hull_facets_are_pinned():
 @settings(deadline=None, max_examples=80)
 def test_integer_kernels_match_a_fraction_elimination(pts):
     d = len(pts[0])
-    assert rank(pts) == len(hull_oracle.rref(pts))
     for group in (pts, pts[:d], pts[:2]):
         assert affine_rank(group) == len(hull_oracle.affine_rref(group))
         assert hyperplane_normal(group) == hull_oracle.normal_of(group)
@@ -350,11 +347,10 @@ def test_hull_is_invariant_under_a_positive_scaling(pts, num, den):
     P = build_polytope(pts)
     Q = build_polytope([tuple(r * a for a in p) for p in pts])
     assert Q.vertices == P.vertices
-    assert Q.hull.pivots == P.hull.pivots and Q.hull.basis == P.hull.basis
-    assert [(f.halfspace.normal, f.incident) for f in Q.facets] == [
-        (f.halfspace.normal, f.incident) for f in P.facets
-    ]
-    assert [f.halfspace.offset for f in Q.facets] == [r * f.halfspace.offset for f in P.facets]
+    assert Q.dim == P.dim and echelon_pivots(Q.points) == echelon_pivots(P.points)
+    assert [(f.normal, f.incident) for f in Q.facets] == [(f.normal, f.incident) for f in P.facets]
+    p_scale, q_scale = lattice(P.points)[0], lattice(Q.points)[0]
+    assert [Fraction(f.offset, q_scale) for f in Q.facets] == [r * Fraction(f.offset, p_scale) for f in P.facets]
 
 
 def test_wide16_hull_matches_the_oracle():
