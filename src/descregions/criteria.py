@@ -18,6 +18,7 @@ from . import lp
 from .check import (
     _NONEMPTY_KINDS,
     BOX,
+    MAX_SIMPLEX_DIMENSION,
     MODE_NEGATIVES_INSIDE,
     MODE_POSITIVES_INSIDE,
     NO_NEGATIVE_TERMS,
@@ -275,11 +276,12 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
     vertex of N(f) among the combination's points and positives-inside
     every positive one.  Without the hull, as when it exceeds the facet
     budget, nothing is skipped this way; a hull of dimension below n leaves
-    no simplex at all.
+    no simplex at all.  Above MAX_SIMPLEX_DIMENSION variables the search
+    declines, so it emits no witness that replay refuses.
     """
     support = f.support
     n = f.dimension
-    if len(support) < n + 1:
+    if n > MAX_SIMPLEX_DIMENSION or len(support) < n + 1:
         return None
     needed = {MODE_NEGATIVES_INSIDE: set(), MODE_POSITIVES_INSIDE: set()}
     try:
@@ -319,6 +321,8 @@ def check_connectivity(
     coefficient, strict separating hyperplane, one positive coefficient (hull
     dimension >= 2), simplex witness, then the box criterion when enabled.
     ``newton`` returns N(f) for the simplex search (built when not given).
+    ``config.simplex_witness`` is tried only up to MAX_SIMPLEX_DIMENSION
+    variables, as the search is.
     """
     config = config or CertifyConfig()
     neg = negatives(f)
@@ -334,7 +338,7 @@ def check_connectivity(
         return CriterionCertificate(STRICT_SEPARATING, True, sep)
     if len(pos) == 1 and newton_dim(f) >= 2:
         return CriterionCertificate(ONE_POSITIVE_COEFF, True, pos[0])
-    if config.simplex_witness is not None:
+    if config.simplex_witness is not None and f.dimension <= MAX_SIMPLEX_DIMENSION:
         w = config.simplex_witness
         try:
             ok = verify_simplex_witness(f, w)

@@ -22,7 +22,9 @@ Tokens are plain (kind, text, offset) tuples from one regex; a ParseError
 works out its line and column from the offset.  The parser works on ints,
 and only decimals and ratios are Fractions.  ``Signomial.from_terms`` takes
 each term's coefficient and exponent row as they are, merges and sorts
-them, and makes Fractions only for the terms that survive the merge.
+them on their lattice frame, makes Fractions only for the terms that
+survive the merge, and keeps that frame: a parse frames its exponents once.
+An explicit dimension is held to MAX_VARIABLE_INDEX too.
 """
 
 from __future__ import annotations
@@ -233,7 +235,9 @@ class _Parser:
 
 def parse_signomial(text: str, dimension: Optional[int] = None) -> Signomial:
     """Parse the text format; the dimension is the largest variable index used
-    unless given explicitly."""
+    unless given explicitly, and at most MAX_VARIABLE_INDEX either way."""
+    if dimension is not None and dimension > MAX_VARIABLE_INDEX:
+        raise ParseError(f"dimension {dimension} exceeds the largest index x{MAX_VARIABLE_INDEX}", 1, 1)
     raw = _Parser(text).poly()
     max_var = max((max(e) for _, e in raw if e), default=1)
     n = dimension if dimension is not None else max_var

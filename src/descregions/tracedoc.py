@@ -6,6 +6,14 @@ is spelled as ``str(Fraction)`` writes it, and only so: ``-?(0|[1-9][0-9]*)``
 (never ``-0``), or ``-?[1-9][0-9]*/[1-9][0-9]*`` in lowest terms with a
 denominator of at least 2.  Any other spelling (a JSON number, ``"+2"``,
 ``" 2"``, ``"2.0"``, ``"2/1"``, ``"4/2"``, ...) makes the document malformed.
+
+The input signomial is read under the text format's caps and built on its
+lattice frame from ints: the dimension must lie in 1..MAX_VARIABLE_INDEX
+(checked before any term is read), and each distinct exponent spelling is
+read once per document, to its Fraction and its numerator and denominator,
+and checked against the digit caps there.  The scale L is the lcm of the
+denominators and each frame entry is num * (L // den), so an integral trace
+is framed with L = 1 and no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from typing import List, Optional, Tuple
 
 from .check import (
@@ -38,7 +47,7 @@ from .check import (
     SimplexWitness,
     verify_certificate,
 )
-from .parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS
+from .parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS, MAX_VARIABLE_INDEX
 from .signomial import Signomial, Term
 
 SCHEMA_VERSION = 1
@@ -57,13 +66,18 @@ _CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
 
 class _Rationals(dict):
     """One document's rationals by spelling: a spelling not yet in the dict
-    is read, checked to be canonical and kept, so each is read once."""
+    is read, checked to be canonical and kept, so each is read once.  An
+    integer spelling becomes a Fraction with no gcd taken; a ratio must be
+    in lowest terms."""
 
     def __missing__(self, text) -> Fraction:
         match = _CANONICAL.fullmatch(text) if type(text) is str else None
-        value = match and Fraction(int(match[1]), int(match[2] or 1))
-        if not match or value.denominator != int(match[2] or 1):
-            raise ValueError(f"not a canonical rational: {text!r:.40}")
+        if match and match[2] is None:
+            value = Fraction(int(match[1]))
+        else:
+            value = match and Fraction(int(match[1]), int(match[2]))
+            if not match or value.denominator != int(match[2]):
+                raise ValueError(f"not a canonical rational: {text!r:.40}")
         self[text] = value
         return value
 
@@ -89,28 +103,39 @@ def signomial_to_json(f: Signomial) -> dict:
 
 
 def signomial_from_json(data: dict) -> Signomial:
-    """The input signomial, under the text format's caps: at most MAX_TERMS
-    terms, and at most MAX_EXPONENT_DIGITS digits in each exponent entry's
-    numerator and denominator (ValueError beyond them)."""
+    """The input signomial, under the text format's caps: a dimension in
+    1..MAX_VARIABLE_INDEX, at most MAX_TERMS terms, and at most
+    MAX_EXPONENT_DIGITS digits in each exponent entry's numerator and
+    denominator (ValueError beyond them)."""
     return _signomial(data, _Rationals())
 
 
 def _signomial(data: dict, q: _Rationals) -> Signomial:
+    """The input signomial, framed from ints as the module docstring says."""
     dimension = data["dimension"]
     if type(dimension) is not int:
         raise ValueError(f"dimension is not a JSON integer: {dimension!r}")
+    if not 1 <= dimension <= MAX_VARIABLE_INDEX:
+        raise ValueError(f"dimension {dimension} is not in 1..{MAX_VARIABLE_INDEX}")
     if len(data["terms"]) > MAX_TERMS:
         raise ValueError(f"more than {MAX_TERMS} terms")
-    terms = []
-    capped = set()  # the exponent spellings within the caps, each checked once
+    terms, spelled = [], []
+    ints = {}  # exponent spelling -> (numerator, denominator), each capped once
     for t in data["terms"]:
-        exponent = _unvec(t["exponent"], q)
-        fresh = set(t["exponent"]) - capped
-        if any(abs(q[s].numerator) >= EXPONENT_BOUND or q[s].denominator >= EXPONENT_BOUND for s in fresh):
-            raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
-        capped |= fresh
+        spellings = t["exponent"]
+        exponent = _unvec(spellings, q)
+        for s in spellings:
+            if s not in ints:
+                num, den = q[s].numerator, q[s].denominator
+                if abs(num) >= EXPONENT_BOUND or den >= EXPONENT_BOUND:
+                    raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
+                ints[s] = num, den
         terms.append(Term(q[t["coefficient"]], exponent))
-    return Signomial(dimension, tuple(terms))
+        spelled.append(spellings)
+    scale = lcm(*(den for _, den in ints.values()))
+    entry = {s: num * (scale // den) for s, (num, den) in ints.items()}
+    frame = tuple([tuple(map(entry.__getitem__, v)) for v in spelled])
+    return Signomial._framed(dimension, tuple(terms), scale, frame)
 
 
 def config_to_json(config: CertifyConfig) -> dict:

@@ -12,10 +12,17 @@ own witness to the frame.  ``signomial_from_json`` and
 takes any spelling ``Fraction`` takes.  The functions are unchanged; they
 share with the package only the constants, the witness types, the caps and
 the simplex check, its vertex-count and dimension check included.
+
+``canonical_signomial_from_json`` is the canonical-spelling reader as it
+stood before it built the lattice frame from ints: ``_Rationals`` reads
+every spelling into a ``Fraction(int, int)``, the caps are checked on the
+Fractions of each term's new exponent spellings, and the public
+``Signomial`` constructor frames the exponents again.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -381,3 +388,47 @@ def certificate_from_json(node: dict) -> Certificate:
     if kind == KIND_INCONCLUSIVE:
         return Certificate(kind, outcome, reason=node.get("reason"))
     raise ValueError(f"unknown certificate kind {kind!r}")
+
+
+_CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
+
+
+class _Rationals(dict):
+    """One document's rationals by spelling: a spelling not yet in the dict
+    is read, checked to be canonical and kept, so each is read once."""
+
+    def __missing__(self, text) -> Fraction:
+        match = _CANONICAL.fullmatch(text) if type(text) is str else None
+        value = match and Fraction(int(match[1]), int(match[2] or 1))
+        if not match or value.denominator != int(match[2] or 1):
+            raise ValueError(f"not a canonical rational: {text!r:.40}")
+        self[text] = value
+        return value
+
+
+def _canonical_unvec(v, q: _Rationals) -> Tuple[Fraction, ...]:
+    if type(v) is not list:
+        raise ValueError(f"expected a list of rationals, found {type(v).__name__}")
+    return tuple(map(q.__getitem__, v))
+
+
+def canonical_signomial_from_json(data: dict) -> Signomial:
+    return _signomial(data, _Rationals())
+
+
+def _signomial(data: dict, q: _Rationals) -> Signomial:
+    dimension = data["dimension"]
+    if type(dimension) is not int:
+        raise ValueError(f"dimension is not a JSON integer: {dimension!r}")
+    if len(data["terms"]) > MAX_TERMS:
+        raise ValueError(f"more than {MAX_TERMS} terms")
+    terms = []
+    capped = set()  # the exponent spellings within the caps, each checked once
+    for t in data["terms"]:
+        exponent = _canonical_unvec(t["exponent"], q)
+        fresh = set(t["exponent"]) - capped
+        if any(abs(q[s].numerator) >= EXPONENT_BOUND or q[s].denominator >= EXPONENT_BOUND for s in fresh):
+            raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
+        capped |= fresh
+        terms.append(Term(q[t["coefficient"]], exponent))
+    return Signomial(dimension, tuple(terms))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from descregions.check import (
     BOX,
+    MAX_SIMPLEX_DIMENSION,
     MODE_NEGATIVES_INSIDE,
     MODE_POSITIVES_INSIDE,
     NO_NEGATIVE_TERMS,
@@ -16,6 +17,7 @@ from descregions.check import (
     SIMPLEX_POSITIVES_INSIDE,
     STRICT_SEPARATING,
     CertifyConfig,
+    CriterionCertificate,
     DegenerateSimplexError,
     EnclosingWitness,
     SimplexWitness,
@@ -35,7 +37,7 @@ from descregions.criteria import (
     negative_vertex_functional,
     _simplex_search,
 )
-from descregions import criteria, lp
+from descregions import check, criteria, lp, polytope
 from descregions.signomial import Signomial, negatives, restrict, positives
 from descregions.linalg import affine_rank, dot, vsub
 from descregions.polytope import build_polytope
@@ -521,6 +523,40 @@ def test_simplex_search_derives_only_combinations_holding_newton_vertices(monkey
     # without the hull every one of the C(10, 3) = 120 combinations is tried
     assert _simplex_search(TEN_TERM, CertifyConfig(facet_budget=1)) is None
     assert len(derived) == 120
+
+
+def _corner_simplex(n):
+    """Positives at 0 and 4 e_i, negatives at e_1 and e_2, in n variables:
+    no criterion before the simplex applies, and the positives span a
+    negatives-inside witness."""
+    corners = [(0,) * n] + [tuple(4 * (j == i) for j in range(n)) for i in range(n)]
+    units = [tuple(int(j == i) for j in range(n)) for i in (0, 1)]
+    f = Signomial.from_terms(n, [(1, p) for p in corners] + [(-1, p) for p in units])
+    return f, SimplexWitness(tuple(vec(*p) for p in corners), MODE_NEGATIVES_INSIDE)
+
+
+def test_simplex_witnesses_stop_at_the_dimension_cap(monkeypatch):
+    """Above MAX_SIMPLEX_DIMENSION variables the search declines, a supplied
+    witness is passed over and replay refuses one by name, all without
+    deriving a simplex; at the cap each still works."""
+    calls = []
+    real = check.simplex_halfspaces
+    for module in (check, criteria, polytope):
+        monkeypatch.setattr(module, "simplex_halfspaces", lambda points: calls.append(1) or real(points))
+    search = CertifyConfig(enable_simplex_search=True)
+    f, w = _corner_simplex(MAX_SIMPLEX_DIMENSION + 1)
+    assert check_connectivity(f, search) is None
+    assert check_connectivity(f, CertifyConfig(simplex_witness=w)) is None
+    assert not verify_simplex_witness(f, w)
+    problem = verify_criterion(f, CriterionCertificate(SIMPLEX_NEGATIVES_INSIDE, False, w))
+    n, cap = MAX_SIMPLEX_DIMENSION + 1, MAX_SIMPLEX_DIMENSION
+    assert problem == f"simplex witness in {n} variables, above the cap of {cap}"
+    assert calls == []
+    f, w = _corner_simplex(MAX_SIMPLEX_DIMENSION)
+    assert check_connectivity(f, CertifyConfig(simplex_witness=w)).kind == SIMPLEX_NEGATIVES_INSIDE
+    found = check_connectivity(f, search)
+    assert found.kind == SIMPLEX_NEGATIVES_INSIDE and verify_criterion(f, found) is None
+    assert calls
 
 
 @given(signed_supports(max_dimension=3))

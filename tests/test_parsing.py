@@ -91,6 +91,11 @@ def test_variable_index_is_capped():
         with pytest.raises(ParseError) as err:
             parse_signomial(text)
         assert err.value.column == column and "largest index" in str(err.value)
+    # an explicit dimension is held to the same cap
+    assert parse_signomial("x1 - 1", dimension=MAX_VARIABLE_INDEX).dimension == MAX_VARIABLE_INDEX
+    with pytest.raises(ParseError) as err:
+        parse_signomial("x1 - 1", dimension=MAX_VARIABLE_INDEX + 1)
+    assert "largest index" in str(err.value)
 
 
 def test_only_canonical_variable_names_are_remembered():

@@ -16,6 +16,10 @@ from descregions.signomial import (
     signed_support,
 )
 
+from descregions import signomial, tracedoc
+from descregions.linalg import lattice
+from descregions.parsing import parse_signomial
+
 import parse_oracle
 from fixtures import (
     SADDLE,
@@ -142,10 +146,11 @@ def _all_fractions(f):
 
 
 def _frame_holds(f):
+    """The frame is the exponents' own lattice frame, on the least scale."""
     rows = tuple(tuple(f.scale * e for e in t.exponent) for t in f.terms)
     dens = [e.denominator for t in f.terms for e in t.exponent]
     return (
-        f.frame == rows
+        f.frame == rows == lattice(f.support)[1]
         and all(type(a) is int for row in f.frame for a in row)
         and f.scale == math.lcm(*dens)
     )
@@ -178,14 +183,18 @@ def test_from_terms_sorts_and_merges_on_the_frame_like_the_fraction_sort(case):
 
 
 def test_every_path_in_gives_fractions_and_a_frame():
-    from descregions.parsing import parse_signomial
     from descregions.tracedoc import signomial_from_json, signomial_to_json
 
     f = parse_signomial("3*x^(1/2)*y - 2*y^3 + 1.5 + x*y^(-2/3)")
     assert f.scale == 6 and f.frame == ((0, 0), (0, 18), (3, 6), (6, -4))
     g = Signomial.from_terms(2, [(3, (1, 2)), (-1, (0, 0)), (F(1, 2), [F(1, 3), 1])])
     h = signomial_from_json(signomial_to_json(f))
-    for s in (f, g, h, restrict(f, f.support[:2]), restrict_indices(g, [0, 2])):
+    # the largest denominator cancels in the merge, or is left out of a face
+    cancelled = parse_signomial("x^(1/3) - x^(1/3) + x")
+    halves = restrict_indices(f, [0, 2])
+    assert (cancelled.scale, cancelled.frame, halves.scale, halves.frame) == (1, ((1,),), 2, ((0, 0), (1, 2)))
+    paths = (f, g, h, cancelled, halves, restrict(f, f.support[:2]), restrict_indices(g, [0, 2]))
+    for s in paths + tuple(signomial_from_json(signomial_to_json(s)) for s in paths):
         assert _all_fractions(s) and _frame_holds(s)
     assert h == f
 
@@ -199,3 +208,22 @@ def test_frame_check_keeps_its_messages():
     with pytest.raises(ValueError, match="sorted"):
         Signomial(1, (Term(F(1), (F(1),)), Term(F(1), (F(1),)), Term(F(1), (F(0),))))
     assert Signomial(1, ()).frame == () and Signomial(1, ()).scale == 1
+
+
+def test_each_signomial_is_framed_once(monkeypatch):
+    """One ``lattice`` call per parse, and none to restrict an integral
+    signomial or to read an integral trace: those build on the frame rows
+    they already hold."""
+    calls = []
+    real = lattice
+    for module in (signomial, tracedoc):
+        if hasattr(module, "lattice"):
+            monkeypatch.setattr(module, "lattice", lambda points: calls.append(1) or real(points))
+    f = parse_signomial("3*x^2*y - 2*x*y^3 + 5 - x^4")
+    assert len(calls) == 1
+    calls.clear()
+    child = restrict_indices(f, [0, 2])
+    document = tracedoc.signomial_to_json(f)
+    read = tracedoc.signomial_from_json(document)
+    assert calls == []
+    assert child.frame == (f.frame[0], f.frame[2]) and read == f and read.frame == f.frame

@@ -9,7 +9,7 @@ from operator import getitem
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from descregions import tracedoc
 from descregions.check import (
@@ -24,6 +24,7 @@ from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
 import fixtures
+import replay_oracle
 from fixtures import (
     BOX_F,
     CUBE3,
@@ -257,9 +258,10 @@ def test_document_writer_refuses_other_types():
 
 def _capped_documents():
     """A valid document with MAX_TERMS terms and 6-digit exponent parts, and
-    one over each cap: a term too many, and a numerator and a denominator of
-    MAX_EXPONENT_DIGITS + 1 digits."""
-    from descregions.parsing import MAX_EXPONENT_DIGITS, MAX_TERMS
+    one over each cap: a term too many, a numerator and a denominator of
+    MAX_EXPONENT_DIGITS + 1 digits, and a dimension above MAX_VARIABLE_INDEX
+    and below 1."""
+    from descregions.parsing import MAX_EXPONENT_DIGITS, MAX_TERMS, MAX_VARIABLE_INDEX
 
     big = "9" * MAX_EXPONENT_DIGITS
     terms = [{"coefficient": "1", "exponent": [str(i)]} for i in range(1 - MAX_TERMS, 0)]
@@ -272,10 +274,21 @@ def _capped_documents():
     numerator["input"]["terms"][-1]["exponent"] = ["1" + "0" * MAX_EXPONENT_DIGITS]
     denominator = json.loads(json.dumps(doc))
     denominator["input"]["terms"][-1]["exponent"] = ["1/1" + "0" * MAX_EXPONENT_DIGITS]
+    # a dimension out of range is reported before any term is read: the
+    # terms of the first have that many entries, and the second's are malformed
+    wide = json.loads(json.dumps(doc))
+    wide["input"] = {"dimension": MAX_VARIABLE_INDEX + 1, "terms": [
+        {"coefficient": c, "exponent": [e] * (MAX_VARIABLE_INDEX + 1)} for c, e in (("1", "0"), ("-1", "1"))
+    ]}
+    flat = json.loads(json.dumps(doc))
+    flat["input"]["dimension"] = 0
+    flat["input"]["terms"][0]["coefficient"] = "+1"
     return doc, [
         (too_many, f"more than {MAX_TERMS} terms"),
         (numerator, f"exponent number has more than {MAX_EXPONENT_DIGITS} digits"),
         (denominator, f"exponent number has more than {MAX_EXPONENT_DIGITS} digits"),
+        (wide, f"dimension {MAX_VARIABLE_INDEX + 1} is not in 1..{MAX_VARIABLE_INDEX}"),
+        (flat, f"dimension 0 is not in 1..{MAX_VARIABLE_INDEX}"),
     ]
 
 
@@ -359,6 +372,70 @@ def test_respelled_rationals_are_malformed():
             reduce(getitem, head, bad)[last] = spelling
             errors = tracedoc.verify_document(bad)
             assert len(errors) == 1 and errors[0].startswith("malformed document: "), (head, last, spelling, errors)
+
+
+# --- the reader against the previous one ---------------------------------------
+
+_INTEGERS = st.integers(-3, 3).map(str)
+_RATIOS = st.builds(Fraction, st.integers(-7, 7), st.integers(2, 6)).map(str)
+_CANONICAL_SPELLINGS = st.one_of(_INTEGERS, _RATIOS)
+# over and at the caps, respelled, not a string, and unhashable
+_ODD_SPELLINGS = st.sampled_from([
+    "1000000", "-1000000", "1/1000000", "1234567/2", "999999", "-999999/999998",
+    "+1", "2/1", "4/2", "-0", " 1", "1.0", 2, None, True, ["1"],
+])
+
+
+@st.composite
+def reader_blocks(draw):
+    """An input block: terms with canonical spellings, sorted and distinct
+    by value or in the drawn order, and possibly one fault at a drawn term:
+    an odd spelling in the exponent or the coefficient, a zero coefficient,
+    an exponent of the wrong length or not a list, or a repeated term."""
+    n = draw(st.integers(1, 3))
+    exponents = st.lists(_CANONICAL_SPELLINGS, min_size=n, max_size=n)
+    coefficient = st.builds(Fraction, st.sampled_from((1, -1)), st.sampled_from((1, 1, 2, 3)))
+    coefficient = st.builds(lambda k, c: str(k * c), st.integers(1, 7), coefficient)
+    terms = draw(st.lists(st.fixed_dictionaries({"coefficient": coefficient, "exponent": exponents}), max_size=6))
+    if draw(st.booleans()):
+        by_value = {tuple(map(Fraction, t["exponent"])): t for t in terms}
+        terms = [by_value[key] for key in sorted(by_value)]
+    if terms and draw(st.booleans()):
+        t = terms[draw(st.integers(0, len(terms) - 1))]
+        fault = draw(st.sampled_from(["exponent", "coefficient", "zero", "length", "not a list", "repeat"]))
+        if fault == "exponent":
+            t["exponent"][draw(st.integers(0, n - 1))] = draw(_ODD_SPELLINGS)
+        elif fault == "coefficient":
+            t["coefficient"] = draw(_ODD_SPELLINGS)
+        elif fault == "zero":
+            t["coefficient"] = "0"
+        elif fault == "length":
+            t["exponent"] = t["exponent"] + ["0"] if draw(st.booleans()) or n == 1 else t["exponent"][1:]
+        elif fault == "not a list":
+            t["exponent"] = draw(st.sampled_from(["1", {}, 3, None]))
+        else:
+            terms.insert(terms.index(t), dict(t))
+    return {"dimension": n, "terms": terms}
+
+
+def _read(reader, data):
+    try:
+        return reader(data), None
+    except (ValueError, TypeError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@given(reader_blocks())
+@settings(deadline=None, max_examples=1000)
+def test_reader_matches_the_previous_reader(data):
+    """The same signomial, on the same frame, or the same first error."""
+    got, error = _read(tracedoc.signomial_from_json, data)
+    expected, expected_error = _read(replay_oracle.canonical_signomial_from_json, data)
+    assert error == expected_error
+    event(f"error: {error[1].split(':')[0]}" if error else f"read, scale {expected.scale}")
+    if expected is not None:
+        assert got == expected and (got.scale, got.frame) == (expected.scale, expected.frame)
+        assert (got.negative_indices, got.positive_indices) == (expected.negative_indices, expected.positive_indices)
 
 
 def _bench_corpus():
