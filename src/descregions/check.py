@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import IntVector, Vector, dot, is_zero, lattice, primitive_int, vector, vneg
-from .signomial import Signomial, newton_dim, restrict_indices
+from .signomial import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, Signomial, newton_dim, restrict_indices
 
 # outcomes
 CERTIFIED_EMPTY = "CertifiedEmpty"
@@ -319,76 +319,73 @@ def _ray(v: Sequence, a) -> IntVector:
     return primitive_int(lattice([vector((*v, a))])[1][0])
 
 
-def _cone_memberships(halfspaces, point: Vector) -> Tuple[List[int], List[int]]:
-    """Indices k with point in the vertex cone at vertex k (v . point >= a
-    for every halfspace (v, a) but the k-th), and those with the membership
-    strict (cone interior)."""
-    slack = [dot(v, point) - a for v, a in halfspaces]
-    inside = [k for k in range(len(slack)) if all(s >= 0 for j, s in enumerate(slack) if j != k)]
-    return inside, [k for k in inside if all(s > 0 for j, s in enumerate(slack) if j != k)]
-
-
 def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
     """Exact check of the simplex vertex-cone criterion.
 
     negatives-inside: negatives in the simplex, positives in the cone union.
     positives-inside (needs n >= 2): positives in the simplex, negatives in
-    the cone union, and some negative interior to the union.  All points
-    are checked in one lattice frame, set up here.  False above
-    MAX_SIMPLEX_DIMENSION variables, as for any witness of the wrong shape.
+    the cone union, and some negative interior to the union.  It runs on
+    f's lattice frame, as the search does: each vertex entry times L, and
+    the interior negative as its term index.  False for a witness of the
+    wrong shape and for an interior negative that is not one of f's.
     """
     if _simplex_shape_error(f, w):
         return False
-    k = len(w.vertices)
-    interior = [] if w.interior_negative is None else [vector(w.interior_negative)]
-    scale, frame = lattice([vector(p) for p in w.vertices] + list(f.support) + interior)
-    derived = simplex_halfspaces(frame[:k])
+    L = f.scale
+    rows = [tuple([a.numerator * (L // a.denominator) for a in vector(p)]) for p in w.vertices]
+    interior = None if w.interior_negative is None else _index(f, vector(w.interior_negative))
+    if w.interior_negative is not None and interior not in f.negative_indices:
+        return False
+    derived = simplex_halfspaces(rows)
     # a provided H-representation must be the derived one, up to positive scalings and order
     if w.halfspaces is not None:
-        if sorted(_ray(v, a) for v, a in w.halfspaces) != sorted(_ray(v, Fraction(a, scale)) for v, a in derived):
+        if sorted(_ray(v, a) for v, a in w.halfspaces) != sorted(_ray(v, Fraction(a, L)) for v, a in derived):
             return False
-    return _simplex_holds(f, frame[k:k + len(f.terms)], w.mode, frame[-1] if interior else None, derived)
+    return _simplex_holds(f, w.mode, interior, derived)
 
 
 def _simplex_shape_error(f: Signomial, w: SimplexWitness) -> Optional[str]:
-    """Why the witness's vertices cannot span an n-simplex of f's space, or
-    why it is not checked, or None."""
+    """Why the witness's vertices cannot span an n-simplex on f's lattice
+    frame, or why it is not checked, or None.  Each vertex entry is held to
+    the exponent digit caps and must lie on f's exponent lattice (times L an
+    int), so a check costs what the search's checks on f's frame cost."""
     if f.dimension > MAX_SIMPLEX_DIMENSION:
         return f"simplex witness in {f.dimension} variables, above the cap of {MAX_SIMPLEX_DIMENSION}"
     if len(w.vertices) != f.dimension + 1:
         return f"simplex witness has {len(w.vertices)} vertices, not n + 1 = {f.dimension + 1}"
     if any(len(p) != f.dimension for p in w.vertices):
         return "simplex vertices do not match the signomial dimension"
+    for a in (a for p in w.vertices for a in vector(p)):
+        if abs(a.numerator) >= EXPONENT_BOUND or a.denominator >= EXPONENT_BOUND:
+            return f"simplex vertex entry has more than {MAX_EXPONENT_DIGITS} digits"
+        if f.scale % a.denominator:
+            return f"simplex vertex entry {a} is off the signomial's exponent lattice (L = {f.scale})"
 
 
-def _simplex_holds(f: Signomial, frame, mode: str, interior_negative, derived) -> bool:
-    """The criterion of ``verify_simplex_witness`` in a lattice frame: f's
-    support and the interior negative (or None) given there, against the
-    halfspaces ``derived`` from the simplex."""
+def _simplex_holds(f: Signomial, mode: str, interior: Optional[int], derived) -> bool:
+    """The criterion of ``verify_simplex_witness`` on f's lattice frame,
+    against the halfspaces ``derived`` from the simplex's frame rows;
+    ``interior`` is the term index of the required interior negative, or
+    None to look for one."""
+    frame = f.frame
     pos = [frame[i] for i in f.positive_indices]
     neg = [frame[i] for i in f.negative_indices]
 
     def in_simplex(p) -> bool:
         return all(dot(v, p) <= a for v, a in derived)
 
-    def in_cones(p) -> bool:
-        return bool(_cone_memberships(derived, p)[0])
-
-    def in_cone_interior(p) -> bool:
-        return bool(_cone_memberships(derived, p)[1])
+    def in_cones(p, strict: bool = False) -> bool:
+        """p in the vertex cone at some vertex k (its interior): v . p >= a
+        (> a) for every halfspace (v, a) but the k-th."""
+        slack = [dot(v, p) - a for v, a in derived]
+        return any(all(x > 0 if strict else x >= 0 for x in slack[:k] + slack[k + 1:]) for k in range(len(slack)))
 
     if mode == MODE_NEGATIVES_INSIDE:
-        return all(in_simplex(b) for b in neg) and all(in_cones(a) for a in pos)
+        return all(map(in_simplex, neg)) and all(map(in_cones, pos))
     if mode == MODE_POSITIVES_INSIDE:
-        if f.dimension < 2:
+        if f.dimension < 2 or not all(map(in_simplex, pos)) or not all(map(in_cones, neg)):
             return False
-        if not all(in_simplex(a) for a in pos):
-            return False
-        if not all(in_cones(b) for b in neg):
-            return False
-        if interior_negative is not None:
-            return interior_negative in neg and in_cone_interior(interior_negative)
-        return any(in_cone_interior(b) for b in sorted(neg))
+        return any(in_cones(b, True) for b in (neg if interior is None else [frame[interior]]))
     raise ValueError(f"unknown simplex mode {mode!r}")
 
 

@@ -59,15 +59,18 @@ def _read_signomial(path: str) -> Tuple[Signomial, str]:
 
 
 def _parse_box(spec: Optional[str], dimension: int):
+    """The log-space box of ``--box``: one lo,hi for every axis, or one per axis."""
     if spec is None:
         return None
-    parts = spec.split(";")
-    if len(parts) == 1:
-        lo, hi = (float(v) for v in parts[0].split(","))
-        return [(lo, hi)] * dimension
-    if len(parts) != dimension:
-        raise ValueError(f"expected {dimension} axis intervals, got {len(parts)}")
-    return [tuple(float(v) for v in p.split(",")) for p in parts]
+    try:
+        box = [tuple(map(float, part.split(","))) for part in spec.split(";")]
+    except ValueError:
+        box = []
+    if len(box) == 1:
+        box *= dimension
+    if len(box) != dimension or any(len(b) != 2 for b in box):
+        raise ValueError(f"--box {spec!r:.40} must be lo,hi or one lo,hi per axis ({dimension} here) joined by ';': numbers like -2 or 1.5")
+    return box
 
 
 def _format_text(node: Certificate, indent: int = 0) -> List[str]:

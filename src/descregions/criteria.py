@@ -38,9 +38,9 @@ from .check import (
     _simplex_holds,
     frame_values,
     simplex_halfspaces,
+    verify_criterion,
     verify_enclosing_pair,
     verify_separating_hyperplane,
-    verify_simplex_witness,
 )
 from .linalg import Vector, dot
 from .polytope import (
@@ -115,7 +115,9 @@ def find_strict_enclosing_pair(
     infeasible assignment uses the rows of some set S of negatives, so it
     refutes every later assignment that puts S on the same sides, and by the
     symmetry every one that puts S on the opposite sides; those are skipped
-    without a feasibility problem.
+    without a feasibility problem.  A certificate on all k negatives refutes
+    only m and its complement, which are never tried again, so it is not
+    kept: at the budget of 12 negatives every certificate is of that kind.
 
     The rows are taken from f's lattice frame.  Raises
     EnclosingBudgetExceededError when the negative count exceeds
@@ -131,23 +133,21 @@ def find_strict_enclosing_pair(
         return None
     n = f.dimension
     frame = f.frame
-    # unknowns: v (n), a, b
+    # unknowns: v (n), a, b; the rows of each negative on either side
     pos_rows = []
     for i in pos:
         pos_rows.append((tuple(-c for c in frame[i]) + (1, 0), 0))
         pos_rows.append((frame[i] + (0, -1), 0))
+    above = [(frame[i] + (-1, 0), 1) for i in neg]
+    below = [(tuple(-c for c in frame[i]) + (0, 1), 1) for i in neg]
+    ordered = ((0,) * n + (1, -1), 0)
     nogoods: List[Tuple[int, int]] = []  # (S as a bit set, the sides of S refuted)
     for mask in range(1, 2 ** (k - 1)):
         if any((mask & s) in (sides, s ^ sides) for s, sides in nogoods):
             continue
         upper = [i for i in range(k) if mask >> i & 1]
         lower = [i for i in range(k) if not mask >> i & 1]
-        rows = list(pos_rows)
-        for i in upper:
-            rows.append((frame[neg[i]] + (-1, 0), 1))
-        for i in lower:
-            rows.append((tuple(-c for c in frame[neg[i]]) + (0, 1), 1))
-        rows.append(((0,) * n + (1, -1), 0))
+        rows = pos_rows + [above[i] for i in upper] + [below[i] for i in lower] + [ordered]
         res = lp.feasible(lp.LinearSystem(n + 2, tuple(rows)))
         if res.is_feasible:
             v = _unframe(f, res.witness[:n])
@@ -156,7 +156,8 @@ def find_strict_enclosing_pair(
                 raise RuntimeError("enclosing witness failed re-verification")
             return EnclosingWitness(v, a, b, True)
         s = sum(1 << i for i, y in zip(upper + lower, res.farkas[len(pos_rows):]) if y)
-        nogoods.append((s, mask & s))
+        if s != 2**k - 1:
+            nogoods.append((s, mask & s))
     return None
 
 
@@ -305,7 +306,7 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
         except DegenerateSimplexError:
             continue
         for mode in modes:
-            if _simplex_holds(f, frame, mode, None, derived):
+            if _simplex_holds(f, mode, None, derived):
                 return _simplex_certificate(SimplexWitness(tuple(support[i] for i in combo), mode))
     return None
 
@@ -321,8 +322,9 @@ def check_connectivity(
     coefficient, strict separating hyperplane, one positive coefficient (hull
     dimension >= 2), simplex witness, then the box criterion when enabled.
     ``newton`` returns N(f) for the simplex search (built when not given).
-    ``config.simplex_witness`` is tried only up to MAX_SIMPLEX_DIMENSION
-    variables, as the search is.
+    ``config.simplex_witness`` is taken when replay's ``verify_criterion``
+    passes it, which it does only up to MAX_SIMPLEX_DIMENSION variables, as
+    the search runs.
     """
     config = config or CertifyConfig()
     neg = negatives(f)
@@ -338,14 +340,10 @@ def check_connectivity(
         return CriterionCertificate(STRICT_SEPARATING, True, sep)
     if len(pos) == 1 and newton_dim(f) >= 2:
         return CriterionCertificate(ONE_POSITIVE_COEFF, True, pos[0])
-    if config.simplex_witness is not None and f.dimension <= MAX_SIMPLEX_DIMENSION:
-        w = config.simplex_witness
-        try:
-            ok = verify_simplex_witness(f, w)
-        except DegenerateSimplexError:
-            ok = False
-        if ok:
-            return _simplex_certificate(w)
+    if config.simplex_witness is not None:
+        found = _simplex_certificate(config.simplex_witness)
+        if verify_criterion(f, found) is None:
+            return found
     if config.enable_simplex_search:
         found = _simplex_search(f, config, newton)
         if found is not None:

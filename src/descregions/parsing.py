@@ -33,16 +33,13 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .signomial import Signomial
+from .signomial import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, Signomial
 
 Number = Union[int, Fraction]
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 MAX_VARIABLE_INDEX = 1000
 MAX_TERMS = 1000
-MAX_EXPONENT_DIGITS = 6
-# every exponent entry's reduced numerator and denominator lie below this
-EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
 # whitespace, then one token: 1 a number, 2 a name, 3 an operator, 4 a bad character
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z]\w*)|([-+*^()/])|(\S))")

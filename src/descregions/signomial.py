@@ -29,6 +29,10 @@ from typing import Iterable, Sequence, Tuple
 from .linalg import IntVector, Vector, affine_rank, lattice, vector
 
 DEFAULT_TOLERANCE_FACTOR = 1e-12
+# text, trace input and simplex witness vertices hold every exponent entry's
+# reduced numerator and denominator below EXPONENT_BOUND
+MAX_EXPONENT_DIGITS = 6
+EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
 """Inputs within the parser's caps that once made the certifier run away,
-or that drive a search to its budget.
+or that drive a search to its budget, and trace documents that once held
+replay for seconds.
 
-Each is polynomial text.  The tests bound the work they take by counted
-simplex pivots, which repeat exactly, not by wall time.
+Each input is polynomial text, each document a dict as ``json.loads``
+gives it.  The tests bound the work they take by counted work (simplex
+pivots, recursion nodes, simplex inverses), which repeats exactly, not by
+wall time.
 """
+
+import itertools
+import random
 
 
 def parabola_text(terms: int = 400) -> str:
@@ -35,10 +41,73 @@ def prime_denominator_text(terms: int = 80) -> str:
 
 def box_budget_text() -> str:
     """Two variables, exponents in {0..6}^2, 12 negatives and 4 positives:
-    exactly the box criterion's default budget of negatives.  No Farkas
-    nogood refutes a later side assignment, so the enclosing-pair search
-    solves all 2^11 - 1 feasibility problems and finds no pair."""
+    exactly the box criterion's default budget of negatives.  No side
+    assignment is feasible, so the enclosing-pair search solves all
+    2^11 - 1 feasibility problems and finds no pair."""
     return (
         "1 - x2^2 - x2^3 - x2^5 - x1 + x1*x2^4 - x1^3 - x1^3*x2^2 - x1^3*x2^4 - x1^3*x2^5"
         " - x1^3*x2^6 + x1^4 - x1^4*x2^6 + x1^5*x2^6 - x1^6*x2^3 - x1^6*x2^6"
     )
+
+
+def cube_signs_text(d: int, seed: int) -> str:
+    """The vertices of {0,1}^d, in ``itertools.product`` order, each with the
+    sign ``random.Random(seed).choice((-1, 1))`` draws for it: 2^d terms
+    with exponents 0 and 1, on which the parallel-split recursion re-walks
+    the same faces once per order of splits."""
+    rng = random.Random(seed)
+    terms = []
+    for vertex in itertools.product((0, 1), repeat=d):
+        monomial = "*".join(f"x{i + 1}" for i, b in enumerate(vertex) if b) or "1"
+        terms.append(f"{'-' if rng.choice((-1, 1)) < 0 else '+'} {monomial}")
+    return " ".join(terms).lstrip("+ ")
+
+
+def _simplex_document(vertices) -> dict:
+    """A trace whose root is a negatives-inside simplex criterion with the
+    given vertex entries (ints or ``(numerator, denominator)`` pairs), on
+    the corner signomial in as many variables as the vertices have
+    entries: positives at 0 and 4 e_i, negatives at e_1 and e_2."""
+    n = len(vertices[0])
+
+    def point(entries):
+        return [str(a) if isinstance(a, int) else f"{a[0]}/{a[1]}" for a in entries]
+
+    exponents = [(0,) * n] + [tuple(4 * (j == i) for j in range(n)) for i in range(n)]
+    units = [tuple(int(j == i) for j in range(n)) for i in (0, 1)]
+    terms = [("1", e) for e in exponents] + [("-1", e) for e in units]
+    terms.sort(key=lambda t: t[1])
+    outcome = "CertifiedAtMostOne"
+    return {
+        "schema": 1,
+        "input": {"dimension": n, "terms": [{"coefficient": c, "exponent": point(e)} for c, e in terms]},
+        "outcome": outcome,
+        "tree": {
+            "kind": "criterion",
+            "outcome": outcome,
+            "criterion": "simplex-negatives-inside",
+            "nonempty": False,
+            "witness": {"vertices": [point(p) for p in vertices], "mode": "negatives-inside"},
+        },
+    }
+
+
+def prime_vertex_document(denominators: int = 17, n: int = 16, seed: int = 0) -> dict:
+    """n + 1 simplex vertices in n variables whose entries k/p cycle through
+    ``denominators`` distinct 6-digit primes p, each entry within the
+    exponent digit caps, against an integral signomial.  Framing the
+    vertices with the support multiplies every entry by the product of the
+    primes (17 of them: about 100 digits) before one inverse."""
+    rng = random.Random(seed)
+    primes = _largest_primes(denominators)
+    entries = ((rng.randrange(1, p), p) for p in itertools.cycle(primes))
+    return _simplex_document([[next(entries) for _ in range(n)] for _ in range(n + 1)])
+
+
+def wide_vertex_document(digits: int = 600, n: int = 16, seed: int = 0) -> dict:
+    """n + 1 simplex vertices in n variables whose entries are random
+    integers of ``digits`` digits, beyond the exponent digit caps: about
+    160 KB of JSON at 600 digits and n = 16."""
+    rng = random.Random(seed)
+    low = 10 ** (digits - 1)
+    return _simplex_document([[rng.randrange(low, 10 * low) for _ in range(n)] for _ in range(n + 1)])

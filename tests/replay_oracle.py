@@ -11,7 +11,8 @@ own witness to the frame.  ``signomial_from_json`` and
 ``certificate_from_json`` read every rational with ``Fraction(str)``, which
 takes any spelling ``Fraction`` takes.  The functions are unchanged; they
 share with the package only the constants, the witness types, the caps and
-the simplex check, its vertex-count and dimension check included.
+the simplex check, its shape check (vertex count, dimension, digit caps and
+exponent lattice) included.
 
 ``canonical_signomial_from_json`` is the canonical-spelling reader as it
 stood before it built the lattice frame from ints: ``_Rationals`` reads

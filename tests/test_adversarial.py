@@ -1,14 +1,24 @@
-"""Inputs within the caps that once ran for minutes, each held to a bound on
-counted work: simplex pivots and combinations walked, which repeat exactly."""
+"""Inputs within the caps that once ran for minutes, and trace documents
+that once held replay for seconds, each held to a bound on counted work:
+simplex pivots, combinations walked, recursion nodes and simplex inverses,
+which repeat exactly."""
 
 import pytest
 
-from descregions import criteria, lp
-from descregions.check import CertifyConfig
+from descregions import certify, check, criteria, lp, tracedoc
+from descregions.check import INCONCLUSIVE, CertifyConfig
 from descregions.criteria import _simplex_search, find_strict_enclosing_pair, find_strict_separating_hyperplane
 from descregions.parsing import parse_signomial
+from descregions.signomial import MAX_EXPONENT_DIGITS
 
-from adversarial import box_budget_text, parabola_text, prime_denominator_text
+from adversarial import (
+    box_budget_text,
+    cube_signs_text,
+    parabola_text,
+    prime_denominator_text,
+    prime_vertex_document,
+    wide_vertex_document,
+)
 
 
 @pytest.fixture
@@ -51,10 +61,45 @@ def test_simplex_search_walks_nothing_when_no_combination_holds_the_vertices(mon
 
 
 def test_enclosing_search_at_the_budget_is_bounded(pivots):
-    """12 negatives, the default budget: at most 2^11 - 1 side assignments,
-    each one LP, within twice the measured 8,402 pivots over all 2,047."""
+    """12 negatives, the default budget: the 2^11 - 1 side assignments with
+    the last negative below, each one LP, within twice the measured 8,402
+    pivots over all 2,047."""
     f = parse_signomial(box_budget_text())
     k = CertifyConfig().enclosing_max_negatives
     assert len(f.negative_indices) == k == 12
     assert find_strict_enclosing_pair(f, k) is None
-    assert len(pivots) <= 2 ** (k - 1) - 1 and sum(pivots) <= 16_804
+    assert len(pivots) == 2 ** (k - 1) - 1 and sum(pivots) <= 16_804
+
+
+# The node counts measured before any memo of faces: the recursion re-walks
+# a face once per order of splits that reaches it, and ends Inconclusive.
+@pytest.mark.parametrize("d, seed, nodes", [(5, 2, 211), (6, 0, 1_469)], ids=["d5", "d6"])
+def test_cube_sign_recursion_is_bounded_by_counted_nodes(d, seed, nodes, monkeypatch):
+    calls = []
+    real = certify._certify
+    monkeypatch.setattr(certify, "_certify", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    f = parse_signomial(cube_signs_text(d, seed))
+    assert len(f.terms) == 2**d
+    assert certify.certify_connectivity(f).outcome == INCONCLUSIVE
+    assert len(calls) <= nodes
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        (prime_vertex_document(), "simplex vertex entry 885441/999983 is off the signomial's exponent lattice (L = 1)"),
+        (wide_vertex_document(), f"simplex vertex entry has more than {MAX_EXPONENT_DIGITS} digits"),
+    ],
+    ids=["prime-denominators", "wide-integers"],
+)
+def test_hostile_simplex_documents_are_refused_before_any_inverse(doc, reason, monkeypatch):
+    """Simplex witness vertices off the signomial's exponent lattice, or
+    beyond the exponent digit caps, are named without deriving a simplex:
+    framing them with the support once took one inverse on 100-digit
+    (0.2 s) or 600-digit (4.4 s) entries."""
+    calls = []
+    real = check.simplex_halfspaces
+    monkeypatch.setattr(check, "simplex_halfspaces", lambda points: calls.append(1) or real(points))
+    errors = tracedoc.verify_document(doc)
+    assert calls == []
+    assert errors == [f"root: {reason}"]

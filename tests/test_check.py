@@ -35,7 +35,7 @@ from descregions.check import (
     verify_simplex_witness,
 )
 from descregions.parsing import parse_signomial
-from descregions.signomial import Signomial
+from descregions.signomial import MAX_EXPONENT_DIGITS, Signomial
 
 import fixtures
 import replay_oracle
@@ -141,13 +141,16 @@ MALFORMED_SIMPLICES = (
     ((vec(1), vec(2), vec(3)), "simplex vertices do not match the signomial dimension"),
     ((vec(1, 1), vec(4, 2), vec(1)), "simplex vertices do not match the signomial dimension"),
     ((vec(1, 1), vec(4, 2), vec(1, 3, 0)), "simplex vertices do not match the signomial dimension"),
+    ((vec(1, 1), vec(4, 2), vec(Fraction(1, 2), 1)), "simplex vertex entry 1/2 is off the signomial's exponent lattice (L = 3)"),
+    ((vec(1, 1), vec(4, 2), vec(1, 1234567)), f"simplex vertex entry has more than {MAX_EXPONENT_DIGITS} digits"),
 )
 
 
 def test_malformed_simplex_witnesses_are_named():
-    """A vertex count other than n + 1, or a vertex not of dimension n, is a
-    named reason from ``verify_criterion``, and the witness does not verify,
-    so a search or replay handed one carries on."""
+    """A vertex count other than n + 1, a vertex not of dimension n, or a
+    vertex entry beyond the exponent digit caps or off f's exponent lattice
+    (L = 3 here) is a named reason from ``verify_criterion``, and the
+    witness does not verify, so a search or replay handed one carries on."""
     f = fixtures.SIMPLEX_CONNECTED
     kinds = ((SIMPLEX_NEGATIVES_INSIDE, MODE_NEGATIVES_INSIDE), (SIMPLEX_POSITIVES_INSIDE, MODE_POSITIVES_INSIDE))
     for vertices, reason in MALFORMED_SIMPLICES:

@@ -209,12 +209,21 @@ def test_oracle_and_plot_reject_non_finite_grids(poly, capsys, tmp_path):
         (("--box=0,nan",), "box ends must be finite"),
         (("--box=-1e308,1e308",), "box width hi - lo overflows"),
         (("--tol", "inf"), "tolerance_factor must be >= 0 and finite"),
+        # parts that are not lo,hi numbers used to print Python's unpacking
+        # and float conversion messages
+        (("--box=0,1;2",), "--box '0,1;2' must be lo,hi or one lo,hi per axis (1 here) joined by ';'"),
+        (("--box", "0"), "--box '0' must be lo,hi or one lo,hi per axis (1 here)"),
+        (("--box=0,1,2",), "--box '0,1,2' must be lo,hi or one lo,hi per axis (1 here)"),
+        (("--box=a,b",), "--box 'a,b' must be lo,hi or one lo,hi per axis (1 here)"),
+        (("--box=0,1;0,1",), "--box '0,1;0,1' must be lo,hi or one lo,hi per axis (1 here)"),
     ):
         code, out, err = run(capsys, "oracle", f, *argv)
         assert code == 1 and out == "", argv
         assert err.startswith("error: ") and message in err, argv
-    code, out, err = run(capsys, "plot", poly("y.poly", "x - y"), "--box=-inf,inf", "--out", str(tmp_path / "p.svg"))
-    assert code == 1 and out == "" and err.startswith("error: ") and "box ends must be finite" in err
+    for box, message in (("--box=-inf,inf", "box ends must be finite"), ("--box=0,1;2", "must be lo,hi or one lo,hi per axis (2 here)")):
+        code, out, err = run(capsys, "plot", poly("y.poly", "x - y"), box, "--out", str(tmp_path / "p.svg"))
+        assert code == 1 and out == "" and err.startswith("error: ") and message in err, box
+        assert err.count("\n") == 1, box
     assert not (tmp_path / "p.svg").exists()
     code, out, _ = run(capsys, "oracle", f, "--box=-1,1", "--grid", "5")
     assert code == 0 and json.loads(out)["negative_cell_count"] == 2
