@@ -14,11 +14,11 @@ before a parallel split is emitted, witnessed by a negative exponent at a
 vertex of the child's Newton polytope (the restriction is then negative far
 along the exposing direction, so its negative region is nonempty).
 
-The search runs on each signomial's integer lattice frame: negatives are
-term indices, the hull's point indices are term indices, the two faces of
-a parallel split are read off the frame rows by the face split that replay
-uses too, and children are restricted by index.  Witnesses leave as the
-signomial's own Fraction exponents.
+The search runs on each signomial's integer lattice frame: the hull is
+built on the frame rows, so its point indices are term indices; the two
+faces of a parallel split are read off the frame rows by the face split
+that replay uses too, children are restricted by index, and witness points
+leave as ``Signomial.exponent``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certifica
     criterion_outcome,
     verify_certificate,
 )
-from .criteria import check_connectivity, hull_indices, negative_vertex_functional
+from .criteria import check_connectivity, negative_vertex_functional
 from .polytope import (
     FacetBudgetExceededError,
     Polytope,
@@ -77,7 +77,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     if not neg_idx:
         return Certificate(KIND_EMPTY, CERTIFIED_EMPTY)
 
-    newton = lazy_hull(lambda: build_polytope(f.support, config.facet_budget))
+    newton = lazy_hull(lambda: build_polytope(f.frame, config.facet_budget))
     crit = check_connectivity(f, config, newton)
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
@@ -87,7 +87,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     except FacetBudgetExceededError as exc:
         return Certificate(KIND_INCONCLUSIVE, INCONCLUSIVE, reason=str(exc))
 
-    # P is built from f.support, so its point indices are f's term indices
+    # P is built from f.frame, so its point indices are f's term indices
     face_idx, proper = smallest_face_containing(P, neg_idx)
     if proper:
         normal = face_exposing_normal(P, neg_idx)
@@ -96,7 +96,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
             KIND_NEGATIVE_FACE,
             child.outcome,
             normal=normal,
-            face=tuple(f.support[i] for i in face_idx),
+            face=tuple(map(f.exponent, face_idx)),
             children=(child,),
         )
 
@@ -137,7 +137,8 @@ def intersection_nonempty(
     f: Signomial, v: Sequence, P: Optional[Polytope] = None
 ) -> Optional[EdgeWitness]:
     """First pair of negative exponents on the two opposite faces in direction
-    v joined by an edge of the Newton polytope ``P`` (built when not given).
+    v joined by an edge of the Newton polytope ``P``, built on f's frame
+    (when not given), so that its point indices are f's term indices.
 
     Requires the support to lie on the two faces.  A pair is an edge when its
     smallest face holds no other support point; the functional is the sum of
@@ -148,13 +149,12 @@ def intersection_nonempty(
     if not _splits(f, faces):
         raise ValueError("support does not split across the faces of v and -v")
     if P is None:
-        P = build_polytope(f.support)
-    index = hull_indices(P, f)
+        P = build_polytope(f.frame)
     neg = set(f.negative_indices)
     top, bottom = ([i for i in face if i in neg] for face in faces)
     for i in top:
         for j in bottom:
-            pair = sorted((index[i], index[j]))
+            pair = sorted((i, j))
             if list(smallest_face_containing(P, pair)[0]) == pair:
-                return EdgeWitness(f.support[i], f.support[j], face_exposing_normal(P, pair))
+                return EdgeWitness(f.exponent(i), f.exponent(j), face_exposing_normal(P, pair))
     return None

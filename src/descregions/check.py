@@ -6,11 +6,12 @@ but ``linalg`` and ``signomial``, so no search, LP or hull code stands
 between a trace and its verdict.  The searches call the same checks on
 their own witnesses before handing them out.
 
-Every test of a recorded functional against a support runs on the
-signomial's integer lattice frame, through ``frame_values``: the functional
-and its offsets are scaled once to ints, and each exponent's value is an
-int dot product with its frame row.  Faces are read by term index
-(``_face_split``), and children are restricted by index.
+Replay reads only the signomial's integer lattice frame.  Every test of a
+recorded functional runs through ``frame_values``: the functional and its
+offsets are scaled once to ints, and each exponent's value is an int dot
+product with its frame row.  Faces are read by term index
+(``_face_split``), children are restricted by index, and a recorded point
+goes to its term through ``Signomial.term_index`` (none off the lattice).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import IntVector, Vector, dot, is_zero, lattice, primitive_int, vector, vneg
+from .linalg import IntVector, Vector, dot, is_zero, lattice, primitive_int, vneg
 from .signomial import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, Signomial, newton_dim, restrict_indices
 
 # outcomes
@@ -184,7 +185,7 @@ def frame_values(f: Signomial, v: Sequence, *offsets) -> Tuple[List[int], Tuple[
     and f's frame rows are L mu; w . (L mu) and L t are then v . mu and the
     offsets times one positive factor, so they compare as the rationals do.
     """
-    _, (row,) = lattice([vector((*v, *offsets))])
+    _, (row,) = lattice([(*v, *offsets)])
     k = len(row) - len(offsets)
     w = row[:k]
     return [dot(w, mu) for mu in f.frame], tuple(f.scale * t for t in row[k:])
@@ -205,13 +206,7 @@ def _splits(f: Signomial, faces: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> boo
     """Whether the two faces of ``_face_split`` are distinct and cover the
     support (distinct faces are disjoint)."""
     top, bottom = faces
-    return top != bottom and len(top) + len(bottom) == len(f.terms)
-
-
-def _index(f: Signomial, mu) -> Optional[int]:
-    """The term index of exponent mu in f, or None."""
-    support = f.support
-    return support.index(mu) if mu in support else None
+    return top != bottom and len(top) + len(bottom) == len(f.frame)
 
 
 def _exposes(values: Sequence[int], top, ends: Sequence[Optional[int]]) -> bool:
@@ -228,14 +223,15 @@ class DegenerateSimplexError(ValueError):
     """Simplex vertices are affinely dependent."""
 
 
-def simplex_halfspaces(vertices: Sequence[Sequence]) -> Tuple[Tuple[IntVector, Fraction], ...]:
-    """Outer halfspaces (v_j, a_j) of the simplex, the j-th supporting the
-    facet opposite vertex j, with primitive integer normals.  Raises
-    DegenerateSimplexError when the vertices are affinely dependent.
+def simplex_halfspaces(vertices: Sequence[IntVector]) -> Tuple[Tuple[IntVector, int], ...]:
+    """Outer halfspaces (v_j, a_j) of the simplex on int vertices, the j-th
+    supporting the facet opposite vertex j, with primitive integer normals
+    and int offsets.  Raises DegenerateSimplexError when the vertices are
+    affinely dependent.
 
     One fraction-free inverse per simplex, one echelon per hull (the hull's
     starting simplex takes its facets from here): a Gauss-Jordan elimination
-    of [M | I], with M the rows v_i - v_0 in the lattice frame and every step
+    of [M | I], with M the rows v_i - v_0 and every step
     divided exactly by the previous pivot (Bareiss 1968), leaves
     [d I | d M^-1] with d = +-det M.  Column j of d M^-1 is orthogonal to
     every row of M but the j-th, so it is normal to the facet opposite
@@ -243,12 +239,11 @@ def simplex_halfspaces(vertices: Sequence[Sequence]) -> Tuple[Tuple[IntVector, F
     is normal to the facet opposite v_0.  A zero pivot column means the
     vertices are dependent.  Each normal is made primitive and turned away
     from its opposite vertex."""
-    scale, verts = lattice(vertices)
-    n = len(verts[0])
-    if len(verts) != n + 1:
+    n = len(vertices[0])
+    if len(vertices) != n + 1:
         raise DegenerateSimplexError("vertices do not form an n-simplex")
-    base = verts[0]
-    rows = [[a - b for a, b in zip(p, base)] + [int(i == k) for k in range(n)] for i, p in enumerate(verts[1:])]
+    base = vertices[0]
+    rows = [[a - b for a, b in zip(p, base)] + [int(i == k) for k in range(n)] for i, p in enumerate(vertices[1:])]
     prev = 1
     for k in range(n):
         # each row holds columns k.. of the eliminated [M | I]
@@ -267,10 +262,10 @@ def simplex_halfspaces(vertices: Sequence[Sequence]) -> Tuple[Tuple[IntVector, F
     out = []
     for j, col in enumerate(columns):
         normal = primitive_int(col)
-        offset = dot(normal, verts[1 if j == 0 else 0])
-        if dot(normal, verts[j]) > offset:
+        offset = dot(normal, vertices[1 if j == 0 else 0])
+        if dot(normal, vertices[j]) > offset:
             normal, offset = vneg(normal), -offset
-        out.append((normal, offset if scale == 1 else Fraction(offset, scale)))
+        out.append((normal, offset))
     return tuple(out)
 
 
@@ -294,7 +289,8 @@ def verify_separating_hyperplane(
         return False
     if strict:
         if strict_point is not None:
-            return any(f.terms[i].exponent == strict_point and x > 0 for i, x in zip(f.negative_indices, above))
+            k = f.term_index(strict_point)
+            return any(i == k and x > 0 for i, x in zip(f.negative_indices, above))
         return any(x > 0 for x in above)
     return True
 
@@ -302,7 +298,7 @@ def verify_separating_hyperplane(
 def verify_enclosing_pair(f: Signomial, v: Sequence, a, b, strict: bool) -> bool:
     """Exact check of the enclosing-pair definition (positives inside the slab
     [b, a] along v, negatives outside its interior)."""
-    if is_zero(v) or Fraction(a) < Fraction(b):
+    if is_zero(v) or a < b:
         return False
     values, (a, b) = frame_values(f, v, a, b)
     if any(not b <= values[i] <= a for i in f.positive_indices):
@@ -316,7 +312,7 @@ def verify_enclosing_pair(f: Signomial, v: Sequence, a, b, strict: bool) -> bool
 def _ray(v: Sequence, a) -> IntVector:
     """The halfspace v . x <= a as coprime ints: two halfspaces give the same
     ray exactly when one is a positive multiple of the other."""
-    return primitive_int(lattice([vector((*v, a))])[1][0])
+    return primitive_int(lattice([(*v, a)])[1][0])
 
 
 def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
@@ -325,20 +321,23 @@ def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
     negatives-inside: negatives in the simplex, positives in the cone union.
     positives-inside (needs n >= 2): positives in the simplex, negatives in
     the cone union, and some negative interior to the union.  It runs on
-    f's lattice frame, as the search does: each vertex entry times L, and
-    the interior negative as its term index.  False for a witness of the
-    wrong shape and for an interior negative that is not one of f's.
+    f's lattice frame, as the search does: each vertex as its frame row,
+    and the interior negative as its term index.  False for a witness of
+    the wrong shape and for an interior negative that is not one of f's.
     """
-    if _simplex_shape_error(f, w):
-        return False
-    L = f.scale
-    rows = [tuple([a.numerator * (L // a.denominator) for a in vector(p)]) for p in w.vertices]
-    interior = None if w.interior_negative is None else _index(f, vector(w.interior_negative))
+    return not _simplex_shape_error(f, w) and _simplex_verifies(f, w)
+
+
+def _simplex_verifies(f: Signomial, w: SimplexWitness) -> bool:
+    """``verify_simplex_witness`` on a witness of the right shape, whose
+    vertices all lie on f's exponent lattice."""
+    interior = None if w.interior_negative is None else f.term_index(w.interior_negative)
     if w.interior_negative is not None and interior not in f.negative_indices:
         return False
-    derived = simplex_halfspaces(rows)
+    derived = simplex_halfspaces([f.frame_row(p) for p in w.vertices])
     # a provided H-representation must be the derived one, up to positive scalings and order
     if w.halfspaces is not None:
+        L = f.scale
         if sorted(_ray(v, a) for v, a in w.halfspaces) != sorted(_ray(v, Fraction(a, L)) for v, a in derived):
             return False
     return _simplex_holds(f, w.mode, interior, derived)
@@ -355,7 +354,7 @@ def _simplex_shape_error(f: Signomial, w: SimplexWitness) -> Optional[str]:
         return f"simplex witness has {len(w.vertices)} vertices, not n + 1 = {f.dimension + 1}"
     if any(len(p) != f.dimension for p in w.vertices):
         return "simplex vertices do not match the signomial dimension"
-    for a in (a for p in w.vertices for a in vector(p)):
+    for a in (a for p in w.vertices for a in p):
         if abs(a.numerator) >= EXPONENT_BOUND or a.denominator >= EXPONENT_BOUND:
             return f"simplex vertex entry has more than {MAX_EXPONENT_DIGITS} digits"
         if f.scale % a.denominator:
@@ -414,7 +413,7 @@ def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
         if shape := _simplex_shape_error(f, cert.witness):
             return shape
         try:
-            ok = verify_simplex_witness(f, cert.witness)
+            ok = _simplex_verifies(f, cert.witness)
         except DegenerateSimplexError:
             return "degenerate simplex witness"
         return None if ok else "simplex witness does not verify"
@@ -423,7 +422,7 @@ def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
         e = w.enclosing
         if not verify_enclosing_pair(f, e.normal, e.upper, e.lower, strict=True):
             return "enclosing pair does not verify"
-        i, j = _index(f, w.beta1), _index(f, w.beta2)
+        i, j = f.term_index(w.beta1), f.term_index(w.beta2)
         if i not in neg or j not in neg:
             return "box endpoints are not negative exponents"
         values, (a, b) = frame_values(f, e.normal, e.upper, e.lower)
@@ -494,13 +493,13 @@ def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> L
             fail("malformed negative-face node")
             return errors
         top = _face_split(f, cert.normal)[0]
-        recorded = set(cert.face)
-        face = tuple(i for i, mu in enumerate(f.support) if mu in recorded)
-        if face != top or len(face) != len(recorded):
+        found = set(map(f.term_index, cert.face))
+        face = tuple(sorted(found - {None}))
+        if face != top or None in found:
             fail("recorded face is not the face exposed by the recorded normal")
         if not set(f.negative_indices) <= set(top):
             fail("face does not contain all negative exponents")
-        if len(top) == len(f.terms):
+        if len(top) == len(f.frame):
             fail("face is not proper")
         if cert.outcome != cert.children[0].outcome:
             fail("outcome does not match the child outcome")
@@ -518,13 +517,13 @@ def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> L
         ):
             fail("malformed parallel-split node")
             return errors
-        faces = _face_split(f, cert.normal) if f.terms else ((), ())
+        faces = _face_split(f, cert.normal) if f.frame else ((), ())
         if not _splits(f, faces):
             fail("support does not lie on two parallel faces of the recorded normal")
             return errors
         neg = f.negative_indices
         e = cert.edge
-        ends = [_index(f, e.beta1), _index(f, e.beta2)]
+        ends = [f.term_index(e.beta1), f.term_index(e.beta2)]
         if ends[0] not in neg or ends[0] not in faces[0]:
             fail("edge endpoint beta1 is not a negative exponent on the upper face")
         if ends[1] not in neg or ends[1] not in faces[1]:
@@ -545,7 +544,7 @@ def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> L
             child_f = restrict_indices(f, face)
             if child.outcome not in CERTIFIED_OUTCOMES or child.outcome == CERTIFIED_EMPTY:
                 fail(f"{label} child is not certified with a nonempty-compatible outcome")
-            k = _index(child_f, w.point)
+            k = child_f.term_index(w.point)
             if k not in child_f.negative_indices or len(w.functional) != f.dimension:
                 fail(f"{label} nonempty witness is not a negative exponent of the child")
             else:

@@ -38,7 +38,7 @@ from .polytope import (
     parallel_face_pairs,
     smallest_face_containing,
 )
-from .signomial import Signomial, negatives, newton_dim, positives
+from .signomial import Signomial, newton_dim
 from .svgplot import PlotUnsupportedError, render_region_svg
 
 # a number of the polynomial text: sign, digits, then a decimal part or a denominator
@@ -53,7 +53,7 @@ def _read_signomial(path: str) -> Tuple[Signomial, str]:
     """The signomial in the file and the text it was parsed from."""
     text = Path(path).read_text(encoding="utf-8")
     f = parse_signomial(text)
-    if not f.terms:
+    if not f.frame:
         raise ParseError("polynomial has empty support", 1, 1)
     return f, text
 
@@ -144,24 +144,25 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_analyze(args) -> int:
     f, _ = _read_signomial(args.file)
-    neg = negatives(f)
+    neg = f.negative_indices
     report = {
         "dimension": f.dimension,
-        "term_count": len(f.terms),
-        "positive_count": len(positives(f)),
+        "term_count": len(f.frame),
+        "positive_count": len(f.positive_indices),
         "negative_count": len(neg),
         "newton_dim": newton_dim(f),
         "facet_budget_exceeded": False,
     }
-    newton = lazy_hull(lambda: build_polytope(f.support, args.facet_budget))
+    newton = lazy_hull(lambda: build_polytope(f.frame, args.facet_budget))
     try:
         P = newton()
         report["vertex_count"] = len(P.vertices)
         report["facet_count"] = len(P.facets)
         if neg:
-            face_idx, proper = smallest_face_containing(P, f.negative_indices)
+            face_idx, proper = smallest_face_containing(P, neg)
+            support = f.support  # the hull's points are frame rows; report exponents
             report["smallest_negative_face"] = {
-                "support": [[str(c) for c in P.points[i]] for i in face_idx],
+                "support": [[str(c) for c in support[i]] for i in face_idx],
                 "proper": proper,
             }
         else:

@@ -5,7 +5,8 @@ connected component (some additionally certify it is nonempty) or declines.
 ``check_connectivity`` runs them in a fixed order and returns the first
 certificate; all returned witnesses re-verify under the exact ``verify_*``
 checks of ``check``, the ones replay runs, before being handed out.  The
-witness classes and criterion kinds live in ``check`` too.
+witness classes and criterion kinds live in ``check`` too.  The searches
+read only the lattice frame; a witness point leaves as ``f.exponent(i)``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .polytope import (
     face_exposing_normal,
     smallest_face_containing,
 )
-from .signomial import Signomial, negatives, newton_dim, positives
+from .signomial import Signomial, newton_dim
 
 
 class EnclosingBudgetExceededError(RuntimeError):
@@ -93,7 +94,7 @@ def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitnes
         res = lp.feasible(lp.LinearSystem(n + 1, (*rows, strict_row)))
         if res.is_feasible:
             values, _ = res.integer_witness  # (w, a) times d > 0
-            beta0 = next(f.support[i] for i in neg if dot(values[:n], frame[i]) > values[n])
+            beta0 = next(f.exponent(i) for i in neg if dot(values[:n], frame[i]) > values[n])
             v, a = _unframe(f, res.witness[:n]), res.witness[n]
             if not verify_separating_hyperplane(f, v, a, strict=True, strict_point=beta0):
                 raise RuntimeError("separating witness failed re-verification")
@@ -184,7 +185,7 @@ def check_box_criterion(
             res = lp.separate_segment_from_hull(frame[i], frame[j], hull)
             if res.is_feasible:
                 wn, wc = _unframe(f, res.witness[: f.dimension]), res.witness[f.dimension]
-                witness = BoxWitness(pair, f.support[i], f.support[j], wn, wc)
+                witness = BoxWitness(pair, f.exponent(i), f.exponent(j), wn, wc)
                 return CriterionCertificate(BOX, True, witness)
     return None
 
@@ -204,26 +205,16 @@ def closure_property(
     ``separating``, returning the strict separating hyperplane search's
     result (run here when not given)."""
     neg, pos = f.negative_indices, f.positive_indices
-    if not f.terms:
+    if not f.frame:
         return False
     if not neg or not pos:
         return True  # f has constant sign on the whole orthant
     sep = separating() if separating is not None else find_strict_separating_hyperplane(f)
     if sep is not None:
         return True
-    P = newton() if newton is not None else build_polytope(f.support, facet_budget)
+    P = newton() if newton is not None else build_polytope(f.frame, facet_budget)
     _, proper = smallest_face_containing(P, neg)
     return proper
-
-
-def hull_indices(P: Polytope, f: Signomial) -> Sequence[int]:
-    """The index in ``P.points`` of each of f's exponents: the term indices
-    themselves when P is f's own hull, else looked up for a caller's larger
-    hull (KeyError when an exponent is not a point of P)."""
-    if P.points == f.support:
-        return range(len(f.terms))
-    index = {p: i for i, p in enumerate(P.points)}
-    return [index[mu] for mu in f.support]
 
 
 def negative_vertex_functional(
@@ -233,21 +224,21 @@ def negative_vertex_functional(
     together with a functional u exposing it strictly (u.beta > u.q for every
     other support point q); certifies the negative region is nonempty.
 
-    ``P`` defaults to the Newton polytope of f; it may also be the hull of a
-    larger point set of which f's support is a face, since the vertices of a
-    face are the vertices of the hull that lie in it.  ``index`` gives the
-    index in ``P.points`` of each of f's exponents when the caller holds it,
-    as for a restriction of P's points by index.  The functional is the
-    sum of the normals of the facets through the vertex, or zero when the
-    hull is the vertex alone.
+    ``P`` defaults to the Newton polytope of f, built on f's frame, whose
+    point indices are f's term indices.  It may also be the hull of a
+    larger point set of which f's support is a face, since the vertices of
+    a face are the vertices of the hull that lie in it; ``index`` then gives
+    the index in ``P.points`` of each of f's terms, as for a restriction of
+    P's points by index.  The functional is the sum of the normals of the
+    facets through the vertex, or zero when the hull is the vertex alone.
     """
     if P is None:
-        P = build_polytope(f.support)
+        P = build_polytope(f.frame)
     if index is None:
-        index = hull_indices(P, f)
+        index = range(len(f.frame))
     for i in f.negative_indices:
         if index[i] in P.vertices:
-            return f.support[i], face_exposing_normal(P, [index[i]])
+            return f.exponent(i), face_exposing_normal(P, [index[i]])
     return None
 
 
@@ -280,26 +271,25 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
     no simplex at all.  Above MAX_SIMPLEX_DIMENSION variables the search
     declines, so it emits no witness that replay refuses.
     """
-    support = f.support
+    frame = f.frame
     n = f.dimension
-    if n > MAX_SIMPLEX_DIMENSION or len(support) < n + 1:
+    if n > MAX_SIMPLEX_DIMENSION or len(frame) < n + 1:
         return None
     needed = {MODE_NEGATIVES_INSIDE: set(), MODE_POSITIVES_INSIDE: set()}
     try:
-        P = newton() if newton is not None else build_polytope(support, config.facet_budget)
+        P = newton() if newton is not None else build_polytope(frame, config.facet_budget)
     except FacetBudgetExceededError:
         pass
     else:
         if P.dim < n:
             return None
+        positive = set(f.positive_indices)
         for i in P.vertices:
-            positive = f.terms[i].coefficient > 0
-            needed[MODE_POSITIVES_INSIDE if positive else MODE_NEGATIVES_INSIDE].add(i)
+            needed[MODE_POSITIVES_INSIDE if i in positive else MODE_NEGATIVES_INSIDE].add(i)
     # only the combinations that hold every needed vertex of some mode, in
     # sorted order; none when each mode needs more than n + 1 vertices
     holding = {frozenset(v) for v in needed.values() if len(v) <= n + 1}
-    frame = f.frame
-    for combo, _ in groupby(merge(*(_combinations_holding(v, len(support), n + 1) for v in holding))):
+    for combo, _ in groupby(merge(*(_combinations_holding(v, len(frame), n + 1) for v in holding))):
         modes = [mode for mode, vertices in needed.items() if vertices.issubset(combo)]
         try:
             derived = simplex_halfspaces([frame[i] for i in combo])
@@ -307,7 +297,7 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
             continue
         for mode in modes:
             if _simplex_holds(f, mode, None, derived):
-                return _simplex_certificate(SimplexWitness(tuple(support[i] for i in combo), mode))
+                return _simplex_certificate(SimplexWitness(tuple(map(f.exponent, combo)), mode))
     return None
 
 
@@ -327,19 +317,18 @@ def check_connectivity(
     the search runs.
     """
     config = config or CertifyConfig()
-    neg = negatives(f)
-    pos = positives(f)
+    neg, pos = f.negative_indices, f.positive_indices
     if not neg:
         return CriterionCertificate(NO_NEGATIVE_TERMS, False)
     if not pos:
         return CriterionCertificate(NO_POSITIVE_TERMS, True)
     if len(neg) == 1:
-        return CriterionCertificate(ONE_NEGATIVE_COEFF, False, neg[0])
+        return CriterionCertificate(ONE_NEGATIVE_COEFF, False, f.exponent(neg[0]))
     sep = find_strict_separating_hyperplane(f)
     if sep is not None:
         return CriterionCertificate(STRICT_SEPARATING, True, sep)
     if len(pos) == 1 and newton_dim(f) >= 2:
-        return CriterionCertificate(ONE_POSITIVE_COEFF, True, pos[0])
+        return CriterionCertificate(ONE_POSITIVE_COEFF, True, f.exponent(pos[0]))
     if config.simplex_witness is not None:
         found = _simplex_certificate(config.simplex_witness)
         if verify_criterion(f, found) is None:

@@ -8,8 +8,7 @@ row echelon form here gives affine ranks and ``polytope``'s affine-hull
 frame with its starting simplex, and ``check.simplex_halfspaces`` reads all
 of a simplex's facet normals off one inverse; no other linear system is
 solved.  Ranks and primitive normals do not change under the scaling, and
-offsets are multiplied by L.  ``affine_rank`` takes exact rationals and
-scales them at entry.
+offsets are multiplied by L.
 """
 
 from __future__ import annotations
@@ -121,9 +120,7 @@ class _Echelon:
         return len(self.rows)
 
 
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Dimension of the affine span of the points (-1 for the empty set)."""
-    if not points:
-        return -1
-    return _Echelon.affine(lattice(points)[1]).rank
+def affine_rank(points: Sequence[IntVector]) -> int:
+    """Dimension of the affine span of int points (-1 for the empty set)."""
+    return _Echelon.affine(points).rank if points else -1
 

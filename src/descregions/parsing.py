@@ -22,9 +22,10 @@ Tokens are plain (kind, text, offset) tuples from one regex; a ParseError
 works out its line and column from the offset.  The parser works on ints,
 and only decimals and ratios are Fractions.  ``Signomial.from_terms`` takes
 each term's coefficient and exponent row as they are, merges and sorts
-them on their lattice frame, makes Fractions only for the terms that
-survive the merge, and keeps that frame: a parse frames its exponents once.
-An explicit dimension is held to MAX_VARIABLE_INDEX too.
+them on their lattice frame, and keeps that frame: a parse frames its
+exponents once and makes no Fraction for an integral entry.
+``format_signomial`` writes the ``terms`` view.  An explicit dimension is
+held to MAX_VARIABLE_INDEX too.
 """
 
 from __future__ import annotations

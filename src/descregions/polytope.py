@@ -1,23 +1,22 @@
-"""Exact convex-hull geometry of finite rational point sets.
+"""Exact convex-hull geometry of finite integer point sets.
 
-Hulls are built in the integer lattice frame of ``linalg``: the points are
-scaled once by the lcm L of their denominators, and every step below works
-on Python ints.  Beneath-beyond insertion runs inside affine-hull
-coordinates, so lower-dimensional point sets (restrictions of a support to a
-face keep the ambient dimension) are handled without perturbation.  The
-linear algebra is one fraction-free inverse per simplex, one echelon per
-hull: the echelon of the lattice frame is the affine hull and picks the
-starting simplex, whose facets ``check.simplex_halfspaces`` reads off one
-inverse.  The echelon is reduced: a point's hull coordinates are its pivot
-entries minus the base point's, and a hull facet normal is lifted back by
-placing it on the pivot columns, so neither direction solves a linear
-system.  For a flat hull that lift is the one supporting normal that is
-zero off the pivot columns.  Each new facet is the positive
-combination of the two facets sharing its ridge that vanishes at the new
-point; ridges are read from the vertex-facet incidences, which insertion
-keeps up to date.  A facet stays in the frame: its normal is a coprime
-integer vector, the same under any positive scaling, and its offset is the
-frame's int, L times the exact one.  Vertices, smallest faces and exposing
+Hulls are built on int rows, as a signomial's lattice frame holds its
+exponents (``build_polytope(f.frame)``), and every step works on ints.
+Beneath-beyond insertion runs inside affine-hull coordinates, so
+lower-dimensional point sets (restrictions of a support to a face keep the
+ambient dimension) are handled without perturbation.  The linear algebra is
+one fraction-free inverse per simplex, one echelon per hull: the echelon of
+the rows is the affine hull and picks the starting simplex, whose facets
+``check.simplex_halfspaces`` reads off one inverse.  The echelon is reduced:
+a point's hull coordinates are its pivot entries minus the base point's,
+and a hull facet normal is lifted back by placing it on the pivot columns,
+so neither direction solves a linear system.  For a flat hull that lift is
+the one supporting normal that is zero off the pivot columns.  Each new
+facet is the positive combination of the two facets sharing its ridge that
+vanishes at the new point; ridges are read from the vertex-facet
+incidences, which insertion keeps up to date.  A facet's normal is a
+coprime integer vector, the same under any positive scaling of the points,
+and its offset an int on the rows.  Vertices, smallest faces and exposing
 normals are read off the incidences, with no linear programming; exposing
 and parallel-face normals leave as tuples of Fractions.
 """
@@ -29,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .check import simplex_halfspaces
-from .linalg import IntVector, Vector, _Echelon, dot, lattice, primitive_int, sign_canonical, vector
+from .linalg import IntVector, Vector, _Echelon, dot, primitive_int, sign_canonical
 
 class FacetBudgetExceededError(RuntimeError):
     """Raised when hull construction would exceed the configured facet budget."""
@@ -37,7 +36,7 @@ class FacetBudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Facet:
-    """The facet normal . mu <= offset on the lattice frame: a primitive int
+    """The facet normal . p <= offset on the int rows: a primitive int
     normal, an int offset, and the indices of the points on it."""
 
     normal: IntVector
@@ -47,8 +46,7 @@ class Facet:
 
 @dataclass(frozen=True)
 class Polytope:
-    points: Tuple[Vector, ...]
-    frame: Tuple[IntVector, ...]  # the points in the lattice frame
+    points: Tuple[IntVector, ...]
     dim: int
     vertices: FrozenSet[int]
     facets: Tuple[Facet, ...]
@@ -110,7 +108,7 @@ def _incremental_facets(
 def _lift_facet(
     pivots: Sequence[int], base: IntVector, normal_h: IntVector, offset_h: int
 ) -> Tuple[IntVector, int]:
-    """Ambient facet (normal, offset) on the lattice frame inducing the given
+    """Ambient facet (normal, offset) on the int rows inducing the given
     hull-coordinate one, with ``base`` the base point's row: the hull normal
     placed on the pivot columns, zero elsewhere.  Hull coordinates are the
     pivot entries of p - base, so the placed normal w has w.(p - base) =
@@ -124,24 +122,23 @@ def _lift_facet(
 
 
 def build_polytope(
-    points: Sequence[Sequence], facet_budget: Optional[int] = None
+    points: Sequence[Sequence[int]], facet_budget: Optional[int] = None
 ) -> Polytope:
-    """Convex hull of a finite rational point set: vertices plus a complete
+    """Convex hull of a finite set of int points: vertices plus a complete
     irredundant facet list, exact throughout."""
-    pts = tuple(vector(p) for p in points)
+    pts = tuple(map(tuple, points))
     if not pts:
         raise ValueError("points must be nonempty")
-    frame = lattice(pts)[1]
-    if len(set(frame)) != len(frame):
+    if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
-    ech = _Echelon.affine(frame)
+    ech = _Echelon.affine(pts)
     pivots = [c for c, _ in ech.rows]
-    hp = [tuple(p[k] - frame[0][k] for k in pivots) for p in frame]
+    hp = [tuple(p[k] - pts[0][k] for k in pivots) for p in pts]
     hull_facets = _incremental_facets(hp, ech.picked, facet_budget) if pivots else []
     # sorted by (normal, offset), the order of the exact values
-    lifted = sorted(((_lift_facet(pivots, frame[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])
+    lifted = sorted(((_lift_facet(pivots, pts[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])
     facets = tuple(Facet(w, offset, inc) for (w, offset), inc in lifted)
-    return Polytope(pts, frame, len(pivots), _vertices_from_incidences(len(pts), facets), facets)
+    return Polytope(pts, len(pivots), _vertices_from_incidences(len(pts), facets), facets)
 
 
 def lazy_hull(build: Callable[[], Polytope]) -> Callable[[], Polytope]:
@@ -217,7 +214,7 @@ def parallel_face_pairs(P: Polytope, support: Sequence[int]) -> List[Vector]:
         raise ValueError("parallel faces need dim >= 1")
     found = set()
     for f in P.facets:
-        values = {dot(f.normal, P.frame[i]) for i in support}
+        values = {dot(f.normal, P.points[i]) for i in support}
         if len(values) == 2:
             found.add(sign_canonical(f.normal))
     return [tuple(map(Fraction, w)) for w in sorted(found)]

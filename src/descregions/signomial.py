@@ -1,21 +1,17 @@
-"""Sparse signomials with exact rational coefficients and exponents.
+"""Sparse signomials on their integer lattice frame.
 
 A signomial is a finite sum of terms ``c * x^mu`` with ``c`` a nonzero rational
 and ``mu`` a rational exponent vector; it is a function on the open positive
 orthant.  Everything here is exact except ``evaluate_log``, which works in
 log coordinates (``x = exp(y)``) in floating point.
 
-Coefficients and exponent entries are Fractions.  Each signomial also
-carries its integer lattice frame: the scale L and the exponent rows times
-L as ints, in term order, with the term indices of each sign.  The search
-and replay both read exponents off the frame and restrict by term index.
-
-The frame is built once per signomial, from ints, on every path in: the
-public constructor frames the exponents with ``linalg.lattice``;
-``from_terms`` (the parser's way in) hands over the frame it merged and
-sorted on, ``restrict_indices`` the parent's rows at the kept indices, and
-the trace reader the rows it read as ints, each shrunk to the least scale.
-Every path ends in the same validation.
+A ``Signomial`` stores its exponents once, as its lattice frame: the scale
+L (the lcm of their denominators) and the exponent rows times L as ints,
+built once, from ints, on every way in.  The search and replay read only
+the frame, restrict by term index and look a rational point up with
+``term_index`` (None off f's lattice).  Rational exponents are made only
+where a point leaves: ``exponent(i)`` for a witness (the row itself when
+L = 1), and the ``terms`` and ``support`` views (row / L as Fractions).
 """
 
 from __future__ import annotations
@@ -23,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import gt, lt
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .linalg import IntVector, Vector, affine_rank, lattice, vector
 
@@ -34,80 +31,64 @@ DEFAULT_TOLERANCE_FACTOR = 1e-12
 MAX_EXPONENT_DIGITS = 6
 EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
 
+Number = Union[int, Fraction]
+
 
 @dataclass(frozen=True)
 class Term:
+    """An element of the ``Signomial.terms`` view."""
+
     coefficient: Fraction
     exponent: Vector
-
-    def __post_init__(self):
-        if self.coefficient == 0:
-            raise ValueError("term coefficient must be nonzero")
 
 
 @dataclass(frozen=True)
 class Signomial:
-    """Immutable signomial; terms are kept sorted lexicographically by exponent.
-
-    Construction also sets up the signomial's integer lattice frame:
-    ``scale`` is the lcm L of the exponents' denominators and ``frame`` the
-    exponent vectors times L as ints, in term order.  A positive scaling
-    keeps the lexicographic order, so the sorted/distinct check runs on the
-    frame rows.  ``negative_indices`` and ``positive_indices`` hold the term
-    indices of each sign.  These are derived, so equality, hashing and repr
-    see only the dimension and the terms.
-    """
+    """Immutable signomial: ``frame`` holds the exponent vectors times
+    ``scale`` L as ints, sorted (the exponents' order, as L > 0) and
+    distinct, and ``coefficients`` the nonzero coefficients (ints or
+    Fractions) in that order.  The sign indices are derived, so equality,
+    hashing and repr do not see them."""
 
     dimension: int
-    terms: Tuple[Term, ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    frame: Tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
+    coefficients: Tuple[Number, ...]
+    scale: int
+    frame: Tuple[IntVector, ...]
     negative_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     positive_indices: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._settle(*lattice([t.exponent for t in self.terms]))
-
-    @classmethod
-    def _framed(cls, dimension: int, terms: Tuple[Term, ...], scale: int, frame: Tuple[IntVector, ...]) -> "Signomial":
-        """The signomial of the given terms, on the lattice frame (scale,
-        frame) that the caller already holds: the exponents times scale as
-        ints, with scale the lcm of their denominators.  The frame is
-        trusted, not recomputed; the checks are those of the constructor."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "dimension", dimension)
-        object.__setattr__(f, "terms", terms)
-        f._settle(scale, frame)
-        return f
-
-    def _settle(self, scale: int, frame: Tuple[IntVector, ...]) -> None:
-        """Check the dimension, the exponent lengths and that the exponents
-        are sorted and distinct (on the frame rows), then set the frame and
-        the sign indices: the one validation of every way in."""
+        coefficients, frame = self.coefficients, self.frame
+        if not all(coefficients):
+            raise ValueError("term coefficient must be nonzero")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if len(coefficients) != len(frame):
+            raise ValueError("coefficient count does not match the frame rows")
         if any(map(self.dimension.__ne__, map(len, frame))):
             raise ValueError("exponent length does not match dimension")
         if not all(map(lt, frame, frame[1:])):
             if any(map(gt, frame, frame[1:])):
                 raise ValueError("terms must be sorted by exponent")
             raise ValueError("exponent vectors must be pairwise distinct")
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "frame", frame)
         # a coefficient's sign is its numerator's (an int or a Fraction)
-        negative = [t.coefficient.numerator < 0 for t in self.terms]
+        negative = [c.numerator < 0 for c in coefficients]
         object.__setattr__(self, "negative_indices", tuple(i for i, neg in enumerate(negative) if neg))
         object.__setattr__(self, "positive_indices", tuple(i for i, neg in enumerate(negative) if not neg))
 
+    @classmethod
+    def of_terms(cls, dimension: int, terms: Iterable[Term]) -> "Signomial":
+        """The signomial of terms sorted by exponent and distinct."""
+        terms = tuple(terms)
+        scale, frame = lattice([t.exponent for t in terms])
+        return cls(dimension, tuple(t.coefficient for t in terms), scale, frame)
+
     @staticmethod
     def from_terms(dimension: int, pairs: Iterable[tuple]) -> "Signomial":
-        """Build from (coefficient, exponent) pairs, merging repeated exponents
-        and dropping terms that cancel to zero.  Coefficients and exponent
-        entries are ints or Fractions, taken as they are: the terms are
-        merged and sorted by their exponents' rows in the lattice frame, and
-        each surviving term's coefficient and entries become Fractions there,
-        once.  The survivors keep their frame rows, shrunk when a cancelled
-        term carried the largest denominator."""
+        """Build from (coefficient, exponent) pairs of ints and Fractions,
+        merging repeated exponents and dropping terms that cancel to zero,
+        on the pairs' lattice frame: the survivors keep their rows, shrunk
+        when a cancelled term carried the largest denominator."""
         coeffs, rows = [], []
         for coeff, exp in pairs:
             row = tuple(exp)
@@ -116,25 +97,51 @@ class Signomial:
             coeffs.append(coeff)
             rows.append(row)
         scale, keys = lattice(rows)
-        acc: dict = {}  # frame row -> [coefficient, exponent row]
-        for key, c, row in zip(keys, coeffs, rows):
-            if key in acc:
-                acc[key][0] += c
-            else:
-                acc[key] = [c, row]
-        kept = [key for key in sorted(acc) if acc[key][0] != 0]
-        terms = tuple(Term(Fraction(c), vector(row)) for c, row in map(acc.__getitem__, kept))
-        return Signomial._framed(dimension, terms, *_shrink(scale, kept))
+        acc: dict = {}  # frame row -> coefficient
+        for key, c in zip(keys, coeffs):
+            acc[key] = acc[key] + c if key in acc else c
+        kept = [key for key in sorted(acc) if acc[key] != 0]
+        return Signomial(dimension, tuple(map(acc.__getitem__, kept)), *_shrink(scale, kept))
+
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        """A view: each term's coefficient and exponent as Fractions."""
+        return tuple(map(Term, map(Fraction, self.coefficients), self.support))
 
     @property
     def support(self) -> Tuple[Vector, ...]:
-        return tuple(t.exponent for t in self.terms)
+        """A view: the exponent vectors, each row / L as Fractions."""
+        return tuple([vector(self.exponent(i)) for i in range(len(self.frame))])
 
-    def coefficient(self, exponent: Vector) -> Fraction:
-        for t in self.terms:
-            if t.exponent == exponent:
-                return t.coefficient
-        return Fraction(0)
+    def exponent(self, i: int) -> Sequence[Number]:
+        """Term i's exponent as it leaves the program in a witness: the frame
+        row itself when L = 1 (ints), else the row / L as Fractions."""
+        L = self.scale
+        return self.frame[i] if L == 1 else tuple([Fraction(a, L) for a in self.frame[i]])
+
+    def frame_row(self, point: Sequence[Number]) -> Optional[IntVector]:
+        """A point of ints and Fractions times L, as f's frame would hold it;
+        None for a wrong length or an entry off f's exponent lattice (its
+        denominator does not divide L)."""
+        if len(point) != self.dimension:
+            return None
+        L = self.scale
+        if any(L % a.denominator for a in point):
+            return None
+        return tuple([a.numerator * (L // a.denominator) for a in point])
+
+    def term_index(self, point: Sequence[Number]) -> Optional[int]:
+        """The index of the term whose exponent is ``point``, or None."""
+        row = self.frame_row(point)
+        return None if row is None else self._row_index.get(row)
+
+    @cached_property
+    def _row_index(self) -> Dict[IntVector, int]:
+        return {row: i for i, row in enumerate(self.frame)}
+
+    def coefficient(self, exponent: Sequence[Number]) -> Number:
+        i = self.term_index(exponent)
+        return 0 if i is None else self.coefficients[i]
 
 
 @dataclass(frozen=True)
@@ -149,18 +156,18 @@ def signed_support(f: Signomial) -> SignedSupport:
 
 
 def positives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple(f.terms[i].exponent for i in f.positive_indices)
+    return tuple(map(f.support.__getitem__, f.positive_indices))
 
 
 def negatives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple(f.terms[i].exponent for i in f.negative_indices)
+    return tuple(map(f.support.__getitem__, f.negative_indices))
 
 
 def restrict(f: Signomial, exponents: Iterable[Sequence]) -> Signomial:
     """Restriction of f to a set of exponent vectors; the result keeps only the
     terms whose exponent lies in the set and may be empty."""
-    keep = {vector(e) for e in exponents}
-    return Signomial(f.dimension, tuple(t for t in f.terms if t.exponent in keep))
+    found = {f.term_index(e) for e in exponents}
+    return restrict_indices(f, sorted(found - {None}))
 
 
 def restrict_indices(f: Signomial, indices: Iterable[int]) -> Signomial:
@@ -168,7 +175,7 @@ def restrict_indices(f: Signomial, indices: Iterable[int]) -> Signomial:
     by f's frame rows at those indices, shrunk to the child's own scale."""
     indices = tuple(indices)
     rows = [f.frame[i] for i in indices]
-    return Signomial._framed(f.dimension, tuple([f.terms[i] for i in indices]), *_shrink(f.scale, rows))
+    return Signomial(f.dimension, tuple([f.coefficients[i] for i in indices]), *_shrink(f.scale, rows))
 
 
 def _shrink(scale: int, rows: Sequence[IntVector]) -> Tuple[int, Tuple[IntVector, ...]]:
@@ -184,7 +191,7 @@ def _shrink(scale: int, rows: Sequence[IntVector]) -> Tuple[int, Tuple[IntVector
 
 def newton_dim(f: Signomial) -> int:
     """Dimension of the convex hull of the support (-1 when f has no terms),
-    read off the lattice frame."""
+    the affine rank of the frame rows."""
     return affine_rank(f.frame)
 
 

@@ -7,13 +7,12 @@ is spelled as ``str(Fraction)`` writes it, and only so: ``-?(0|[1-9][0-9]*)``
 denominator of at least 2.  Any other spelling (a JSON number, ``"+2"``,
 ``" 2"``, ``"2.0"``, ``"2/1"``, ``"4/2"``, ...) makes the document malformed.
 
-The input signomial is read under the text format's caps and built on its
-lattice frame from ints: the dimension must lie in 1..MAX_VARIABLE_INDEX
-(checked before any term is read), and each distinct exponent spelling is
-read once per document, to its Fraction and its numerator and denominator,
-and checked against the digit caps there.  The scale L is the lcm of the
-denominators and each frame entry is num * (L // den), so an integral trace
-is framed with L = 1 and no Fraction arithmetic.
+Each distinct spelling is read once per document, an integer to an int
+and a ratio to a Fraction.  The input is read under the text format's caps
+(a dimension in 1..MAX_VARIABLE_INDEX, checked before any term is read; each
+exponent spelling capped once) onto its lattice frame: L is the lcm of the
+denominators and each entry num * (L // den), so an integral trace makes no
+Fraction for an exponent entry.  The input is written from the frame.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import lcm
-from typing import List, Optional, Tuple
+from math import gcd, lcm
+from typing import List, Optional, Tuple, Union
 
 from .check import (
     BOX,
@@ -48,13 +47,13 @@ from .check import (
     verify_certificate,
 )
 from .parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS, MAX_VARIABLE_INDEX
-from .signomial import Signomial, Term
+from .signomial import Signomial
 
 SCHEMA_VERSION = 1
 
 
 def _fmt(x) -> str:
-    return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
+    return str(x) if isinstance(x, (int, Fraction)) else str(Fraction(x))
 
 
 def _vec(v) -> List[str]:
@@ -67,13 +66,12 @@ _CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
 class _Rationals(dict):
     """One document's rationals by spelling: a spelling not yet in the dict
     is read, checked to be canonical and kept, so each is read once.  An
-    integer spelling becomes a Fraction with no gcd taken; a ratio must be
-    in lowest terms."""
+    integer spelling becomes an int; a ratio must be in lowest terms."""
 
-    def __missing__(self, text) -> Fraction:
+    def __missing__(self, text) -> Union[int, Fraction]:
         match = _CANONICAL.fullmatch(text) if type(text) is str else None
         if match and match[2] is None:
-            value = Fraction(int(match[1]))
+            value = int(match[1])
         else:
             value = match and Fraction(int(match[1]), int(match[2]))
             if not match or value.denominator != int(match[2]):
@@ -82,23 +80,27 @@ class _Rationals(dict):
         return value
 
 
-def _unvec(v, q: _Rationals) -> Tuple[Fraction, ...]:
+def _unvec(v, q: _Rationals) -> Tuple[Union[int, Fraction], ...]:
     if type(v) is not list:
         raise ValueError(f"expected a list of rationals, found {type(v).__name__}")
     return tuple(map(q.__getitem__, v))
 
 
+def _over(a: int, scale: int) -> str:
+    """``str(Fraction(a, scale))`` for a frame entry, with no Fraction made."""
+    g = gcd(a, scale)
+    return str(a // g) if g == scale else f"{a // g}/{scale // g}"
+
+
 def signomial_to_json(f: Signomial) -> dict:
-    if f.scale == 1:  # an integral frame: its rows are the exponents, as ints
+    L = f.scale
+    if L == 1:  # an integral frame: its rows are the exponents
         exponents = [list(map(str, row)) for row in f.frame]
     else:
-        exponents = [_vec(t.exponent) for t in f.terms]
+        exponents = [[_over(a, L) for a in row] for row in f.frame]
     return {
         "dimension": f.dimension,
-        "terms": [
-            {"coefficient": _fmt(t.coefficient), "exponent": e}
-            for t, e in zip(f.terms, exponents)
-        ],
+        "terms": [{"coefficient": _fmt(c), "exponent": e} for c, e in zip(f.coefficients, exponents)],
     }
 
 
@@ -119,23 +121,22 @@ def _signomial(data: dict, q: _Rationals) -> Signomial:
         raise ValueError(f"dimension {dimension} is not in 1..{MAX_VARIABLE_INDEX}")
     if len(data["terms"]) > MAX_TERMS:
         raise ValueError(f"more than {MAX_TERMS} terms")
-    terms, spelled = [], []
+    coefficients, spelled = [], []
     ints = {}  # exponent spelling -> (numerator, denominator), each capped once
     for t in data["terms"]:
         spellings = t["exponent"]
-        exponent = _unvec(spellings, q)
-        for s in spellings:
+        for s, value in zip(spellings, _unvec(spellings, q)):
             if s not in ints:
-                num, den = q[s].numerator, q[s].denominator
+                num, den = value.numerator, value.denominator
                 if abs(num) >= EXPONENT_BOUND or den >= EXPONENT_BOUND:
                     raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
                 ints[s] = num, den
-        terms.append(Term(q[t["coefficient"]], exponent))
+        coefficients.append(q[t["coefficient"]])
         spelled.append(spellings)
     scale = lcm(*(den for _, den in ints.values()))
     entry = {s: num * (scale // den) for s, (num, den) in ints.items()}
     frame = tuple([tuple(map(entry.__getitem__, v)) for v in spelled])
-    return Signomial._framed(dimension, tuple(terms), scale, frame)
+    return Signomial(dimension, tuple(coefficients), scale, frame)
 
 
 def config_to_json(config: CertifyConfig) -> dict:

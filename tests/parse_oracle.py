@@ -237,4 +237,4 @@ def _from_terms(dimension: int, pairs) -> Signomial:
     for coeff, exp in pairs:
         mu = vector(exp)
         acc[mu] = acc.get(mu, Fraction(0)) + Fraction(coeff)
-    return Signomial(dimension, tuple(Term(c, mu) for mu, c in sorted(acc.items()) if c != 0))
+    return Signomial.of_terms(dimension, tuple(Term(c, mu) for mu, c in sorted(acc.items()) if c != 0))

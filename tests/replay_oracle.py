@@ -12,13 +12,14 @@ own witness to the frame.  ``signomial_from_json`` and
 takes any spelling ``Fraction`` takes.  The functions are unchanged; they
 share with the package only the constants, the witness types, the caps and
 the simplex check, its shape check (vertex count, dimension, digit caps and
-exponent lattice) included.
+exponent lattice) included; children are restricted by exponent with
+``signomial.restrict`` as it stood (``_restrict``).
 
 ``canonical_signomial_from_json`` is the canonical-spelling reader as it
 stood before it built the lattice frame from ints: ``_Rationals`` reads
 every spelling into a ``Fraction(int, int)``, the caps are checked on the
-Fractions of each term's new exponent spellings, and the public
-``Signomial`` constructor frames the exponents again.
+Fractions of each term's new exponent spellings, and ``Signomial.of_terms``
+frames the exponents again.
 """
 
 from __future__ import annotations
@@ -61,7 +62,14 @@ from descregions.check import (
 )
 from descregions.linalg import Vector, dot, is_zero, lattice, vector
 from descregions.parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS
-from descregions.signomial import Signomial, Term, negatives, newton_dim, positives, restrict
+from descregions.signomial import Signomial, Term, negatives, newton_dim, positives
+
+
+def _restrict(f: Signomial, exponents) -> Signomial:
+    """``signomial.restrict`` as it stood: the terms whose exponent lies in
+    the set, by exponent."""
+    keep = {vector(e) for e in exponents}
+    return Signomial.of_terms(f.dimension, tuple(t for t in f.terms if t.exponent in keep))
 
 
 def _parallel_faces(f: Signomial, v: Vector) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
@@ -235,7 +243,7 @@ def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> L
             fail("face does not contain all negative exponents")
         if computed == set(f.support):
             fail("face is not proper")
-        child_f = restrict(f, cert.face)
+        child_f = _restrict(f, cert.face)
         if cert.outcome != cert.children[0].outcome:
             fail("outcome does not match the child outcome")
         errors.extend(verify_certificate(child_f, cert.children[0], path + ".face"))
@@ -275,7 +283,7 @@ def verify_certificate(f: Signomial, cert: Certificate, path: str = "root") -> L
         if cert.outcome != CERTIFIED_EXACTLY_ONE:
             fail("parallel split must certify exactly one component")
         for idx, (face, label) in enumerate(((face_v, "upper"), (face_mv, "lower"))):
-            child_f = restrict(f, face)
+            child_f = _restrict(f, face)
             child = cert.children[idx]
             if child.outcome not in CERTIFIED_OUTCOMES or child.outcome == CERTIFIED_EMPTY:
                 fail(f"{label} child is not certified with a nonempty-compatible outcome")
@@ -312,7 +320,7 @@ def signomial_from_json(data: dict) -> Signomial:
         if any(abs(e.numerator) >= EXPONENT_BOUND or e.denominator >= EXPONENT_BOUND for e in exponent):
             raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
         terms.append(Term(Fraction(t["coefficient"]), exponent))
-    return Signomial(int(data["dimension"]), tuple(terms))
+    return Signomial.of_terms(int(data["dimension"]), tuple(terms))
 
 
 def _simplex_from_json(data: dict) -> SimplexWitness:
@@ -432,4 +440,4 @@ def _signomial(data: dict, q: _Rationals) -> Signomial:
             raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
         capped |= fresh
         terms.append(Term(q[t["coefficient"]], exponent))
-    return Signomial(dimension, tuple(terms))
+    return Signomial.of_terms(dimension, tuple(terms))

@@ -267,11 +267,11 @@ def test_criterion_6_hull_matches_exhaustive_enumeration():
             p = [rng.randint(-4, 4) for _ in range(n)]
             if flat and n > 1:
                 p[-1] = sum(p[:-1]) % 3
-            pts.add(tuple(F(c) for c in p))
+            pts.add(tuple(p))
         pts = sorted(pts)
         P = build_polytope(pts)
-        assert polytope_facets_in_hull_coords(P) == brute_force_facets(pts), pts
-    cube = build_polytope(CUBE3.support)
+        assert polytope_facets_in_hull_coords(P) == brute_force_facets([tuple(map(F, p)) for p in pts]), pts
+    cube = build_polytope(CUBE3.frame)
     assert len(cube.facets) == 6 and len(cube.vertices) == 8
     print("ACCEPTANCE 6 hull vs exhaustive facet oracle (100 sets): PASS")
 

@@ -6,6 +6,7 @@ import copy
 import importlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from functools import cache, reduce
@@ -16,7 +17,7 @@ from unittest import mock
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import descregions
-from descregions import tracedoc
+from descregions import check, tracedoc
 from descregions.certify import certify_connectivity
 from descregions.check import (
     _NONEMPTY_KINDS,
@@ -171,6 +172,21 @@ def test_malformed_simplex_witnesses_in_a_trace_are_named():
         mutated = copy.deepcopy(doc)
         mutated["tree"]["witness"]["vertices"] = [[str(a) for a in p] for p in vertices]
         assert tracedoc.verify_document(mutated) == [f"root: {reason}"]
+
+
+def test_a_simplex_witness_has_its_shape_checked_once(monkeypatch):
+    """``verify_criterion`` checks a simplex witness's shape once, and
+    ``verify_simplex_witness`` called on its own still refuses a misshapen
+    witness."""
+    calls = []
+    real = check._simplex_shape_error
+    monkeypatch.setattr(check, "_simplex_shape_error", lambda f, w: calls.append(1) or real(f, w))
+    f = fixtures.SIMPLEX_CONNECTED
+    witness = SimplexWitness(fixtures.SIMPLEX_VERTICES, MODE_POSITIVES_INSIDE)
+    assert verify_criterion(f, CriterionCertificate(SIMPLEX_POSITIVES_INSIDE, True, witness)) is None
+    assert len(calls) == 1
+    for vertices, _ in MALFORMED_SIMPLICES:
+        assert not verify_simplex_witness(f, SimplexWitness(vertices, MODE_POSITIVES_INSIDE))
 
 
 # --- replay against the previous replay -------------------------------------------
@@ -360,3 +376,70 @@ def test_tampered_traces_replay_as_before(doc, data):
     reports what the previous replay reports: nothing exactly when it does,
     in the same messages."""
     _replays_alike(_mutate(doc, data))
+
+
+# --- recorded points off the signomial's exponent lattice ------------------------
+
+# (container, field) of a recorded point -> the reason replay gives when the
+# point is no term of the signomial at its node
+OFF_LATTICE_REASONS = {
+    ("witness", "strict_point"): "separating hyperplane does not verify",
+    ("witness", "beta1"): "box endpoints are not negative exponents",
+    ("witness", "beta2"): "box endpoints are not negative exponents",
+    ("edge", "beta1"): "edge endpoint beta1 is not a negative exponent on the upper face",
+    ("edge", "beta2"): "edge endpoint beta2 is not a negative exponent on the lower face",
+    ("child_nonempty", "point"): "nonempty witness is not a negative exponent of the child",
+    ("face", None): "recorded face is not the face exposed by the recorded normal",
+}
+
+
+def _point_sites(node, path=("tree",)):
+    """(path, site) of every recorded point in a trace tree, with site a key
+    of OFF_LATTICE_REASONS."""
+    for i, child in enumerate(node.get("children", ())):
+        yield from _point_sites(child, path + ("children", i))
+    for i in range(len(node.get("face", ()))):
+        yield path + ("face", i), ("face", None)
+    for i in range(len(node.get("child_nonempty", ()))):
+        yield path + ("child_nonempty", i, "point"), ("child_nonempty", "point")
+    for container in ("witness", "edge"):
+        for key in ("strict_point", "beta1", "beta2"):
+            if (node.get(container) or {}).get(key) is not None:
+                yield path + (container, key), (container, key)
+
+
+@cache
+def halved_recursion_documents():
+    """The recursion documents' signomials with every exponent halved, so
+    that most sit on a frame of scale 2."""
+    out = []
+    for doc in recursion_documents():
+        f = tracedoc.signomial_from_json(doc["input"])
+        g = Signomial.from_terms(f.dimension, [(t.coefficient, [a / 2 for a in t.exponent]) for t in f.terms])
+        out.append(_document(g, CertifyConfig()))
+    return out
+
+
+def test_recorded_points_off_the_lattice_are_named():
+    """Each recorded point of a valid trace, with one entry moved off the
+    signomial's exponent lattice, is refused by name, never accepted and
+    never raised.  The entry is a zero moved to 1/p with p > L prime to L,
+    where there is one: scaled by L and floored, 1/p would be 0 again, the
+    row of the recorded term."""
+    seen = set()
+    for doc in fixture_documents() + recursion_documents() + halved_recursion_documents():
+        scale = math.lcm(*(Fraction(a).denominator for t in doc["input"]["terms"] for a in t["exponent"]))
+        p = next(p for p in (3, 5, 7, 11, 13) if p > scale and scale % p)
+        for path, site in _point_sites(doc["tree"]):
+            mutated = copy.deepcopy(doc)
+            point = reduce(getitem, path, mutated)
+            k = point.index("0") if "0" in point else 0
+            point[k] = str(Fraction(point[k]) + Fraction(1, p))
+            errors = tracedoc.verify_document(mutated)
+            assert any(OFF_LATTICE_REASONS[site] in e for e in errors), (path, errors)
+            assert not any(e.startswith("malformed") for e in errors), (path, errors)
+            seen.add((site, scale > 1))
+    assert {site for site, _ in seen} == set(OFF_LATTICE_REASONS)
+    assert {site for site, rational in seen if rational} >= {
+        ("edge", "beta1"), ("edge", "beta2"), ("child_nonempty", "point"), ("face", None)
+    }

@@ -256,6 +256,28 @@ def test_analyze_command(poly, capsys):
     assert report["vertex_count"] == 8
 
 
+# CUBE4 with coordinate i's exponents divided by 2, 3, 5 and 7: a hull on
+# the lattice frame (L = 210) must still report exponents, not 210 * mu
+CUBE4_IMAGE_TEXT = (
+    "-1 + x4^(3/7) - x3^(1/5) - x2^(1/3) + x2^(1/3)*x3^(1/5) + x1^(1/2) + x1^(1/2)*x4^(1/7)"
+    " - x1^(1/2)*x3^(1/5) + x1^(1/2)*x2^(1/3) - x1^(1/2)*x2^(1/3)*x3^(1/5)"
+)
+
+
+def test_analyze_reports_exponent_coordinates_on_a_rational_support(poly, capsys):
+    code, out, _ = run(capsys, "analyze", poly("image.poly", CUBE4_IMAGE_TEXT))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["vertex_count"], report["facet_count"]) == (10, 9)
+    assert report["smallest_negative_face"] == {
+        "support": [
+            [x1, x2, x3, "0"] for x1 in ("0", "1/2") for x2 in ("0", "1/3") for x3 in ("0", "1/5")
+        ],
+        "proper": True,
+    }
+    assert report["parallel_face_pairs"] == [["0", "0", "1", "0"], ["0", "1", "0", "0"], ["1", "0", "0", "0"]]
+
+
 def test_analyze_facet_budget_partial_report(poly, capsys):
     cube = poly("cube.poly", fixtures.CUBE3_TEXT)
     code, out, _ = run(capsys, "analyze", cube, "--facet-budget", "3")

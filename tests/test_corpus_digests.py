@@ -6,17 +6,29 @@ certified under the workload's config, and the trace JSON of every instance
 in corpus order into one SHA-256; so are the seed-2 and seed-3 instances.  A
 change that keeps every witness keeps the nine digests; a change that alters
 a witness must say so and re-pin them.
+
+The seed-1 corpora are pinned a second time as their rational images:
+coordinate i's exponents divided by ``IMAGE_DIVISORS[i % 4]``, so that most
+instances sit on a lattice frame of scale L > 1.  Each image is written out
+with ``format_signomial``, parsed back, certified, and hashed with that
+text as the source.
+
+Run as a script, the module prints every digest for the seeds given
+(``python tests/test_corpus_digests.py 41``), for checking a seed that no
+test pins before and after a change.
 """
 
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from descregions.certify import certify_connectivity
 from descregions.check import CertifyConfig
-from descregions.parsing import parse_signomial
+from descregions.parsing import format_signomial, parse_signomial
+from descregions.signomial import Signomial
 from descregions.tracedoc import document_to_json, make_document
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -43,12 +55,29 @@ SEEDS_2_3_SHA256 = {
     ("cube-recursion", 3): "bb9679b98c48ea3157f2a7034e360be08f0925c6db96bb5ce128ab4890d415da",
     ("wide-hull", 3): "659617a6352f1dd585060eac2fe99fe62fc726b7ecb53ba2e2f70228ea74f9a5",
 }
+IMAGE_DIVISORS = (2, 3, 5, 7)
+RATIONAL_IMAGE_SEED_1_SHA256 = {
+    "lowdim-flagged": "dc91d2f3995788d19351ca255d181f5f82e2cf48a2ad493eec6bf13ed2181863",
+    "cube-recursion": "412529095ec8ed0081d72bd353d0b0dd4b6525ea1de3d4e590708a8bf5d857a8",
+    "wide-hull": "ac2bb3759abab5e2fe9ff8b872f8b8d9fe87797e6f9e1ef9a76ca72c39267e1e",
+}
 
 
-def corpus_digest(workload: str, seed: int) -> str:
+def rational_image(text: str) -> str:
+    """The polynomial text with coordinate i's exponents divided by
+    ``IMAGE_DIVISORS[i % 4]``, in canonical form."""
+    f = parse_signomial(text)
+    divisors = [IMAGE_DIVISORS[i % 4] for i in range(f.dimension)]
+    pairs = [(t.coefficient, [Fraction(e) / d for e, d in zip(t.exponent, divisors)]) for t in f.terms]
+    return format_signomial(Signomial.from_terms(f.dimension, pairs))
+
+
+def corpus_digest(workload: str, seed: int, image: bool = False) -> str:
     count, config = WORKLOADS[workload]
     digest = hashlib.sha256()
     for text in corpus.corpus(workload, seed, count):
+        if image:
+            text = rational_image(text)
         f = parse_signomial(text)
         cert = certify_connectivity(f, config)
         digest.update(document_to_json(make_document(f, config, cert, source=text)).encode())
@@ -63,3 +92,15 @@ def test_seed_1_corpus_traces_match_pinned_digests(workload):
 @pytest.mark.parametrize("workload,seed", sorted(SEEDS_2_3_SHA256))
 def test_seeds_2_and_3_corpus_traces_match_pinned_digests(workload, seed):
     assert corpus_digest(workload, seed) == SEEDS_2_3_SHA256[workload, seed]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_seed_1_rational_image_traces_match_pinned_digests(workload):
+    assert corpus_digest(workload, 1, image=True) == RATIONAL_IMAGE_SEED_1_SHA256[workload]
+
+
+if __name__ == "__main__":
+    for seed in map(int, sys.argv[1:] or ["1"]):
+        for workload in sorted(WORKLOADS):
+            print(f"seed {seed} {workload} {corpus_digest(workload, seed)}")
+            print(f"seed {seed} {workload} rational image {corpus_digest(workload, seed, image=True)}")

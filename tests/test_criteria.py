@@ -39,7 +39,7 @@ from descregions.criteria import (
 )
 from descregions import check, criteria, lp, polytope
 from descregions.signomial import Signomial, negatives, restrict, positives
-from descregions.linalg import affine_rank, dot, vsub
+from descregions.linalg import affine_rank, dot, lattice, vsub
 from descregions.polytope import build_polytope
 
 from fixtures import (
@@ -142,7 +142,7 @@ def test_find_strict_enclosing_budget():
 
 
 def test_simplex_halfspaces_match_printed_representation():
-    derived = simplex_halfspaces(SIMPLEX_VERTICES)
+    derived = simplex_halfspaces(lattice(SIMPLEX_VERTICES)[1])
     # the derived facet opposite each vertex supports it from outside
     for j, (v, a) in enumerate(derived):
         for k, vertex in enumerate(SIMPLEX_VERTICES):
@@ -184,7 +184,7 @@ def test_simplex_witness_wrong_halfspaces_rejected():
 
 def test_simplex_degenerate_vertices():
     with pytest.raises(DegenerateSimplexError):
-        simplex_halfspaces((vec(0, 0), vec(1, 1), vec(2, 2)))
+        simplex_halfspaces(((0, 0), (1, 1), (2, 2)))
 
 
 def test_simplex_positives_inside_needs_two_variables():
@@ -400,11 +400,12 @@ def test_negative_vertex_functional_matches_lp(f):
     if found is not None:
         beta, u = found
         assert all(dot(u, beta) > dot(u, q) for q in support if q != beta)
-        # the hull of a larger support with f's support as a face gives the same answer
-        lifted = [q + (F(0),) for q in support] + [(F(0),) * n + (F(1),)]
+        # the hull of a larger support with f's support as a face gives the
+        # same answer, with the index of each of f's terms among its points
+        lifted = [row + (0,) for row in f.frame] + [(0,) * n + (1,)]
         P = build_polytope(lifted)
         g = Signomial.from_terms(n + 1, [(t.coefficient, t.exponent + (F(0),)) for t in f.terms])
-        assert negative_vertex_functional(g, P)[0] == beta + (F(0),)
+        assert negative_vertex_functional(g, P, range(len(f.frame)))[0] == beta + (F(0),)
 
 
 # --- pruned searches against the unpruned enumerations ------------------------
@@ -416,7 +417,7 @@ def unpruned_simplex_search(f):
     support = sorted(f.support)
     n = f.dimension
     for combo in combinations(support, n + 1):
-        if affine_rank(list(combo)) != n:
+        if affine_rank(lattice(combo)[1]) != n:
             continue
         for mode in (MODE_NEGATIVES_INSIDE, MODE_POSITIVES_INSIDE):
             w = SimplexWitness(tuple(combo), mode)
@@ -572,7 +573,7 @@ def test_simplex_search_walks_the_filtered_combinations_in_sorted_order(f):
     finally:
         criteria.simplex_halfspaces = real
     n = f.dimension
-    P = build_polytope(f.support)
+    P = build_polytope(f.frame)
     if P.dim < n:
         assert derived == []
         return

@@ -26,32 +26,37 @@ from strategies import point_sets, rational_point_sets
 F = Fraction
 
 
+def hull(points, facet_budget=None):
+    """The hull of rational points, built on their lattice frame."""
+    return build_polytope(lattice(points)[1], facet_budget)
+
+
 def idx_of(P, point):
     return P.points.index(point)
 
 
 def test_affine_hull_dims():
-    assert build_polytope([vec(0, 0), vec(1, 0), vec(0, 1)]).dim == 2
-    assert build_polytope([vec(1, 1)]).dim == 0
-    assert build_polytope([vec(0, 0), vec(2, 2), vec(1, 1)]).dim == 1
-    assert build_polytope(CUBE3.support).dim == 3
+    assert hull([vec(0, 0), vec(1, 0), vec(0, 1)]).dim == 2
+    assert hull([vec(1, 1)]).dim == 0
+    assert hull([vec(0, 0), vec(2, 2), vec(1, 1)]).dim == 1
+    assert build_polytope(CUBE3.frame).dim == 3
 
 
 def test_ten_term_hull_vertices():
-    P = build_polytope(TEN_TERM.support)
+    P = build_polytope(TEN_TERM.frame)
     verts = {P.points[i] for i in P.vertices}
     assert verts == {vec(0, 0), vec(2, 0), vec(3, 2), vec(2, 3), vec(0, 4)}
 
 
 def test_single_point_polytope():
-    P = build_polytope([vec(1, 1)])
+    P = hull([vec(1, 1)])
     assert P.dim == 0
     assert P.vertices == {0}
     assert P.facets == ()
 
 
 def test_cube_hull_counts():
-    P = build_polytope(CUBE3.support)
+    P = build_polytope(CUBE3.frame)
     assert len(P.vertices) == 8
     assert len(P.facets) == 6
 
@@ -62,23 +67,23 @@ def face_of(P, points):
 
 
 def test_face_in_direction():
-    P = build_polytope(TEN_TERM_LOWER.support)
+    P = build_polytope(TEN_TERM_LOWER.frame)
     left = {vec(0, 0), vec(0, 1), vec(0, 2), vec(0, 3), vec(0, 4)}
     assert face_of(P, [vec(0, 1), vec(0, 3)]) == left
     assert face_exposing_normal(P, [idx_of(P, vec(0, 1)), idx_of(P, vec(0, 3))]) == vec(-1, 0)
     everything = list(range(len(P.points)))
     assert smallest_face_containing(P, everything) == (tuple(everything), False)
     assert face_exposing_normal(P, everything) == vec(0, 0)
-    Q = build_polytope(STRIP_PAIR.support)
+    Q = build_polytope(STRIP_PAIR.frame)
     assert face_of(Q, [vec(0, 1), vec(4, 1)]) == {vec(0, 1), vec(1, 1), vec(4, 1)}
     assert face_exposing_normal(Q, [idx_of(Q, vec(0, 1)), idx_of(Q, vec(4, 1))]) == vec(0, 1)
 
 
 def test_is_vertex_examples():
-    P = build_polytope(TEN_TERM.support)
+    P = build_polytope(TEN_TERM.frame)
     assert idx_of(P, vec(0, 2)) not in P.vertices
     assert idx_of(P, vec(3, 2)) in P.vertices
-    single = build_polytope([vec(5, 5)])
+    single = hull([vec(5, 5)])
     assert 0 in single.vertices
 
 
@@ -88,9 +93,9 @@ def is_edge(P, i, j):
 
 
 def test_is_edge_examples():
-    C = build_polytope(CUBE3.support)
+    C = build_polytope(CUBE3.frame)
     assert is_edge(C, idx_of(C, vec(0, 0, 0)), idx_of(C, vec(0, 0, 1)))
-    P = build_polytope(TEN_TERM.support)
+    P = build_polytope(TEN_TERM.frame)
     assert is_edge(P, idx_of(P, vec(0, 0)), idx_of(P, vec(0, 4)))
     assert not is_edge(P, idx_of(P, vec(2, 0)), idx_of(P, vec(0, 4)))
     # the edge also holds (0,1), (0,2) and (0,3)
@@ -98,7 +103,7 @@ def test_is_edge_examples():
 
 
 def test_smallest_face_lower_restriction():
-    P = build_polytope(TEN_TERM_LOWER.support)
+    P = build_polytope(TEN_TERM_LOWER.frame)
     neg = set(negatives(TEN_TERM_LOWER))
     neg_idx = [i for i, p in enumerate(P.points) if p in neg]
     face, proper = smallest_face_containing(P, neg_idx)
@@ -109,14 +114,14 @@ def test_smallest_face_lower_restriction():
 
 
 def test_smallest_face_whole_polytope():
-    P = build_polytope(TEN_TERM.support)
+    P = build_polytope(TEN_TERM.frame)
     face, proper = smallest_face_containing(P, list(range(len(P.points))))
     assert not proper
     assert face == tuple(range(len(P.points)))
 
 
 def test_smallest_face_cube4_negatives():
-    P = build_polytope(CUBE4.support)
+    P = build_polytope(CUBE4.frame)
     neg = set(negatives(CUBE4))
     neg_idx = [i for i, p in enumerate(P.points) if p in neg]
     face, proper = smallest_face_containing(P, neg_idx)
@@ -127,18 +132,18 @@ def test_smallest_face_cube4_negatives():
 
 
 def test_parallel_face_pairs_cube_and_strip():
-    C = build_polytope(CUBE3.support)
+    C = build_polytope(CUBE3.frame)
     pairs = parallel_face_pairs(C, tuple(range(len(C.points))))
     assert vec(0, 0, 1) in pairs
     assert pairs == sorted(pairs)
-    Q = build_polytope(STRIP_PAIR.support)
+    Q = build_polytope(STRIP_PAIR.frame)
     assert parallel_face_pairs(Q, tuple(range(len(Q.points)))) == [vec(0, 1)]
 
 
 def test_parallel_face_pairs_triangle():
     # every facet normal of a triangle pairs the opposite vertex with its edge,
     # so all three qualify under the two-value test
-    P = build_polytope([vec(0, 0), vec(1, 0), vec(0, 1)])
+    P = hull([vec(0, 0), vec(1, 0), vec(0, 1)])
     pairs = parallel_face_pairs(P, (0, 1, 2))
     assert pairs == [vec(0, 1), vec(1, 0), vec(1, 1)]
 
@@ -146,19 +151,18 @@ def test_parallel_face_pairs_triangle():
 def test_parallel_face_pairs_partial_support():
     # support on one edge only: the edge normal sees a single scalar value
     # and does not qualify, the other two normals still do
-    P = build_polytope([vec(0, 0), vec(1, 0), vec(0, 1)])
+    P = hull([vec(0, 0), vec(1, 0), vec(0, 1)])
     pairs = parallel_face_pairs(P, (0, 1))
     assert pairs == [vec(1, 0), vec(1, 1)]
 
 
 def test_facet_soundness_and_duality():
     for f in (TEN_TERM, CUBE3, CUBE4, STRIP_PAIR):
-        P = build_polytope(f.support)
+        P = build_polytope(f.frame)
         d = P.dim
-        scale = lattice(P.points)[0]
         for facet in P.facets:
             values = [dot(facet.normal, p) for p in P.points]
-            assert all(v <= Fraction(facet.offset, scale) for v in values)
+            assert all(v <= facet.offset for v in values)
             incident_pts = [P.points[i] for i in facet.incident]
             assert affine_rank(incident_pts) == d - 1
         # vertex/facet duality
@@ -169,7 +173,7 @@ def test_facet_soundness_and_duality():
 
 
 def test_face_in_direction_of_facet_normal_gives_incident_set():
-    P = build_polytope(TEN_TERM.support)
+    P = build_polytope(TEN_TERM.frame)
     for facet in P.facets:
         face, proper = smallest_face_containing(P, sorted(facet.incident))
         assert proper and set(face) == set(facet.incident)
@@ -193,7 +197,7 @@ def test_hull_matches_exhaustive_oracle_sample():
     rng = random.Random(31337)
     for _ in range(30):
         pts = _random_points(rng)
-        P = build_polytope(pts)
+        P = hull(pts)
         assert polytope_facets_in_hull_coords(P) == brute_force_facets(pts)
 
 
@@ -203,7 +207,7 @@ def test_is_edge_implies_vertices():
         pts = _random_points(rng)
         if len(pts) < 2:
             continue
-        P = build_polytope(pts)
+        P = hull(pts)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if is_edge(P, i, j):
@@ -212,14 +216,14 @@ def test_is_edge_implies_vertices():
 
 def test_facet_budget():
     with pytest.raises(FacetBudgetExceededError):
-        build_polytope(CUBE3.support, facet_budget=3)
+        build_polytope(CUBE3.frame, facet_budget=3)
     with pytest.raises(FacetBudgetExceededError):
-        build_polytope([vec(0), vec(1), vec(2)], facet_budget=1)
+        hull([vec(0), vec(1), vec(2)], facet_budget=1)
 
 
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
-        build_polytope([vec(0, 0), vec(0, 0)])
+        hull([vec(0, 0), vec(0, 0)])
 
 
 # --- incidences against the LP definitions ------------------------------------
@@ -240,7 +244,7 @@ def lp_exposes(points, face, others):
                                   (1, 0, 1, 0), (1, 1, 0, 1), (1, 2, 0, 2), (2, 2, 2, 0)]))
 @settings(deadline=None, max_examples=40)
 def test_incidences_match_lp_definitions(pts):
-    P = build_polytope(pts)
+    P = hull(pts)
     assert polytope_facets_in_hull_coords(P) == brute_force_facets(pts)
     everything = range(len(pts))
     scale = lattice(pts)[0]
@@ -275,14 +279,14 @@ def echelon_pivots(pts):
 @given(point_sets())
 @settings(deadline=None, max_examples=60)
 def test_affine_hull_frame(pts):
-    P = build_polytope(pts)
+    P = hull(pts)
     pivots = echelon_pivots(pts)
     n = len(pts[0])
-    assert P.dim == affine_rank(pts) == len(pivots)
+    assert P.dim == affine_rank(P.points) == len(pivots)
     # a unit step along a column off the pivots leaves a flat hull
     for k in set(range(n)) - set(pivots):
-        off = tuple(a + (i == k) for i, a in enumerate(pts[0]))
-        assert affine_rank(pts + [off]) == P.dim + 1
+        off = tuple(a + (i == k) for i, a in enumerate(P.points[0]))
+        assert affine_rank(P.points + (off,)) == P.dim + 1
     for f in P.facets:
         assert all(f.normal[k] == 0 for k in range(n) if k not in pivots)
 
@@ -305,18 +309,17 @@ def test_hyperplane_normal_properties(pts):
 
 
 def facet_list(P):
-    scale = lattice(P.points)[0]
-    return [([str(c) for c in f.normal], str(Fraction(f.offset, scale)), sorted(f.incident)) for f in P.facets]
+    return [([str(c) for c in f.normal], str(f.offset), sorted(f.incident)) for f in P.facets]
 
 
 def test_flat_hull_facets_are_pinned():
     # the lifted normal of a flat hull is one representative among many;
     # these are the ones the traces record
-    segment = build_polytope([vec(1, 1, 1), vec(1, 3, 2), vec(1, 5, 3)])
+    segment = hull([vec(1, 1, 1), vec(1, 3, 2), vec(1, 5, 3)])
     assert segment.dim == 1 and segment.vertices == {0, 2}
     assert facet_list(segment) == [(["0", "-1", "0"], "-1", [0]), (["0", "1", "0"], "5", [2])]
     # a plane through (1, 0, 2, 1) spanned by (0, 2, 1, 1) and (0, 1, 3, -2)
-    plane = build_polytope([vec(1, 0, 2, 1), vec(1, 1, 5, -1), vec(1, 3, 6, 0),
+    plane = hull([vec(1, 0, 2, 1), vec(1, 1, 5, -1), vec(1, 3, 6, 0),
                             vec(1, 4, 4, 3), vec(1, 4, 9, -2), vec(1, 6, 10, -1)])
     assert plane.dim == 2 and plane.vertices == {0, 1, 3, 4, 5}
     assert facet_list(plane) == [
@@ -336,7 +339,7 @@ def test_flat_hull_facets_are_pinned():
 def test_integer_kernels_match_a_fraction_elimination(pts):
     d = len(pts[0])
     for group in (pts, pts[:d], pts[:2]):
-        assert affine_rank(group) == len(hull_oracle.affine_rref(group))
+        assert affine_rank(lattice(group)[1]) == len(hull_oracle.affine_rref(group))
         assert hyperplane_normal(group) == hull_oracle.normal_of(group)
 
 
@@ -344,18 +347,18 @@ def test_integer_kernels_match_a_fraction_elimination(pts):
 @settings(deadline=None, max_examples=60)
 def test_hull_is_invariant_under_a_positive_scaling(pts, num, den):
     r = F(num, den)
-    P = build_polytope(pts)
-    Q = build_polytope([tuple(r * a for a in p) for p in pts])
+    P = hull(pts)
+    Q = hull([tuple(r * a for a in p) for p in pts])
     assert Q.vertices == P.vertices
     assert Q.dim == P.dim and echelon_pivots(Q.points) == echelon_pivots(P.points)
     assert [(f.normal, f.incident) for f in Q.facets] == [(f.normal, f.incident) for f in P.facets]
-    p_scale, q_scale = lattice(P.points)[0], lattice(Q.points)[0]
+    p_scale, q_scale = lattice(pts)[0], lattice([tuple(r * a for a in p) for p in pts])[0]
     assert [Fraction(f.offset, q_scale) for f in Q.facets] == [r * Fraction(f.offset, p_scale) for f in P.facets]
 
 
 def test_wide16_hull_matches_the_oracle():
     # exponent denominators 2, 3 and 4 give the lattice frame a scale of 12
-    P = build_polytope(WIDE16.support)
+    P = build_polytope(WIDE16.frame)
     assert P.dim == 16 and len(P.facets) == 17
-    assert P.frame == tuple(tuple(12 * a for a in p) for p in P.points)
-    assert polytope_facets_in_hull_coords(P) == brute_force_facets(list(WIDE16.support))
+    assert WIDE16.scale == 12 and P.points == tuple(tuple(12 * a for a in p) for p in WIDE16.support)
+    assert polytope_facets_in_hull_coords(P) == brute_force_facets(list(P.points))

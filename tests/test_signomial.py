@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -21,8 +22,13 @@ from descregions.linalg import lattice
 from descregions.parsing import parse_signomial
 
 import parse_oracle
+from strategies import rational_signed_supports, signed_supports
 from fixtures import (
+    BOX_TEXT,
+    CUBE4_TEXT,
     SADDLE,
+    SADDLE_TEXT,
+    TEN_TERM_UPPER_TEXT,
     TEN_TERM,
     TEN_TERM_LOWER,
     TEN_TERM_UPPER,
@@ -104,14 +110,18 @@ def test_from_terms_merges_and_drops_zero():
 
 
 def test_invariants_rejected():
+    with pytest.raises(ValueError, match="term coefficient must be nonzero"):
+        Signomial.of_terms(1, (Term(F(0), vec(1)),))
+    with pytest.raises(ValueError, match="term coefficient must be nonzero"):
+        Signomial(1, (1, 0), 1, ((0,), (1,)))
     with pytest.raises(ValueError):
-        Term(F(0), vec(1))
+        Signomial.of_terms(1, (Term(F(1), vec(1)), Term(F(2), vec(0))))  # unsorted
     with pytest.raises(ValueError):
-        Signomial(1, (Term(F(1), vec(1)), Term(F(2), vec(0))))  # unsorted
+        Signomial.of_terms(2, (Term(F(1), vec(1)),))  # wrong arity
     with pytest.raises(ValueError):
-        Signomial(2, (Term(F(1), vec(1)),))  # wrong arity
-    with pytest.raises(ValueError):
-        Signomial(0, ())
+        Signomial.of_terms(0, ())
+    with pytest.raises(ValueError, match="coefficient count"):
+        Signomial(1, (1,), 1, ((0,), (1,)))
 
 
 def test_newton_dim():
@@ -201,13 +211,13 @@ def test_every_path_in_gives_fractions_and_a_frame():
 
 def test_frame_check_keeps_its_messages():
     with pytest.raises(ValueError, match="sorted"):
-        Signomial(1, (Term(F(1), (F(1, 2),)), Term(F(1), (F(1, 3),))))
+        Signomial.of_terms(1, (Term(F(1), (F(1, 2),)), Term(F(1), (F(1, 3),))))
     with pytest.raises(ValueError, match="distinct"):
-        Signomial(1, (Term(F(1), (F(2, 4),)), Term(F(-1), (F(1, 2),))))
+        Signomial.of_terms(1, (Term(F(1), (F(2, 4),)), Term(F(-1), (F(1, 2),))))
     # a sorting problem is reported first, as before
     with pytest.raises(ValueError, match="sorted"):
-        Signomial(1, (Term(F(1), (F(1),)), Term(F(1), (F(1),)), Term(F(1), (F(0),))))
-    assert Signomial(1, ()).frame == () and Signomial(1, ()).scale == 1
+        Signomial.of_terms(1, (Term(F(1), (F(1),)), Term(F(1), (F(1),)), Term(F(1), (F(0),))))
+    assert Signomial.of_terms(1, ()).frame == () and Signomial.of_terms(1, ()).scale == 1
 
 
 def test_each_signomial_is_framed_once(monkeypatch):
@@ -227,3 +237,157 @@ def test_each_signomial_is_framed_once(monkeypatch):
     read = tracedoc.signomial_from_json(document)
     assert calls == []
     assert child.frame == (f.frame[0], f.frame[2]) and read == f and read.frame == f.frame
+
+
+# --- one lookup from a rational point to its row and term -------------------------
+
+# small entries, entries with denominators off most lattices, and entries
+# beyond the exponent digit caps
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 14)),
+    st.sampled_from([10 ** 6, -(10 ** 7) - 1, Fraction(1, 10 ** 6 + 3), Fraction(10 ** 9, 7), 2 ** 80]),
+)
+
+
+@st.composite
+def _lookups(draw):
+    """A signomial and a point: one of its exponents as ints and Fractions,
+    such an exponent with one entry redrawn, or a point of any entries and
+    possibly the wrong length."""
+    f = draw(st.one_of(signed_supports(3), rational_signed_supports(3)))
+    mu = list(draw(st.sampled_from(f.support)))
+    kind = draw(st.sampled_from(("exponent", "redrawn", "any")))
+    if kind == "exponent":
+        point = [int(a) if a.denominator == 1 and draw(st.booleans()) else a for a in mu]
+    elif kind == "redrawn":
+        mu[draw(st.integers(0, f.dimension - 1))] = draw(_ENTRIES)
+        point = mu
+    else:
+        n = draw(st.sampled_from((f.dimension, f.dimension, f.dimension - 1, f.dimension + 1)))
+        point = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    return f, tuple(point)
+
+
+@given(_lookups())
+@settings(deadline=None, max_examples=300)
+def test_lookup_matches_a_scan_of_the_fraction_support(case):
+    """``term_index`` against a scan of the ``Fraction`` support, and
+    ``frame_row`` against the definition: the point times L when every entry
+    times L is an int, else None.  ``coefficient`` and ``restrict`` answer
+    through the same lookup."""
+    f, point = case
+    support = f.support
+    exact = tuple(map(Fraction, point))
+    expected = next((i for i, mu in enumerate(support) if mu == exact), None)
+    assert f.term_index(point) == expected
+    scaled = [f.scale * a for a in exact]
+    on_lattice = len(point) == f.dimension and all(a.denominator == 1 for a in scaled)
+    assert f.frame_row(point) == (tuple(map(int, scaled)) if on_lattice else None)
+    assert f.coefficient(point) == (0 if expected is None else f.terms[expected].coefficient)
+    kept = [mu for i, mu in enumerate(support) if i % 2 == 0]
+    assert restrict(f, kept + [point]) == parse_oracle.Signomial.of_terms(
+        f.dimension, [t for t in f.terms if t.exponent in set(kept) or t.exponent == exact]
+    )
+
+
+def test_a_point_off_the_lattice_is_not_rounded_onto_it():
+    # L = 2: the entry 1/3 times L floored would be 0, the row of x^0
+    f = Signomial.from_terms(1, [(1, (0,)), (-1, (F(1, 2),)), (1, (F(3, 2),))])
+    assert (f.scale, f.frame) == (2, ((0,), (1,), (3,)))
+    for point in ((F(1, 3),), (F(2, 3),), (F(1, 4),), (F(1, 10 ** 6 + 3),)):
+        assert f.frame_row(point) is None and f.term_index(point) is None and f.coefficient(point) == 0
+    assert f.term_index((F(3, 2),)) == 2 and f.frame_row((F(3, 2),)) == (3,) and f.term_index((1,)) is None
+    assert f.term_index((0, 0)) is None and f.term_index(()) is None
+
+
+# --- one exponent form: no Term and no Fraction per exponent entry ---------------
+
+
+class _Entry(int):
+    """An exponent entry that remembers it is one; arithmetic on it gives
+    plain ints."""
+
+
+def _count_constructions(monkeypatch):
+    """Every Term built, every Fraction built from an ``_Entry``, and the
+    value of every Fraction built (in ``values``)."""
+    made = {"Term": 0, "Fraction of an entry": 0}
+    values = []
+    real_new, real_init = Fraction.__new__, Term.__init__
+
+    def fraction_new(cls, numerator=0, denominator=None, **kwargs):
+        if isinstance(numerator, _Entry) or isinstance(denominator, _Entry):
+            made["Fraction of an entry"] += 1
+        values.append(real_new(cls, numerator, denominator, **kwargs))
+        return values[-1]
+
+    def term_init(self, *args, **kwargs):
+        made["Term"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", fraction_new)
+    monkeypatch.setattr(Term, "__init__", term_init)
+    return made, values
+
+
+def test_search_and_replay_read_only_the_frame(monkeypatch):
+    """On integral input, parse -> certify_connectivity -> make_document and
+    replay of the trace build no Term and make no Fraction of an exponent
+    entry: a parse makes Fractions only of its coefficients, the
+    signomial's entries are marked for the search, and the
+    replayed document has only integer spellings in its input and recorded
+    points, which the reader keeps as ints.  The inputs take the recursion
+    (CUBE4), the box criterion (BOX), the separating hyperplane (TEN_TERM_UPPER)
+    and a recorded exponent (SADDLE).  The hull is built on the frame with no
+    lattice call."""
+    from descregions import check, polytope
+    from descregions.certify import certify_connectivity
+    from descregions.check import CERTIFIED_OUTCOMES, CertifyConfig
+    from descregions.linalg import _fraction
+
+    made, values = _count_constructions(monkeypatch)
+    flagged = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True)
+    kinds = set()
+    inputs = [(CUBE4_TEXT, CertifyConfig()), (BOX_TEXT, flagged), (TEN_TERM_UPPER_TEXT, flagged), (SADDLE_TEXT, flagged)]
+    for text, config in inputs:
+        values.clear()
+        _fraction.cache_clear()  # a memoized Fraction of an equal int would hide one
+        f = parse_signomial(text)
+        assert made == {"Term": 0, "Fraction of an entry": 0} and set(values) <= set(f.coefficients)
+        assert f.scale == 1 and type(f.frame[0][0]) is int
+
+        marked = Signomial(f.dimension, f.coefficients, 1, tuple(tuple(map(_Entry, row)) for row in f.frame))
+        _fraction.cache_clear()
+        cert = certify_connectivity(marked, config)
+        doc = json.loads(tracedoc.document_to_json(tracedoc.make_document(marked, config, cert, source=text)))
+        assert cert.outcome in CERTIFIED_OUTCOMES and made == {"Term": 0, "Fraction of an entry": 0}
+        kinds |= set(_strings(doc["tree"]))
+
+        fractions = []
+        real_new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: fractions.append(args) or real_new(cls, *args, **kw))
+        assert tracedoc.verify_document(doc) == []
+        monkeypatch.setattr(Fraction, "__new__", real_new)
+        # the only Fractions are the ratio spellings the reader meets, each
+        # once: coefficients and functionals, as every exponent entry is an int
+        ratios = {s for s in _strings([doc["input"]["terms"], doc["tree"]]) if "/" in s}
+        assert len(fractions) <= len(ratios) and made["Term"] == 0
+    assert {"parallel-split", "negative-face-reduction", "box", "strict-separating", "one-negative-coeff"} <= kinds
+
+    lattice_calls = []
+    for module in (polytope, check):
+        if hasattr(module, "lattice"):
+            monkeypatch.setattr(module, "lattice", lambda points: lattice_calls.append(1) or lattice(points))
+    assert polytope.build_polytope(parse_signomial(CUBE4_TEXT).frame).dim == 4 and lattice_calls == []
+
+
+def _strings(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)
+    elif isinstance(node, str):
+        yield node

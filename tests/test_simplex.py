@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from descregions.check import DegenerateSimplexError, simplex_halfspaces
-from descregions.linalg import _Echelon
+from descregions.linalg import _Echelon, lattice
 from descregions.polytope import build_polytope
 
 import simplex_oracle
@@ -26,11 +26,16 @@ def outcome(derive, vertices):
 
 
 def assert_alike(vertices):
-    new, old = outcome(simplex_halfspaces, vertices), outcome(simplex_oracle.simplex_halfspaces, vertices)
-    assert new == old
-    if new is not DegenerateSimplexError:
-        # the same types too: int offsets on int vertices, Fractions otherwise
-        assert [type(a) for _, a in new] == [type(a) for _, a in old]
+    """The int halfspaces of the vertices' lattice frame against the oracle's
+    on the vertices themselves: the same normals, and int offsets L times
+    the rational ones."""
+    scale, rows = lattice(vertices)
+    new, old = outcome(simplex_halfspaces, rows), outcome(simplex_oracle.simplex_halfspaces, vertices)
+    if DegenerateSimplexError in (new, old):
+        assert new is old
+    else:
+        assert new == tuple((v, scale * a) for v, a in old)
+        assert all(type(a) is int for _, a in new)
     return new
 
 
@@ -89,7 +94,7 @@ def test_named_degenerate_sets():
         (vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)),  # too many
     ):
         with pytest.raises(DegenerateSimplexError):
-            simplex_halfspaces(vertices)
+            simplex_halfspaces(lattice(vertices)[1])
         assert assert_alike(vertices) is DegenerateSimplexError
 
 
@@ -126,7 +131,7 @@ def echelon_work(monkeypatch):
 # for the starting simplex, and n + 2 for each simplex derivation.
 @pytest.mark.parametrize("f", [WIDE16, CUBE3, CUBE4], ids=["WIDE16", "CUBE3", "CUBE4"])
 def test_a_hull_runs_one_echelon(f, echelon_work):
-    P = build_polytope(f.support)
+    P = build_polytope(f.frame)
     assert P.facets
     assert echelon_work["affine"] == 1
     assert echelon_work["add"] <= len(f.support)

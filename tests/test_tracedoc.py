@@ -329,14 +329,17 @@ SPELLINGS = st.one_of(
 
 
 def _canonical_value(text):
-    """The Fraction whose ``str`` is text, or None when there is none."""
+    """The Fraction whose ``str`` is text, as an int when it is integral, or
+    None when there is none."""
     if not set(text) <= set("0123456789-/"):  # what str(Fraction) writes; also keeps "1e99999" unread
         return None
     try:
         x = Fraction(text)
     except (ValueError, ZeroDivisionError):
         return None
-    return x if str(x) == text else None
+    if str(x) != text:
+        return None
+    return int(x) if x.denominator == 1 else x
 
 
 @given(SPELLINGS)
