@@ -109,8 +109,10 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
             face1, face2 = _face_split(f, v)
             f1, f2 = restrict_indices(f, face1), restrict_indices(f, face2)
             child1 = _certify(f1, config, depth + 1)
+            if child1.outcome not in CERTIFIED_OUTCOMES:
+                continue
             child2 = _certify(f2, config, depth + 1)
-            if child1.outcome not in CERTIFIED_OUTCOMES or child2.outcome not in CERTIFIED_OUTCOMES:
+            if child2.outcome not in CERTIFIED_OUTCOMES:
                 continue
             w1 = negative_vertex_functional(f1, P, face1)
             w2 = negative_vertex_functional(f2, P, face2)

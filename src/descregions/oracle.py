@@ -6,8 +6,12 @@ connected components, so the grid lives in a log-space box.  The count is
 approximate by construction; the box, resolution and tolerance are part of
 the report so results are reproducible.  The mask is evaluated slab by slab
 of axis-0 rows, in place, in one fixed order of floating-point operations,
-so cells that round or overflow come out the same on every run.  Each
-witness is the first cell of its component in row-major order, and the
+so cells that round or overflow come out the same on every run.  It reads
+the signomial's lattice frame: each term is evaluated only on the axes where
+its exponent entry is nonzero and broadcast into the slab, and the leading
+terms free of axis 0 are summed once for all slabs; both keep every cell's
+operands and their order, so the mask is the full-grid mask bit for bit.
+Each witness is the first cell of its component in row-major order, and the
 witnesses are listed in label order.
 
 numpy and scipy are imported inside the functions that use them, not at the
@@ -108,10 +112,19 @@ def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
     relative to the term magnitudes).  Cells where the evaluation overflows to
     an indeterminate value are conservatively not negative.
 
-    Each cell is evaluated in one fixed order: per term, the exponent entries
-    in variable order, then exp, then the coefficient; the terms are summed in
-    term order.  Rounded and overflowing cells therefore come out the same on
-    every run, whatever the slab the cell falls in."""
+    Each term c * exp(m . y) is evaluated only on the sub-grid of the axes
+    where its exponent entry is nonzero (length 1 along the others) and
+    broadcast into the slab.  The leading run of terms with exponent entry 0
+    on axis 0 is summed once, on the union of their axes, and each slab
+    starts from that sum; as the frame is sorted, the run holds every term
+    free of axis 0, or none when a term has a negative axis-0 entry.  Every
+    cell still sees the same operands in the same order: per term, the nonzero
+    exponent entries ``a / L`` (the correctly rounded float of the rational
+    entry) times the cell's coordinates, summed from 0.0 in variable order,
+    then exp, then the coefficient; the terms summed from 0.0 in term order,
+    and the scale summing their magnitudes alike.  Rounded and overflowing
+    cells therefore come out the same on every run, whatever the slab the
+    cell falls in."""
     import numpy as np
 
     if grid.dimension != f.dimension:
@@ -119,30 +132,53 @@ def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
     n, res = grid.dimension, grid.resolution
     if res ** n > grid.cell_cap:
         raise GridBudgetExceededError(f"{res}^{n} cells exceed the cap {grid.cell_cap}")
+    L = f.scale
     # axis i as a column that broadcasts along dimension i
     cols = [axis.reshape((res,) + (1,) * (n - 1 - i)) for i, axis in enumerate(_axes(grid))]
-    rows = max(1, _SLAB_CELLS // res ** (n - 1))  # axis-0 rows per slab
-    values, scale, term = (np.empty((min(rows, res),) + (res,) * (n - 1)) for _ in range(3))
+    rows = min(res, max(1, _SLAB_CELLS // res ** (n - 1)))  # axis-0 rows per slab
+
+    def shape(row, height):
+        """A term's sub-grid in a slab of ``height`` axis-0 rows."""
+        return tuple((height if i == 0 else res) if a else 1 for i, a in enumerate(row))
+
+    # the term buffer holds the largest sub-grid of any term in a slab
+    flat = np.empty(max((math.prod(shape(row, rows)) for row in f.frame), default=1))
+    values, scale = (np.empty((rows,) + (res,) * (n - 1)) for _ in range(2))
     mask = np.empty((res,) * n, dtype=bool)
+
+    def add(v, s, term, a, b):
+        """Add term to the values v and its magnitude to the scale s of the
+        axis-0 rows [a, b)."""
+        c, row, entries = term
+        sub = shape(row, b - a)
+        t = flat[: math.prod(sub)].reshape(sub)
+        t.fill(0.0)
+        for i, e in entries:
+            t += e[a:b] if i == 0 else e
+        np.exp(t, out=t)
+        t *= c
+        v += t
+        np.abs(t, out=t)
+        s += t
+
     with np.errstate(over="ignore", invalid="ignore"):
+        # each term's coefficient, frame row and nonzero entries times their axis
         terms = [
-            (float(t.coefficient), [(i, float(m) * cols[i]) for i, m in enumerate(t.exponent) if m != 0])
-            for t in f.terms
+            (float(c), row, [(i, (a / L) * cols[i]) for i, a in enumerate(row) if a])
+            for c, row in zip(f.coefficients, f.frame)
         ]
+        lead = next((k for k, row in enumerate(f.frame) if row[0]), len(f.frame))
+        union = tuple(int(any(row[i] for row in f.frame[:lead])) for i in range(n))
+        base, base_scale = np.zeros(shape(union, 1)), np.zeros(shape(union, 1))
+        for term in terms[:lead]:
+            add(base, base_scale, term, 0, 1)
         for a in range(0, res, rows):
             b = min(a + rows, res)
-            v, s, t = values[: b - a], scale[: b - a], term[: b - a]
-            v.fill(0.0)
-            s.fill(0.0)
-            for c, entries in terms:
-                t.fill(0.0)
-                for i, e in entries:
-                    t += e[a:b] if i == 0 else e
-                np.exp(t, out=t)
-                t *= c
-                v += t
-                np.abs(t, out=t)
-                s += t
+            v, s = values[: b - a], scale[: b - a]
+            np.copyto(v, base)
+            np.copyto(s, base_scale)
+            for term in terms[lead:]:
+                add(v, s, term, a, b)
             s *= -grid.tolerance_factor
             np.less(v, s, out=mask[a:b])
     return mask

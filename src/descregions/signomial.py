@@ -71,6 +71,10 @@ class Signomial:
             if any(map(gt, frame, frame[1:])):
                 raise ValueError("terms must be sorted by exponent")
             raise ValueError("exponent vectors must be pairwise distinct")
+        if self.scale < 1:
+            raise ValueError("scale must be >= 1")
+        if self.scale > 1 and math.gcd(self.scale, *(a for row in frame for a in row)) > 1:
+            raise ValueError("scale is not the least: it shares a factor with every frame entry")
         # a coefficient's sign is its numerator's (an int or a Fraction)
         negative = [c.numerator < 0 for c in coefficients]
         object.__setattr__(self, "negative_indices", tuple(i for i, neg in enumerate(negative) if neg))
@@ -156,11 +160,11 @@ def signed_support(f: Signomial) -> SignedSupport:
 
 
 def positives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple(map(f.support.__getitem__, f.positive_indices))
+    return tuple([vector(f.exponent(i)) for i in f.positive_indices])
 
 
 def negatives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple(map(f.support.__getitem__, f.negative_indices))
+    return tuple([vector(f.exponent(i)) for i in f.negative_indices])
 
 
 def restrict(f: Signomial, exponents: Iterable[Sequence]) -> Signomial:

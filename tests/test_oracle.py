@@ -147,16 +147,18 @@ AXIS = st.one_of(
     st.sampled_from(((-8.0, 8.0), (-1.0, 1.0), (0.0, 2.0))),
     st.tuples(st.floats(-20, 20), st.floats(1e-3, 30)).map(lambda p: (p[0], p[0] + p[1])),
 )
-MAX_RESOLUTION = {1: 60, 2: 60, 3: 27, 4: 12}
+MAX_RESOLUTION = {1: 60, 2: 60, 3: 27, 4: 12, 5: 7}
 
 
 @st.composite
 def signomials(draw):
-    """Signomials in 1 to 4 variables with rational exponents, whole zero
-    columns, constant terms and 6-digit exponents.  Half of them start from
-    -1 + 3 x^v - x^(2v), which is negative on both sides of a slab, so their
-    regions often have two components."""
-    n = draw(st.integers(1, 4))
+    """Signomials in 1 to 5 variables with rational exponents, whole zero
+    columns, constant terms, terms in a single variable, terms with a
+    negative axis-0 entry (which sort before the terms free of axis 0, so
+    that the mask's leading run is empty) and 6-digit exponents.
+    Half of them start from -1 + 3 x^v - x^(2v), which is negative on both
+    sides of a slab, so their regions often have two components."""
+    n = draw(st.integers(1, 5))
     zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     pairs = []
     if draw(st.booleans()):
@@ -164,8 +166,15 @@ def signomials(draw):
         pairs += [(-1, (0,) * n), (3, v), (-1, tuple(2 * x for x in v))]
     for _ in range(draw(st.integers(0 if pairs else 1, 6))):
         exponent = [Fraction(0) if z else draw(EXPONENT) for z in zero]
-        if draw(st.integers(0, 4)) == 0:
+        kind = draw(st.sampled_from(("drawn", "constant", "one variable", "negative on axis 0")))
+        if kind == "constant":
             exponent = [Fraction(0)] * n
+        elif kind == "one variable":
+            i = draw(st.integers(0, n - 1))
+            exponent = [Fraction(0)] * n
+            exponent[i] = draw(EXPONENT.filter(bool))
+        elif kind == "negative on axis 0":
+            exponent[0] = -draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(3))))
         pairs.append((draw(COEFFICIENT), tuple(exponent)))
     f = Signomial.from_terms(n, pairs)
     return f if f.terms else Signomial.from_terms(n, [(-1, (Fraction(0),) * n)])
@@ -196,10 +205,19 @@ def assert_same_as_full_grid(f, grid):
 # -1e-17, in reverse order 0
 ORDERED = Signomial.from_terms(1, [(1, (1,)), (-1, (2,)), (-Fraction(1, 10**17), (3,))])
 ORDERED_GRID = GridSpec(((-1.0, 1.0),), 3, tolerance_factor=0.0)
+# a term with a negative axis-0 entry sorts before the terms free of axis 0,
+# so the mask's leading run is empty and those terms are added in every slab
+# after it: at y = 0 the terms are -2e-17, 1, -1 and 1e-17, whose sum in term
+# order is 1e-17, and -1e-17 with the terms free of axis 0 summed first
+LEADING = Signomial.from_terms(
+    2, [(-2 * Fraction(1, 10**17), (-1, 0)), (1, (0, 0)), (-1, (0, 1)), (Fraction(1, 10**17), (0, 2))]
+)
+LEADING_GRID = GridSpec(((0.0, 1.0), (-1.0, 1.0)), 3, tolerance_factor=0.0)
 
 
 @given(mask_cases())
 @example((ORDERED, ORDERED_GRID, 1))
+@example((LEADING, LEADING_GRID, 3))
 @settings(deadline=None, max_examples=300)
 def test_mask_and_report_match_the_full_grid_oracle(case):
     """Slab by slab in place, the mask is the full-grid mask bit for bit and
@@ -232,6 +250,50 @@ def test_mask_matches_the_full_grid_oracle_across_slabs():
 def test_term_sum_order_is_fixed():
     """Only the term order makes the middle cell negative."""
     assert negative_mask(ORDERED, ORDERED_GRID).tolist() == [False, True, True]
+
+
+def test_terms_free_of_axis_0_after_the_leading_run_keep_their_order():
+    """Only the term order keeps the middle column non-negative: the terms
+    free of axis 0 come after a term that uses it and are not summed first."""
+    mask = negative_mask(LEADING, LEADING_GRID)
+    assert mask[:, 1].tolist() == [False, False, False]
+    assert np.array_equal(mask, mask_oracle.negative_mask(LEADING, LEADING_GRID))
+
+
+def test_each_term_is_evaluated_on_the_axes_it_uses(monkeypatch):
+    """On CUBE4 at its default grid every term's exp covers the 24^|supp mu|
+    cells of its sub-grid once, against 24^4 cells per term on the full grid:
+    the terms free of axis 0 are summed once before the slabs, and the others
+    split their sub-grid across the slabs."""
+    grid = default_grid(4)
+    cells = []
+    real = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kw: cells.append(np.size(x)) or real(x, *args, **kw))
+    mask = negative_mask(CUBE4, grid)
+    monkeypatch.setattr(np, "exp", real)
+    assert sum(cells) == sum(24 ** sum(map(bool, row)) for row in CUBE4.frame) == 16_225
+    assert np.array_equal(mask, mask_oracle.negative_mask(CUBE4, grid))
+
+
+@pytest.mark.parametrize("f", [TEN_TERM, CUBE4], ids=["TEN_TERM", "CUBE4"])
+def test_mask_memory_is_the_mask_and_a_few_slabs(f):
+    """negative_mask's traced peak on a default grid stays within the mask's
+    bytes and four slab buffers of floats: the values, the scale and the
+    term buffer take at most three, and the leading run's two sums, on at
+    most res^(n-1) cells each, fit in the fourth on these grids."""
+    import tracemalloc
+
+    grid = default_grid(f.dimension)
+    res, n = grid.resolution, grid.dimension
+    slab = min(res, max(1, oracle._SLAB_CELLS // res ** (n - 1))) * res ** (n - 1) * 8
+    negative_mask(f, grid)  # numpy's first-call allocations are not the mask's
+    tracemalloc.start()
+    try:
+        mask = negative_mask(f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mask.nbytes + 4 * slab
 
 
 def test_witnesses_are_the_first_cells_in_label_order():

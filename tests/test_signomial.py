@@ -391,3 +391,51 @@ def _strings(node):
             yield from _strings(value)
     elif isinstance(node, str):
         yield node
+
+
+def test_scale_must_be_the_least():
+    """The constructor refuses a scale below 1, and for L > 1 a frame whose
+    entries all share a factor with L: x^1 on the frame of scale 2 would
+    compare unequal to x^1 on its least frame."""
+    with pytest.raises(ValueError, match="scale must be >= 1"):
+        Signomial(1, (1,), 0, ((1,),))
+    with pytest.raises(ValueError, match="scale must be >= 1"):
+        Signomial(1, (1,), -1, ((1,),))
+    with pytest.raises(ValueError, match="scale is not the least"):
+        Signomial(1, (1,), 2, ((2,),))
+    with pytest.raises(ValueError, match="scale is not the least"):
+        Signomial(2, (1, -1), 6, ((0, 2), (4, 6)))
+    with pytest.raises(ValueError, match="scale is not the least"):
+        Signomial(1, (), 3, ())
+    # gcd(6, 2, 3) = 1: each entry may share a factor with L on its own
+    f = Signomial(2, (1, -1), 6, ((0, 2), (3, 6)))
+    assert f == Signomial.from_terms(2, [(1, (0, F(1, 3))), (-1, (F(1, 2), 1))])
+    assert Signomial(1, (1,), 1, ((2,),)).support == ((F(2),),)
+
+
+def test_the_least_scale_check_does_no_gcd_work_at_scale_one(monkeypatch):
+    """An integral frame pays nothing for the check."""
+    calls = []
+    real = math.gcd
+    monkeypatch.setattr(signomial, "math", type("M", (), {"gcd": lambda *a: calls.append(a) or real(*a)}))
+    Signomial(2, (1, -1), 1, ((0, 2), (4, 6)))
+    assert calls == []
+    Signomial(2, (1, -1), 2, ((0, 2), (4, 5)))
+    assert len(calls) == 1
+
+
+def test_sign_views_build_only_their_own_rows(monkeypatch):
+    """``negatives`` and ``positives`` build the Fractions of their own rows
+    only: on WIDE16 (19 terms, 16 variables, L = 12) at most 16 per row of
+    the sign, where the full support view builds all 19 rows' 304."""
+    from fixtures import WIDE16
+
+    assert WIDE16.scale > 1 and len(WIDE16.frame) == 19
+    built = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or real_new(cls, *args, **kw))
+    for view, indices in ((negatives, WIDE16.negative_indices), (positives, WIDE16.positive_indices)):
+        built.clear()
+        rows = view(WIDE16)
+        assert len(built) <= 16 * len(indices) < 304
+        assert rows == tuple(WIDE16.support[i] for i in indices)
