@@ -15,10 +15,10 @@ vertex of the child's Newton polytope (the restriction is then negative far
 along the exposing direction, so its negative region is nonempty).
 
 The search runs on each signomial's integer lattice frame: the hull is
-built on the frame rows, so its point indices are term indices; the two
-faces of a parallel split are read off the frame rows by the face split
-that replay uses too, children are restricted by index, and witness points
-leave as ``Signomial.exponent``.
+built on the frame rows, so its point indices are term indices.  Each face
+question is one query on that hull, which gives the faces (split as replay
+splits them) with their int normals; children are restricted by index, and
+witness points leave as ``Signomial.exponent``.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certifica
     CertifyConfig,
     EdgeWitness,
     NonemptyWitness,
-    _face_split,
-    _splits,
     criterion_outcome,
     verify_certificate,
 )
@@ -50,7 +48,6 @@ from .polytope import (
     FacetBudgetExceededError,
     Polytope,
     build_polytope,
-    face_exposing_normal,
     lazy_hull,
     parallel_face_pairs,
     smallest_face_containing,
@@ -88,9 +85,8 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
         return Certificate(KIND_INCONCLUSIVE, INCONCLUSIVE, reason=str(exc))
 
     # P is built from f.frame, so its point indices are f's term indices
-    face_idx, proper = smallest_face_containing(P, neg_idx)
-    if proper:
-        normal = face_exposing_normal(P, neg_idx)
+    face_idx, normal = smallest_face_containing(P, neg_idx)
+    if any(normal):
         child = _certify(restrict_indices(f, face_idx), config, depth + 1)
         return Certificate(
             KIND_NEGATIVE_FACE,
@@ -100,32 +96,29 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
             children=(child,),
         )
 
-    if P.dim >= 1:
-        all_idx = tuple(range(len(P.points)))
-        for v in parallel_face_pairs(P, all_idx):
-            edge = intersection_nonempty(f, v, P)
-            if edge is None:
-                continue
-            face1, face2 = _face_split(f, v)
-            f1, f2 = restrict_indices(f, face1), restrict_indices(f, face2)
-            child1 = _certify(f1, config, depth + 1)
-            if child1.outcome not in CERTIFIED_OUTCOMES:
-                continue
-            child2 = _certify(f2, config, depth + 1)
-            if child2.outcome not in CERTIFIED_OUTCOMES:
-                continue
-            w1 = negative_vertex_functional(f1, P, face1)
-            w2 = negative_vertex_functional(f2, P, face2)
-            if w1 is None or w2 is None:  # cannot hold: the edge ends are such vertices
-                continue
-            return Certificate(
-                KIND_PARALLEL_SPLIT,
-                CERTIFIED_EXACTLY_ONE,
-                normal=v,
-                edge=edge,
-                child_nonempty=(NonemptyWitness(*w1), NonemptyWitness(*w2)),
-                children=(child1, child2),
-            )
+    for v, face1, face2 in parallel_face_pairs(P):
+        edge = intersection_nonempty(f, P, face1, face2)
+        if edge is None:
+            continue
+        f1, f2 = restrict_indices(f, face1), restrict_indices(f, face2)
+        child1 = _certify(f1, config, depth + 1)
+        if child1.outcome not in CERTIFIED_OUTCOMES:
+            continue
+        child2 = _certify(f2, config, depth + 1)
+        if child2.outcome not in CERTIFIED_OUTCOMES:
+            continue
+        w1 = negative_vertex_functional(f1, P, face1)
+        w2 = negative_vertex_functional(f2, P, face2)
+        if w1 is None or w2 is None:  # cannot hold: the edge ends are such vertices
+            continue
+        return Certificate(
+            KIND_PARALLEL_SPLIT,
+            CERTIFIED_EXACTLY_ONE,
+            normal=v,
+            edge=edge,
+            child_nonempty=(NonemptyWitness(*w1), NonemptyWitness(*w2)),
+            children=(child1, child2),
+        )
 
     return Certificate(
         KIND_INCONCLUSIVE,
@@ -136,27 +129,22 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
 
 
 def intersection_nonempty(
-    f: Signomial, v: Sequence, P: Optional[Polytope] = None
+    f: Signomial, P: Polytope, top: Sequence[int], bottom: Sequence[int]
 ) -> Optional[EdgeWitness]:
-    """First pair of negative exponents on the two opposite faces in direction
-    v joined by an edge of the Newton polytope ``P``, built on f's frame
-    (when not given), so that its point indices are f's term indices.
+    """First pair of negative exponents on the two faces ``top`` and
+    ``bottom`` of a parallel split of the Newton polytope ``P``, built on f's
+    frame (so its point indices are f's term indices), joined by an edge.
 
-    Requires the support to lie on the two faces.  A pair is an edge when its
-    smallest face holds no other support point; the functional is the sum of
-    the normals of the facets through the edge, which exposes it strictly
+    A pair is an edge when its smallest face holds no other support point;
+    the functional is that face's exposing normal, which exposes it strictly
     against every other support point (zero when the edge is the whole hull).
     """
-    faces = _face_split(f, v)
-    if not _splits(f, faces):
-        raise ValueError("support does not split across the faces of v and -v")
-    if P is None:
-        P = build_polytope(f.frame)
     neg = set(f.negative_indices)
-    top, bottom = ([i for i in face if i in neg] for face in faces)
+    top, bottom = ([i for i in face if i in neg] for face in (top, bottom))
     for i in top:
         for j in bottom:
             pair = sorted((i, j))
-            if list(smallest_face_containing(P, pair)[0]) == pair:
-                return EdgeWitness(f.exponent(i), f.exponent(j), face_exposing_normal(P, pair))
+            face, normal = smallest_face_containing(P, pair)
+            if list(face) == pair:
+                return EdgeWitness(f.exponent(i), f.exponent(j), normal)
     return None

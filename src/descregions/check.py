@@ -10,8 +10,9 @@ Replay reads only the signomial's integer lattice frame.  Every test of a
 recorded functional runs through ``frame_values``: the functional and its
 offsets are scaled once to ints, and each exponent's value is an int dot
 product with its frame row.  Faces are read by term index
-(``_face_split``), children are restricted by index, and a recorded point
-goes to its term through ``Signomial.term_index`` (none off the lattice).
+(``_face_split``, whose ``_extremes`` the hull's parallel-face scan shares),
+children are restricted by index, and a recorded point goes to its term
+through ``Signomial.term_index`` (none off the lattice).
 """
 
 from __future__ import annotations
@@ -184,22 +185,30 @@ def frame_values(f: Signomial, v: Sequence, *offsets) -> Tuple[List[int], Tuple[
     (v, offsets) times the lcm of their denominators is an int vector (w, t),
     and f's frame rows are L mu; w . (L mu) and L t are then v . mu and the
     offsets times one positive factor, so they compare as the rationals do.
+    A functional of the wrong length is a ValueError naming its length.
     """
+    k = len(v)
+    if k != f.dimension:
+        raise ValueError(f"functional has {k} entries, not {f.dimension}")
     _, (row,) = lattice([(*v, *offsets)])
-    k = len(row) - len(offsets)
     w = row[:k]
     return [dot(w, mu) for mu in f.frame], tuple(f.scale * t for t in row[k:])
 
 
-def _face_split(f: Signomial, v: Sequence) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Indices of f's terms on the faces in directions v and -v (ValueError
-    when f has no terms)."""
-    values = frame_values(f, v)[0]
+def _extremes(values: Sequence) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Indices of the largest and of the smallest values, the two faces of a
+    functional's values on points (ValueError when there are none)."""
     top, bottom = max(values), min(values)
     return (
         tuple(i for i, x in enumerate(values) if x == top),
         tuple(i for i, x in enumerate(values) if x == bottom),
     )
+
+
+def _face_split(f: Signomial, v: Sequence) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Indices of f's terms on the faces in directions v and -v (ValueError
+    when f has no terms)."""
+    return _extremes(frame_values(f, v)[0])
 
 
 def _splits(f: Signomial, faces: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> bool:
@@ -399,12 +408,14 @@ def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
         if pos:
             return "positive support is not empty"
         return None if neg else "no terms at all"
-    if cert.kind == ONE_NEGATIVE_COEFF:
-        return None if len(neg) == 1 else "negative coefficient count is not one"
-    if cert.kind == ONE_POSITIVE_COEFF:
-        if len(pos) != 1:
-            return "positive coefficient count is not one"
-        return None if newton_dim(f) >= 2 else "Newton polytope dimension below two"
+    if cert.kind in (ONE_NEGATIVE_COEFF, ONE_POSITIVE_COEFF):
+        sign, signed = ("negative", neg) if cert.kind == ONE_NEGATIVE_COEFF else ("positive", pos)
+        if len(signed) != 1:
+            return f"{sign} coefficient count is not one"
+        if cert.kind == ONE_POSITIVE_COEFF and newton_dim(f) < 2:
+            return "Newton polytope dimension below two"
+        found = cert.witness is not None and f.term_index(cert.witness) == signed[0]
+        return None if found else f"recorded exponent is not the one {sign} exponent"
     if cert.kind == STRICT_SEPARATING:
         w = cert.witness
         ok = verify_separating_hyperplane(f, w.normal, w.offset, True, w.strict_point)

@@ -159,20 +159,14 @@ def _cmd_analyze(args) -> int:
         report["vertex_count"] = len(P.vertices)
         report["facet_count"] = len(P.facets)
         if neg:
-            face_idx, proper = smallest_face_containing(P, neg)
-            support = f.support  # the hull's points are frame rows; report exponents
-            report["smallest_negative_face"] = {
-                "support": [[str(c) for c in support[i]] for i in face_idx],
-                "proper": proper,
+            face_idx, normal = smallest_face_containing(P, neg)
+            report["smallest_negative_face"] = {  # the hull's points are frame rows; report exponents
+                "support": [[str(c) for c in f.exponent(i)] for i in face_idx],
+                "proper": any(normal),
             }
         else:
             report["smallest_negative_face"] = None
-        if P.dim >= 1:
-            report["parallel_face_pairs"] = [
-                [str(c) for c in v] for v in parallel_face_pairs(P, tuple(range(len(P.points))))
-            ]
-        else:
-            report["parallel_face_pairs"] = []
+        report["parallel_face_pairs"] = [[str(c) for c in v] for v, _, _ in parallel_face_pairs(P)]
     except FacetBudgetExceededError:
         report["facet_budget_exceeded"] = True
     separating = cache(lambda: find_strict_separating_hyperplane(f))

@@ -44,13 +44,7 @@ from .check import (
     verify_separating_hyperplane,
 )
 from .linalg import Vector, dot
-from .polytope import (
-    FacetBudgetExceededError,
-    Polytope,
-    build_polytope,
-    face_exposing_normal,
-    smallest_face_containing,
-)
+from .polytope import FacetBudgetExceededError, Polytope, build_polytope, smallest_face_containing
 from .signomial import Signomial, newton_dim
 
 
@@ -213,32 +207,28 @@ def closure_property(
     if sep is not None:
         return True
     P = newton() if newton is not None else build_polytope(f.frame, facet_budget)
-    _, proper = smallest_face_containing(P, neg)
-    return proper
+    return any(smallest_face_containing(P, neg)[1])
 
 
 def negative_vertex_functional(
-    f: Signomial, P: Optional[Polytope] = None, index: Optional[Sequence[int]] = None
+    f: Signomial, P: Polytope, index: Optional[Sequence[int]] = None
 ) -> Optional[Tuple[Vector, Vector]]:
     """First negative exponent that is a vertex of the Newton polytope,
     together with a functional u exposing it strictly (u.beta > u.q for every
     other support point q); certifies the negative region is nonempty.
 
-    ``P`` defaults to the Newton polytope of f, built on f's frame, whose
-    point indices are f's term indices.  It may also be the hull of a
-    larger point set of which f's support is a face, since the vertices of
-    a face are the vertices of the hull that lie in it; ``index`` then gives
-    the index in ``P.points`` of each of f's terms, as for a restriction of
-    P's points by index.  The functional is the sum of the normals of the
-    facets through the vertex, or zero when the hull is the vertex alone.
+    ``P`` is the Newton polytope of f, built on f's frame, whose point
+    indices are f's term indices.  It may also be the hull of a larger
+    point set of which f's support is a face, since the vertices of a face
+    are the vertices of the hull that lie in it; ``index`` then gives the
+    index in ``P.points`` of each of f's terms, as for a restriction of P's
+    points by index.  The functional is the vertex's exposing normal.
     """
-    if P is None:
-        P = build_polytope(f.frame)
     if index is None:
         index = range(len(f.frame))
     for i in f.negative_indices:
         if index[i] in P.vertices:
-            return f.exponent(i), face_exposing_normal(P, [index[i]])
+            return f.exponent(i), smallest_face_containing(P, [index[i]])[1]
     return None
 
 

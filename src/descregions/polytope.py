@@ -16,19 +16,18 @@ facet is the positive combination of the two facets sharing its ridge that
 vanishes at the new point; ridges are read from the vertex-facet
 incidences, which insertion keeps up to date.  A facet's normal is a
 coprime integer vector, the same under any positive scaling of the points,
-and its offset an int on the rows.  Vertices, smallest faces and exposing
-normals are read off the incidences, with no linear programming; exposing
-and parallel-face normals leave as tuples of Fractions.
+and its offset an int on the rows.  Vertices, smallest faces with their
+exposing normals and parallel faces with their splits are read off the
+incidences, with no linear programming; normals leave as int tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .check import simplex_halfspaces
-from .linalg import IntVector, Vector, _Echelon, dot, primitive_int, sign_canonical
+from .check import _extremes, simplex_halfspaces
+from .linalg import IntVector, _Echelon, dot, primitive_int, sign_canonical
 
 class FacetBudgetExceededError(RuntimeError):
     """Raised when hull construction would exceed the configured facet budget."""
@@ -174,47 +173,37 @@ def _vertices_from_incidences(count: int, facets: Sequence[Facet]) -> FrozenSet[
 
 def smallest_face_containing(
     P: Polytope, indices: Sequence[int]
-) -> Tuple[Tuple[int, ...], bool]:
-    """Smallest face containing the given points: the intersection of all
-    facets containing them, or the whole polytope (not proper) when no facet
-    does."""
+) -> Tuple[Tuple[int, ...], IntVector]:
+    """Smallest face containing the given points, from one scan of the
+    facets through them: the intersection of their incidences (the whole
+    polytope when there are none), and the primitive sum of their normals,
+    which exposes it strictly (u.p is largest exactly on the face).  The
+    face is proper exactly when the normal is nonzero: the normals lie in
+    the face's pointed normal cone (``_lift_facet`` lifts a flat hull's
+    linearly)."""
     if not indices:
         raise ValueError("indices must be nonempty")
     want = set(indices)
-    containing = [f for f in P.facets if want <= f.incident]
-    if not containing:
-        return tuple(range(len(P.points))), False
-    common = set(containing[0].incident)
-    for f in containing[1:]:
-        common &= f.incident
-    return tuple(sorted(common)), True
-
-
-def face_exposing_normal(P: Polytope, indices: Sequence[int]) -> Vector:
-    """The primitive sum of the normals of the facets containing the given
-    points.  It exposes their smallest face strictly: u.p is largest exactly
-    on the points of that face.  It is zero when no facet contains them (the
-    face is the whole polytope)."""
-    want = set(indices)
+    common = set(range(len(P.points)))
     total = [0] * len(P.points[0])
     for f in P.facets:
         if want <= f.incident:
+            common &= f.incident
             total = [a + b for a, b in zip(total, f.normal)]
-    return tuple(map(Fraction, primitive_int(total)))
+    return tuple(sorted(common)), primitive_int(total)
 
 
-def parallel_face_pairs(P: Polytope, support: Sequence[int]) -> List[Vector]:
-    """Facet normals v for which the support splits across the two opposite
-    faces in directions v and -v, i.e. {v . mu} has exactly two values.
+def parallel_face_pairs(P: Polytope) -> List[Tuple[IntVector, Tuple[int, ...], Tuple[int, ...]]]:
+    """Facet normals v for which the points split across the two opposite
+    faces in directions v and -v, i.e. {v . p} has exactly two values, each
+    with the point indices on those two faces as replay's face split reads
+    them (``check._extremes``); none for a point hull, which has no facets.
 
     Normals are reported once per +/- pair, scaled to coprime integers with
     the first nonzero entry positive, in lexicographic order.
     """
-    if P.dim < 1:
-        raise ValueError("parallel faces need dim >= 1")
     found = set()
     for f in P.facets:
-        values = {dot(f.normal, P.points[i]) for i in support}
-        if len(values) == 2:
+        if len({dot(f.normal, p) for p in P.points}) == 2:
             found.add(sign_canonical(f.normal))
-    return [tuple(map(Fraction, w)) for w in sorted(found)]
+    return [(v, *_extremes([dot(v, p) for p in P.points])) for v in sorted(found)]

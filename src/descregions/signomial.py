@@ -206,8 +206,10 @@ def evaluate_log(f: Signomial, y: Sequence[float]) -> float:
     """
     if len(y) != f.dimension:
         raise ValueError("point length does not match dimension")
+    L = f.scale
     total = 0.0
-    for t in f.terms:
-        e = sum(float(m) * float(c) for m, c in zip(t.exponent, y))
-        total += float(t.coefficient) * math.exp(e)
+    for c, row in zip(f.coefficients, f.frame):
+        # a / L is the correctly rounded float of the entry, as float(Fraction(a, L)) is
+        e = sum(a / L * float(yk) for a, yk in zip(row, y))
+        total += float(c) * math.exp(e)
     return total

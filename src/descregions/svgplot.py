@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .oracle import GridSpec, default_grid, negative_mask
-from .signomial import Signomial, negatives
+from .signomial import Signomial
 
 PLOT_SIZE = 480.0
 MARGIN = 48.0
@@ -74,7 +74,8 @@ def _axis_lines(box) -> List[str]:
 
 def _support_panel(f: Signomial, hyperplane: Tuple, offset_x: float) -> List[str]:
     v, a = hyperplane
-    exps = [tuple(float(c) for c in mu) for mu in f.support]
+    L = f.scale
+    exps = [tuple(e / L for e in row) for row in f.frame]  # each float(Fraction(e, L)), correctly rounded
     xs = [e[0] for e in exps]
     ys = [e[1] for e in exps]
     lo = min(min(xs), min(ys)) - 1.0
@@ -109,10 +110,9 @@ def _support_panel(f: Signomial, hyperplane: Tuple, offset_x: float) -> List[str
         out.append(
             f'<line x1="{_fmt(sx(xa))}" y1="{_fmt(sy(ya))}" x2="{_fmt(sx(xb))}" y2="{_fmt(sy(yb))}" class="hplane"/>'
         )
-    neg = set(negatives(f))
-    for mu in f.support:
-        cls = "negpt" if mu in neg else "pospt"
-        x, y = float(mu[0]), float(mu[1])
+    neg = set(f.negative_indices)
+    for i, (x, y) in enumerate(exps):
+        cls = "negpt" if i in neg else "pospt"
         out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="5" class="{cls}"/>')
     return out
 

@@ -1,6 +1,4 @@
-import pytest
-
-from descregions import certify, criteria, polytope
+from descregions import certify, check, criteria, polytope
 from descregions.check import (
     CERTIFIED_AT_MOST_ONE,
     CERTIFIED_EMPTY,
@@ -96,25 +94,40 @@ def test_perfect_square_at_most_one():
     assert cert.criterion.kind == "one-negative-coeff"
 
 
+def split_of(f, v):
+    """N(f) and the two faces of its parallel split in direction v."""
+    P = polytope.build_polytope(f.frame)
+    return (P, *next((top, bottom) for w, top, bottom in polytope.parallel_face_pairs(P) if w == v))
+
+
 def test_intersection_nonempty_cube():
-    edge = intersection_nonempty(CUBE3, (0, 0, 1))
+    edge = intersection_nonempty(CUBE3, *split_of(CUBE3, (0, 0, 1)))
     assert edge is not None
     assert (edge.beta1, edge.beta2) == (vec(0, 0, 1), vec(0, 0, 0))
+    assert edge.functional == (-1, -1, 0) and all(type(a) is int for a in edge.functional)
 
 
 def test_intersection_nonempty_strip_pair_none():
-    assert intersection_nonempty(STRIP_PAIR, (0, 1)) is None
-
-
-def test_intersection_nonempty_requires_split_support():
-    with pytest.raises(ValueError):
-        intersection_nonempty(TEN_TERM, (0, 1))
+    assert intersection_nonempty(STRIP_PAIR, *split_of(STRIP_PAIR, (0, 1))) is None
 
 
 def test_intersection_nonempty_negatives_on_one_side():
     # all negatives on the lower face: no candidate pair at all
     f = Signomial.from_terms(2, [(-1, (0, 0)), (-1, (1, 0)), (1, (0, 1)), (2, (1, 1))])
-    assert intersection_nonempty(f, (0, 1)) is None
+    assert intersection_nonempty(f, *split_of(f, (0, 1))) is None
+
+
+def test_certifying_makes_no_face_split(monkeypatch):
+    """The search reads each parallel split's faces off the hull query;
+    only replay splits a recorded normal's faces again."""
+    calls = []
+    real = check._face_split
+    for module in (check, certify):
+        if hasattr(module, "_face_split"):
+            monkeypatch.setattr(module, "_face_split", lambda f, v: calls.append(v) or real(f, v))
+    cert = certify_connectivity(CUBE4)
+    assert cert.children[0].kind == KIND_PARALLEL_SPLIT and calls == []
+    assert verify_certificate(CUBE4, cert) == [] and calls
 
 
 def test_box_budget_overrun_becomes_inconclusive():

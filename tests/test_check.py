@@ -7,7 +7,10 @@ import importlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache, reduce
 from operator import getitem
@@ -24,6 +27,8 @@ from descregions.check import (
     BOX,
     MODE_NEGATIVES_INSIDE,
     MODE_POSITIVES_INSIDE,
+    ONE_NEGATIVE_COEFF,
+    ONE_POSITIVE_COEFF,
     SIMPLEX_NEGATIVES_INSIDE,
     SIMPLEX_POSITIVES_INSIDE,
     BoxWitness,
@@ -36,7 +41,7 @@ from descregions.check import (
     verify_simplex_witness,
 )
 from descregions.parsing import parse_signomial
-from descregions.signomial import MAX_EXPONENT_DIGITS, Signomial
+from descregions.signomial import MAX_EXPONENT_DIGITS, Signomial, negatives, positives
 
 import fixtures
 import replay_oracle
@@ -286,11 +291,11 @@ def _field(path) -> str:
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
-def _mutate(doc: dict, data) -> dict:
-    """One field of ``doc`` changed: a rational replaced, negated or zeroed,
-    a vector shortened or replaced by another of the document's vectors, a
-    point of a face added, a term of the input dropped, a key dropped or the
-    children swapped.  The field
+def _mutate(doc: dict, data) -> tuple:
+    """One field of ``doc`` changed, and the path of that field: a rational
+    replaced, negated or zeroed, a vector shortened or replaced by another of
+    the document's vectors, a point of a face added, a term of the input
+    dropped, a key dropped or the children swapped.  The field
     is drawn evenly among the field names of a kind, in the tree three times
     in four, so that rare fields such as an edge functional come up."""
     part = data.draw(st.sampled_from(("tree", "tree", "tree", "input")))
@@ -324,12 +329,19 @@ def _mutate(doc: dict, data) -> dict:
         old = Fraction(value)
         new = data.draw(st.one_of(st.just(-old), st.just(Fraction(0)), RATIONALS.filter(lambda x: x != old)))
         parent[last] = str(new)
-    return doc
+    return doc, path
 
 
 def _messages(errors):
     """A replay's messages, with the text of a quoted exception cut off."""
-    return [e.split(":")[0] if e.startswith("malformed document: ") else e for e in errors]
+    return [_message(e) for e in errors]
+
+
+def _message(e: str) -> str:
+    if e.startswith("malformed document: "):
+        return e.split(":")[0]
+    head, colon, _ = e.partition("criterion witness is malformed:")
+    return head + colon
 
 
 def _previous_replay():
@@ -342,9 +354,31 @@ def _previous_replay():
     )
 
 
-def _replays_alike(doc):
+def _checks_recorded_exponents(verify):
+    """The previous criterion check followed by the one it lacked, on its own
+    ``Fraction`` views: the exponent a one-coefficient criterion records
+    must be f's one exponent of that sign."""
+
+    def checked(f, cert):
+        problem = verify(f, cert)
+        if problem is None and cert.kind in (ONE_NEGATIVE_COEFF, ONE_POSITIVE_COEFF):
+            sign = cert.kind.split("-")[1]
+            (mu,) = negatives(f) if sign == "negative" else positives(f)
+            if cert.witness is None or tuple(cert.witness) != mu:
+                return f"recorded exponent is not the one {sign} exponent"
+        return problem
+    return checked
+
+
+def _replays_alike(doc, recorded_exponents=False):
+    """Replay of ``doc`` and the previous replay give the same messages; with
+    ``recorded_exponents`` the previous replay checks the exponent a
+    one-coefficient criterion records too, which it never read."""
     errors = tracedoc.verify_document(doc)
-    with _previous_replay():
+    verify = replay_oracle.verify_criterion
+    with _previous_replay(), mock.patch.object(
+        replay_oracle, "verify_criterion", _checks_recorded_exponents(verify) if recorded_exponents else verify
+    ):
         expected = tracedoc.verify_document(doc)
     event(f"rejected: {bool(expected)}")
     assert _messages(errors) == _messages(expected)
@@ -369,13 +403,83 @@ def test_every_trace_replays_as_before(doc):
     assert _replays_alike(doc) == []
 
 
+def _replay_path(doc: dict, tree_path) -> str:
+    """The path replay names the node at ``tree_path`` (("tree",
+    "children", i, ...)) by."""
+    at, node = "root", doc["tree"]
+    for i in tree_path[2::2]:
+        at += ".face" if node["kind"] == "negative-face-reduction" else (".upper", ".lower")[i]
+        node = node["children"][i]
+    return at
+
+
 @given(documents(), st.data())
 @settings(deadline=None, max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
 def test_tampered_traces_replay_as_before(doc, data):
     """On single-field mutations of certify's traces, replay never raises and
     reports what the previous replay reports: nothing exactly when it does,
-    in the same messages."""
-    _replays_alike(_mutate(doc, data))
+    in the same messages.  The exponent a one-coefficient criterion records
+    is the exception: the previous replay never read it, and replay rejects
+    it by name when it is changed or dropped, also where a mutation moves
+    the exponent of the one term of its sign."""
+    tampered, path = _mutate(doc, data)
+    if path[0] != "tree" or "exponent" not in path:
+        _replays_alike(tampered, recorded_exponents=True)
+        return
+    with _previous_replay():
+        assert tracedoc.verify_document(tampered) == []
+    node_path = path[: path.index("exponent")]
+    sign = reduce(getitem, node_path, doc)["criterion"].split("-")[1]
+    rejected = [f"{_replay_path(doc, node_path)}: recorded exponent is not the one {sign} exponent"]
+    assert tracedoc.verify_document(tampered) == ([] if tampered == doc else rejected)
+
+
+# --- the exponent a one-coefficient criterion records -----------------------------
+
+
+def test_a_one_coefficient_criterion_replays_only_its_own_exponent():
+    """Replay looks the recorded exponent up as a term of f: a point off the
+    support, of the wrong length, empty, a term of the other sign or no
+    point at all is rejected by name."""
+    for text, sign, others in (
+        ("x^2*y + x*y^2 - x*y + 1", "negative", (["7", "7"], ["1"], [], ["2", "1"], None)),
+        ("x*y - 1 - x^2 - y^2 - x^2*y^2", "positive", (["0", "0"], ["1", "1", "0"], None)),
+    ):
+        doc = _document(parse_signomial(text), CertifyConfig())
+        assert doc["tree"]["criterion"] == f"one-{sign}-coeff" and tracedoc.verify_document(doc) == []
+        for exponent in others:
+            tampered = copy.deepcopy(doc)
+            if exponent is None:
+                del tampered["tree"]["exponent"]
+            else:
+                tampered["tree"]["exponent"] = exponent
+            with _previous_replay():
+                assert tracedoc.verify_document(tampered) == []
+            assert tracedoc.verify_document(tampered) == [f"root: recorded exponent is not the one {sign} exponent"]
+
+
+# --- the length of a recorded functional ------------------------------------------
+
+REPLAY_STDIN = (
+    "import json, sys\n"
+    "from descregions import tracedoc\n"
+    "print(json.dumps(tracedoc.verify_document(json.load(sys.stdin))))\n"
+)
+
+
+def test_a_functional_of_the_wrong_length_is_rejected_by_name_under_python_O():
+    """``frame_values`` checks a functional's length itself, so a separating
+    normal with an extra entry is rejected, with its length named, also
+    under ``python -O``, which drops ``dot``'s assert."""
+    doc = _document(parse_signomial("x^2 + y^2 - x - y + 1/2*x*y - 1 + x*y"), CertifyConfig())
+    doc["tree"]["witness"]["normal"].append("5")
+    env = dict(os.environ, PYTHONPATH=str(Path(descregions.__file__).resolve().parents[1]))
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", REPLAY_STDIN], input=json.dumps(doc),
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(proc.stdout) == ["root: criterion witness is malformed: functional has 3 entries, not 2"]
 
 
 # --- recorded points off the signomial's exponent lattice ------------------------

@@ -232,14 +232,19 @@ def test_closure_trivial_signs():
 # --- negative vertices ---------------------------------------------------------
 
 
+def newton_vertex(f):
+    """``negative_vertex_functional`` on N(f)."""
+    return negative_vertex_functional(f, build_polytope(f.frame))
+
+
 def test_has_negative_vertex():
-    assert negative_vertex_functional(TEN_TERM)[0] == vec(3, 2)
-    assert negative_vertex_functional(TEN_TERM_LOWER) is None
-    assert negative_vertex_functional(Signomial.from_terms(1, [(1, (0,)), (1, (1,))])) is None
+    assert newton_vertex(TEN_TERM)[0] == vec(3, 2)
+    assert newton_vertex(TEN_TERM_LOWER) is None
+    assert newton_vertex(Signomial.from_terms(1, [(1, (0,)), (1, (1,))])) is None
 
 
 def test_negative_vertex_functional_exposes():
-    beta, u = negative_vertex_functional(TEN_TERM)
+    beta, u = newton_vertex(TEN_TERM)
     assert beta == vec(3, 2)
     for q in TEN_TERM.support:
         if q != beta:
@@ -395,7 +400,7 @@ def test_negative_vertex_functional_matches_lp(f):
         return lp.feasible(int_system(n, rows)).is_feasible
 
     expected = next((b for b in sorted(negatives(f)) if lp_vertex(b)), None)
-    found = negative_vertex_functional(f)
+    found = newton_vertex(f)
     assert (found and found[0]) == expected
     if found is not None:
         beta, u = found

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from descregions import lp
 from descregions.linalg import _Echelon, affine_rank, dot, lattice, vsub
+from descregions.check import _face_split
+from descregions.linalg import primitive_int, sign_canonical
 from descregions.polytope import (
     FacetBudgetExceededError,
     build_polytope,
-    face_exposing_normal,
     parallel_face_pairs,
     smallest_face_containing,
 )
-from descregions.signomial import negatives
+from descregions.signomial import Signomial, negatives
 
 import hull_oracle
 from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, WIDE16, vec
@@ -70,13 +71,12 @@ def test_face_in_direction():
     P = build_polytope(TEN_TERM_LOWER.frame)
     left = {vec(0, 0), vec(0, 1), vec(0, 2), vec(0, 3), vec(0, 4)}
     assert face_of(P, [vec(0, 1), vec(0, 3)]) == left
-    assert face_exposing_normal(P, [idx_of(P, vec(0, 1)), idx_of(P, vec(0, 3))]) == vec(-1, 0)
+    assert smallest_face_containing(P, [idx_of(P, vec(0, 1)), idx_of(P, vec(0, 3))])[1] == (-1, 0)
     everything = list(range(len(P.points)))
-    assert smallest_face_containing(P, everything) == (tuple(everything), False)
-    assert face_exposing_normal(P, everything) == vec(0, 0)
+    assert smallest_face_containing(P, everything) == (tuple(everything), (0, 0))
     Q = build_polytope(STRIP_PAIR.frame)
     assert face_of(Q, [vec(0, 1), vec(4, 1)]) == {vec(0, 1), vec(1, 1), vec(4, 1)}
-    assert face_exposing_normal(Q, [idx_of(Q, vec(0, 1)), idx_of(Q, vec(4, 1))]) == vec(0, 1)
+    assert smallest_face_containing(Q, [idx_of(Q, vec(0, 1)), idx_of(Q, vec(4, 1))])[1] == (0, 1)
 
 
 def test_is_vertex_examples():
@@ -106,8 +106,8 @@ def test_smallest_face_lower_restriction():
     P = build_polytope(TEN_TERM_LOWER.frame)
     neg = set(negatives(TEN_TERM_LOWER))
     neg_idx = [i for i, p in enumerate(P.points) if p in neg]
-    face, proper = smallest_face_containing(P, neg_idx)
-    assert proper
+    face, normal = smallest_face_containing(P, neg_idx)
+    assert normal == (-1, 0)
     assert {P.points[i] for i in face} == {
         vec(0, 0), vec(0, 1), vec(0, 2), vec(0, 3), vec(0, 4)
     }
@@ -115,8 +115,8 @@ def test_smallest_face_lower_restriction():
 
 def test_smallest_face_whole_polytope():
     P = build_polytope(TEN_TERM.frame)
-    face, proper = smallest_face_containing(P, list(range(len(P.points))))
-    assert not proper
+    face, normal = smallest_face_containing(P, list(range(len(P.points))))
+    assert not any(normal)
     assert face == tuple(range(len(P.points)))
 
 
@@ -124,36 +124,37 @@ def test_smallest_face_cube4_negatives():
     P = build_polytope(CUBE4.frame)
     neg = set(negatives(CUBE4))
     neg_idx = [i for i, p in enumerate(P.points) if p in neg]
-    face, proper = smallest_face_containing(P, neg_idx)
-    assert proper
+    face, normal = smallest_face_containing(P, neg_idx)
     embedded_cube = {mu for mu in CUBE4.support if mu[3] == 0}
     assert {P.points[i] for i in face} == embedded_cube
-    assert face_exposing_normal(P, neg_idx) == vec(0, 0, 0, -1)
+    assert normal == (0, 0, 0, -1) and all(type(a) is int for a in normal)
 
 
 def test_parallel_face_pairs_cube_and_strip():
     C = build_polytope(CUBE3.frame)
-    pairs = parallel_face_pairs(C, tuple(range(len(C.points))))
-    assert vec(0, 0, 1) in pairs
-    assert pairs == sorted(pairs)
+    pairs = parallel_face_pairs(C)
+    assert [v for v, _, _ in pairs] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # the upper face of each pair holds the corners with a 1 in its coordinate
+    for v, top, bottom in pairs:
+        k = v.index(1)
+        assert {C.points[i] for i in top} == {p for p in C.points if p[k] == 1}
+        assert {C.points[i] for i in bottom} == {p for p in C.points if p[k] == 0}
     Q = build_polytope(STRIP_PAIR.frame)
-    assert parallel_face_pairs(Q, tuple(range(len(Q.points)))) == [vec(0, 1)]
+    upper = tuple(i for i, p in enumerate(Q.points) if p[1] == 1)
+    lower = tuple(i for i, p in enumerate(Q.points) if p[1] == 0)
+    assert parallel_face_pairs(Q) == [((0, 1), upper, lower)]
 
 
 def test_parallel_face_pairs_triangle():
     # every facet normal of a triangle pairs the opposite vertex with its edge,
     # so all three qualify under the two-value test
     P = hull([vec(0, 0), vec(1, 0), vec(0, 1)])
-    pairs = parallel_face_pairs(P, (0, 1, 2))
-    assert pairs == [vec(0, 1), vec(1, 0), vec(1, 1)]
+    assert parallel_face_pairs(P) == [((0, 1), (2,), (0, 1)), ((1, 0), (1,), (0, 2)), ((1, 1), (1, 2), (0,))]
 
 
-def test_parallel_face_pairs_partial_support():
-    # support on one edge only: the edge normal sees a single scalar value
-    # and does not qualify, the other two normals still do
-    P = hull([vec(0, 0), vec(1, 0), vec(0, 1)])
-    pairs = parallel_face_pairs(P, (0, 1))
-    assert pairs == [vec(1, 0), vec(1, 1)]
+def test_parallel_face_pairs_of_a_point_hull():
+    """A point hull has no facets, so no parallel faces."""
+    assert parallel_face_pairs(hull([vec(1, 1)])) == []
 
 
 def test_facet_soundness_and_duality():
@@ -175,9 +176,8 @@ def test_facet_soundness_and_duality():
 def test_face_in_direction_of_facet_normal_gives_incident_set():
     P = build_polytope(TEN_TERM.frame)
     for facet in P.facets:
-        face, proper = smallest_face_containing(P, sorted(facet.incident))
-        assert proper and set(face) == set(facet.incident)
-        assert face_exposing_normal(P, sorted(facet.incident)) == facet.normal
+        face, normal = smallest_face_containing(P, sorted(facet.incident))
+        assert set(face) == set(facet.incident) and normal == facet.normal
 
 
 def _random_points(rng):
@@ -226,6 +226,71 @@ def test_duplicate_points_rejected():
         hull([vec(0, 0), vec(0, 0)])
 
 
+# --- one face query against the previous two ---------------------------------
+
+
+def previous_smallest_face_containing(P, indices):
+    """The smallest face and whether it is proper, as ``smallest_face_containing``
+    answered before it returned the exposing normal too."""
+    want = set(indices)
+    containing = [f for f in P.facets if want <= f.incident]
+    if not containing:
+        return tuple(range(len(P.points))), False
+    common = set(containing[0].incident)
+    for f in containing[1:]:
+        common &= f.incident
+    return tuple(sorted(common)), True
+
+
+def previous_face_exposing_normal(P, indices):
+    """The exposing normal from a second scan of the facets, as Fractions."""
+    want = set(indices)
+    total = [0] * len(P.points[0])
+    for f in P.facets:
+        if want <= f.incident:
+            total = [a + b for a, b in zip(total, f.normal)]
+    return tuple(map(Fraction, primitive_int(total)))
+
+
+def previous_parallel_face_pairs(P, support):
+    """The parallel-face normals alone, as Fractions; the faces were split
+    again by each caller."""
+    if P.dim < 1:
+        raise ValueError("parallel faces need dim >= 1")
+    found = set()
+    for f in P.facets:
+        values = {dot(f.normal, P.points[i]) for i in support}
+        if len(values) == 2:
+            found.add(sign_canonical(f.normal))
+    return [tuple(map(Fraction, w)) for w in sorted(found)]
+
+
+@given(point_sets(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_one_face_query_answers_as_the_previous_two(pts, data):
+    """The face, the normal and the parallel splits of one query are the
+    previous queries' answers: the same faces and normals, proper exactly
+    when the normal is nonzero, and each split's faces those of replay's
+    face split on the points."""
+    P = hull(pts)
+    everything = range(len(pts))
+    subsets = st.lists(st.sampled_from(everything), min_size=1, unique=True).map(sorted)
+    queries = [[i] for i in everything] + [list(everything)] + data.draw(st.lists(subsets, max_size=6))
+    for idx in queries:
+        face, normal = smallest_face_containing(P, idx)
+        before, proper = previous_smallest_face_containing(P, idx)
+        assert face == before and proper == any(normal)
+        assert normal == previous_face_exposing_normal(P, idx) and all(type(a) is int for a in normal)
+    pairs = parallel_face_pairs(P)
+    if P.dim < 1:
+        assert pairs == [] and P.facets == ()
+        return
+    assert [v for v, _, _ in pairs] == previous_parallel_face_pairs(P, everything)
+    rows = Signomial(len(pts[0]), (1,) * len(pts), 1, P.points)  # P's points as a frame, one term each
+    for v, top, bottom in pairs:
+        assert (top, bottom) == _face_split(rows, v)
+
+
 # --- incidences against the LP definitions ------------------------------------
 
 
@@ -255,7 +320,7 @@ def test_incidences_match_lp_definitions(pts):
     for i in everything:
         for j in range(i + 1, len(pts)):
             others = [k for k in everything if k not in (i, j)]
-            face = smallest_face_containing(P, [i, j])[0]
+            face, u = smallest_face_containing(P, [i, j])
             # the segment is a face holding no other point
             assert (face == (i, j)) == lp_exposes(pts, [i, j], others)
             # the segment is a face holding no other vertex
@@ -263,7 +328,6 @@ def test_incidences_match_lp_definitions(pts):
                 {i, j} <= vertices
                 and lp_exposes(pts, [i, j], [k for k in others if k in vertices])
             )
-            u = face_exposing_normal(P, [i, j])
             top = max(dot(u, p) for p in pts)
             assert {k for k in everything if dot(u, pts[k]) == top} == set(face)
 

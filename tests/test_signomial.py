@@ -439,3 +439,37 @@ def test_sign_views_build_only_their_own_rows(monkeypatch):
         rows = view(WIDE16)
         assert len(built) <= 16 * len(indices) < 304
         assert rows == tuple(WIDE16.support[i] for i in indices)
+
+
+def previous_evaluate_log(f, y):
+    """``evaluate_log`` on the ``terms`` view, each exponent entry and
+    coefficient a ``Fraction`` made float."""
+    total = 0.0
+    for t in f.terms:
+        e = sum(float(m) * float(c) for m, c in zip(t.exponent, y))
+        total += float(t.coefficient) * math.exp(e)
+    return total
+
+
+@given(rational_signed_supports(), st.lists(st.floats(-4, 4), min_size=4, max_size=4))
+@settings(deadline=None, max_examples=60)
+def test_evaluate_log_reads_the_frame_to_the_same_float(f, y):
+    """Each frame entry over L is the correctly rounded float of the
+    exponent entry, so the frame gives the view's float bit for bit."""
+    y = y[: f.dimension]
+    assert evaluate_log(f, y).hex() == previous_evaluate_log(f, y).hex()
+
+
+def test_evaluate_log_makes_no_fraction(monkeypatch):
+    """On WIDE16 (L = 12) the ``terms`` view made 323 Fractions per call:
+    its 19 coefficients and all 304 exponent entries."""
+    from fixtures import WIDE16
+
+    y = [0.1 * k for k in range(16)]
+    expected = previous_evaluate_log(WIDE16, y)
+    built = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or real_new(cls, *args, **kw))
+    assert evaluate_log(WIDE16, y) == expected and built == []
+    previous_evaluate_log(WIDE16, y)
+    assert len(built) == 323
