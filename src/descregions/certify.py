@@ -107,10 +107,9 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
         child2 = _certify(f2, config, depth + 1)
         if child2.outcome not in CERTIFIED_OUTCOMES:
             continue
+        # each edge end is a negative vertex of P on its own face, so both are found
         w1 = negative_vertex_functional(f1, P, face1)
         w2 = negative_vertex_functional(f2, P, face2)
-        if w1 is None or w2 is None:  # cannot hold: the edge ends are such vertices
-            continue
         return Certificate(
             KIND_PARALLEL_SPLIT,
             CERTIFIED_EXACTLY_ONE,

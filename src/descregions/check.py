@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import IntVector, Vector, dot, is_zero, lattice, primitive_int, vneg
-from .signomial import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, Signomial, newton_dim, restrict_indices
+from .signomial import MAX_EXPONENT_DIGITS, Signomial, exceeds_cap, newton_dim, restrict_indices
 
 # outcomes
 CERTIFIED_EMPTY = "CertifiedEmpty"
@@ -364,7 +364,7 @@ def _simplex_shape_error(f: Signomial, w: SimplexWitness) -> Optional[str]:
     if any(len(p) != f.dimension for p in w.vertices):
         return "simplex vertices do not match the signomial dimension"
     for a in (a for p in w.vertices for a in p):
-        if abs(a.numerator) >= EXPONENT_BOUND or a.denominator >= EXPONENT_BOUND:
+        if exceeds_cap(a):
             return f"simplex vertex entry has more than {MAX_EXPONENT_DIGITS} digits"
         if f.scale % a.denominator:
             return f"simplex vertex entry {a} is off the signomial's exponent lattice (L = {f.scale})"

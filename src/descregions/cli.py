@@ -217,11 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify connectivity of the negative region of a sparse signomial.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = CertifyConfig()
 
     p = sub.add_parser("certify", help="run the recursive certification")
     p.add_argument("file", help="polynomial file (or trace JSON with --verify-trace)")
-    p.add_argument("--max-depth", type=int, default=64)
-    p.add_argument("--facet-budget", type=int, default=10000)
+    p.add_argument("--max-depth", type=int, default=defaults.max_depth)
+    p.add_argument("--facet-budget", type=int, default=defaults.facet_budget)
     p.add_argument("--enable-simplex-search", action="store_true")
     p.add_argument("--enable-box", action="store_true")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="support and Newton polytope statistics")
     p.add_argument("file")
-    p.add_argument("--facet-budget", type=int, default=10000)
+    p.add_argument("--facet-budget", type=int, default=defaults.facet_budget)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plot", help="SVG of the negative region (two variables)")

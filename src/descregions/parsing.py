@@ -32,15 +32,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
-from .signomial import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, Signomial
-
-Number = Union[int, Fraction]
+from .signomial import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS, MAX_VARIABLE_INDEX, Number, Signomial, exceeds_cap  # noqa: F401
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
-MAX_VARIABLE_INDEX = 1000
-MAX_TERMS = 1000
 
 # whitespace, then one token: 1 a number, 2 a name, 3 an operator, 4 a bad character
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z]\w*)|([-+*^()/])|(\S))")
@@ -203,7 +199,7 @@ class _Parser:
                 continue
             break
         for var, power in exponents.items():
-            if abs(power.numerator) >= EXPONENT_BOUND or power.denominator >= EXPONENT_BOUND:
+            if exceeds_cap(power):
                 raise self.error(f"merged exponent of x{var} has more than {MAX_EXPONENT_DIGITS} digits", start)
         return coeff, exponents
 

@@ -7,9 +7,10 @@ log coordinates (``x = exp(y)``) in floating point.
 
 A ``Signomial`` stores its exponents once, as its lattice frame: the scale
 L (the lcm of their denominators) and the exponent rows times L as ints,
-built once, from ints, on every way in.  The search and replay read only
-the frame, restrict by term index and look a rational point up with
-``term_index`` (None off f's lattice).  Rational exponents are made only
+which every way in hands to the one constructor; it keeps the least scale,
+dividing L and the rows by the gcd of L and every entry.  The search and
+replay read only the frame, restrict by term index and look a rational
+point up with ``term_index`` (None off f's lattice).  Rational exponents are made only
 where a point leaves: ``exponent(i)`` for a witness (the row itself when
 L = 1), and the ``terms`` and ``support`` views (row / L as Fractions).
 """
@@ -26,12 +27,20 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 from .linalg import IntVector, Vector, affine_rank, lattice, vector
 
 DEFAULT_TOLERANCE_FACTOR = 1e-12
-# text, trace input and simplex witness vertices hold every exponent entry's
-# reduced numerator and denominator below EXPONENT_BOUND
+# the caps of every way in: text, trace input and simplex witness vertices
+# hold every exponent entry's reduced numerator and denominator below
+# EXPONENT_BOUND (``exceeds_cap``, the one test of an entry); text and trace
+# input have at most MAX_TERMS terms in at most MAX_VARIABLE_INDEX variables
 MAX_EXPONENT_DIGITS = 6
 EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
+MAX_VARIABLE_INDEX = 1000
+MAX_TERMS = 1000
 
 Number = Union[int, Fraction]
+
+
+def exceeds_cap(a: Number) -> bool:
+    return abs(a.numerator) >= EXPONENT_BOUND or a.denominator >= EXPONENT_BOUND
 
 
 @dataclass(frozen=True)
@@ -46,9 +55,9 @@ class Term:
 class Signomial:
     """Immutable signomial: ``frame`` holds the exponent vectors times
     ``scale`` L as ints, sorted (the exponents' order, as L > 0) and
-    distinct, and ``coefficients`` the nonzero coefficients (ints or
-    Fractions) in that order.  The sign indices are derived, so equality,
-    hashing and repr do not see them."""
+    distinct, on the least L, and ``coefficients`` the nonzero coefficients
+    (ints or Fractions) in that order.  The sign indices are derived, so
+    equality, hashing and repr do not see them."""
 
     dimension: int
     coefficients: Tuple[Number, ...]
@@ -73,8 +82,10 @@ class Signomial:
             raise ValueError("exponent vectors must be pairwise distinct")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
-        if self.scale > 1 and math.gcd(self.scale, *(a for row in frame for a in row)) > 1:
-            raise ValueError("scale is not the least: it shares a factor with every frame entry")
+        g = math.gcd(self.scale, *(a for row in frame for a in row)) if self.scale > 1 else 1
+        if g > 1:  # keep the least scale
+            object.__setattr__(self, "scale", self.scale // g)
+            object.__setattr__(self, "frame", tuple([tuple([a // g for a in row]) for row in frame]))
         # a coefficient's sign is its numerator's (an int or a Fraction)
         negative = [c.numerator < 0 for c in coefficients]
         object.__setattr__(self, "negative_indices", tuple(i for i, neg in enumerate(negative) if neg))
@@ -84,15 +95,14 @@ class Signomial:
     def of_terms(cls, dimension: int, terms: Iterable[Term]) -> "Signomial":
         """The signomial of terms sorted by exponent and distinct."""
         terms = tuple(terms)
-        scale, frame = lattice([t.exponent for t in terms])
-        return cls(dimension, tuple(t.coefficient for t in terms), scale, frame)
+        return cls(dimension, tuple(t.coefficient for t in terms), *lattice([t.exponent for t in terms]))
 
     @staticmethod
     def from_terms(dimension: int, pairs: Iterable[tuple]) -> "Signomial":
         """Build from (coefficient, exponent) pairs of ints and Fractions,
         merging repeated exponents and dropping terms that cancel to zero,
         on the pairs' lattice frame: the survivors keep their rows, shrunk
-        when a cancelled term carried the largest denominator."""
+        by the constructor when a cancelled term carried the largest one."""
         coeffs, rows = [], []
         for coeff, exp in pairs:
             row = tuple(exp)
@@ -105,7 +115,7 @@ class Signomial:
         for key, c in zip(keys, coeffs):
             acc[key] = acc[key] + c if key in acc else c
         kept = [key for key in sorted(acc) if acc[key] != 0]
-        return Signomial(dimension, tuple(map(acc.__getitem__, kept)), *_shrink(scale, kept))
+        return Signomial(dimension, tuple(map(acc.__getitem__, kept)), scale, tuple(kept))
 
     @property
     def terms(self) -> Tuple[Term, ...]:
@@ -176,21 +186,10 @@ def restrict(f: Signomial, exponents: Iterable[Sequence]) -> Signomial:
 
 def restrict_indices(f: Signomial, indices: Iterable[int]) -> Signomial:
     """Restriction of f to the terms at the given increasing indices, framed
-    by f's frame rows at those indices, shrunk to the child's own scale."""
+    by f's frame rows at those indices, shrunk by the constructor."""
     indices = tuple(indices)
-    rows = [f.frame[i] for i in indices]
-    return Signomial(f.dimension, tuple([f.coefficients[i] for i in indices]), *_shrink(f.scale, rows))
-
-
-def _shrink(scale: int, rows: Sequence[IntVector]) -> Tuple[int, Tuple[IntVector, ...]]:
-    """The frame of points given as int rows on a frame of scale L, at the
-    points' own least scale: with g the gcd of L and every entry, that is
-    L // g (the lcm of the denominators of the entries over L), and the rows
-    are divided by g.  With L = 1 the rows are kept as they are."""
-    g = math.gcd(scale, *(a for row in rows for a in row)) if scale != 1 else 1
-    if g == 1:
-        return scale, tuple(rows)
-    return scale // g, tuple([tuple([a // g for a in row]) for row in rows])
+    rows = tuple([f.frame[i] for i in indices])
+    return Signomial(f.dimension, tuple([f.coefficients[i] for i in indices]), f.scale, rows)
 
 
 def newton_dim(f: Signomial) -> int:

@@ -10,9 +10,10 @@ denominator of at least 2.  Any other spelling (a JSON number, ``"+2"``,
 Each distinct spelling is read once per document, an integer to an int
 and a ratio to a Fraction.  The input is read under the text format's caps
 (a dimension in 1..MAX_VARIABLE_INDEX, checked before any term is read; each
-exponent spelling capped once) onto its lattice frame: L is the lcm of the
-denominators and each entry num * (L // den), so an integral trace makes no
-Fraction for an exponent entry.  The input is written from the frame.
+distinct exponent entry checked once, by ``exceeds_cap``); its rows go
+through ``lattice`` to the constructor, as in ``Signomial.of_terms``, so an
+integral trace makes no Fraction for an exponent entry.  The input is
+written from the frame.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional, Tuple, Union
 
 from .check import (
@@ -46,8 +47,8 @@ from .check import (
     SimplexWitness,
     verify_certificate,
 )
-from .parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS, MAX_VARIABLE_INDEX
-from .signomial import Signomial
+from .linalg import lattice
+from .signomial import MAX_EXPONENT_DIGITS, MAX_TERMS, MAX_VARIABLE_INDEX, Signomial, exceeds_cap
 
 SCHEMA_VERSION = 1
 
@@ -121,22 +122,16 @@ def _signomial(data: dict, q: _Rationals) -> Signomial:
         raise ValueError(f"dimension {dimension} is not in 1..{MAX_VARIABLE_INDEX}")
     if len(data["terms"]) > MAX_TERMS:
         raise ValueError(f"more than {MAX_TERMS} terms")
-    coefficients, spelled = [], []
-    ints = {}  # exponent spelling -> (numerator, denominator), each capped once
+    coefficients, rows, capped = [], [], set()  # capped: the distinct exponent entries within the caps
     for t in data["terms"]:
-        spellings = t["exponent"]
-        for s, value in zip(spellings, _unvec(spellings, q)):
-            if s not in ints:
-                num, den = value.numerator, value.denominator
-                if abs(num) >= EXPONENT_BOUND or den >= EXPONENT_BOUND:
-                    raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
-                ints[s] = num, den
+        row = _unvec(t["exponent"], q)
+        fresh = set(row) - capped
+        if any(map(exceeds_cap, fresh)):
+            raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
+        capped |= fresh
         coefficients.append(q[t["coefficient"]])
-        spelled.append(spellings)
-    scale = lcm(*(den for _, den in ints.values()))
-    entry = {s: num * (scale // den) for s, (num, den) in ints.items()}
-    frame = tuple([tuple(map(entry.__getitem__, v)) for v in spelled])
-    return Signomial(dimension, tuple(coefficients), scale, frame)
+        rows.append(row)
+    return Signomial(dimension, tuple(coefficients), *lattice(rows))
 
 
 def config_to_json(config: CertifyConfig) -> dict:

@@ -111,3 +111,15 @@ def wide_vertex_document(digits: int = 600, n: int = 16, seed: int = 0) -> dict:
     rng = random.Random(seed)
     low = 10 ** (digits - 1)
     return _simplex_document([[rng.randrange(low, 10 * low) for _ in range(n)] for _ in range(n + 1)])
+
+
+def simplex_walk_text(terms: int = 80) -> str:
+    """Two variables, positives at the corners of [0, 40]^2 and ``terms - 4``
+    points of the interior grid {4, 8, ..., 36}^2 in row-major order, every
+    7th one negative.  Every vertex of the Newton polygon is positive, so
+    negatives-inside needs no vertex and the simplex search walks all
+    C(terms, 3) combinations; none certifies."""
+    corners = [(0, 0), (0, 40), (40, 0), (40, 40)]
+    inner = [(4 * a, 4 * b) for b in range(1, 10) for a in range(1, 10)][: terms - 4]
+    signed = [("+", p) for p in corners] + [("-" if i % 7 == 6 else "+", p) for i, p in enumerate(inner)]
+    return " ".join(f"{s} x1^{a}*x2^{b}" for s, (a, b) in signed).lstrip("+ ")

@@ -17,6 +17,7 @@ from adversarial import (
     parabola_text,
     prime_denominator_text,
     prime_vertex_document,
+    simplex_walk_text,
     wide_vertex_document,
 )
 
@@ -58,6 +59,25 @@ def test_simplex_search_walks_nothing_when_no_combination_holds_the_vertices(mon
     monkeypatch.setattr(criteria, "simplex_halfspaces", lambda points: derived.append(points) or simplex_halfspaces(points))
     assert _simplex_search(f, CertifyConfig(enable_simplex_search=True)) is None
     assert walks == [] and derived == []
+
+
+def test_simplex_search_declines_at_its_budget(monkeypatch):
+    """At 80 terms every one of the C(80, 3) = 82,160 combinations holds the
+    vertices (all positive) and none certifies; the search derives
+    SIMPLEX_SEARCH_BUDGET of them and declines, where it once derived all
+    of them in 2.7 s.  At 20 terms it derives all C(20, 3) = 1,140, as
+    before, and finds nothing either."""
+    derived = []
+    simplex_halfspaces = criteria.simplex_halfspaces
+    monkeypatch.setattr(criteria, "simplex_halfspaces", lambda points: derived.append(1) or simplex_halfspaces(points))
+    config = CertifyConfig(enable_simplex_search=True)
+    for terms, walked in ((20, 1_140), (80, criteria.SIMPLEX_SEARCH_BUDGET)):
+        derived.clear()
+        f = parse_signomial(simplex_walk_text(terms))
+        assert len(f.frame) == terms
+        assert _simplex_search(f, config) is None
+        assert len(derived) == walked
+    assert criteria.SIMPLEX_SEARCH_BUDGET < 82_160
 
 
 def test_enclosing_search_at_the_budget_is_bounded(pivots):

@@ -67,7 +67,7 @@ def _package_imports(module: str) -> set:
 
 def test_replay_imports_no_search():
     assert _package_imports("check") <= {"linalg", "signomial"}
-    assert _package_imports("tracedoc") <= {"check", "parsing", "signomial"}
+    assert _package_imports("tracedoc") <= {"check", "linalg", "signomial"}
 
 
 def test_every_witness_check_is_defined_in_the_checker():
@@ -547,3 +547,154 @@ def test_recorded_points_off_the_lattice_are_named():
     assert {site for site, rational in seen if rational} >= {
         ("edge", "beta1"), ("edge", "beta2"), ("child_nonempty", "point"), ("face", None)
     }
+
+
+# --- every named rejection, each from one mutation ----------------------------------
+
+
+def _trace(text: str, config=CertifyConfig()) -> dict:
+    return _document(parse_signomial(text), config)
+
+
+def _retree(text: str, tree: dict) -> dict:
+    """The trace of text with its tree replaced, the document's outcome the
+    tree's."""
+    doc = _trace(text)
+    doc["tree"] = tree
+    doc["outcome"] = tree["outcome"]
+    return doc
+
+
+def _reoutcome(doc: dict, outcome: str) -> dict:
+    """doc with the root's outcome changed, and the document's with it."""
+    doc["tree"]["outcome"] = doc["outcome"] = outcome
+    return doc
+
+
+def _criterion(kind: str, nonempty: bool, outcome: str, **fields) -> dict:
+    return {"kind": "criterion", "outcome": outcome, "criterion": kind, "nonempty": nonempty, **fields}
+
+
+def _one_coefficient_at_many(sign: str) -> dict:
+    """TEN_TERM_UPPER's trace with a one-coefficient criterion of a sign it
+    has several terms of, recording the first of them."""
+    doc = _trace(fixtures.TEN_TERM_UPPER_TEXT)
+    f = tracedoc.signomial_from_json(doc["input"])
+    i = (f.negative_indices if sign == "negative" else f.positive_indices)[0]
+    nonempty = sign == "positive"
+    exponent = [str(a) for a in f.exponent(i)]
+    outcome = "CertifiedExactlyOne" if nonempty else "CertifiedAtMostOne"
+    return _retree(fixtures.TEN_TERM_UPPER_TEXT, _criterion(f"one-{sign}-coeff", nonempty, outcome, exponent=exponent))
+
+
+def _not_proper() -> dict:
+    """x^2 - x*y + y^2 lies on the line x + y = 2: the normal (1, 1) exposes
+    the whole support, which the negative-face node records as its face."""
+    text = "x^2 - x*y + y^2"
+    child = _trace(text)["tree"]
+    face = [["0", "2"], ["1", "1"], ["2", "0"]]
+    tree = {"kind": "negative-face-reduction", "outcome": child["outcome"], "normal": ["1", "1"], "face": face, "children": [child]}
+    return _retree(text, tree)
+
+
+def _swapped_box_ends() -> dict:
+    doc = _trace(fixtures.BOX_TEXT, FLAGGED)
+    w = doc["tree"]["witness"]
+    w["beta1"], w["beta2"] = w["beta2"], w["beta1"]
+    return doc
+
+
+def _upper_child_inconclusive() -> dict:
+    doc = _trace(fixtures.CUBE3_TEXT)
+    doc["tree"]["children"][0] = {"kind": "inconclusive", "outcome": "Inconclusive", "reason": "not searched"}
+    return doc
+
+
+def _tilted_split() -> dict:
+    doc = _trace(fixtures.CUBE3_TEXT)
+    assert doc["tree"]["normal"] != ["1", "1", "1"]
+    doc["tree"]["normal"] = ["1", "1", "1"]
+    return doc
+
+
+def _renamed_kind() -> dict:
+    doc = _trace(fixtures.PERFECT_SQUARE_TEXT)
+    doc["tree"]["kind"] = "bogus"
+    return doc
+
+
+def _flipped_flag() -> dict:
+    """A strict separating criterion recorded as not certifying nonemptiness,
+    its outcome made to match the flag."""
+    doc = _reoutcome(_trace(fixtures.TEN_TERM_UPPER_TEXT), "CertifiedAtMostOne")
+    doc["tree"]["nonempty"] = False
+    return doc
+
+
+_SIMPLEX_ON_A_LINE = {"vertices": [["0", "0"], ["1", "1"], ["2", "2"]], "mode": "negatives-inside"}
+
+# the error replay names -> the document that makes it (a valid trace with
+# one part changed), each the one error of its document
+NAMED_REJECTIONS = {
+    "root: nonempty flag inconsistent with kind strict-separating": _flipped_flag,
+    "root: negative support is not empty": lambda: _retree(
+        fixtures.PERFECT_SQUARE_TEXT, _criterion("no-negative-terms", False, "CertifiedEmpty")
+    ),
+    "root: positive support is not empty": lambda: _retree(
+        fixtures.PERFECT_SQUARE_TEXT, _criterion("no-positive-terms", True, "CertifiedExactlyOne")
+    ),
+    "root: negative coefficient count is not one": lambda: _one_coefficient_at_many("negative"),
+    "root: positive coefficient count is not one": lambda: _one_coefficient_at_many("positive"),
+    "root: Newton polytope dimension below two": lambda: _retree(
+        fixtures.NEG_QUADRATIC_TEXT, _criterion("one-positive-coeff", True, "CertifiedExactlyOne", exponent=["1"])
+    ),
+    "root: degenerate simplex witness": lambda: _retree(
+        fixtures.TEN_TERM_UPPER_TEXT,
+        _criterion("simplex-negatives-inside", False, "CertifiedAtMostOne", witness=_SIMPLEX_ON_A_LINE),
+    ),
+    "root: unknown criterion kind 'bogus'": lambda: _retree(
+        fixtures.PERFECT_SQUARE_TEXT, _criterion("bogus", False, "CertifiedAtMostOne")
+    ),
+    "root: box endpoints on wrong sides": _swapped_box_ends,
+    "root: empty node but f has negative terms": lambda: _retree(
+        fixtures.PERFECT_SQUARE_TEXT, {"kind": "empty", "outcome": "CertifiedEmpty"}
+    ),
+    "root: empty node must be CertifiedEmpty": lambda: _reoutcome(_trace("1 + x"), "CertifiedAtMostOne"),
+    "root: inconclusive node with a certified outcome": lambda: _reoutcome(
+        _trace(fixtures.ENCLOSED_TEXT), "CertifiedAtMostOne"
+    ),
+    "root: criterion outcome mismatch": lambda: _reoutcome(_trace(fixtures.TEN_TERM_UPPER_TEXT), "CertifiedAtMostOne"),
+    "root: face is not proper": _not_proper,
+    "root: outcome does not match the child outcome": lambda: _reoutcome(
+        _trace(fixtures.CUBE4_TEXT), "CertifiedAtMostOne"
+    ),
+    "root: support does not lie on two parallel faces of the recorded normal": _tilted_split,
+    "root: parallel split must certify exactly one component": lambda: _reoutcome(
+        _trace(fixtures.CUBE3_TEXT), "CertifiedAtMostOne"
+    ),
+    "root: upper child is not certified with a nonempty-compatible outcome": _upper_child_inconclusive,
+}
+
+
+def test_every_named_rejection_is_reached():
+    """Each named rejection of replay, from one deterministic change to a
+    valid trace, is the one error of ``verify_certificate`` on the decoded
+    certificate and of ``verify_document`` on the document."""
+    for message, make in NAMED_REJECTIONS.items():
+        doc = make()
+        f = tracedoc.signomial_from_json(doc["input"])
+        cert = tracedoc.certificate_from_json(doc["tree"])
+        assert check.verify_certificate(f, cert) == [message]
+        assert tracedoc.verify_document(doc) == [message]
+
+
+def test_rejections_no_trace_carries_are_named():
+    """A criterion node without its payload and a node of an unknown kind
+    are named by ``verify_certificate``; the reader refuses an unknown kind
+    in a document as malformed."""
+    f = fixtures.PERFECT_SQUARE
+    bare = check.Certificate(check.KIND_CRITERION, check.CERTIFIED_AT_MOST_ONE)
+    assert check.verify_certificate(f, bare) == ["root: criterion node without criterion payload"]
+    bogus = check.Certificate("bogus", check.INCONCLUSIVE)
+    assert check.verify_certificate(f, bogus) == ["root: unknown certificate kind 'bogus'"]
+    assert tracedoc.verify_document(_renamed_kind()) == ["malformed document: unknown certificate kind 'bogus'"]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from descregions import cli
+from descregions.check import CertifyConfig
 from descregions.cli import main
 from descregions.parsing import MAX_EXPONENT_DIGITS, MAX_TERMS
 
@@ -47,6 +49,20 @@ def test_certify_exit_codes(poly, capsys):
     empty = poly("empty.poly", "")
     code, _, err = run(capsys, "certify", empty)
     assert code == 1 and "error" in err
+
+
+def test_parser_defaults_are_the_config_defaults(monkeypatch):
+    """``--max-depth`` and both ``--facet-budget`` options default to
+    ``CertifyConfig``'s fields, so a trace written with no options records
+    the library's defaults, also once those change."""
+    defaults = CertifyConfig()
+    certify, analyze = (cli.build_parser().parse_args([command, "in.poly"]) for command in ("certify", "analyze"))
+    assert (certify.max_depth, certify.facet_budget, analyze.facet_budget) == (
+        defaults.max_depth, defaults.facet_budget, defaults.facet_budget
+    )
+    monkeypatch.setattr(cli, "CertifyConfig", lambda **kw: CertifyConfig(**{"max_depth": 7, "facet_budget": 99, **kw}))
+    certify, analyze = (cli.build_parser().parse_args([command, "in.poly"]) for command in ("certify", "analyze"))
+    assert (certify.max_depth, certify.facet_budget, analyze.facet_budget) == (7, 99, 99)
 
 
 def test_certify_text_format(poly, capsys):

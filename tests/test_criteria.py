@@ -203,6 +203,21 @@ def test_box_criterion_box_fixture():
     assert verify_criterion(BOX_F, cert) is None
 
 
+def test_box_criterion_self_checks_its_witness(monkeypatch):
+    """A segment separator that fails replay is never handed out: with the
+    segment LP's witness negated, replay would say the separator is not
+    strict on the endpoints, and the search raises instead."""
+    real = lp.separate_segment_from_hull
+
+    def negated(*args):
+        res = real(*args)
+        return res if not res.is_feasible else lp.FeasibilityResult(tuple(-x for x in res.witness))
+
+    monkeypatch.setattr(lp, "separate_segment_from_hull", negated)
+    with pytest.raises(RuntimeError, match="box witness failed re-verification"):
+        check_box_criterion(BOX_F)
+
+
 def test_box_criterion_none_for_ten_term():
     assert check_box_criterion(TEN_TERM) is None
 

@@ -221,9 +221,9 @@ def test_frame_check_keeps_its_messages():
 
 
 def test_each_signomial_is_framed_once(monkeypatch):
-    """One ``lattice`` call per parse, and none to restrict an integral
-    signomial or to read an integral trace: those build on the frame rows
-    they already hold."""
+    """One ``lattice`` call per parse and per read of an integral trace, and
+    none to restrict an integral signomial: that builds on the frame rows it
+    already holds."""
     calls = []
     real = lattice
     for module in (signomial, tracedoc):
@@ -233,9 +233,10 @@ def test_each_signomial_is_framed_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     child = restrict_indices(f, [0, 2])
+    assert calls == []
     document = tracedoc.signomial_to_json(f)
     read = tracedoc.signomial_from_json(document)
-    assert calls == []
+    assert len(calls) == 1
     assert child.frame == (f.frame[0], f.frame[2]) and read == f and read.frame == f.frame
 
 
@@ -394,22 +395,23 @@ def _strings(node):
 
 
 def test_scale_must_be_the_least():
-    """The constructor refuses a scale below 1, and for L > 1 a frame whose
-    entries all share a factor with L: x^1 on the frame of scale 2 would
-    compare unequal to x^1 on its least frame."""
+    """The constructor refuses a scale below 1, and for L > 1 keeps a frame
+    whose entries all share a factor g with L on the least scale, L and the
+    rows divided by g: x^1 on the frame of scale 2 is x^1 on its least
+    frame, equal and hashing alike."""
     with pytest.raises(ValueError, match="scale must be >= 1"):
         Signomial(1, (1,), 0, ((1,),))
     with pytest.raises(ValueError, match="scale must be >= 1"):
         Signomial(1, (1,), -1, ((1,),))
-    with pytest.raises(ValueError, match="scale is not the least"):
-        Signomial(1, (1,), 2, ((2,),))
-    with pytest.raises(ValueError, match="scale is not the least"):
-        Signomial(2, (1, -1), 6, ((0, 2), (4, 6)))
-    with pytest.raises(ValueError, match="scale is not the least"):
-        Signomial(1, (), 3, ())
+    f, least = Signomial(1, (1,), 2, ((2,),)), Signomial.from_terms(1, [(1, (1,))])
+    assert f == least and hash(f) == hash(least) and (f.scale, f.frame) == (1, ((1,),))
+    g = Signomial(2, (1, -1), 6, ((0, 2), (4, 6)))
+    assert (g.scale, g.frame) == (3, ((0, 1), (2, 3)))
+    assert g == Signomial.from_terms(2, [(1, (0, F(1, 3))), (-1, (F(2, 3), 1))])
+    assert (Signomial(1, (), 3, ()).scale, Signomial(1, (), 3, ()).frame) == (1, ())
     # gcd(6, 2, 3) = 1: each entry may share a factor with L on its own
     f = Signomial(2, (1, -1), 6, ((0, 2), (3, 6)))
-    assert f == Signomial.from_terms(2, [(1, (0, F(1, 3))), (-1, (F(1, 2), 1))])
+    assert f.scale == 6 and f == Signomial.from_terms(2, [(1, (0, F(1, 3))), (-1, (F(1, 2), 1))])
     assert Signomial(1, (1,), 1, ((2,),)).support == ((F(2),),)
 
 
