@@ -44,14 +44,7 @@ from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certifica
     verify_certificate,
 )
 from .criteria import check_connectivity, negative_vertex_functional
-from .polytope import (
-    FacetBudgetExceededError,
-    Polytope,
-    build_polytope,
-    lazy_hull,
-    parallel_face_pairs,
-    smallest_face_containing,
-)
+from .polytope import Polytope, build_polytope, lazy_hull, parallel_face_pairs, smallest_face_containing
 from .signomial import Signomial, restrict_indices
 
 
@@ -65,7 +58,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     """The certificate of one node.  N(f) is built at most once, when the
     simplex search or the face scan first needs it; faces are found by term
     index on the hull and on f's lattice frame, and children are restricted
-    by index."""
+    by index.  Past the depth or facet budget the node is Inconclusive."""
     if depth > config.max_depth:
         return Certificate(
             KIND_INCONCLUSIVE, INCONCLUSIVE, reason=f"recursion depth exceeded {config.max_depth}"
@@ -79,10 +72,11 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
 
-    try:
-        P = newton()
-    except FacetBudgetExceededError as exc:
-        return Certificate(KIND_INCONCLUSIVE, INCONCLUSIVE, reason=str(exc))
+    P = newton()
+    if P is None:
+        return Certificate(
+            KIND_INCONCLUSIVE, INCONCLUSIVE, reason=f"facet count exceeded budget of {config.facet_budget}"
+        )
 
     # P is built from f.frame, so its point indices are f's term indices
     face_idx, normal = smallest_face_containing(P, neg_idx)

@@ -429,23 +429,31 @@ def verify_criterion(f: Signomial, cert: CriterionCertificate) -> Optional[str]:
             return "degenerate simplex witness"
         return None if ok else "simplex witness does not verify"
     if cert.kind == BOX:
-        w = cert.witness
-        e = w.enclosing
+        e = cert.witness.enclosing
         if not verify_enclosing_pair(f, e.normal, e.upper, e.lower, strict=True):
             return "enclosing pair does not verify"
-        i, j = f.term_index(w.beta1), f.term_index(w.beta2)
-        if i not in neg or j not in neg:
-            return "box endpoints are not negative exponents"
-        values, (a, b) = frame_values(f, e.normal, e.upper, e.lower)
-        if values[i] < a or values[j] > b:
-            return "box endpoints on wrong sides"
-        values, (c,) = frame_values(f, w.separator_normal, w.separator_offset)
-        if values[i] <= c or values[j] <= c:
-            return "segment separator not strict on endpoints"
-        if any(values[k] > c for k in pos):
-            return "segment separator fails on a positive exponent"
-        return None
+        return _box_error(f, cert.witness)
     return f"unknown criterion kind {cert.kind!r}"
+
+
+def _box_error(f: Signomial, w: BoxWitness) -> Optional[str]:
+    """Why the box's own conditions fail, on an enclosing pair that
+    verifies, or None: both ends are negative exponents on the pair's two
+    outer sides, strictly above the segment separator, and every positive
+    lies on or below it."""
+    i, j = f.term_index(w.beta1), f.term_index(w.beta2)
+    if i not in f.negative_indices or j not in f.negative_indices:
+        return "box endpoints are not negative exponents"
+    e = w.enclosing
+    values, (a, b) = frame_values(f, e.normal, e.upper, e.lower)
+    if values[i] < a or values[j] > b:
+        return "box endpoints on wrong sides"
+    values, (c,) = frame_values(f, w.separator_normal, w.separator_offset)
+    if values[i] <= c or values[j] <= c:
+        return "segment separator not strict on endpoints"
+    if any(values[k] > c for k in f.positive_indices):
+        return "segment separator fails on a positive exponent"
+    return None
 
 
 # ---------------------------------------------------------------------------

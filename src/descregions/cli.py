@@ -31,14 +31,8 @@ from .check import (
 from .criteria import closure_property, find_strict_separating_hyperplane
 from .oracle import GridBudgetExceededError, count_negative_components, default_grid
 from .parsing import ParseError, parse_signomial
-from .polytope import (
-    FacetBudgetExceededError,
-    build_polytope,
-    lazy_hull,
-    parallel_face_pairs,
-    smallest_face_containing,
-)
-from .signomial import Signomial, newton_dim
+from .polytope import build_polytope, lazy_hull, parallel_face_pairs, smallest_face_containing
+from .signomial import DEFAULT_TOLERANCE_FACTOR, Signomial, newton_dim
 from .svgplot import PlotUnsupportedError, render_region_svg
 
 # a number of the polynomial text: sign, digits, then a decimal part or a denominator
@@ -145,17 +139,17 @@ def _cmd_oracle(args) -> int:
 def _cmd_analyze(args) -> int:
     f, _ = _read_signomial(args.file)
     neg = f.negative_indices
+    newton = lazy_hull(lambda: build_polytope(f.frame, args.facet_budget))
+    P = newton()
     report = {
         "dimension": f.dimension,
         "term_count": len(f.frame),
         "positive_count": len(f.positive_indices),
         "negative_count": len(neg),
         "newton_dim": newton_dim(f),
-        "facet_budget_exceeded": False,
+        "facet_budget_exceeded": P is None,
     }
-    newton = lazy_hull(lambda: build_polytope(f.frame, args.facet_budget))
-    try:
-        P = newton()
+    if P is not None:
         report["vertex_count"] = len(P.vertices)
         report["facet_count"] = len(P.facets)
         if neg:
@@ -167,8 +161,6 @@ def _cmd_analyze(args) -> int:
         else:
             report["smallest_negative_face"] = None
         report["parallel_face_pairs"] = [[str(c) for c in v] for v, _, _ in parallel_face_pairs(P)]
-    except FacetBudgetExceededError:
-        report["facet_budget_exceeded"] = True
     separating = cache(lambda: find_strict_separating_hyperplane(f))
     sep = separating()
     report["strict_separating"] = None if sep is None else {
@@ -176,11 +168,7 @@ def _cmd_analyze(args) -> int:
         "offset": str(sep.offset),
         "strict_point": [str(c) for c in sep.strict_point],
     }
-    try:
-        report["closure_property"] = closure_property(f, args.facet_budget, newton, separating)
-    except FacetBudgetExceededError:
-        report["closure_property"] = None
-        report["facet_budget_exceeded"] = True
+    report["closure_property"] = closure_property(f, args.facet_budget, newton, separating)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -233,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--box", help="log-space box: 'lo,hi' or per-axis 'lo,hi;lo,hi'")
     p.add_argument("--grid", type=int, default=None, help="samples per axis")
-    p.add_argument("--tol", type=float, default=1e-12, help="relative sign tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE_FACTOR, help="relative sign tolerance")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("analyze", help="support and Newton polytope statistics")

@@ -1,7 +1,9 @@
 """Single-shot connectivity criteria on the signed support.
 
 Each criterion either certifies that the negative region has at most one
-connected component (some additionally certify it is nonempty) or declines.
+connected component (some additionally certify it is nonempty) or declines,
+returning None, also past its budget; a Newton polytope past the facet
+budget is None as well.
 ``check_connectivity`` runs them in a fixed order and returns the first
 certificate; all returned witnesses re-verify under the exact ``verify_*``
 checks of ``check``, the ones replay runs, before being handed out.  The
@@ -36,6 +38,7 @@ from .check import (
     EnclosingWitness,
     SeparatingWitness,
     SimplexWitness,
+    _box_error,
     _simplex_holds,
     frame_values,
     simplex_halfspaces,
@@ -44,17 +47,13 @@ from .check import (
     verify_separating_hyperplane,
 )
 from .linalg import Vector, dot
-from .polytope import FacetBudgetExceededError, Polytope, build_polytope, smallest_face_containing
+from .polytope import Polytope, build_polytope, smallest_face_containing
 from .signomial import Signomial, newton_dim
 
 
 # Combinations one simplex search derives before it declines: far above the
 # most a search derives (21 on the lowdim corpora, 56 on fixtures, 120 in tests).
 SIMPLEX_SEARCH_BUDGET = 5_000
-
-
-class EnclosingBudgetExceededError(RuntimeError):
-    """The enclosing-pair search would enumerate too many side assignments."""
 
 
 def _unframe(f: Signomial, w: Vector) -> Vector:
@@ -119,17 +118,12 @@ def find_strict_enclosing_pair(
     only m and its complement, which are never tried again, so it is not
     kept: at the budget of 12 negatives every certificate is of that kind.
 
-    The rows are taken from f's lattice frame.  Raises
-    EnclosingBudgetExceededError when the negative count exceeds
-    ``max_negatives``.
+    The rows are taken from f's lattice frame.  Past ``max_negatives``
+    negatives the search declines (None), as it does below two.
     """
     neg, pos = f.negative_indices, f.positive_indices
     k = len(neg)
-    if k > max_negatives:
-        raise EnclosingBudgetExceededError(
-            f"{k} negative exponents exceed the side-assignment budget {max_negatives}"
-        )
-    if k < 2:
+    if not 2 <= k <= max_negatives:
         return None
     n = f.dimension
     frame = f.frame
@@ -166,7 +160,7 @@ def check_box_criterion(
 ) -> Optional[CriterionCertificate]:
     """Strict enclosing pair plus a negative pair on opposite sides whose
     segment misses the hull of the positives, each segment LP on f's
-    lattice frame."""
+    lattice frame; the pair search checks the pair, ``_box_error`` the rest."""
     config = config or CertifyConfig()
     neg, pos = f.negative_indices, f.positive_indices
     if not pos:
@@ -184,22 +178,23 @@ def check_box_criterion(
             res = lp.separate_segment_from_hull(frame[i], frame[j], hull)
             if res.is_feasible:
                 wn, wc = _unframe(f, res.witness[: f.dimension]), res.witness[f.dimension]
-                cert = CriterionCertificate(BOX, True, BoxWitness(pair, f.exponent(i), f.exponent(j), wn, wc))
-                if verify_criterion(f, cert) is not None:
+                witness = BoxWitness(pair, f.exponent(i), f.exponent(j), wn, wc)
+                if _box_error(f, witness) is not None:
                     raise RuntimeError("box witness failed re-verification")
-                return cert
+                return CriterionCertificate(BOX, True, witness)
     return None
 
 
 def closure_property(
     f: Signomial,
     facet_budget: Optional[int] = None,
-    newton: Optional[Callable[[], Polytope]] = None,
+    newton: Optional[Callable[[], Optional[Polytope]]] = None,
     separating: Optional[Callable[[], Optional[SeparatingWitness]]] = None,
-) -> bool:
+) -> Optional[bool]:
     """True when the closure of the negative region provably equals the set
     where f <= 0: strict separating hyperplane, or all negative exponents on a
-    proper face of the Newton polytope.  False means "not certified".
+    proper face of the Newton polytope.  False means "not certified", and
+    None that the Newton polytope it needs passes ``facet_budget``.
 
     A caller that shares them with ``check_connectivity`` passes ``newton``,
     returning N(f) (built within ``facet_budget`` when not given), and
@@ -214,7 +209,7 @@ def closure_property(
     if sep is not None:
         return True
     P = newton() if newton is not None else build_polytope(f.frame, facet_budget)
-    return any(smallest_face_containing(P, neg)[1])
+    return None if P is None else any(smallest_face_containing(P, neg)[1])
 
 
 def negative_vertex_functional(
@@ -274,11 +269,8 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
     if n > MAX_SIMPLEX_DIMENSION or len(frame) < n + 1:
         return None
     needed = {MODE_NEGATIVES_INSIDE: set(), MODE_POSITIVES_INSIDE: set()}
-    try:
-        P = newton() if newton is not None else build_polytope(frame, config.facet_budget)
-    except FacetBudgetExceededError:
-        pass
-    else:
+    P = newton() if newton is not None else build_polytope(frame, config.facet_budget)
+    if P is not None:
         if P.dim < n:
             return None
         positive = set(f.positive_indices)
@@ -337,10 +329,5 @@ def check_connectivity(
         if found is not None:
             return found
     if config.enable_box_criterion:
-        try:
-            found = check_box_criterion(f, config)
-        except EnclosingBudgetExceededError:
-            found = None  # over budget: the criterion simply does not fire
-        if found is not None:
-            return found
+        return check_box_criterion(f, config)
     return None

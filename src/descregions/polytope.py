@@ -18,7 +18,8 @@ incidences, which insertion keeps up to date.  A facet's normal is a
 coprime integer vector, the same under any positive scaling of the points,
 and its offset an int on the rows.  Vertices, smallest faces with their
 exposing normals and parallel faces with their splits are read off the
-incidences, with no linear programming; normals leave as int tuples.
+incidences, with no linear programming; normals leave as int tuples.  A
+hull past its facet budget is None, as a search past its budget is.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .check import _extremes, simplex_halfspaces
 from .linalg import IntVector, _Echelon, dot, primitive_int, sign_canonical
-
-class FacetBudgetExceededError(RuntimeError):
-    """Raised when hull construction would exceed the configured facet budget."""
 
 
 @dataclass(frozen=True)
@@ -53,10 +51,10 @@ class Polytope:
 
 def _incremental_facets(
     hp: Sequence[IntVector], init: Sequence[int], budget: Optional[int]
-) -> List[Tuple[Tuple[IntVector, int], FrozenSet[int]]]:
+) -> Optional[List[Tuple[Tuple[IntVector, int], FrozenSet[int]]]]:
     """Facets (outer primitive normal, offset) of the hull of
     full-dimensional integer points given in d >= 1 dimensional coordinates,
-    each with the indices of the points on it.
+    each with the indices of the points on it; None past ``budget``.
 
     Beneath-beyond insertion from the simplex on the d + 1 affinely
     independent points ``init``.  For a new point p with excess
@@ -74,15 +72,9 @@ def _incremental_facets(
         (h, set(init) - {k})
         for h, k in zip(simplex_halfspaces([hp[i] for i in init]), init)
     ]
-
-    def check_budget():
-        if budget is not None and len(facets) > budget:
-            raise FacetBudgetExceededError(
-                f"facet count exceeded budget of {budget}"
-            )
-
-    check_budget()
     for i in sorted(set(range(len(hp))) - set(init)):
+        if budget is not None and len(facets) > budget:
+            return None
         excess = [dot(normal, hp[i]) - offset for (normal, offset), _ in facets]
         hidden = [(f, s) for f, s in zip(facets, excess) if s < 0]
         new_facets = []
@@ -99,8 +91,8 @@ def _incremental_facets(
             if s == 0:
                 inc.add(i)
         facets = [f for f, s in zip(facets, excess) if s <= 0] + new_facets
-        check_budget()
-
+    if budget is not None and len(facets) > budget:
+        return None
     return [(h, frozenset(inc)) for h, inc in facets]
 
 
@@ -122,9 +114,9 @@ def _lift_facet(
 
 def build_polytope(
     points: Sequence[Sequence[int]], facet_budget: Optional[int] = None
-) -> Polytope:
+) -> Optional[Polytope]:
     """Convex hull of a finite set of int points: vertices plus a complete
-    irredundant facet list, exact throughout."""
+    irredundant facet list, exact throughout; None past ``facet_budget``."""
     pts = tuple(map(tuple, points))
     if not pts:
         raise ValueError("points must be nonempty")
@@ -134,25 +126,22 @@ def build_polytope(
     pivots = [c for c, _ in ech.rows]
     hp = [tuple(p[k] - pts[0][k] for k in pivots) for p in pts]
     hull_facets = _incremental_facets(hp, ech.picked, facet_budget) if pivots else []
+    if hull_facets is None:
+        return None
     # sorted by (normal, offset), the order of the exact values
     lifted = sorted(((_lift_facet(pivots, pts[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])
     facets = tuple(Facet(w, offset, inc) for (w, offset), inc in lifted)
     return Polytope(pts, len(pivots), _vertices_from_incidences(len(pts), facets), facets)
 
 
-def lazy_hull(build: Callable[[], Polytope]) -> Callable[[], Polytope]:
-    """``build`` run on the first call only: later calls return its hull or
-    raise its budget error again."""
+def lazy_hull(build: Callable[[], Optional[Polytope]]) -> Callable[[], Optional[Polytope]]:
+    """``build`` run on the first call only: later calls return its answer,
+    the hull or None past the facet budget."""
     memo: list = []
 
-    def get() -> Polytope:
+    def get() -> Optional[Polytope]:
         if not memo:
-            try:
-                memo.append(build())
-            except FacetBudgetExceededError as exc:
-                memo.append(exc)
-        if isinstance(memo[0], FacetBudgetExceededError):
-            raise memo[0]
+            memo.append(build())
         return memo[0]
     return get
 

@@ -1,4 +1,4 @@
-from descregions import certify, check, criteria, polytope
+from descregions import certify, check, criteria, lp, polytope
 from descregions.check import (
     CERTIFIED_AT_MOST_ONE,
     CERTIFIED_EMPTY,
@@ -16,8 +16,10 @@ from descregions.check import (
     verify_certificate,
 )
 from descregions.certify import certify_connectivity, intersection_nonempty
+from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
+from adversarial import box_budget_text
 from fixtures import (
     BOX_F,
     CUBE3,
@@ -130,13 +132,31 @@ def test_certifying_makes_no_face_split(monkeypatch):
     assert verify_certificate(CUBE4, cert) == [] and calls
 
 
-def test_box_budget_overrun_becomes_inconclusive():
-    # 13 negatives exceed the side-assignment budget; the box step must
-    # decline quietly rather than abort the run
-    pairs = [(-1, (i, 0)) for i in range(13)] + [(1, (0, 1)), (1, (5, 1)), (1, (6, 2))]
-    f = Signomial.from_terms(2, pairs)
-    cert = certify_connectivity(f, CertifyConfig(enable_box_criterion=True))
-    assert cert.outcome in (INCONCLUSIVE, CERTIFIED_EXACTLY_ONE, CERTIFIED_AT_MOST_ONE)
+def test_box_budget_overrun_becomes_inconclusive(monkeypatch):
+    """12 negatives, one past the side-assignment budget: the enclosing
+    search declines before any LP, the box criterion with it, and the run
+    ends Inconclusive rather than in an error."""
+    f = parse_signomial(box_budget_text())
+    config = CertifyConfig(enable_box_criterion=True, enclosing_max_negatives=11)
+    assert len(f.negative_indices) == 12
+    solved, searched = [], []
+    feasible, search = lp.feasible, criteria.find_strict_enclosing_pair
+
+    def counting_search(*args):
+        before = len(solved)
+        found = search(*args)
+        searched.append(len(solved) - before)
+        return found
+
+    monkeypatch.setattr(lp, "feasible", lambda system: solved.append(1) or feasible(system))
+    monkeypatch.setattr(criteria, "find_strict_enclosing_pair", counting_search)
+    assert criteria.check_connectivity(f, config) is None
+    assert searched == [0]
+    cert = certify_connectivity(f, config)
+    assert (cert.outcome, cert.reason) == (
+        INCONCLUSIVE,
+        "no criterion applies, no proper negative face, no certified parallel split (facet-normal scan only)",
+    )
 
 
 def test_determinism():

@@ -11,6 +11,7 @@ from descregions import cli
 from descregions.check import CertifyConfig
 from descregions.cli import main
 from descregions.parsing import MAX_EXPONENT_DIGITS, MAX_TERMS
+from descregions.signomial import DEFAULT_TOLERANCE_FACTOR
 
 import fixtures
 
@@ -63,6 +64,22 @@ def test_parser_defaults_are_the_config_defaults(monkeypatch):
     monkeypatch.setattr(cli, "CertifyConfig", lambda **kw: CertifyConfig(**{"max_depth": 7, "facet_budget": 99, **kw}))
     certify, analyze = (cli.build_parser().parse_args([command, "in.poly"]) for command in ("certify", "analyze"))
     assert (certify.max_depth, certify.facet_budget, analyze.facet_budget) == (7, 99, 99)
+
+
+def test_oracle_tolerance_defaults_to_the_library_default(monkeypatch):
+    """``oracle --tol`` defaults to the grid's own default tolerance factor,
+    also once that changes."""
+    assert cli.build_parser().parse_args(["oracle", "in.poly"]).tol == DEFAULT_TOLERANCE_FACTOR
+    monkeypatch.setattr(cli, "DEFAULT_TOLERANCE_FACTOR", 1e-9)
+    assert cli.build_parser().parse_args(["oracle", "in.poly"]).tol == 1e-9
+
+
+def test_certify_text_format_prints_empty_and_inconclusive_leaves(poly, capsys):
+    code, out, _ = run(capsys, "certify", poly("pos.poly", "1 + x^2*y"), "--format", "text")
+    assert (code, out) == (0, "outcome: CertifiedEmpty\nempty negative support -> CertifiedEmpty\n")
+    tenterm = poly("tenterm.poly", fixtures.TEN_TERM_TEXT)
+    code, out, _ = run(capsys, "certify", tenterm, "--facet-budget", "1", "--format", "text")
+    assert (code, out) == (2, "outcome: Inconclusive\ninconclusive: facet count exceeded budget of 1\n")
 
 
 def test_certify_text_format(poly, capsys):

@@ -28,7 +28,6 @@ from descregions.check import (
     verify_simplex_witness,
 )
 from descregions.criteria import (
-    EnclosingBudgetExceededError,
     check_box_criterion,
     check_connectivity,
     closure_property,
@@ -134,8 +133,7 @@ def test_find_strict_enclosing_enclosed_fixture_result_verifies():
 def test_find_strict_enclosing_budget():
     pairs = [(-1, (i, 0)) for i in range(13)] + [(1, (0, 1))]
     f = Signomial.from_terms(2, pairs)
-    with pytest.raises(EnclosingBudgetExceededError):
-        find_strict_enclosing_pair(f)
+    assert find_strict_enclosing_pair(f) is None
 
 
 # --- simplex vertex cones ----------------------------------------------------
@@ -216,6 +214,18 @@ def test_box_criterion_self_checks_its_witness(monkeypatch):
     monkeypatch.setattr(lp, "separate_segment_from_hull", negated)
     with pytest.raises(RuntimeError, match="box witness failed re-verification"):
         check_box_criterion(BOX_F)
+
+
+def test_box_criterion_checks_its_enclosing_pair_once(monkeypatch):
+    """The pair search self-checks the pair it hands out; the box's own
+    self-check reads only the box's conditions, so a box found checks its
+    pair once."""
+    calls = []
+    real = check.verify_enclosing_pair
+    for module in (check, criteria):
+        monkeypatch.setattr(module, "verify_enclosing_pair", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    cert = check_box_criterion(BOX_F)
+    assert cert is not None and cert.kind == BOX and len(calls) == 1
 
 
 def test_box_criterion_none_for_ten_term():
