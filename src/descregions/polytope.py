@@ -116,7 +116,10 @@ def build_polytope(
     points: Sequence[Sequence[int]], facet_budget: Optional[int] = None
 ) -> Optional[Polytope]:
     """Convex hull of a finite set of int points: vertices plus a complete
-    irredundant facet list, exact throughout; None past ``facet_budget``."""
+    irredundant facet list, exact throughout; None past ``facet_budget``.
+    The budget holds for every intermediate hull of the insertion order, so
+    a hull with at most ``facet_budget`` facets can be declined too (the
+    3-cube, 6 facets, is None at a budget of 6 and built at 7)."""
     pts = tuple(map(tuple, points))
     if not pts:
         raise ValueError("points must be nonempty")

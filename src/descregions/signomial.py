@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import gt, lt
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -101,21 +102,20 @@ class Signomial:
     def from_terms(dimension: int, pairs: Iterable[tuple]) -> "Signomial":
         """Build from (coefficient, exponent) pairs of ints and Fractions,
         merging repeated exponents and dropping terms that cancel to zero,
-        on the pairs' lattice frame: the survivors keep their rows, shrunk
-        by the constructor when a cancelled term carried the largest one."""
-        coeffs, rows = [], []
+        and frame the sorted survivors once: rows of ints are the frame as
+        they are (L = 1), and any other rows go through ``lattice``."""
+        acc: dict = {}  # exponent row -> coefficient; an int and an equal Fraction are one key
         for coeff, exp in pairs:
             row = tuple(exp)
-            if len(row) != dimension:
-                raise ValueError("exponent length does not match dimension")
-            coeffs.append(coeff)
-            rows.append(row)
-        scale, keys = lattice(rows)
-        acc: dict = {}  # frame row -> coefficient
-        for key, c in zip(keys, coeffs):
-            acc[key] = acc[key] + c if key in acc else c
-        kept = [key for key in sorted(acc) if acc[key] != 0]
-        return Signomial(dimension, tuple(map(acc.__getitem__, kept)), scale, tuple(kept))
+            acc[row] = acc[row] + coeff if row in acc else coeff
+        if any(map(dimension.__ne__, map(len, acc))):
+            raise ValueError("exponent length does not match dimension")
+        rows = sorted([row for row, c in acc.items() if c])
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            scale, frame = 1, tuple(rows)
+        else:
+            scale, frame = lattice(rows)
+        return Signomial(dimension, tuple(map(acc.__getitem__, rows)), scale, frame)
 
     @property
     def terms(self) -> Tuple[Term, ...]:

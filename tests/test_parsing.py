@@ -194,6 +194,31 @@ def test_explicit_dimension():
     assert f.dimension == 3
     with pytest.raises(ParseError):
         parse_signomial("x3", dimension=2)
+    # an explicit dimension runs from 1 to MAX_VARIABLE_INDEX, whether or not the text uses a variable
+    assert parse_signomial("5", 1).dimension == 1
+    assert parse_signomial("5", MAX_VARIABLE_INDEX).dimension == MAX_VARIABLE_INDEX
+    for dimension, message in ((0, "dimension 0 is below 1"), (-3, "dimension -3 is below 1"),
+                               (MAX_VARIABLE_INDEX + 1, "exceeds the largest index")):
+        for text in ("5", "x - 1"):
+            with pytest.raises(ParseError) as err:
+                parse_signomial(text, dimension)
+            assert (err.value.line, err.value.column) == (1, 1) and message in str(err.value)
+
+
+def test_token_positions_are_worked_out_only_on_error(monkeypatch):
+    """A valid parse never asks where a token is; each ParseError at a token
+    asks once."""
+    calls = []
+    real = parsing._position
+    monkeypatch.setattr(parsing, "_position", lambda text, index: calls.append(index) or real(text, index))
+    for text in (fixtures.TEN_TERM_TEXT, fixtures.WIDE16_TEXT, "x^(7/3)*y^2 - (3/4)*x^(-1/2) + 9.5*y^-1"):
+        parse_signomial(text)
+    assert calls == []
+    for text, index in (("1 + $", 2), ("x -", 2), ("x^", 2), ("(1/2", 4), ("", 0), ("x - q", 2), ("x^999999*x^999999", 0)):
+        with pytest.raises(ParseError):
+            parse_signomial(text)
+        assert calls == [index]
+        calls.clear()
 
 
 # --- differential fuzzing against the previous parser (tests/parse_oracle.py) --
@@ -303,6 +328,16 @@ def _outcome(parser, text, dimension):
 @example("x0001*x1 - x2", None)
 @example(" + ".join(f"x{'0' * (i % 4)}{i}*x{i}^{i}" for i in range(1, 60)) + " - x0", None)
 @example(" - ".join(f"x{'0' * (i % 5)}{i}" for i in range(1, 120)) + " + 1", None)
+# positions worked out from a token's index: after a newline and a tab, after
+# CRLF, at the end of the text, and after non-ASCII digits and letters
+@example("x - 1\n\t$", None)
+@example("x\r\n - 1 @", None)
+@example("x -", None)
+@example("x^", None)
+@example("(1/2", None)
+@example("", None)
+@example("\u0663*x - 1", None)
+@example("x\u00e9 - 1", None)
 def test_parser_matches_the_previous_parser(text, dimension):
     """The parser returns an equal Signomial, or a ParseError with the same
     message, line and column, wherever the previous parser does; nothing

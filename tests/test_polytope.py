@@ -217,6 +217,11 @@ def test_facet_budget():
     # past the budget the hull is None, an answer rather than an error
     assert build_polytope(CUBE3.frame, facet_budget=3) is None
     assert hull([vec(0), vec(1), vec(2)], facet_budget=1) is None
+    # the budget holds for every intermediate hull of the insertion order:
+    # the 3-cube has 6 facets but is declined at 6 and built at 7
+    assert len(build_polytope(CUBE3.frame).facets) == 6
+    assert build_polytope(CUBE3.frame, facet_budget=6) is None
+    assert len(build_polytope(CUBE3.frame, facet_budget=7).facets) == 6
 
 
 def test_duplicate_points_rejected():

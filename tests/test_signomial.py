@@ -221,17 +221,21 @@ def test_frame_check_keeps_its_messages():
 
 
 def test_each_signomial_is_framed_once(monkeypatch):
-    """One ``lattice`` call per parse and per read of an integral trace, and
-    none to restrict an integral signomial: that builds on the frame rows it
-    already holds."""
+    """One ``lattice`` call per parse of a rational text and per read of an
+    integral trace, and none to parse an integral text, whose int rows are
+    the frame, or to restrict an integral signomial: that builds on the
+    frame rows it already holds."""
     calls = []
     real = lattice
     for module in (signomial, tracedoc):
         if hasattr(module, "lattice"):
             monkeypatch.setattr(module, "lattice", lambda points: calls.append(1) or real(points))
-    f = parse_signomial("3*x^2*y - 2*x*y^3 + 5 - x^4")
-    assert len(calls) == 1
+    rational = parse_signomial("3*x^(1/2)*y - 2*x*y^3 + 5 - x^4")
+    assert len(calls) == 1 and rational.scale == 2
     calls.clear()
+    f = parse_signomial("3*x^2*y - 2*x*y^3 + 5 - x^4")
+    assert calls == [] and f.scale == 1
+    assert all(type(a) is int for row in f.frame for a in row)
     child = restrict_indices(f, [0, 2])
     assert calls == []
     document = tracedoc.signomial_to_json(f)
