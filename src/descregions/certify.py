@@ -54,11 +54,19 @@ def certify_connectivity(f: Signomial, config: Optional[CertifyConfig] = None) -
     return _certify(f, config, depth=1)
 
 
-def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
+def _certify(f: Signomial, config: CertifyConfig, depth: int, inseparable: bool = False) -> Certificate:
     """The certificate of one node.  N(f) is built at most once, when the
     simplex search or the face scan first needs it; faces are found by term
     index on the hull and on f's lattice frame, and children are restricted
-    by index.  Past the depth or facet budget the node is Inconclusive."""
+    by index.  Past the depth or facet budget the node is Inconclusive.
+
+    A node reaches its negative face only once ``check_connectivity`` has
+    declined, so f has no strict separating hyperplane, and neither has the
+    child (``inseparable``).  Over the negatives and positives of f, that
+    declined search's dual is a point with positive weight on every negative
+    that is also a convex combination of positives.  It lies in the face,
+    which holds every negative, so the positives it uses lie there too, and
+    the same point refutes every strict separating hyperplane of the child."""
     if depth > config.max_depth:
         return Certificate(
             KIND_INCONCLUSIVE, INCONCLUSIVE, reason=f"recursion depth exceeded {config.max_depth}"
@@ -68,7 +76,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
         return Certificate(KIND_EMPTY, CERTIFIED_EMPTY)
 
     newton = lazy_hull(lambda: build_polytope(f.frame, config.facet_budget))
-    crit = check_connectivity(f, config, newton)
+    crit = check_connectivity(f, config, newton, inseparable)
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
 
@@ -81,7 +89,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int) -> Certificate:
     # P is built from f.frame, so its point indices are f's term indices
     face_idx, normal = smallest_face_containing(P, neg_idx)
     if any(normal):
-        child = _certify(restrict_indices(f, face_idx), config, depth + 1)
+        child = _certify(restrict_indices(f, face_idx), config, depth + 1, inseparable=True)
         return Certificate(
             KIND_NEGATIVE_FACE,
             child.outcome,

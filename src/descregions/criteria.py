@@ -296,6 +296,7 @@ def check_connectivity(
     f: Signomial,
     config: Optional[CertifyConfig] = None,
     newton: Optional[Callable[[], Polytope]] = None,
+    inseparable: bool = False,
 ) -> Optional[CriterionCertificate]:
     """First applicable single-shot criterion, or None.
 
@@ -303,6 +304,9 @@ def check_connectivity(
     coefficient, strict separating hyperplane, one positive coefficient (hull
     dimension >= 2), simplex witness, then the box criterion when enabled.
     ``newton`` returns N(f) for the simplex search (built when not given).
+    ``inseparable`` says that f is known to have no strict separating
+    hyperplane, so that search is skipped: ``certify`` passes it to the
+    negative-face child of a node whose own search found none.
     ``config.simplex_witness`` is taken when replay's ``verify_criterion``
     passes it, which it does only up to MAX_SIMPLEX_DIMENSION variables, as
     the search runs.
@@ -315,7 +319,7 @@ def check_connectivity(
         return CriterionCertificate(NO_POSITIVE_TERMS, True)
     if len(neg) == 1:
         return CriterionCertificate(ONE_NEGATIVE_COEFF, False, f.exponent(neg[0]))
-    sep = find_strict_separating_hyperplane(f)
+    sep = None if inseparable else find_strict_separating_hyperplane(f)
     if sep is not None:
         return CriterionCertificate(STRICT_SEPARATING, True, sep)
     if len(pos) == 1 and newton_dim(f) >= 2:

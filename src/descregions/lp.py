@@ -28,24 +28,30 @@ unknowns x stay free: one enters in whichever direction lowers the objective
 and, once basic, is never ratio-tested, so it never leaves.  Phase I stops
 once the sum is 0.
 
-The tableau holds Python integers, the phase-I objective as its last row:
-the rational dictionary is the integer one over a single common denominator
-d, the determinant of the current basis.  Each pivot updates every other row
-in place, fraction-free (Edmonds 1967, Bareiss 1968, as in Avis's lrs), with
-exact integer divisions.  Both answers are checked exactly on the rows
-before they are returned: a witness x = values / d must satisfy every row,
-as row . values >= rhs * d, and comes back with (values, d); an infeasible
-answer carries a Farkas certificate y >= 0 with sum y_i coeffs_i = 0 and
-sum y_i rhs_i > 0.  The final objective row is the sum of the artificials
-minus the combination y of the rows, so y_r is read off it as the reduced
-cost of s_r (0 while s_r is basic).
+The tableau holds Python integers, column by column: one list per nonbasic
+column and one for the right-hand side, each with its m row entries and the
+phase-I objective's entry last.  The rational dictionary is the integer one
+over a single common denominator d, the determinant of the current basis.
+A pivot is fraction-free (Edmonds 1967, Bareiss 1968, as in Avis's lrs),
+with exact integer divisions, skipped while d is 1: it rebuilds only the
+columns whose entry in the pivot row is nonzero, scales the others when
+the pivot is not d, and gives the entering column to the leaving variable,
+negated with d in the pivot row.  Dropping an artificial deletes its
+column, and the ratio test reads the entering column and the right-hand
+side.  Both answers are checked exactly on the rows before they are
+returned: a witness x = values / d must satisfy every row, as row . values
+>= rhs * d, and comes back with (values, d); an infeasible answer carries a
+Farkas certificate y >= 0 with sum y_i coeffs_i = 0 and sum y_i rhs_i > 0.
+The final objective is the sum of the artificials minus the combination y
+of the rows, so y_r is read off the objective entry of s_r's column as its
+reduced cost (0 while s_r is basic).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .linalg import IntVector, Vector, dot
 
@@ -85,14 +91,16 @@ def _satisfies(system: LinearSystem, x: Sequence[int], d: int) -> bool:
 
 def _refutes(system: LinearSystem, y: Sequence[int]) -> bool:
     """Whether y is a Farkas certificate: combining the rows with y >= 0
-    gives 0 . x >= a positive number, which no x satisfies."""
-    rows = system.rows
+    gives 0 . x >= a positive number, which no x satisfies.  Only the rows
+    whose multiplier is nonzero are combined."""
     if any(yi < 0 for yi in y):
         return False
-    for j in range(system.unknowns):
-        if sum(yi * coeffs[j] for yi, (coeffs, _) in zip(y, rows)):
-            return False
-    return sum(yi * rhs for yi, (_, rhs) in zip(y, rows)) > 0
+    total, bound = [0] * system.unknowns, 0
+    for yi, (coeffs, rhs) in zip(y, system.rows):
+        if yi:
+            total = [t + yi * a for t, a in zip(total, coeffs)]
+            bound += yi * rhs
+    return bound > 0 and not any(total)
 
 
 def feasible(system: LinearSystem) -> FeasibilityResult:
@@ -109,89 +117,99 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     # n + r and its artificial n + m + r; artificials never enter
     late = [r for r, (_, rhs) in enumerate(rows) if rhs > 0]
     labels = list(range(n)) + [n + r for r in late]  # the nonbasic variable of each column
-    basis: List[int] = []
-    tableau: List[List[int]] = []
-    for r, (coeffs, rhs) in enumerate(rows):
-        # basic + line . nonbasic = line[-1] >= 0, the basic's coefficient 1
-        if rhs > 0:
-            line = list(coeffs) + [-1 if q == r else 0 for q in late] + [rhs]
-            basis.append(n + m + r)
-        else:
-            line = [-c for c in coeffs] + [0] * len(late) + [-rhs]
-            basis.append(n + r)
-        tableau.append(line)
-    # the phase-I objective row, last in the tableau: the reduced costs times
-    # d, and -d * (sum of the artificials) in its last entry
-    obj = [0] * (len(labels) + 1)
-    for line, b in zip(tableau, basis):
-        if b >= n + m:
-            obj = [o - a for o, a in zip(obj, line)]
-    tableau.append(obj)
+    basis = [n + m + r if rhs > 0 else n + r for r, (_, rhs) in enumerate(rows)]
+    # Row r reads basic + sum of entries times nonbasics = right-hand side,
+    # the basic's coefficient 1: a row with an artificial keeps its signs,
+    # any other is negated.  Entry m of each column is the phase-I
+    # objective's, the reduced cost times d; in the right-hand side, the
+    # last column, it is -d * (sum of the artificials).
+    signed = [coeffs if rhs > 0 else [-c for c in coeffs] for coeffs, rhs in rows]
+    signed.append([-sum(c) for c in zip(*[rows[r][0] for r in late])] if late else [0] * n)
+    cols = list(map(list, zip(*signed)))
+    for r in late:
+        col = [0] * (m + 1)
+        col[r], col[m] = -1, 1
+        cols.append(col)
+    rhs = [abs(b) for _, b in rows]
+    rhs.append(-sum([rhs[r] for r in late]))
+    cols.append(rhs)
 
-    # The rational dictionary is tableau / d, where d is the determinant of
-    # the current basis.  Every entry of tableau is then a minor of the
-    # starting one, so the divisions of a pivot are exact (Edmonds,
-    # Bareiss).  Pivots are positive, so d stays positive.
+    # The rational dictionary is the tableau over d, the determinant of the
+    # current basis.  Every entry is then a minor of the starting one, so
+    # the divisions of a pivot are exact (Edmonds, Bareiss).  Pivots are
+    # positive, so d stays positive.
     d, pivots = 1, 0
-    while obj[-1]:  # until the artificials are all 0, or no pivot lowers their sum
-        candidates = [j for j, v in enumerate(labels) if obj[j] < 0 or obj[j] and v < n]
-        if not candidates:
+    while rhs[m]:  # until the artificials are all 0, or no pivot lowers their sum
+        e = -1  # Bland: the least label whose column lowers the objective
+        for j, v in enumerate(labels):
+            c = cols[j][m]
+            if (c < 0 or c and v < n) and (e < 0 or v < labels[e]):
+                e = j
+        if e < 0:
             break
-        e = min(candidates, key=labels.__getitem__)
-        if obj[e] > 0:  # a free unknown entering downwards: negate its column
-            for line in tableau:
-                line[e] = -line[e]
+        enter = cols[e]
+        if enter[m] > 0:  # a free unknown entering downwards: negate its column
+            enter = cols[e] = [-a for a in enter]
             labels[e] = ~labels[e]
         leave = -1
-        for i, (line, b) in enumerate(zip(tableau, basis)):
-            a = line[e]
+        for i in range(m):
+            a = enter[i]
             # the least ratio rhs_i / a, cross-multiplied, then the lower label
-            if a > 0 and b >= n and (
-                leave < 0 or (line[-1] * tableau[leave][e], b) < (tableau[leave][-1] * a, basis[leave])
-            ):
-                leave = i
+            if a > 0 and basis[i] >= n:
+                if leave < 0:
+                    leave = i
+                    continue
+                here, best = rhs[i] * enter[leave], rhs[leave] * a
+                if here < best or here == best and basis[i] < basis[leave]:
+                    leave = i
         if leave < 0:
             # phase-I objective is bounded below by 0; unbounded cannot occur
             raise RuntimeError("phase-I simplex became unbounded")
-        # one fraction-free exchange of every other row, the objective's too:
-        # the pivot p becomes the common denominator in place of d, and
-        # column e, which the leaving variable takes over, becomes minus the
-        # row's old entry there
-        pivot_row = tableau[leave]
-        p = pivot_row[e]
-        for i, row in enumerate(tableau):
-            c = row[e]
-            if i == leave:
+        # one fraction-free exchange: the pivot p becomes the common
+        # denominator in place of d.  A column whose pivot-row entry q is
+        # nonzero is rebuilt and keeps q there; any other is only scaled by
+        # p / d.  The leaving variable takes over column e: minus the old
+        # column, with d in the pivot row.
+        p = enter[leave]
+        for j, col in enumerate(cols):
+            if j == e:
                 continue
-            if c:
-                new = [(p * a - c * b) // d for a, b in zip(row, pivot_row)]
-                new[e] = -c
-                tableau[i] = new
+            q = col[leave]
+            if q:
+                if d == 1:
+                    col = [p * a - q * b for a, b in zip(col, enter)]
+                else:
+                    col = [(p * a - q * b) // d for a, b in zip(col, enter)]
+                col[leave] = q
+                cols[j] = col
             elif p != d:
-                tableau[i] = [p * a // d for a in row]
-        pivot_row[e] = d
-        obj = tableau[-1]
+                cols[j] = [p * a // d for a in col] if d != 1 else [p * a for a in col]
+        col = [-a for a in enter]
+        col[leave] = d
+        cols[e] = col
+        rhs = cols[-1]
         labels[e], basis[leave] = basis[leave], labels[e]
         d = p
         pivots += 1
         if labels[e] >= n + m:  # an artificial that left is dropped
-            for line in tableau:
-                del line[e]
-            del labels[e]
+            del cols[e], labels[e]
 
-    if obj[-1] != 0:
-        cost = {v: obj[j] for j, v in enumerate(labels)}  # basic variables cost 0
-        y = [cost.get(n + r, 0) for r in range(m)]
+    if rhs[m]:
+        # y_r is the reduced cost of s_r, read off its column; a basic s_r costs 0
+        y = [0] * m
+        for v, col in zip(labels, cols):
+            if v >= n:
+                y[v - n] = col[m]
         if not _refutes(system, y):
             raise RuntimeError("simplex produced an invalid Farkas certificate")
         return FeasibilityResult(None, tuple(y), pivots)
 
     x = [0] * n
-    for line, v in zip(tableau, basis):
+    for b, v in zip(rhs, basis):
         if v < 0:
-            x[~v] = -line[-1]
+            x[~v] = -b
         elif v < n:
-            x[v] = line[-1]
+            x[v] = b
     if not _satisfies(system, x, d):
         raise RuntimeError("simplex produced an invalid witness")
     return FeasibilityResult(tuple(Fraction(a, d) for a in x), None, pivots, (tuple(x), d))

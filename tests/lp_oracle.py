@@ -5,8 +5,10 @@ The tableau stores every column of the phase-I formulation: u and w for the
 split x = u - w, one surplus and one artificial per row, and the
 right-hand side, in that order, and starts from the all-artificial basis.
 It shares only the system type, the result type and the exact checks with
-``lp``, whose narrow dictionary walks another Bland path: the tests compare
-the feasibility status, and check each kernel's witness or Farkas vector.
+``lp``, whose narrow dictionary (one column per nonbasic variable, held
+column by column) walks another Bland path: the tests compare the
+feasibility status, and check each kernel's witness or Farkas vector.
+``row_lp_oracle`` is the one that walks ``lp``'s own path.
 ``int_system`` turns the tests' rational systems into ``lp``'s int rows.
 """
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import pytest
+
 from descregions import certify, check, criteria, lp, polytope
 from descregions.check import (
     CERTIFIED_AT_MOST_ONE,
@@ -20,6 +22,7 @@ from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
 from adversarial import box_budget_text
+from test_corpus_digests import WORKLOADS, corpus
 from fixtures import (
     BOX_F,
     CUBE3,
@@ -223,3 +226,52 @@ def test_each_node_builds_its_newton_polytope_at_most_once(monkeypatch):
     cert = certify_connectivity(TEN_TERM, CertifyConfig(enable_simplex_search=True, facet_budget=1))
     assert cert.outcome == INCONCLUSIVE and cert.reason == "facet count exceeded budget of 1"
     assert built == [TEN_TERM.support]
+
+
+# seed-1 certify corpora: (separating searches run, searches skipped at a
+# negative-face child); before the skip every one of them ran
+SEED_1_SEPARATING_SEARCHES = {"lowdim-flagged": (25, 0), "cube-recursion": (45, 4), "wide-hull": (10, 1)}
+
+
+def inherited_separation(monkeypatch, run):
+    """The searches that ``run`` makes and the signomials whose search a
+    negative-face parent let it skip."""
+    searched, skipped = [], []
+    search, connectivity = criteria.find_strict_separating_hyperplane, certify.check_connectivity
+
+    def checking(f, config, newton, inseparable=False):
+        if inseparable and len(f.negative_indices) > 1 and f.positive_indices:
+            skipped.append(f)
+        return connectivity(f, config, newton, inseparable)
+
+    monkeypatch.setattr(criteria, "find_strict_separating_hyperplane", lambda f: searched.append(f) or search(f))
+    monkeypatch.setattr(certify, "check_connectivity", checking)
+    run()
+    monkeypatch.undo()
+    return searched, skipped
+
+
+def test_a_negative_face_child_skips_the_separating_search(monkeypatch):
+    """CUBE4's root search fails and its negatives lie on a proper face: the
+    child is certified without a search of its own, and a search run on it
+    finds nothing."""
+    searched, skipped = inherited_separation(monkeypatch, lambda: certify_connectivity(CUBE4))
+    assert certify_connectivity(CUBE4).kind == KIND_NEGATIVE_FACE
+    assert searched[0] == CUBE4 and len(skipped) == 1 and skipped[0] not in searched
+    assert criteria.find_strict_separating_hyperplane(skipped[0]) is None
+    assert criteria.check_connectivity(skipped[0], CertifyConfig(), inseparable=True) is None
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_1_SEPARATING_SEARCHES))
+def test_inherited_separation_on_the_seed_1_corpora(workload, monkeypatch):
+    """Counted on the benchmark's seed-1 corpora, and every skipped search,
+    run after all, returns None, on seeds 2 and 3 too."""
+    count, config = WORKLOADS[workload]
+    for seed in (1, 2, 3):
+        texts = corpus.corpus(workload, seed, count)
+        searched, skipped = inherited_separation(
+            monkeypatch, lambda: [certify_connectivity(parse_signomial(text), config) for text in texts]
+        )
+        if seed == 1:
+            assert (len(searched), len(skipped)) == SEED_1_SEPARATING_SEARCHES[workload]
+        assert all(criteria.find_strict_separating_hyperplane(f) is None for f in skipped)

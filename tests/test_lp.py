@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from descregions import lp
 from descregions.lp import (
@@ -14,13 +14,16 @@ from descregions.lp import (
 from descregions.linalg import dot, lattice
 from descregions.certify import certify_connectivity
 from descregions.check import CertifyConfig
+from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial, negatives, positives
 
 import fixtures
 import lp_oracle
+import row_lp_oracle
 from lp_oracle import int_system
 from fixtures import BOX_F, TEN_TERM, TEN_TERM_UPPER, vec
 from fm_oracle import fm_feasible
+from test_corpus_digests import WORKLOADS, corpus
 
 F = Fraction
 
@@ -315,3 +318,73 @@ def test_narrow_kernel_agrees_with_the_oracles_on_the_fixture_lps(monkeypatch):
     assert len(systems) > 100
     answers = {same_status_as_oracles(system, system.unknowns <= 4).is_feasible for system in systems}
     assert answers == {True, False}
+
+
+def result_fields(res):
+    """All four fields, the last two being left out of ``==``."""
+    return res.witness, res.farkas, res.pivots, res.integer_witness
+
+
+@st.composite
+def int_systems(draw):
+    """0 to 6 unknowns and 0 to 12 int rows, with zero rows and right-hand
+    sides above, at and below 0."""
+    n = draw(st.integers(0, 6))
+    coeffs = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-6, 6)] * n))
+    rhs = st.one_of(st.integers(1, 6), st.just(0), st.integers(-6, -1))
+    return LinearSystem(n, tuple(draw(st.lists(st.tuples(coeffs, rhs), max_size=12))))
+
+
+@given(int_systems())
+@settings(deadline=None, max_examples=400)
+@example(LinearSystem(0, ()))
+@example(LinearSystem(3, ()))
+@example(LinearSystem(0, (((), 1), ((), 0), ((), -2))))
+@example(LinearSystem(2, (((0, 0), 1), ((1, -1), 0))))
+def test_column_kernel_walks_the_row_kernels_path(system):
+    """The column-major kernel against the row-major one it replaced: the
+    same witness, Farkas vector, pivot count and integer witness."""
+    assert result_fields(feasible(system)) == result_fields(row_lp_oracle.feasible(system))
+
+
+# seed-1 certify corpora: (LPs solved, pivots made); 73 and 216 on
+# cube-recursion and 17 and 102 on wide-hull before negative-face children
+# inherited their parent's failed separating search
+SEED_1_LP_COUNTS = {"lowdim-flagged": (85, 348), "cube-recursion": (65, 192), "wide-hull": (15, 96)}
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_1_LP_COUNTS))
+def test_seed_1_corpus_lps_walk_the_row_kernels_path_with_pinned_counts(workload, monkeypatch):
+    """Every LP that certifying a seed-1 benchmark corpus solves gives the
+    row-major kernel's four fields, and the LP and pivot counts, which
+    trace digests cannot see on infeasible paths, stay pinned."""
+    count, config = WORKLOADS[workload]
+    solved = []
+    solve = lp.feasible
+
+    def record(system):
+        solved.append((system, solve(system)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(lp, "feasible", record)
+    for text in corpus.corpus(workload, 1, count):
+        certify_connectivity(parse_signomial(text), config)
+    monkeypatch.undo()
+    assert (len(solved), sum(res.pivots for _, res in solved)) == SEED_1_LP_COUNTS[workload]
+    for system, res in solved:
+        assert result_fields(res) == result_fields(row_lp_oracle.feasible(system)), system
+
+
+@given(int_systems(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_sparse_farkas_check_agrees_with_the_dense_one(system, data):
+    """``lp._refutes`` combines only the rows whose multiplier is nonzero;
+    the dense check combines every row.  Random multipliers with negatives
+    and zeros, and the kernel's own certificate."""
+    y = data.draw(st.lists(st.integers(-2, 3), min_size=len(system.rows), max_size=len(system.rows)))
+    candidates = [y, [abs(a) for a in y]]
+    farkas = feasible(system).farkas
+    if farkas is not None:
+        candidates += [farkas, [a + (i == 0) for i, a in enumerate(farkas)]]
+    for candidate in candidates:
+        assert lp._refutes(system, candidate) == row_lp_oracle._refutes(system, candidate), candidate
