@@ -104,19 +104,23 @@ def find_strict_enclosing_pair(
     f: Signomial, max_negatives: int = 12
 ) -> Optional[EnclosingWitness]:
     """Search for a strict enclosing pair by assigning the k negatives to the
-    two outer sides, one feasibility problem per assignment with both sides
-    required strictly outside.
+    two outer sides, both sides required strictly outside, depth first.
 
     Assignment m (bit i set: the i-th negative above) is feasible exactly when
     its complement is, via (v, a, b) -> (-v, -b, -a), so the first feasible
-    one of all 2^k - 2 leaves the last negative below: only those at most
-    2^(k-1) - 1 are tried, in increasing order.  The Farkas certificate of an
-    infeasible assignment uses the rows of some set S of negatives, so it
-    refutes every later assignment that puts S on the same sides, and by the
-    symmetry every one that puts S on the opposite sides; those are skipped
-    without a feasibility problem.  A certificate on all k negatives refutes
-    only m and its complement, which are never tried again, so it is not
-    kept: at the budget of 12 negatives every certificate is of that kind.
+    one of all 2^k - 2 leaves the last negative below.  The walk places the
+    negatives k-2, ..., 0 in turn, below before above, so it reaches the
+    full assignments 1 .. 2^(k-1) - 1 in increasing order, and solves each
+    one it reaches on its own rows: the first feasible one is the pair.
+
+    A partial assignment is feasible when its parent's exact witness
+    satisfies the newly placed negative's row; otherwise its rows alone are
+    solved.  An infeasible one cuts its whole subtree, and its Farkas
+    certificate, on the rows of some set S of the placed negatives, refutes
+    every assignment that puts S on the same sides, and by the symmetry every
+    one that puts S on the opposite sides: such a node is skipped without a
+    feasibility problem.  A certificate on every placed negative refutes
+    only the node's own subtree, so it is not kept.
 
     The rows are taken from f's lattice frame.  Past ``max_negatives``
     negatives the search declines (None), as it does below two.
@@ -135,23 +139,41 @@ def find_strict_enclosing_pair(
     above = [(frame[i] + (-1, 0), 1) for i in neg]
     below = [(tuple(-c for c in frame[i]) + (0, 1), 1) for i in neg]
     ordered = ((0,) * n + (1, -1), 0)
-    nogoods: List[Tuple[int, int]] = []  # (S as a bit set, the sides of S refuted)
-    for mask in range(1, 2 ** (k - 1)):
-        if any((mask & s) in (sides, s ^ sides) for s, sides in nogoods):
+    # (S as a bit set, the sides of S refuted), filed under the lowest
+    # negative of S: a node that places negative i meets only those filed
+    # under i, as its solved ancestors are feasible and met the others.  The
+    # root, the last negative alone below, is not solved, so S = {k-1} is
+    # filed under k-2.
+    nogoods: List[List[Tuple[int, int]]] = [[] for _ in range(k - 1)]
+    # (the negative just placed, the sides so far, the parent's exact
+    # witness (values, d), None under the root)
+    stack = [(k - 2, 1 << (k - 2), None), (k - 2, 0, None)]
+    while stack:
+        i, mask, parent = stack.pop()
+        if any((mask & s) in (sides, s ^ sides) for s, sides in nogoods[i]):
             continue
-        upper = [i for i in range(k) if mask >> i & 1]
-        lower = [i for i in range(k) if not mask >> i & 1]
-        rows = pos_rows + [above[i] for i in upper] + [below[i] for i in lower] + [ordered]
-        res = lp.feasible(lp.LinearSystem(n + 2, tuple(rows)))
-        if res.is_feasible:
-            v = _unframe(f, res.witness[:n])
-            a, b = res.witness[n], res.witness[n + 1]
-            if not verify_enclosing_pair(f, v, a, b, strict=True):
-                raise RuntimeError("enclosing witness failed re-verification")
-            return EnclosingWitness(v, a, b, True)
-        s = sum(1 << i for i, y in zip(upper + lower, res.farkas[len(pos_rows):]) if y)
-        if s != 2**k - 1:
-            nogoods.append((s, mask & s))
+        coeffs, rhs = above[i] if mask >> i & 1 else below[i]
+        if i == 0 or parent is None or dot(coeffs, parent[0]) < rhs * parent[1]:
+            if i == 0 and not mask:
+                continue  # every negative below: not a strict pair
+            upper = [j for j in range(i, k) if mask >> j & 1]
+            lower = [j for j in range(i, k) if not mask >> j & 1]
+            rows = pos_rows + [above[j] for j in upper] + [below[j] for j in lower] + [ordered]
+            res = lp.feasible(lp.LinearSystem(n + 2, tuple(rows)))
+            if not res.is_feasible:
+                s = sum(1 << j for j, y in zip(upper + lower, res.farkas[len(pos_rows):]) if y)
+                if s != (1 << k) - (1 << i):  # not every placed negative
+                    nogoods[min((s & -s).bit_length() - 1, k - 2)].append((s, mask & s))
+                continue
+            if i == 0:
+                v = _unframe(f, res.witness[:n])
+                a, b = res.witness[n], res.witness[n + 1]
+                if not verify_enclosing_pair(f, v, a, b, strict=True):
+                    raise RuntimeError("enclosing witness failed re-verification")
+                return EnclosingWitness(v, a, b, True)
+            parent = res.integer_witness
+        stack.append((i - 1, mask | 1 << (i - 1), parent))
+        stack.append((i - 1, mask, parent))
     return None
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
@@ -30,7 +31,10 @@ def vector(coords: Iterable) -> Vector:
 
 def lattice(points: Sequence[Sequence]) -> Tuple[int, Tuple[IntVector, ...]]:
     """The lcm L of the coordinates' denominators, and the points times L as
-    ints (ints and Fractions alike): with L = 1, the numerators."""
+    ints (ints and Fractions alike): with L = 1, the numerators.  Points
+    whose entries are all ints come back as they are, with L = 1."""
+    if set(map(type, chain.from_iterable(points))) <= {int}:
+        return 1, tuple(map(tuple, points))
     scale = lcm(*{a.denominator for p in points for a in p})
     if scale == 1:
         return 1, tuple([tuple([a.numerator for a in p]) for p in points])

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from operator import gt, lt
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -102,8 +101,7 @@ class Signomial:
     def from_terms(dimension: int, pairs: Iterable[tuple]) -> "Signomial":
         """Build from (coefficient, exponent) pairs of ints and Fractions,
         merging repeated exponents and dropping terms that cancel to zero,
-        and frame the sorted survivors once: rows of ints are the frame as
-        they are (L = 1), and any other rows go through ``lattice``."""
+        and frame the sorted survivors once, through ``lattice``."""
         acc: dict = {}  # exponent row -> coefficient; an int and an equal Fraction are one key
         for coeff, exp in pairs:
             row = tuple(exp)
@@ -111,11 +109,7 @@ class Signomial:
         if any(map(dimension.__ne__, map(len, acc))):
             raise ValueError("exponent length does not match dimension")
         rows = sorted([row for row, c in acc.items() if c])
-        if set(map(type, chain.from_iterable(rows))) <= {int}:
-            scale, frame = 1, tuple(rows)
-        else:
-            scale, frame = lattice(rows)
-        return Signomial(dimension, tuple(map(acc.__getitem__, rows)), scale, frame)
+        return Signomial(dimension, tuple(map(acc.__getitem__, rows)), *lattice(rows))
 
     @property
     def terms(self) -> Tuple[Term, ...]:

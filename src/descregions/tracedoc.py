@@ -12,8 +12,8 @@ and a ratio to a Fraction.  The input is read under the text format's caps
 (a dimension in 1..MAX_VARIABLE_INDEX, checked before any term is read; each
 distinct exponent entry checked once, by ``exceeds_cap``); its rows go
 through ``lattice`` to the constructor, as in ``Signomial.of_terms``, so an
-integral trace makes no Fraction for an exponent entry.  The input is
-written from the frame.
+integral trace makes no Fraction for an exponent entry, and its int rows
+come back as they are.  The input is written from the frame.
 """
 
 from __future__ import annotations

@@ -42,12 +42,32 @@ def prime_denominator_text(terms: int = 80) -> str:
 def box_budget_text() -> str:
     """Two variables, exponents in {0..6}^2, 12 negatives and 4 positives:
     exactly the box criterion's default budget of negatives.  No side
-    assignment is feasible, so the enclosing-pair search solves all
-    2^11 - 1 feasibility problems and finds no pair."""
+    assignment is feasible, and every Farkas certificate of a full
+    assignment uses all 12 negatives: the mask loop that tried one LP per
+    assignment solved all 2^11 - 1 of them, where the depth-first walk
+    refutes them all with the certificates of 3 partial assignments."""
     return (
         "1 - x2^2 - x2^3 - x2^5 - x1 + x1*x2^4 - x1^3 - x1^3*x2^2 - x1^3*x2^4 - x1^3*x2^5"
         " - x1^3*x2^6 + x1^4 - x1^4*x2^6 + x1^5*x2^6 - x1^6*x2^3 - x1^6*x2^6"
     )
+
+
+def many_negatives_text(seed: int) -> str:
+    """Two or three variables, distinct exponents in {0..6}^n, 13 to 20
+    negatives and 2 to 5 positives in an order, all drawn by
+    ``random.Random(seed)``: past the enclosing search's default budget of
+    12 negatives, where one LP per side assignment would be up to 2^19."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3))
+    k, p = rng.randint(13, 20), rng.randint(2, 5)
+    points = rng.sample(list(itertools.product(range(7), repeat=n)), k + p)
+    signs = ["-"] * k + ["+"] * p
+    rng.shuffle(signs)
+    terms = []
+    for sign, exponent in zip(signs, points):
+        monomial = "*".join(f"x{i + 1}^{a}" for i, a in enumerate(exponent) if a) or "1"
+        terms.append(f"{sign} {monomial}")
+    return " ".join(terms).lstrip("+ ")
 
 
 def cube_signs_text(d: int, seed: int) -> str:

@@ -60,9 +60,19 @@ from descregions.check import (
     criterion_outcome,
     verify_simplex_witness,
 )
-from descregions.linalg import Vector, dot, is_zero, lattice, vector
+from descregions.linalg import Vector, is_zero, lattice, vector
+from descregions.linalg import dot as _dot
 from descregions.parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS
 from descregions.signomial import Signomial, Term, negatives, newton_dim, positives
+
+
+def dot(u: Sequence, v: Sequence):
+    """``linalg.dot`` with its length check spelled out, so that a functional
+    of the wrong length raises the same bare AssertionError under
+    ``python -O``, which strips the ``assert``."""
+    if len(u) != len(v):
+        raise AssertionError
+    return _dot(u, v)
 
 
 def _restrict(f: Signomial, exponents) -> Signomial:

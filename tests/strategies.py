@@ -37,17 +37,18 @@ def point_sets(draw, max_size=7):
 
 
 @st.composite
-def signed_supports(draw, max_dimension=4):
+def signed_supports(draw, max_dimension=4, negatives=(2, 4)):
     """A signomial with +1/-1 coefficients in 2 to ``max_dimension`` variables
-    (4 by default), with one to four positive and up to four negative
-    exponents.  Half of the draws put
-    the first negative exponent in sorted order at the midpoint of two
-    positive ones, so it cannot be strictly separated and the search has to
-    go on past it."""
+    (4 by default), with one to four positive exponents and between the
+    bounds of ``negatives`` negative ones drawn (2 to 4 by default; a draw
+    that repeats an exponent or meets a positive one loses it).  Half of the
+    draws put one more negative exponent, first in sorted order, at the
+    midpoint of two positive ones, so it cannot be strictly separated and
+    the search has to go on past it."""
     n = draw(st.integers(2, max_dimension))
     point = st.tuples(*[COORD] * n)
     pos = draw(st.lists(point, min_size=1, max_size=4))
-    neg = draw(st.lists(point, min_size=2, max_size=4))
+    neg = draw(st.lists(point, min_size=negatives[0], max_size=negatives[1]))
     hidden = None
     if draw(st.booleans()):
         a = draw(st.tuples(*[COORD] * (n - 1)))

@@ -14,6 +14,7 @@ from descregions.signomial import MAX_EXPONENT_DIGITS
 from adversarial import (
     box_budget_text,
     cube_signs_text,
+    many_negatives_text,
     parabola_text,
     prime_denominator_text,
     prime_vertex_document,
@@ -81,14 +82,36 @@ def test_simplex_search_declines_at_its_budget(monkeypatch):
 
 
 def test_enclosing_search_at_the_budget_is_bounded(pivots):
-    """12 negatives, the default budget: the 2^11 - 1 side assignments with
-    the last negative below, each one LP, within twice the measured 8,402
-    pivots over all 2,047."""
+    """12 negatives, the default budget: the depth-first walk refutes every
+    side assignment with 4 LPs (17 pivots), pinned here, well within 50
+    LPs, and bounded by twice those pivots.  The mask loop it replaced
+    solved all 2^11 - 1 side assignments with the last negative below,
+    8,402 pivots, as each Farkas certificate of a full assignment used all
+    12 negatives."""
     f = parse_signomial(box_budget_text())
     k = CertifyConfig().enclosing_max_negatives
     assert len(f.negative_indices) == k == 12
     assert find_strict_enclosing_pair(f, k) is None
-    assert len(pivots) == 2 ** (k - 1) - 1 and sum(pivots) <= 16_804
+    assert len(pivots) == 4 and sum(pivots) <= 34
+
+
+# (seed, whether a strict enclosing pair exists, the LPs the walk solved)
+MANY_NEGATIVES = [
+    (0, True, 13), (1, False, 16), (2, False, 2), (3, False, 8), (4, True, 4),
+    (9, True, 24), (15, True, 14), (20, True, 31), (26, False, 1), (38, False, 87),
+]
+
+
+@pytest.mark.parametrize("seed, found, lps", MANY_NEGATIVES, ids=[f"seed{s}" for s, _, _ in MANY_NEGATIVES])
+def test_enclosing_search_past_the_budget_is_bounded_by_counted_lps(seed, found, lps, pivots):
+    """13 to 20 negatives, past the default budget of 12: with
+    ``max_negatives=20`` the walk decides each input within the LPs it took
+    when pinned, where the mask loop had up to 2^19 side assignments to try."""
+    f = parse_signomial(many_negatives_text(seed))
+    assert 13 <= len(f.negative_indices) <= 20
+    assert find_strict_enclosing_pair(f) is None
+    assert (find_strict_enclosing_pair(f, max_negatives=20) is not None) == found
+    assert len(pivots) <= lps
 
 
 # The node counts measured before any memo of faces: the recursion re-walks

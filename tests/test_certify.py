@@ -162,6 +162,21 @@ def test_box_budget_overrun_becomes_inconclusive(monkeypatch):
     )
 
 
+def test_box_budget_at_the_default_is_decided_in_few_lps(monkeypatch):
+    """12 negatives, at the side-assignment budget: the box criterion runs
+    the enclosing search, which finds no pair, and the run ends in the same
+    Inconclusive as past the budget, in at most 50 LPs over every criterion
+    (6: two separating, four enclosing), where the search alone once solved
+    2^11 - 1."""
+    f = parse_signomial(box_budget_text())
+    solved = []
+    feasible = lp.feasible
+    monkeypatch.setattr(lp, "feasible", lambda system: solved.append(1) or feasible(system))
+    cert = certify_connectivity(f, CertifyConfig(enable_box_criterion=True))
+    assert cert.outcome == INCONCLUSIVE and cert.reason.startswith("no criterion applies")
+    assert len(solved) <= 50
+
+
 def test_determinism():
     assert certify_connectivity(CUBE4) == certify_connectivity(CUBE4)
     assert certify_connectivity(TEN_TERM) == certify_connectivity(TEN_TERM)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from descregions.check import (
     BOX,
@@ -496,6 +496,16 @@ def test_pruned_searches_match_unpruned_enumerations(f):
     assert find_strict_enclosing_pair(f) == unpruned_enclosing_pair(f)
 
 
+@given(signed_supports(max_dimension=3, negatives=(5, 8)))
+@settings(deadline=None, max_examples=60)
+def test_the_enclosing_walk_matches_every_assignment_with_many_negatives(f):
+    """With 5 to 8 negatives drawn the walk cuts subtrees below the first
+    levels and skips nodes by nogoods on a few placed negatives; its pair is
+    still the first that one LP per side assignment finds."""
+    assume(len(f.negative_indices) >= 5)
+    assert find_strict_enclosing_pair(f) == unpruned_enclosing_pair(f)
+
+
 def test_pruned_searches_on_a_flat_support():
     # collinear in two variables: no simplex, and nothing to build one from
     f = Signomial.from_terms(2, [(-1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 3))])
@@ -519,20 +529,26 @@ def count_lp_calls(monkeypatch):
 def test_enclosing_search_lp_counts(monkeypatch):
     calls = count_lp_calls(monkeypatch)
     assert find_strict_enclosing_pair(TEN_TERM) is None
-    # 4 negatives: 14 side assignments, 7 with the last negative below, one
-    # of them refuted by an earlier Farkas certificate
-    assert len(calls) == 6
+    # 4 negatives: the first node solved, the third and the last below, is
+    # refuted by a certificate on the third, (2, 1), alone, which lies in
+    # the hull of the positives: no side is left for it, and no assignment
+    # (the mask loop solved 6 of its 7)
+    assert len(calls) == 1
     calls.clear()
     assert find_strict_enclosing_pair(BOX_F) is not None
-    assert len(calls) == 3
+    # two feasible partial assignments and one refuted on every placed
+    # negative are solved on the way down to the first feasible leaf, mask
+    # 3, and leaf 2 before it: two LPs more than the mask loop's 3
+    assert len(calls) == 5
+    calls.clear()
     # 6 negatives around the segment of two positives: 62 side assignments,
-    # 31 with the last negative below, all but 4 of them refuted by earlier
-    # certificates that use only some of the negatives
+    # 31 with the last negative below, all refuted by the certificates of 4
+    # partial assignments, after 2 feasible ones; no leaf is solved, where
+    # the mask loop solved 4 leaves
     negs = ((0, 3), (1, 2), (1, 4), (3, 1), (3, 2), (4, 0))
     f = Signomial.from_terms(2, [(1, (0, 0)), (1, (2, 4))] + [(-1, b) for b in negs])
-    calls.clear()
     assert find_strict_enclosing_pair(f) is None
-    assert len(calls) == 4
+    assert len(calls) == 6
 
 
 def test_simplex_search_over_facet_budget_prunes_nothing():

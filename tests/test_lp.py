@@ -349,8 +349,9 @@ def test_column_kernel_walks_the_row_kernels_path(system):
 
 # seed-1 certify corpora: (LPs solved, pivots made); 73 and 216 on
 # cube-recursion and 17 and 102 on wide-hull before negative-face children
-# inherited their parent's failed separating search
-SEED_1_LP_COUNTS = {"lowdim-flagged": (85, 348), "cube-recursion": (65, 192), "wide-hull": (15, 96)}
+# inherited their parent's failed separating search, and 85 and 348 on
+# lowdim-flagged before the enclosing search walked depth first
+SEED_1_LP_COUNTS = {"lowdim-flagged": (76, 310), "cube-recursion": (65, 192), "wide-hull": (15, 96)}
 
 
 @pytest.mark.parametrize("workload", sorted(SEED_1_LP_COUNTS))

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -221,26 +222,34 @@ def test_frame_check_keeps_its_messages():
 
 
 def test_each_signomial_is_framed_once(monkeypatch):
-    """One ``lattice`` call per parse of a rational text and per read of an
-    integral trace, and none to parse an integral text, whose int rows are
-    the frame, or to restrict an integral signomial: that builds on the
-    frame rows it already holds."""
+    """One ``lattice`` call per parse and per read of a trace, and none to
+    restrict an integral signomial, which builds on the frame rows it
+    already holds.  An integral parse or trace hands ``lattice`` int rows,
+    which come back as they are, with scale 1."""
     calls = []
     real = lattice
+
+    def framed(points):
+        calls.append((points, real(points)))
+        return calls[-1][1]
+
     for module in (signomial, tracedoc):
         if hasattr(module, "lattice"):
-            monkeypatch.setattr(module, "lattice", lambda points: calls.append(1) or real(points))
+            monkeypatch.setattr(module, "lattice", framed)
     rational = parse_signomial("3*x^(1/2)*y - 2*x*y^3 + 5 - x^4")
     assert len(calls) == 1 and rational.scale == 2
     calls.clear()
     f = parse_signomial("3*x^2*y - 2*x*y^3 + 5 - x^4")
-    assert calls == [] and f.scale == 1
+    [(rows, (scale, frame))] = calls
+    assert scale == f.scale == 1 and all(map(operator.is_, frame, rows)) and frame == f.frame
     assert all(type(a) is int for row in f.frame for a in row)
+    calls.clear()
     child = restrict_indices(f, [0, 2])
     assert calls == []
     document = tracedoc.signomial_to_json(f)
     read = tracedoc.signomial_from_json(document)
-    assert len(calls) == 1
+    [(rows, (scale, frame))] = calls
+    assert scale == 1 and all(map(operator.is_, frame, rows))
     assert child.frame == (f.frame[0], f.frame[2]) and read == f and read.frame == f.frame
 
 
