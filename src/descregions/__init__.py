@@ -17,7 +17,7 @@ from .check import (
 from .criteria import check_connectivity, closure_property
 from .oracle import ComponentReport, GridSpec, count_negative_components, default_grid
 from .parsing import format_signomial, parse_signomial
-from .signomial import Signomial, Term, restrict, signed_support
+from .signomial import Signomial, Term
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,5 @@ __all__ = [
     "format_signomial",
     "intersection_nonempty",
     "parse_signomial",
-    "restrict",
-    "signed_support",
     "verify_certificate",
 ]

@@ -134,6 +134,8 @@ class CertifyConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if self.facet_budget is not None and self.facet_budget < 1:
+            raise ValueError("facet_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,8 @@ def verify_simplex_witness(f: Signomial, w: SimplexWitness) -> bool:
     the cone union, and some negative interior to the union.  It runs on
     f's lattice frame, as the search does: each vertex as its frame row,
     and the interior negative as its term index.  False for a witness of
-    the wrong shape and for an interior negative that is not one of f's.
+    the wrong shape and for an interior negative that is not one of f's;
+    raises DegenerateSimplexError when the vertices are affinely dependent.
     """
     return not _simplex_shape_error(f, w) and _simplex_verifies(f, w)
 

@@ -138,8 +138,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_analyze(args) -> int:
     f, _ = _read_signomial(args.file)
+    facet_budget = CertifyConfig(facet_budget=args.facet_budget).facet_budget  # certify's rule for a budget
     neg = f.negative_indices
-    newton = lazy_hull(lambda: build_polytope(f.frame, args.facet_budget))
+    newton = lazy_hull(lambda: build_polytope(f.frame, facet_budget))
     P = newton()
     report = {
         "dimension": f.dimension,
@@ -168,7 +169,7 @@ def _cmd_analyze(args) -> int:
         "offset": str(sep.offset),
         "strict_point": [str(c) for c in sep.strict_point],
     }
-    report["closure_property"] = closure_property(f, args.facet_budget, newton, separating)
+    report["closure_property"] = closure_property(f, facet_budget, newton, separating)
     print(json.dumps(report, indent=2))
     return EXIT_OK
 

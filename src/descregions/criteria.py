@@ -101,7 +101,7 @@ def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitnes
 
 
 def find_strict_enclosing_pair(
-    f: Signomial, max_negatives: int = 12
+    f: Signomial, max_negatives: int = CertifyConfig.enclosing_max_negatives
 ) -> Optional[EnclosingWitness]:
     """Search for a strict enclosing pair by assigning the k negatives to the
     two outer sides, both sides required strictly outside, depth first.
@@ -118,9 +118,10 @@ def find_strict_enclosing_pair(
     solved.  An infeasible one cuts its whole subtree, and its Farkas
     certificate, on the rows of some set S of the placed negatives, refutes
     every assignment that puts S on the same sides, and by the symmetry every
-    one that puts S on the opposite sides: such a node is skipped without a
-    feasibility problem.  A certificate on every placed negative refutes
-    only the node's own subtree, so it is not kept.
+    one that puts S on the opposite sides: a node that has placed all of S
+    that way is skipped without a feasibility problem.  A certificate on
+    every placed negative refutes only the node's own subtree, so it is not
+    kept.
 
     The rows are taken from f's lattice frame.  Past ``max_negatives``
     negatives the search declines (None), as it does below two.
@@ -139,18 +140,15 @@ def find_strict_enclosing_pair(
     above = [(frame[i] + (-1, 0), 1) for i in neg]
     below = [(tuple(-c for c in frame[i]) + (0, 1), 1) for i in neg]
     ordered = ((0,) * n + (1, -1), 0)
-    # (S as a bit set, the sides of S refuted), filed under the lowest
-    # negative of S: a node that places negative i meets only those filed
-    # under i, as its solved ancestors are feasible and met the others.  The
-    # root, the last negative alone below, is not solved, so S = {k-1} is
-    # filed under k-2.
-    nogoods: List[List[Tuple[int, int]]] = [[] for _ in range(k - 1)]
+    # (S as a bit set, the sides of S refuted)
+    nogoods: List[Tuple[int, int]] = []
     # (the negative just placed, the sides so far, the parent's exact
     # witness (values, d), None under the root)
     stack = [(k - 2, 1 << (k - 2), None), (k - 2, 0, None)]
     while stack:
         i, mask, parent = stack.pop()
-        if any((mask & s) in (sides, s ^ sides) for s, sides in nogoods[i]):
+        unplaced = (1 << i) - 1
+        if any(not s & unplaced and (mask & s) in (sides, s ^ sides) for s, sides in nogoods):
             continue
         coeffs, rhs = above[i] if mask >> i & 1 else below[i]
         if i == 0 or parent is None or dot(coeffs, parent[0]) < rhs * parent[1]:
@@ -163,7 +161,7 @@ def find_strict_enclosing_pair(
             if not res.is_feasible:
                 s = sum(1 << j for j, y in zip(upper + lower, res.farkas[len(pos_rows):]) if y)
                 if s != (1 << k) - (1 << i):  # not every placed negative
-                    nogoods[min((s & -s).bit_length() - 1, k - 2)].append((s, mask & s))
+                    nogoods.append((s, mask & s))
                 continue
             if i == 0:
                 v = _unframe(f, res.witness[:n])
@@ -203,7 +201,7 @@ def check_box_criterion(
                 witness = BoxWitness(pair, f.exponent(i), f.exponent(j), wn, wc)
                 if _box_error(f, witness) is not None:
                     raise RuntimeError("box witness failed re-verification")
-                return CriterionCertificate(BOX, True, witness)
+                return _certificate(BOX, witness)
     return None
 
 
@@ -235,30 +233,31 @@ def closure_property(
 
 
 def negative_vertex_functional(
-    f: Signomial, P: Polytope, index: Optional[Sequence[int]] = None
+    f: Signomial, P: Polytope, index: Sequence[int]
 ) -> Optional[Tuple[Vector, Vector]]:
     """First negative exponent that is a vertex of the Newton polytope,
     together with a functional u exposing it strictly (u.beta > u.q for every
     other support point q); certifies the negative region is nonempty.
 
-    ``P`` is the Newton polytope of f, built on f's frame, whose point
-    indices are f's term indices.  It may also be the hull of a larger
-    point set of which f's support is a face, since the vertices of a face
-    are the vertices of the hull that lie in it; ``index`` then gives the
+    ``P`` is the hull of a point set of which f's support is a face (N(f)
+    itself with ``index`` = ``range(len(f.frame))``), since the vertices of
+    a face are the vertices of the hull that lie in it; ``index`` gives the
     index in ``P.points`` of each of f's terms, as for a restriction of P's
     points by index.  The functional is the vertex's exposing normal.
     """
-    if index is None:
-        index = range(len(f.frame))
     for i in f.negative_indices:
         if index[i] in P.vertices:
             return f.exponent(i), smallest_face_containing(P, [index[i]])[1]
     return None
 
 
-def _simplex_certificate(w: SimplexWitness) -> CriterionCertificate:
-    kind = SIMPLEX_NEGATIVES_INSIDE if w.mode == MODE_NEGATIVES_INSIDE else SIMPLEX_POSITIVES_INSIDE
-    return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, w)
+def _certificate(kind: str, witness: object = None) -> CriterionCertificate:
+    """A criterion's certificate, nonempty exactly for the kinds replay checks as nonempty."""
+    return CriterionCertificate(kind, kind in _NONEMPTY_KINDS, witness)
+
+
+def _simplex_kind(mode: str) -> str:
+    return SIMPLEX_NEGATIVES_INSIDE if mode == MODE_NEGATIVES_INSIDE else SIMPLEX_POSITIVES_INSIDE
 
 
 def _combinations_holding(vertices: frozenset, count: int, size: int) -> Iterator[Tuple[int, ...]]:
@@ -310,7 +309,7 @@ def _simplex_search(f: Signomial, config: CertifyConfig, newton=None) -> Optiona
             continue
         for mode in modes:
             if _simplex_holds(f, mode, None, derived):
-                return _simplex_certificate(SimplexWitness(tuple(map(f.exponent, combo)), mode))
+                return _certificate(_simplex_kind(mode), SimplexWitness(tuple(map(f.exponent, combo)), mode))
     return None
 
 
@@ -329,25 +328,25 @@ def check_connectivity(
     ``inseparable`` says that f is known to have no strict separating
     hyperplane, so that search is skipped: ``certify`` passes it to the
     negative-face child of a node whose own search found none.
-    ``config.simplex_witness`` is taken when replay's ``verify_criterion``
-    passes it, which it does only up to MAX_SIMPLEX_DIMENSION variables, as
-    the search runs.
+    A supplied ``config.simplex_witness`` is taken when ``verify_criterion``,
+    the check replay runs, passes it, which it does only up to
+    MAX_SIMPLEX_DIMENSION variables, as the search runs.
     """
     config = config or CertifyConfig()
     neg, pos = f.negative_indices, f.positive_indices
     if not neg:
-        return CriterionCertificate(NO_NEGATIVE_TERMS, False)
+        return _certificate(NO_NEGATIVE_TERMS)
     if not pos:
-        return CriterionCertificate(NO_POSITIVE_TERMS, True)
+        return _certificate(NO_POSITIVE_TERMS)
     if len(neg) == 1:
-        return CriterionCertificate(ONE_NEGATIVE_COEFF, False, f.exponent(neg[0]))
+        return _certificate(ONE_NEGATIVE_COEFF, f.exponent(neg[0]))
     sep = None if inseparable else find_strict_separating_hyperplane(f)
     if sep is not None:
-        return CriterionCertificate(STRICT_SEPARATING, True, sep)
+        return _certificate(STRICT_SEPARATING, sep)
     if len(pos) == 1 and newton_dim(f) >= 2:
-        return CriterionCertificate(ONE_POSITIVE_COEFF, True, f.exponent(pos[0]))
+        return _certificate(ONE_POSITIVE_COEFF, f.exponent(pos[0]))
     if config.simplex_witness is not None:
-        found = _simplex_certificate(config.simplex_witness)
+        found = _certificate(_simplex_kind(config.simplex_witness.mode), config.simplex_witness)
         if verify_criterion(f, found) is None:
             return found
     if config.enable_simplex_search:

@@ -14,7 +14,6 @@ offsets are multiplied by L.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -22,11 +21,10 @@ from typing import Iterable, List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 IntVector = Tuple[int, ...]
-_fraction = lru_cache(maxsize=1024)(Fraction)  # a signomial's entries are mostly small ints
 
 
 def vector(coords: Iterable) -> Vector:
-    return tuple([c if type(c) is Fraction else _fraction(c) for c in coords])
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 def lattice(points: Sequence[Sequence]) -> Tuple[int, Tuple[IntVector, ...]]:
@@ -36,8 +34,6 @@ def lattice(points: Sequence[Sequence]) -> Tuple[int, Tuple[IntVector, ...]]:
     if set(map(type, chain.from_iterable(points))) <= {int}:
         return 1, tuple(map(tuple, points))
     scale = lcm(*{a.denominator for p in points for a in p})
-    if scale == 1:
-        return 1, tuple([tuple([a.numerator for a in p]) for p in points])
     return scale, tuple([tuple([a.numerator * (scale // a.denominator) for a in p]) for p in points])
 
 

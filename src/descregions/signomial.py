@@ -147,21 +147,6 @@ class Signomial:
     def _row_index(self) -> Dict[IntVector, int]:
         return {row: i for i, row in enumerate(self.frame)}
 
-    def coefficient(self, exponent: Sequence[Number]) -> Number:
-        i = self.term_index(exponent)
-        return 0 if i is None else self.coefficients[i]
-
-
-@dataclass(frozen=True)
-class SignedSupport:
-    positives: frozenset
-    negatives: frozenset
-
-
-def signed_support(f: Signomial) -> SignedSupport:
-    """Partition the support by coefficient sign."""
-    return SignedSupport(frozenset(positives(f)), frozenset(negatives(f)))
-
 
 def positives(f: Signomial) -> Tuple[Vector, ...]:
     return tuple([vector(f.exponent(i)) for i in f.positive_indices])
@@ -169,13 +154,6 @@ def positives(f: Signomial) -> Tuple[Vector, ...]:
 
 def negatives(f: Signomial) -> Tuple[Vector, ...]:
     return tuple([vector(f.exponent(i)) for i in f.negative_indices])
-
-
-def restrict(f: Signomial, exponents: Iterable[Sequence]) -> Signomial:
-    """Restriction of f to a set of exponent vectors; the result keeps only the
-    terms whose exponent lies in the set and may be empty."""
-    found = {f.term_index(e) for e in exponents}
-    return restrict_indices(f, sorted(found - {None}))
 
 
 def restrict_indices(f: Signomial, indices: Iterable[int]) -> Signomial:

@@ -197,7 +197,9 @@ def _criterion_to_json(cert: CriterionCertificate) -> dict:
 
 def _criterion_from_json(data: dict, q: _Rationals) -> CriterionCertificate:
     kind = data["criterion"]
-    nonempty = bool(data["nonempty"])
+    nonempty = data["nonempty"]
+    if type(nonempty) is not bool:
+        raise ValueError(f"nonempty is not a JSON boolean: {nonempty!r:.40}")
     witness = None
     if kind in (ONE_NEGATIVE_COEFF, ONE_POSITIVE_COEFF) and "exponent" in data:
         witness = _unvec(data["exponent"], q)

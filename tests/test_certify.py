@@ -187,6 +187,16 @@ def test_max_depth_cap():
     assert cert.outcome == INCONCLUSIVE
 
 
+def test_budgets_below_one_are_refused():
+    """A depth or facet budget below 1 is refused when the config is made;
+    a facet budget of None is unbounded."""
+    for field, value in (("max_depth", 0), ("facet_budget", 0), ("facet_budget", -3)):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            CertifyConfig(**{field: value})
+    assert certify_connectivity(CUBE4, CertifyConfig(facet_budget=None)) == certify_connectivity(CUBE4)
+    assert certify_connectivity(CUBE4, CertifyConfig(facet_budget=1)).outcome == INCONCLUSIVE
+
+
 def test_replay_all_fixture_certificates():
     cases = [CUBE3, CUBE4, TEN_TERM, TEN_TERM_UPPER, TEN_TERM_LOWER, NEG_QUADRATIC, PERFECT_SQUARE]
     for f in cases:

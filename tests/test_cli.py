@@ -122,6 +122,23 @@ def test_certify_zero_denominator_is_input_error(poly, capsys):
         assert err.startswith("error: ") and "zero denominator" in err
 
 
+def test_budgets_below_one_are_input_errors(poly, capsys):
+    """``certify`` and ``analyze`` read a facet budget under one rule, the
+    config's: below 1 it is an input error, as a depth cap below 1 is."""
+    cube4 = poly("cube4.poly", fixtures.CUBE4_TEXT)
+    for argv, field in (
+        (("certify", cube4, "--facet-budget", "-3"), "facet_budget"),
+        (("certify", cube4, "--facet-budget", "0"), "facet_budget"),
+        (("analyze", cube4, "--facet-budget", "-3"), "facet_budget"),
+        (("analyze", cube4, "--facet-budget", "0"), "facet_budget"),
+        (("certify", cube4, "--max-depth", "0"), "max_depth"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {field} must be >= 1\n"), argv
+    code, out, _ = run(capsys, "analyze", cube4, "--facet-budget", "1")
+    assert code == 0 and json.loads(out)["facet_budget_exceeded"] is True
+
+
 def test_certify_caps_the_variable_index(poly, capsys):
     code, out, err = run(capsys, "certify", poly("wide.poly", "x200000 - 1 + y"))
     assert code == 1 and out == ""

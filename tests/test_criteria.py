@@ -37,7 +37,7 @@ from descregions.criteria import (
     _simplex_search,
 )
 from descregions import check, criteria, lp, polytope
-from descregions.signomial import Signomial, negatives, restrict, positives
+from descregions.signomial import Signomial, negatives, positives, restrict_indices
 from descregions.linalg import affine_rank, dot, lattice, vsub
 from descregions.polytope import build_polytope
 
@@ -259,7 +259,7 @@ def test_closure_trivial_signs():
 
 def newton_vertex(f):
     """``negative_vertex_functional`` on N(f)."""
-    return negative_vertex_functional(f, build_polytope(f.frame))
+    return negative_vertex_functional(f, build_polytope(f.frame), range(len(f.frame)))
 
 
 def test_has_negative_vertex():
@@ -291,11 +291,11 @@ def test_check_connectivity_neg_quadratic_none():
 def test_check_connectivity_cube4_face_leaves():
     # the top face of the inner cube has one positive term and a strict
     # separating hyperplane; the separating criterion is checked first
-    top = restrict(CUBE4, [vec(0, 1, 1, 0), vec(0, 0, 1, 0), vec(1, 0, 1, 0), vec(1, 1, 1, 0)])
-    cert = check_connectivity(top)
+    top = [vec(0, 1, 1, 0), vec(0, 0, 1, 0), vec(1, 0, 1, 0), vec(1, 1, 1, 0)]
+    cert = check_connectivity(restrict_indices(CUBE4, sorted(map(CUBE4.term_index, top))))
     assert cert.kind == STRICT_SEPARATING
-    bottom = restrict(CUBE4, [vec(1, 0, 0, 0), vec(1, 1, 0, 0), vec(0, 1, 0, 0), vec(0, 0, 0, 0)])
-    assert check_connectivity(bottom).kind == STRICT_SEPARATING
+    bottom = [vec(1, 0, 0, 0), vec(1, 1, 0, 0), vec(0, 1, 0, 0), vec(0, 0, 0, 0)]
+    assert check_connectivity(restrict_indices(CUBE4, sorted(map(CUBE4.term_index, bottom)))).kind == STRICT_SEPARATING
 
 
 def test_check_connectivity_trivial_kinds():

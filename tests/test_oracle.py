@@ -15,7 +15,7 @@ from descregions.oracle import (
     negative_mask,
 )
 from descregions.parsing import parse_signomial
-from descregions.signomial import DEFAULT_TOLERANCE_FACTOR, Signomial, evaluate_log, negatives, positives, restrict
+from descregions.signomial import DEFAULT_TOLERANCE_FACTOR, Signomial, evaluate_log, restrict_indices
 
 import mask_oracle
 from fixtures import (
@@ -69,14 +69,12 @@ def test_restriction_masks_nest():
     grid = grid2(120)
     base = negative_mask(TEN_TERM, grid)
     # dropping a negative term raises the value: negative cells shrink
-    for drop in negatives(TEN_TERM):
-        keep = [b for b in negatives(TEN_TERM) if b != drop]
-        g = restrict(TEN_TERM, list(positives(TEN_TERM)) + keep)
+    for drop in TEN_TERM.negative_indices:
+        g = restrict_indices(TEN_TERM, [i for i in range(len(TEN_TERM.frame)) if i != drop])
         assert np.all(base[negative_mask(g, grid)])
     # dropping a positive term lowers the value: negative cells grow
-    for drop in positives(TEN_TERM):
-        keep = [p for p in positives(TEN_TERM) if p != drop]
-        g = restrict(TEN_TERM, list(negatives(TEN_TERM)) + keep)
+    for drop in TEN_TERM.positive_indices:
+        g = restrict_indices(TEN_TERM, [i for i in range(len(TEN_TERM.frame)) if i != drop])
         assert np.all(negative_mask(g, grid)[base])
 
 

@@ -21,3 +21,10 @@ def test_readme_library_example_runs():
 def test_every_exported_name_resolves():
     missing = [name for name in descregions.__all__ if not hasattr(descregions, name)]
     assert missing == []
+
+
+def test_the_readme_lists_every_export():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("The package root exports ", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]+)`", paragraph.split("Faces and restrictions", 1)[0]))
+    assert named == set(descregions.__all__)

@@ -13,9 +13,7 @@ from descregions.signomial import (
     negatives,
     newton_dim,
     positives,
-    restrict,
     restrict_indices,
-    signed_support,
 )
 
 from descregions import signomial, tracedoc
@@ -39,44 +37,49 @@ from fixtures import (
 F = Fraction
 
 
+def _indices(f, exponents):
+    return sorted(map(f.term_index, exponents))
+
+
 def test_signed_support_ten_term():
-    ss = signed_support(TEN_TERM)
-    assert ss.positives == {
+    assert set(positives(TEN_TERM)) == {
         vec(2, 3), vec(1, 3), vec(0, 4), vec(2, 0), vec(0, 2), vec(0, 0)
     }
-    assert ss.negatives == {vec(3, 2), vec(2, 1), vec(0, 3), vec(0, 1)}
+    assert set(negatives(TEN_TERM)) == {vec(3, 2), vec(2, 1), vec(0, 3), vec(0, 1)}
+    assert sorted(TEN_TERM.positive_indices + TEN_TERM.negative_indices) == list(range(10))
 
 
 def test_signed_support_single_negative_term():
     f = Signomial.from_terms(1, [(-1, (1,))])
-    ss = signed_support(f)
-    assert ss.positives == frozenset()
-    assert ss.negatives == {vec(1)}
+    assert (f.positive_indices, f.negative_indices) == ((), (0,))
+    assert negatives(f) == (vec(1),)
 
 
 def test_signed_support_saddle():
-    assert signed_support(SADDLE).negatives == {vec(1, 1)}
+    assert negatives(SADDLE) == (vec(1, 1),)
 
 
 def test_restrict_to_upper_side_set():
-    upper = set(positives(TEN_TERM)) | {vec(3, 2), vec(2, 1)}
-    assert restrict(TEN_TERM, upper) == TEN_TERM_UPPER
+    upper = positives(TEN_TERM) + (vec(3, 2), vec(2, 1))
+    assert restrict_indices(TEN_TERM, _indices(TEN_TERM, upper)) == TEN_TERM_UPPER
 
 
 def test_restrict_to_lower_side_set():
-    lower = set(positives(TEN_TERM)) | {vec(0, 3), vec(0, 1)}
-    assert restrict(TEN_TERM, lower) == TEN_TERM_LOWER
+    lower = positives(TEN_TERM) + (vec(0, 3), vec(0, 1))
+    assert restrict_indices(TEN_TERM, _indices(TEN_TERM, lower)) == TEN_TERM_LOWER
 
 
 def test_restrict_identity_and_idempotence():
-    assert restrict(TEN_TERM, TEN_TERM.support) == TEN_TERM
-    sub = {vec(0, 0), vec(3, 2)}
-    once = restrict(TEN_TERM, sub)
-    assert restrict(once, sub) == once
+    assert restrict_indices(TEN_TERM, range(len(TEN_TERM.frame))) == TEN_TERM
+    sub = (vec(0, 0), vec(3, 2))
+    once = restrict_indices(TEN_TERM, _indices(TEN_TERM, sub))
+    assert once.support == sub
+    assert restrict_indices(once, _indices(once, sub)) == once
 
 
 def test_restrict_can_empty():
-    empty = restrict(TEN_TERM, [vec(9, 9)])
+    assert TEN_TERM.term_index(vec(9, 9)) is None
+    empty = restrict_indices(TEN_TERM, [])
     assert empty.terms == ()
     assert evaluate_log(empty, (0.0, 0.0)) == 0.0
 
@@ -138,9 +141,8 @@ def test_newton_dim():
 @settings(deadline=None, max_examples=60)
 def test_dropping_negative_terms_never_decreases_value(point, mask):
     # keep all positives plus an arbitrary subset of the negatives
-    neg = negatives(TEN_TERM)
-    keep = [b for i, b in enumerate(neg) if mask >> i & 1]
-    g = restrict(TEN_TERM, list(positives(TEN_TERM)) + keep)
+    keep = [j for i, j in enumerate(TEN_TERM.negative_indices) if mask >> i & 1]
+    g = restrict_indices(TEN_TERM, sorted(TEN_TERM.positive_indices + tuple(keep)))
     y = [p - 1.5 for p in point]
     fy = evaluate_log(TEN_TERM, y)
     gy = evaluate_log(g, y)
@@ -188,7 +190,7 @@ def test_from_terms_sorts_and_merges_on_the_frame_like_the_fraction_sort(case):
     assert f == parse_oracle._from_terms(n, pairs)
     assert _all_fractions(f) and _frame_holds(f)
     kept = range(0, len(f.terms), 2)
-    for g in (restrict(f, [f.terms[i].exponent for i in kept]), restrict_indices(f, kept)):
+    for g in (restrict_indices(f, [f.term_index(f.terms[i].exponent) for i in kept]), restrict_indices(f, kept)):
         assert g.terms == tuple(f.terms[i] for i in kept)
         assert _all_fractions(g) and _frame_holds(g)
 
@@ -204,7 +206,7 @@ def test_every_path_in_gives_fractions_and_a_frame():
     cancelled = parse_signomial("x^(1/3) - x^(1/3) + x")
     halves = restrict_indices(f, [0, 2])
     assert (cancelled.scale, cancelled.frame, halves.scale, halves.frame) == (1, ((1,),), 2, ((0, 0), (1, 2)))
-    paths = (f, g, h, cancelled, halves, restrict(f, f.support[:2]), restrict_indices(g, [0, 2]))
+    paths = (f, g, h, cancelled, halves, restrict_indices(f, [0, 1]), restrict_indices(g, [0, 2]))
     for s in paths + tuple(signomial_from_json(signomial_to_json(s)) for s in paths):
         assert _all_fractions(s) and _frame_holds(s)
     assert h == f
@@ -288,8 +290,8 @@ def _lookups(draw):
 def test_lookup_matches_a_scan_of_the_fraction_support(case):
     """``term_index`` against a scan of the ``Fraction`` support, and
     ``frame_row`` against the definition: the point times L when every entry
-    times L is an int, else None.  ``coefficient`` and ``restrict`` answer
-    through the same lookup."""
+    times L is an int, else None.  ``restrict_indices`` keeps the term it
+    finds."""
     f, point = case
     support = f.support
     exact = tuple(map(Fraction, point))
@@ -298,9 +300,9 @@ def test_lookup_matches_a_scan_of_the_fraction_support(case):
     scaled = [f.scale * a for a in exact]
     on_lattice = len(point) == f.dimension and all(a.denominator == 1 for a in scaled)
     assert f.frame_row(point) == (tuple(map(int, scaled)) if on_lattice else None)
-    assert f.coefficient(point) == (0 if expected is None else f.terms[expected].coefficient)
     kept = [mu for i, mu in enumerate(support) if i % 2 == 0]
-    assert restrict(f, kept + [point]) == parse_oracle.Signomial.of_terms(
+    found = {f.term_index(mu) for mu in kept + [point]} - {None}
+    assert restrict_indices(f, sorted(found)) == parse_oracle.Signomial.of_terms(
         f.dimension, [t for t in f.terms if t.exponent in set(kept) or t.exponent == exact]
     )
 
@@ -310,7 +312,7 @@ def test_a_point_off_the_lattice_is_not_rounded_onto_it():
     f = Signomial.from_terms(1, [(1, (0,)), (-1, (F(1, 2),)), (1, (F(3, 2),))])
     assert (f.scale, f.frame) == (2, ((0,), (1,), (3,)))
     for point in ((F(1, 3),), (F(2, 3),), (F(1, 4),), (F(1, 10 ** 6 + 3),)):
-        assert f.frame_row(point) is None and f.term_index(point) is None and f.coefficient(point) == 0
+        assert f.frame_row(point) is None and f.term_index(point) is None
     assert f.term_index((F(3, 2),)) == 2 and f.frame_row((F(3, 2),)) == (3,) and f.term_index((1,)) is None
     assert f.term_index((0, 0)) is None and f.term_index(()) is None
 
@@ -358,7 +360,6 @@ def test_search_and_replay_read_only_the_frame(monkeypatch):
     from descregions import check, polytope
     from descregions.certify import certify_connectivity
     from descregions.check import CERTIFIED_OUTCOMES, CertifyConfig
-    from descregions.linalg import _fraction
 
     made, values = _count_constructions(monkeypatch)
     flagged = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True)
@@ -366,13 +367,11 @@ def test_search_and_replay_read_only_the_frame(monkeypatch):
     inputs = [(CUBE4_TEXT, CertifyConfig()), (BOX_TEXT, flagged), (TEN_TERM_UPPER_TEXT, flagged), (SADDLE_TEXT, flagged)]
     for text, config in inputs:
         values.clear()
-        _fraction.cache_clear()  # a memoized Fraction of an equal int would hide one
         f = parse_signomial(text)
         assert made == {"Term": 0, "Fraction of an entry": 0} and set(values) <= set(f.coefficients)
         assert f.scale == 1 and type(f.frame[0][0]) is int
 
         marked = Signomial(f.dimension, f.coefficients, 1, tuple(tuple(map(_Entry, row)) for row in f.frame))
-        _fraction.cache_clear()
         cert = certify_connectivity(marked, config)
         doc = json.loads(tracedoc.document_to_json(tracedoc.make_document(marked, config, cert, source=text)))
         assert cert.outcome in CERTIFIED_OUTCOMES and made == {"Term": 0, "Fraction of an entry": 0}

@@ -141,6 +141,22 @@ def test_malformed_documents_are_reported_not_raised():
     assert tracedoc.verify_document(split) == ["root.face: malformed parallel-split node"]
 
 
+def test_nonempty_must_be_a_json_boolean():
+    """A criterion node's ``nonempty`` is a JSON boolean or the document is
+    malformed: a truthy 1, "yes" or [0] is not read as true.  A boolean of
+    the wrong value stays a replay error of the node."""
+    doc = json.loads(tracedoc.document_to_json(tracedoc.make_document(
+        TEN_TERM_UPPER, CertifyConfig(), certify_connectivity(TEN_TERM_UPPER))))
+    assert doc["tree"]["nonempty"] is True and tracedoc.verify_document(doc) == []
+    for value in (1, "yes", [0], 0, "", None, "true", 1.0):
+        bad = copy.deepcopy(doc)
+        bad["tree"]["nonempty"] = value
+        errors = tracedoc.verify_document(bad)
+        assert len(errors) == 1 and errors[0].startswith("malformed document: nonempty is not a JSON boolean"), value
+    doc["tree"]["nonempty"] = False
+    assert "root: nonempty flag inconsistent with kind strict-separating" in tracedoc.verify_document(doc)
+
+
 def test_deeply_nested_trace_is_reported_not_raised():
     tree = {"kind": "empty", "outcome": "CertifiedEmpty"}
     for _ in range(5000):
