@@ -63,9 +63,9 @@ MODE_POSITIVES_INSIDE = "positives-inside"
 
 # The most variables a simplex witness is searched, taken or replayed in.
 # Checking one costs a fraction-free inverse whose time grows faster than
-# n^4: with entries up to 10^5, 2.5 ms at n = 16, 37 ms at n = 32 and 0.11 s
-# at n = 40 (CPython 3.11, 2-core VM).  16 keeps every witness's check in
-# milliseconds and covers the largest fixture, WIDE16.
+# n^4 on dense vertices: with entries up to 10^5, 2.3 ms at n = 16, 31 ms at
+# n = 32 and 79 ms at n = 40 (CPython 3.11, 2-core VM).  16 keeps every
+# witness's check in milliseconds and covers the largest fixture, WIDE16.
 MAX_SIMPLEX_DIMENSION = 16
 
 
@@ -240,34 +240,55 @@ def simplex_halfspaces(vertices: Sequence[IntVector]) -> Tuple[Tuple[IntVector, 
     and int offsets.  Raises DegenerateSimplexError when the vertices are
     affinely dependent.
 
-    One fraction-free inverse per simplex, one echelon per hull (the hull's
-    starting simplex takes its facets from here): a Gauss-Jordan elimination
-    of [M | I], with M the rows v_i - v_0 and every step
-    divided exactly by the previous pivot (Bareiss 1968), leaves
-    [d I | d M^-1] with d = +-det M.  Column j of d M^-1 is orthogonal to
-    every row of M but the j-th, so it is normal to the facet opposite
-    v_j; the sum of the columns has the same product with every row, so it
-    is normal to the facet opposite v_0.  A zero pivot column means the
-    vertices are dependent.  Each normal is made primitive and turned away
-    from its opposite vertex."""
+    The hull's starting simplex, the simplex search and replay's simplex
+    check all read their facets from here.  A Gauss-Jordan elimination of
+    [M | I], with M the rows v_i - v_0 and every step divided exactly by
+    the previous pivot (Bareiss 1968), leaves [d I | d M^-1] with
+    d = +-det M.  Column j of d M^-1 is orthogonal to every row of M but
+    the j-th, so it is normal to the facet opposite v_j; the sum of the
+    columns has the same product with every row, so it is normal to the
+    facet opposite v_0.  A zero pivot column means the vertices are
+    dependent.  Each normal is made primitive and turned away from its
+    opposite vertex.
+
+    The scaling is lazy, so a sparse simplex pays for its nonzeros.  A step
+    would only multiply a row with a zero in the pivot column by q / prev,
+    so it leaves that row as it is; each row keeps the denominator ``at`` it
+    was last brought to, and Bareiss's row is the stored one times
+    prev / at.  A row is brought up to date only when it is read: as the
+    pivot row (one exact pass, a * prev // at), when a step eliminates from
+    it (the pass folds into the step, which then divides by at instead of
+    prev), and at the end.  So the pivots, the result and the degenerate
+    cases are Bareiss's."""
     n = len(vertices[0])
     if len(vertices) != n + 1:
         raise DegenerateSimplexError("vertices do not form an n-simplex")
     base = vertices[0]
     rows = [[a - b for a, b in zip(p, base)] + [int(i == k) for k in range(n)] for i, p in enumerate(vertices[1:])]
+    at = [1] * n  # the denominator each row was last brought to
     prev = 1
     for k in range(n):
-        # each row holds columns k.. of the eliminated [M | I]
+        # each row holds columns k.. of the eliminated [M | I]: Bareiss's
+        # row times at / prev
         r = next((i for i in range(k, n) if rows[i][0]), None)
         if r is None:
             raise DegenerateSimplexError("vertices do not form an n-simplex")
         rows[k], rows[r] = rows[r], rows[k]
-        q, pivot = rows[k][0], rows[k][1:]
-        rows = [
-            pivot if i == k else [(q * a - row[0] * b) // prev for a, b in zip(row[1:], pivot)]
-            for i, row in enumerate(rows)
-        ]
+        at[k], at[r] = at[r], at[k]
+        pivot = rows[k] if at[k] == prev else [a * prev // at[k] for a in rows[k]]
+        q, pivot = pivot[0], pivot[1:]
+        for i, row in enumerate(rows):
+            c = row[0]
+            if i == k:
+                rows[i] = pivot
+            elif c:
+                rows[i] = [(q * a - c * b) // at[i] for a, b in zip(row[1:], pivot)]
+            else:
+                del row[0]
+                continue
+            at[i] = q
         prev = q
+    rows = [row if s == prev else [a * prev // s for a in row] for row, s in zip(rows, at)]
     # rows is now d M^-1
     columns = [tuple(map(sum, rows))] + list(zip(*rows))
     out = []

@@ -76,6 +76,11 @@ def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitnes
     second adds sum(v.beta - a) >= 1 over the remaining negatives, which by
     homogeneity is feasible exactly when one of them can be made strict.
     The strict point is the first negative strictly above the hyperplane.
+
+    The second is not solved when the first one's Farkas certificate y
+    weighs every remaining negative's row: y >= 0 combines the rows to
+    0 >= y_strict > 0, so every (v, a) meeting the weak rows is tight on
+    each row y weighs, and none of those negatives can be made strict.
     """
     neg, pos = f.negative_indices, f.positive_indices
     if not neg or not pos:
@@ -97,6 +102,8 @@ def find_strict_separating_hyperplane(f: Signomial) -> Optional[SeparatingWitnes
             if not verify_separating_hyperplane(f, v, a, strict=True, strict_point=beta0):
                 raise RuntimeError("separating witness failed re-verification")
             return SeparatingWitness(v, a, True, beta0)
+        if all(res.farkas[1:len(neg)]):  # the rows of neg[1:]
+            return None
     return None
 
 

@@ -2,11 +2,12 @@
 
 The geometry runs in one integer lattice frame: ``lattice`` scales a point
 set once by the lcm L of its denominators, and the kernels work on Python
-ints from there on.  The linear algebra is one fraction-free inverse per
-simplex, one echelon per hull (both Bareiss 1968): the incremental reduced
+ints from there on.  The linear algebra is fraction-free (Bareiss 1968):
+one echelon per hull and one inverse per simplex.  The incremental reduced
 row echelon form here gives affine ranks and ``polytope``'s affine-hull
-frame with its starting simplex, and ``check.simplex_halfspaces`` reads all
-of a simplex's facet normals off one inverse; no other linear system is
+frame with its starting simplex.  ``check.simplex_halfspaces`` reads all of
+a simplex's facet normals off one inverse, whose rows it scales lazily, so
+a sparse simplex costs about its nonzeros.  No other linear system is
 solved.  Ranks and primitive normals do not change under the scaling, and
 offsets are multiplied by L.
 """

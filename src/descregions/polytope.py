@@ -5,9 +5,9 @@ exponents (``build_polytope(f.frame)``), and every step works on ints.
 Beneath-beyond insertion runs inside affine-hull coordinates, so
 lower-dimensional point sets (restrictions of a support to a face keep the
 ambient dimension) are handled without perturbation.  The linear algebra is
-one fraction-free inverse per simplex, one echelon per hull: the echelon of
-the rows is the affine hull and picks the starting simplex, whose facets
-``check.simplex_halfspaces`` reads off one inverse.  The echelon is reduced:
+one echelon per hull: the echelon of the rows is the affine hull and picks
+the starting simplex, whose facets ``check.simplex_halfspaces`` reads off
+one lazily scaled fraction-free inverse.  The echelon is reduced:
 a point's hull coordinates are its pivot entries minus the base point's,
 and a hull facet normal is lifted back by placing it on the pivot columns,
 so neither direction solves a linear system.  For a flat hull that lift is
@@ -18,7 +18,10 @@ incidences, which insertion keeps up to date.  A facet's normal is a
 coprime integer vector, the same under any positive scaling of the points,
 and its offset an int on the rows.  Vertices, smallest faces with their
 exposing normals and parallel faces with their splits are read off the
-incidences, with no linear programming; normals leave as int tuples.  A
+incidences, with no linear programming: vertices in one pass over the
+facets, and a parallel pair from each facet whose off-facet points share one
+value, a test that stops at the first point that differs.  Normals leave as
+int tuples.  A
 hull past its facet budget is None, as a search past its budget is.
 """
 
@@ -151,16 +154,13 @@ def lazy_hull(build: Callable[[], Optional[Polytope]]) -> Callable[[], Optional[
 
 def _vertices_from_incidences(count: int, facets: Sequence[Facet]) -> FrozenSet[int]:
     """Points whose smallest face is the point alone: the facets through
-    point i meet in {i} (with no facets the hull is a single point)."""
-    vertices = []
-    for i in range(count):
-        common = set(range(count))
-        for f in facets:
-            if i in f.incident:
-                common &= f.incident
-        if common == {i}:
-            vertices.append(i)
-    return frozenset(vertices)
+    point i meet in {i} (with no facets the hull is a single point).  One
+    pass over the facets intersects the incidences met at each point."""
+    common: List[Optional[FrozenSet[int]]] = [None] * count
+    for f in facets:
+        for i in f.incident:
+            common[i] = f.incident if common[i] is None else common[i] & f.incident
+    return frozenset(i for i, c in enumerate(common) if c == {i} or c is None and count == 1)
 
 
 def smallest_face_containing(
@@ -196,6 +196,10 @@ def parallel_face_pairs(P: Polytope) -> List[Tuple[IntVector, Tuple[int, ...], T
     """
     found = set()
     for f in P.facets:
-        if len({dot(f.normal, p) for p in P.points}) == 2:
+        # the points on f have value f.offset, and some point lies off it:
+        # f splits the points when those off it share one value
+        off = (dot(f.normal, p) for i, p in enumerate(P.points) if i not in f.incident)
+        value = next(off)
+        if all(x == value for x in off):
             found.add(sign_canonical(f.normal))
     return [(v, *_extremes([dot(v, p) for p in P.points])) for v in sorted(found)]

@@ -158,11 +158,11 @@ def _simplex_to_json(w: SimplexWitness) -> dict:
 
 
 def _simplex_from_json(data: dict, q: _Rationals) -> SimplexWitness:
-    interior = data.get("interior_negative")
+    interior = data.get("interior_negative")  # absent or null is none, anything else a vector
     return SimplexWitness(
         vertices=tuple(_unvec(v, q) for v in data["vertices"]),
         mode=data["mode"],
-        interior_negative=_unvec(interior, q) if interior else None,
+        interior_negative=None if interior is None else _unvec(interior, q),
         halfspaces=tuple((_unvec(h["normal"], q), q[h["offset"]]) for h in data["halfspaces"])
         if "halfspaces" in data
         else None,
@@ -178,7 +178,7 @@ def _criterion_to_json(cert: CriterionCertificate) -> dict:
         out["witness"] = {
             "normal": _vec(w.normal),
             "offset": _fmt(w.offset),
-            "strict_point": _vec(w.strict_point) if w.strict_point else None,
+            "strict_point": None if w.strict_point is None else _vec(w.strict_point),
         }
     elif cert.kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
         out["witness"] = _simplex_to_json(w)
@@ -205,11 +205,9 @@ def _criterion_from_json(data: dict, q: _Rationals) -> CriterionCertificate:
         witness = _unvec(data["exponent"], q)
     elif kind == STRICT_SEPARATING:
         w = data["witness"]
+        point = w.get("strict_point")  # absent or null is none, anything else a vector
         witness = SeparatingWitness(
-            _unvec(w["normal"], q),
-            q[w["offset"]],
-            True,
-            _unvec(w["strict_point"], q) if w.get("strict_point") else None,
+            _unvec(w["normal"], q), q[w["offset"]], True, None if point is None else _unvec(point, q)
         )
     elif kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
         witness = _simplex_from_json(data["witness"], q)

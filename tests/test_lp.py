@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from descregions import lp
+from descregions import criteria, lp
 from descregions.lp import (
     LinearSystem,
     feasible,
@@ -349,9 +349,11 @@ def test_column_kernel_walks_the_row_kernels_path(system):
 
 # seed-1 certify corpora: (LPs solved, pivots made); 73 and 216 on
 # cube-recursion and 17 and 102 on wide-hull before negative-face children
-# inherited their parent's failed separating search, and 85 and 348 on
-# lowdim-flagged before the enclosing search walked depth first
-SEED_1_LP_COUNTS = {"lowdim-flagged": (76, 310), "cube-recursion": (65, 192), "wide-hull": (15, 96)}
+# inherited their parent's failed separating search, 85 and 348 on
+# lowdim-flagged before the enclosing search walked depth first, and 65 and
+# 192 on cube-recursion before a separating search skipped the second
+# problem its first one's Farkas certificate rules out
+SEED_1_LP_COUNTS = {"lowdim-flagged": (76, 310), "cube-recursion": (54, 157), "wide-hull": (15, 96)}
 
 
 @pytest.mark.parametrize("workload", sorted(SEED_1_LP_COUNTS))
@@ -374,6 +376,43 @@ def test_seed_1_corpus_lps_walk_the_row_kernels_path_with_pinned_counts(workload
     assert (len(solved), sum(res.pivots for _, res in solved)) == SEED_1_LP_COUNTS[workload]
     for system, res in solved:
         assert result_fields(res) == result_fields(row_lp_oracle.feasible(system)), system
+
+
+# seed-1 certify corpora: second separating problems not solved
+SEED_1_SKIPPED_SECOND_PROBLEMS = {"lowdim-flagged": 0, "cube-recursion": 11, "wide-hull": 0}
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_1_SKIPPED_SECOND_PROBLEMS))
+def test_skipped_second_separating_problems_are_infeasible(workload, monkeypatch):
+    """A separating search on two or more negatives that solves one problem
+    and finds nothing has skipped its second one on the first one's Farkas
+    certificate.  Each skipped problem, rebuilt from the first one's weak
+    rows and solved after all, is infeasible, on seeds 1-3; the seed-1
+    counts are pinned."""
+    count, config = WORKLOADS[workload]
+    solve, search = lp.feasible, criteria.find_strict_separating_hyperplane
+    solved, skipped = [], []
+
+    def searching(f):
+        solved.clear()
+        found = search(f)
+        k = len(f.negative_indices)
+        if found is None and k > 1 and len(solved) == 1:
+            weak = solved[0].rows[:-1]  # the negatives' rows first, in order
+            total = tuple(map(sum, zip(*(coeffs for coeffs, _ in weak[1:k]))))
+            skipped.append(LinearSystem(solved[0].unknowns, (*weak, (total, 1))))
+        return found
+
+    for seed in (1, 2, 3):
+        skipped.clear()
+        monkeypatch.setattr(lp, "feasible", lambda system: solved.append(system) or solve(system))
+        monkeypatch.setattr(criteria, "find_strict_separating_hyperplane", searching)
+        for text in corpus.corpus(workload, seed, count):
+            certify_connectivity(parse_signomial(text), config)
+        monkeypatch.undo()
+        if seed == 1:
+            assert len(skipped) == SEED_1_SKIPPED_SECOND_PROBLEMS[workload]
+        assert not any(feasible(system).is_feasible for system in skipped)
 
 
 @given(int_systems(), st.data())

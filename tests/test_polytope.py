@@ -335,6 +335,34 @@ def test_incidences_match_lp_definitions(pts):
             assert {k for k in everything if dot(u, pts[k]) == top} == set(face)
 
 
+@given(point_sets(max_size=9))
+@settings(deadline=None, max_examples=300)
+def test_vertices_and_parallel_pairs_match_their_definitions(pts):
+    """``Polytope.vertices`` against the all-facets definition (the facets
+    through point i meet in {i}, or the hull is that one point), and
+    ``parallel_face_pairs`` against the all-values one (a facet normal takes
+    exactly two values on the points), with the faces as replay reads them."""
+    P = hull(pts)
+    everything = set(range(len(pts)))
+
+    def meet(i):
+        common = set(everything)
+        for f in P.facets:
+            if i in f.incident:
+                common &= f.incident
+        return common
+
+    assert P.vertices == {i for i in everything if meet(i) == {i}}
+    found = {sign_canonical(f.normal) for f in P.facets if len({dot(f.normal, p) for p in P.points}) == 2}
+    pairs = []
+    for v in sorted(found):
+        values = [dot(v, p) for p in P.points]
+        top = tuple(i for i, x in enumerate(values) if x == max(values))
+        bottom = tuple(i for i, x in enumerate(values) if x == min(values))
+        pairs.append((v, top, bottom))
+    assert parallel_face_pairs(P) == pairs
+
+
 # --- the reduced-echelon frame of the affine hull -----------------------------
 
 

@@ -1,16 +1,19 @@
 """The simplex halfspaces from one fraction-free inverse against the
-per-facet echelon eliminations of ``simplex_oracle``, and the work a hull
-build spends on its echelon form."""
+per-facet echelon eliminations of ``simplex_oracle`` and the eager inverse
+of ``eager_inverse_oracle``, and the work a hull build spends on its
+echelon form."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from descregions.check import DegenerateSimplexError, simplex_halfspaces
 from descregions.linalg import _Echelon, lattice
 from descregions.polytope import build_polytope
 
+import eager_inverse_oracle
 import simplex_oracle
 from fixtures import CUBE3, CUBE4, WIDE16, vec
 
@@ -57,6 +60,51 @@ def test_one_inverse_matches_the_per_facet_eliminations(n, count, rational):
         degenerate += assert_alike(vertices) is DegenerateSimplexError
     # small integer coordinates in low dimensions give some singular draws
     assert degenerate < count
+
+
+@st.composite
+def int_simplices(draw):
+    """n + 1 int points in n = 1..16 dimensions.  Sparse draws put each
+    vertex but the first on a scaled unit vector, with at most one more
+    nonzero entry, as WIDE16's terms use at most two variables; dense draws
+    take every entry up to 10^5.  A degenerate draw then moves one vertex
+    onto the line through two others, or repeats one."""
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        entry = st.integers(-9, 9)
+        columns = draw(st.permutations(range(n)))
+        vertices = [[0] * n for _ in range(n + 1)]
+        for v, c in zip(vertices[1:], columns):
+            v[c] = draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))
+        for v in vertices:
+            if draw(st.booleans()):
+                v[draw(st.integers(0, n - 1))] += draw(entry)
+    else:
+        entry = st.integers(-10**5, 10**5)
+        vertices = [[draw(entry) for _ in range(n)] for _ in range(n + 1)]
+    shape = draw(st.sampled_from(("general", "general", "line", "repeat")))
+    i, j, k = (draw(st.integers(0, n)) for _ in range(3))
+    if shape == "line":
+        t = draw(st.integers(-3, 3))
+        vertices[k] = [a + t * (b - a) for a, b in zip(vertices[i], vertices[j])]
+    elif shape == "repeat" and k != i:
+        vertices[k] = list(vertices[i])
+    return [tuple(v) for v in vertices]
+
+
+@given(int_simplices())
+@settings(deadline=None, max_examples=300)
+@example([(0,) * 16] + [tuple(int(i == j) for i in range(16)) for j in range(16)])
+@example([(0, 0, 0), (2, 0, 0), (0, 0, 3), (0, 5, 1)])
+@example([(0, 0), (1, 1), (2, 2)])
+def test_lazy_inverse_matches_the_eager_one_and_the_per_facet_eliminations(vertices):
+    """The lazily scaled inverse against the eager one it replaced, and
+    against the per-facet echelon eliminations: the same halfspaces, or the
+    degenerate-simplex error in all three."""
+    new = outcome(simplex_halfspaces, vertices)
+    event("degenerate" if new is DegenerateSimplexError else "simplex")
+    assert new == outcome(eager_inverse_oracle.simplex_halfspaces, vertices)
+    assert new == outcome(simplex_oracle.simplex_halfspaces, vertices)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 16])

@@ -157,6 +157,37 @@ def test_nonempty_must_be_a_json_boolean():
     assert "root: nonempty flag inconsistent with kind strict-separating" in tracedoc.verify_document(doc)
 
 
+@pytest.mark.parametrize("f, config, key, reason", [
+    (TEN_TERM_UPPER, CertifyConfig(), "strict_point", "separating hyperplane does not verify"),
+    (SIMPLEX_CONNECTED, SIMPLEX_CONFIG, "interior_negative", "simplex witness does not verify"),
+])
+def test_optional_witness_points_are_read_by_type(f, config, key, reason):
+    """A criterion witness's optional point (``strict_point``,
+    ``interior_negative``) is none when absent or null.  Anything else is a
+    list of rationals, or the document is malformed: a falsy 0, "" or false
+    is not read as absent.  A list of the wrong length, [] included, is no
+    term's exponent, so replay refuses the witness."""
+    doc = json.loads(tracedoc.document_to_json(tracedoc.make_document(f, config, certify_connectivity(f, config))))
+    point = doc["tree"]["witness"][key]
+    assert len(point) == f.dimension and tracedoc.verify_document(doc) == []
+    for absent in (True, False):
+        ok = copy.deepcopy(doc)
+        if absent:
+            del ok["tree"]["witness"][key]
+        else:
+            ok["tree"]["witness"][key] = None
+        assert tracedoc.verify_document(ok) == [], absent
+    for value in (0, "", False, True, {}, "0", [0] * f.dimension, [None] * f.dimension):
+        bad = copy.deepcopy(doc)
+        bad["tree"]["witness"][key] = value
+        errors = tracedoc.verify_document(bad)
+        assert len(errors) == 1 and errors[0].startswith("malformed document: "), (value, errors)
+    for value in ([], point[:1], point + ["0"]):
+        bad = copy.deepcopy(doc)
+        bad["tree"]["witness"][key] = value
+        assert tracedoc.verify_document(bad) == [f"root: {reason}"], value
+
+
 def test_deeply_nested_trace_is_reported_not_raised():
     tree = {"kind": "empty", "outcome": "CertifiedEmpty"}
     for _ in range(5000):
