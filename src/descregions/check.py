@@ -268,8 +268,7 @@ def simplex_halfspaces(vertices: Sequence[IntVector]) -> Tuple[Tuple[IntVector, 
     at = [1] * n  # the denominator each row was last brought to
     prev = 1
     for k in range(n):
-        # each row holds columns k.. of the eliminated [M | I]: Bareiss's
-        # row times at / prev
+        # each row holds columns k.. of the eliminated [M | I]
         r = next((i for i in range(k, n) if rows[i][0]), None)
         if r is None:
             raise DegenerateSimplexError("vertices do not form an n-simplex")
