@@ -18,12 +18,15 @@ The search runs on each signomial's integer lattice frame: the hull is
 built on the frame rows, so its point indices are term indices.  Each face
 question is one query on that hull, which gives the faces (split as replay
 splits them) with their int normals; children are restricted by index, and
-witness points leave as ``Signomial.exponent``.
+witness points leave as ``Signomial.exponent``.  Only the root's hull is
+built from its points; a child's is read off its parent's facets
+(``polytope.face_polytope``) when the child first needs it, so a run
+builds at most one hull and the facet budget bounds that one.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certificate stay reachable here
     CERTIFIED_AT_MOST_ONE,
@@ -44,21 +47,36 @@ from .check import (  # noqa: F401 -- CERTIFIED_AT_MOST_ONE and verify_certifica
     verify_certificate,
 )
 from .criteria import check_connectivity, negative_vertex_functional
-from .polytope import Polytope, build_polytope, lazy_hull, parallel_face_pairs, smallest_face_containing
+from .polytope import Polytope, build_polytope, face_polytope, lazy_hull, parallel_face_pairs, smallest_face_containing
 from .signomial import Signomial, restrict_indices
 
 
 def certify_connectivity(f: Signomial, config: Optional[CertifyConfig] = None) -> Certificate:
     """Run the recursive certification on f and return the certificate trace."""
     config = config or CertifyConfig()
-    return _certify(f, config, depth=1)
+    return _certify(f, lazy_hull(lambda: build_polytope(f.frame, config.facet_budget)), config, 1)
 
 
-def _certify(f: Signomial, config: CertifyConfig, depth: int, inseparable: bool = False) -> Certificate:
-    """The certificate of one node.  N(f) is built at most once, when the
-    simplex search or the face scan first needs it; faces are found by term
-    index on the hull and on f's lattice frame, and children are restricted
-    by index.  Past the depth or facet budget the node is Inconclusive.
+def _face(f: Signomial, P: Polytope, face: Sequence[int]) -> Tuple[Signomial, Callable[[], Polytope]]:
+    """f restricted to the face of its Newton polytope P at the term indices
+    ``face``, with the face's hull, read off P when first asked for."""
+    g = restrict_indices(f, face)
+    return g, lazy_hull(lambda: face_polytope(P, face, g.frame))
+
+
+def _certify(
+    f: Signomial,
+    newton: Callable[[], Optional[Polytope]],
+    config: CertifyConfig,
+    depth: int,
+    inseparable: bool = False,
+) -> Certificate:
+    """The certificate of one node.  ``newton`` returns N(f), built when the
+    simplex search or the face scan first needs it: only the root's is built
+    from its points, and each child's is read off its parent's; faces are
+    found by term index on the hull and on f's lattice frame, and children
+    are restricted by index.  Past the depth or facet budget the node is
+    Inconclusive.
 
     A node reaches its negative face only once ``check_connectivity`` has
     declined, so f has no strict separating hyperplane, and neither has the
@@ -75,7 +93,6 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int, inseparable: bool 
     if not neg_idx:
         return Certificate(KIND_EMPTY, CERTIFIED_EMPTY)
 
-    newton = lazy_hull(lambda: build_polytope(f.frame, config.facet_budget))
     crit = check_connectivity(f, config, newton, inseparable)
     if crit is not None:
         return Certificate(KIND_CRITERION, criterion_outcome(crit), criterion=crit)
@@ -89,7 +106,7 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int, inseparable: bool 
     # P is built from f.frame, so its point indices are f's term indices
     face_idx, normal = smallest_face_containing(P, neg_idx)
     if any(normal):
-        child = _certify(restrict_indices(f, face_idx), config, depth + 1, inseparable=True)
+        child = _certify(*_face(f, P, face_idx), config, depth + 1, inseparable=True)
         return Certificate(
             KIND_NEGATIVE_FACE,
             child.outcome,
@@ -102,11 +119,11 @@ def _certify(f: Signomial, config: CertifyConfig, depth: int, inseparable: bool 
         edge = intersection_nonempty(f, P, face1, face2)
         if edge is None:
             continue
-        f1, f2 = restrict_indices(f, face1), restrict_indices(f, face2)
-        child1 = _certify(f1, config, depth + 1)
+        (f1, newton1), (f2, newton2) = _face(f, P, face1), _face(f, P, face2)
+        child1 = _certify(f1, newton1, config, depth + 1)
         if child1.outcome not in CERTIFIED_OUTCOMES:
             continue
-        child2 = _certify(f2, config, depth + 1)
+        child2 = _certify(f2, newton2, config, depth + 1)
         if child2.outcome not in CERTIFIED_OUTCOMES:
             continue
         # each edge end is a negative vertex of P on its own face, so both are found

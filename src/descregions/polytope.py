@@ -21,14 +21,22 @@ exposing normals and parallel faces with their splits are read off the
 incidences, with no linear programming: vertices in one pass over the
 facets, and a parallel pair from each facet whose off-facet points share one
 value, a test that stops at the first point that differs.  Normals leave as
-int tuples.  A
-hull past its facet budget is None, as a search past its budget is.
+int tuples.  A hull past its facet budget is None, as a search past its
+budget is.
+
+A face's hull is read off its parent's, with no insertion
+(``face_polytope``): its facets are the parent's facets cut down to the
+face, and each normal is the parent facet's functional on the face's own
+echelon.  So a run builds one hull, the root's, and the facet budget bounds
+that insertion only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from math import lcm
+from operator import mul
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .check import _extremes, simplex_halfspaces
 from .linalg import IntVector, _Echelon, dot, primitive_int, sign_canonical
@@ -99,20 +107,25 @@ def _incremental_facets(
     return [(h, frozenset(inc)) for h, inc in facets]
 
 
-def _lift_facet(
-    pivots: Sequence[int], base: IntVector, normal_h: IntVector, offset_h: int
-) -> Tuple[IntVector, int]:
-    """Ambient facet (normal, offset) on the int rows inducing the given
-    hull-coordinate one, with ``base`` the base point's row: the hull normal
-    placed on the pivot columns, zero elsewhere.  Hull coordinates are the
-    pivot entries of p - base, so the placed normal w has w.(p - base) =
-    normal_h.c for every p on the hull with coordinates c, and it stays
-    primitive.  For a flat hull it is the one supporting normal that is zero
-    off the pivot columns."""
-    w = [0] * len(base)
-    for k, a in zip(pivots, normal_h):
-        w[k] = a
-    return tuple(w), dot(w, base) + offset_h
+def _lifted_polytope(
+    pts: Tuple[IntVector, ...], pivots: Sequence[int], facets: Iterable[Tuple[IntVector, FrozenSet[int]]]
+) -> Polytope:
+    """The polytope of int rows whose facets are given by hull-coordinate
+    normals with their incident points.  Hull coordinates are the pivot
+    entries of p - p_0, so a hull normal placed on the pivot columns, zero
+    elsewhere, induces the same facet on the rows and stays primitive; the
+    offset is its value at a point on the facet.  For a flat hull that
+    placed normal is the one supporting normal that is zero off the pivot
+    columns.  Facets are sorted by (normal, offset), the order of the exact
+    values."""
+    lifted = []
+    for normal_h, incident in facets:
+        w = [0] * len(pts[0])
+        for k, a in zip(pivots, normal_h):
+            w[k] = a
+        lifted.append(Facet(tuple(w), dot(w, pts[next(iter(incident))]), incident))
+    lifted.sort(key=lambda f: (f.normal, f.offset))
+    return Polytope(pts, len(pivots), _vertices_from_incidences(len(pts), lifted), tuple(lifted))
 
 
 def build_polytope(
@@ -134,10 +147,43 @@ def build_polytope(
     hull_facets = _incremental_facets(hp, ech.picked, facet_budget) if pivots else []
     if hull_facets is None:
         return None
-    # sorted by (normal, offset), the order of the exact values
-    lifted = sorted(((_lift_facet(pivots, pts[0], *h), inc) for h, inc in hull_facets), key=lambda t: t[0])
-    facets = tuple(Facet(w, offset, inc) for (w, offset), inc in lifted)
-    return Polytope(pts, len(pivots), _vertices_from_incidences(len(pts), facets), facets)
+    return _lifted_polytope(pts, pivots, [(normal, inc) for (normal, _), inc in hull_facets])
+
+
+def face_polytope(P: Polytope, face: Sequence[int], rows: Sequence[Sequence[int]]) -> Polytope:
+    """``build_polytope(rows)``, field for field, read off P: ``face`` holds
+    the increasing indices of the points of a face F of P, and ``rows`` their
+    rows, all divided by one positive factor (a restriction's shrunk frame).
+
+    Every face of F is a face of P, so the facets of F are the maximal sets
+    F & G over the facets G of P that do not hold F.  Each one's normal is
+    G's functional on F's affine hull in hull coordinates: row r_k of the
+    reduced echelon with pivot column c_k gives the coordinate n_G.r_k /
+    r_k[c_k], brought to ints by the positive lcm of the |r_k[c_k]| (a
+    pivot entry may be negative, and its sign must stay) and made
+    primitive.  No insertion runs, so no budget applies: F has at most as
+    many facets as P."""
+    pts = tuple(map(tuple, rows))
+    ech = _Echelon.affine(pts)
+    meets: dict = {}  # F & G -> G's normal, over the facets G that do not hold F
+    if ech.rows:
+        whole = frozenset(face)
+        for g in P.facets:
+            meet = g.incident & whole
+            if len(meet) < len(whole):
+                meets.setdefault(meet, g.normal)
+    maximal: List[FrozenSet[int]] = []
+    for meet in sorted(meets, key=len, reverse=True):
+        if not any(meet < m for m in maximal):
+            maximal.append(meet)
+    scale = lcm(*(abs(row[c]) for c, row in ech.rows))
+    # the echelon rows times scale / r_k[c_k]: each normal's coordinates are its products with them
+    basis = [[a * (scale // row[c]) for a in row] for c, row in ech.rows]
+    at = {i: k for k, i in enumerate(face)}
+    facets = [
+        (primitive_int([sum(map(mul, meets[m], b)) for b in basis]), frozenset(map(at.get, m))) for m in maximal
+    ]
+    return _lifted_polytope(pts, [c for c, _ in ech.rows], facets)
 
 
 def lazy_hull(build: Callable[[], Optional[Polytope]]) -> Callable[[], Optional[Polytope]]:
@@ -171,8 +217,8 @@ def smallest_face_containing(
     polytope when there are none), and the primitive sum of their normals,
     which exposes it strictly (u.p is largest exactly on the face).  The
     face is proper exactly when the normal is nonzero: the normals lie in
-    the face's pointed normal cone (``_lift_facet`` lifts a flat hull's
-    linearly)."""
+    the face's pointed normal cone (``_lifted_polytope`` lifts a flat
+    hull's linearly)."""
     if not indices:
         raise ValueError("indices must be nonempty")
     want = set(indices)

@@ -7,8 +7,10 @@ log coordinates (``x = exp(y)``) in floating point.
 
 A ``Signomial`` stores its exponents once, as its lattice frame: the scale
 L (the lcm of their denominators) and the exponent rows times L as ints,
-which every way in hands to the one constructor; it keeps the least scale,
-dividing L and the rows by the gcd of L and every entry.  The search and
+on the least scale: L and the rows divided by the gcd of L and every entry.
+The public constructor checks every field; ``from_terms`` and
+``restrict_indices``, whose fields hold the invariants by construction,
+derive only the least scale and the sign indices.  The search and
 replay read only the frame, restrict by term index and look a rational
 point up with ``term_index`` (None off f's lattice).  Rational exponents are made only
 where a point leaves: ``exponent(i)`` for a witness (the row itself when
@@ -82,12 +84,26 @@ class Signomial:
             raise ValueError("exponent vectors must be pairwise distinct")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
-        g = math.gcd(self.scale, *(a for row in frame for a in row)) if self.scale > 1 else 1
+        self._derive(shrink=True)
+
+    @classmethod
+    def _valid(cls, dimension: int, coefficients: Tuple[Number, ...], scale: int, frame, shrink: bool):
+        """The signomial of fields that already hold every invariant the
+        constructor checks, built without checking them again: only the
+        least scale (when ``shrink``) and the sign indices are derived."""
+        f = cls.__new__(cls)
+        f.__dict__.update(dimension=dimension, coefficients=coefficients, scale=scale, frame=frame)
+        f._derive(shrink)
+        return f
+
+    def _derive(self, shrink: bool) -> None:
+        frame = self.frame
+        g = math.gcd(self.scale, *(a for row in frame for a in row)) if shrink and self.scale > 1 else 1
         if g > 1:  # keep the least scale
             object.__setattr__(self, "scale", self.scale // g)
             object.__setattr__(self, "frame", tuple([tuple([a // g for a in row]) for row in frame]))
         # a coefficient's sign is its numerator's (an int or a Fraction)
-        negative = [c.numerator < 0 for c in coefficients]
+        negative = [c.numerator < 0 for c in self.coefficients]
         object.__setattr__(self, "negative_indices", tuple(i for i, neg in enumerate(negative) if neg))
         object.__setattr__(self, "positive_indices", tuple(i for i, neg in enumerate(negative) if not neg))
 
@@ -101,7 +117,11 @@ class Signomial:
     def from_terms(dimension: int, pairs: Iterable[tuple]) -> "Signomial":
         """Build from (coefficient, exponent) pairs of ints and Fractions,
         merging repeated exponents and dropping terms that cancel to zero,
-        and frame the sorted survivors once, through ``lattice``."""
+        and frame the sorted survivors once, through ``lattice``, whose
+        scale is already the least: the survivors hold every invariant, so
+        the constructor's checks are not run again."""
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
         acc: dict = {}  # exponent row -> coefficient; an int and an equal Fraction are one key
         for coeff, exp in pairs:
             row = tuple(exp)
@@ -109,7 +129,7 @@ class Signomial:
         if any(map(dimension.__ne__, map(len, acc))):
             raise ValueError("exponent length does not match dimension")
         rows = sorted([row for row, c in acc.items() if c])
-        return Signomial(dimension, tuple(map(acc.__getitem__, rows)), *lattice(rows))
+        return Signomial._valid(dimension, tuple(map(acc.__getitem__, rows)), *lattice(rows), shrink=False)
 
     @property
     def terms(self) -> Tuple[Term, ...]:
@@ -158,10 +178,14 @@ def negatives(f: Signomial) -> Tuple[Vector, ...]:
 
 def restrict_indices(f: Signomial, indices: Iterable[int]) -> Signomial:
     """Restriction of f to the terms at the given increasing indices, framed
-    by f's frame rows at those indices, shrunk by the constructor."""
+    by f's frame rows at those indices on their least scale.  Rows of a
+    valid signomial at increasing indices are valid, so only the order of
+    the indices is checked."""
     indices = tuple(indices)
+    if indices and (indices[0] < 0 or not all(map(lt, indices, indices[1:]))):
+        raise ValueError("indices must be increasing")
     rows = tuple([f.frame[i] for i in indices])
-    return Signomial(f.dimension, tuple([f.coefficients[i] for i in indices]), f.scale, rows)
+    return Signomial._valid(f.dimension, tuple([f.coefficients[i] for i in indices]), f.scale, rows, shrink=True)
 
 
 def newton_dim(f: Signomial) -> int:

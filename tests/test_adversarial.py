@@ -117,8 +117,9 @@ def test_enclosing_search_past_the_budget_is_bounded_by_counted_lps(seed, found,
 # The node counts measured before any memo of faces: the recursion re-walks
 # a face once per order of splits that reaches it, and ends Inconclusive.
 # A split certifies its second face only once its first is certified, which
-# took the counts from 211 and 1,469 to 77 and 522.
-@pytest.mark.parametrize("d, seed, nodes", [(5, 2, 77), (6, 0, 522)], ids=["d5", "d6"])
+# took the counts from 211 and 1,469 to 77 and 522.  The d = 7 pattern's
+# 3,542 nodes were counted the same way.
+@pytest.mark.parametrize("d, seed, nodes", [(5, 2, 77), (6, 0, 522), (7, 1, 3_542)], ids=["d5", "d6", "d7"])
 def test_cube_sign_recursion_is_bounded_by_counted_nodes(d, seed, nodes, monkeypatch):
     calls = []
     real = certify._certify

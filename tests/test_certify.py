@@ -21,7 +21,7 @@ from descregions.certify import certify_connectivity, intersection_nonempty
 from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
-from adversarial import box_budget_text
+from adversarial import box_budget_text, cube_signs_text
 from test_corpus_digests import WORKLOADS, corpus
 from fixtures import (
     BOX_F,
@@ -230,22 +230,34 @@ def test_termination_strict_decrease():
         assert depth(cert) <= len(f.terms)
 
 
-def test_each_node_builds_its_newton_polytope_at_most_once(monkeypatch):
-    built = []
+def test_each_run_builds_one_hull(monkeypatch):
+    """Only the root's hull is built from its points; every child's is read
+    off its parent's (``face_polytope``).  Besides the fixtures, the seed-1
+    ``cube-recursion`` corpus, whose runs once built 22 hulls, and the cube
+    sign patterns, which once built 63 and 372."""
+    built, build = [], polytope.build_polytope
 
     def counting(points, facet_budget=None):
         built.append(tuple(points))
-        return polytope.build_polytope(points, facet_budget)
+        return build(points, facet_budget)
 
-    monkeypatch.setattr(certify, "build_polytope", counting)
-    monkeypatch.setattr(criteria, "build_polytope", counting)
+    for module in (certify, criteria, polytope):
+        monkeypatch.setattr(module, "build_polytope", counting)
     flagged = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True)
     # the simplex search declines at the root of TEN_TERM and of both cubes,
     # whose certificates then need the hull again
     for f in (TEN_TERM, CUBE3, CUBE4, SIMPLEX_CONNECTED):
         built.clear()
         assert verify_certificate(f, certify_connectivity(f, flagged)) == []
-        assert built and len(built) == len(set(built))
+        assert built == [f.frame]
+    count, config = WORKLOADS["cube-recursion"]
+    runs = [parse_signomial(text) for text in corpus.corpus("cube-recursion", 1, count)]
+    runs += [parse_signomial(cube_signs_text(d, seed)) for d, seed in ((5, 2), (6, 0))]
+    for f in runs:
+        built.clear()
+        certify_connectivity(f, config)
+        assert built in ([], [f.frame])
+    assert built == [runs[-1].frame]
     # a hull over the budget declines the simplex search and ends the node
     built.clear()
     cert = certify_connectivity(TEN_TERM, CertifyConfig(enable_simplex_search=True, facet_budget=1))

@@ -11,6 +11,7 @@ from descregions.check import _face_split
 from descregions.linalg import primitive_int, sign_canonical
 from descregions.polytope import (
     build_polytope,
+    face_polytope,
     parallel_face_pairs,
     smallest_face_containing,
 )
@@ -457,3 +458,54 @@ def test_wide16_hull_matches_the_oracle():
     assert P.dim == 16 and len(P.facets) == 17
     assert WIDE16.scale == 12 and P.points == tuple(tuple(12 * a for a in p) for p in WIDE16.support)
     assert polytope_facets_in_hull_coords(P) == brute_force_facets(list(P.points))
+
+
+# --- face hulls read off the parent's facets ----------------------------------
+
+
+def assert_face_hulls_read_off(P, face, rows, levels):
+    """``face_polytope`` equals ``build_polytope`` on the face's rows, and
+    so on for the face's facets, ``levels`` levels down."""
+    Q = face_polytope(P, face, rows)
+    assert Q == build_polytope(rows)
+    if levels:
+        for f in Q.facets:
+            sub = sorted(f.incident)
+            assert_face_hulls_read_off(Q, sub, [rows[i] for i in sub], levels - 1)
+
+
+@given(point_sets(max_size=9), st.data())
+@settings(deadline=None, max_examples=150)
+def test_face_hulls_read_off_the_parent_equal_their_own_hulls(pts, data):
+    """Faces from ``smallest_face_containing`` of random subsets, and their
+    facets two levels down, on rows divided by a common factor of the
+    parent's points, as a restriction's frame shrinks to its least scale."""
+    rows = lattice(pts)[1]
+    k = data.draw(st.sampled_from((1, 2, 3, 6)), label="common factor")
+    P = build_polytope([tuple(k * a for a in p) for p in rows])
+    for _ in range(3):
+        subset = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True), label="subset")
+        face = smallest_face_containing(P, subset)[0]
+        assert_face_hulls_read_off(P, face, [rows[i] for i in face], 2)
+
+
+def test_face_hull_keeps_the_sign_of_a_negative_pivot():
+    """All three rows of this face's reduced echelon have a negative pivot
+    entry, (-10, 0, 0, 3, 21), (0, -5, 0, 3, 6) and (0, 0, -5, -1, -2): an
+    lcm of the pivots taken with their signs negates every normal."""
+    pts = [(0, 1, 0, 1, 3), (0, 2, 3, 1, 3), (0, 3, 1, 0, 1), (1, 3, 1, 1, 0), (2, 1, 3, 1, 0)]
+    P = build_polytope(pts)
+    face = (0, 1, 2, 4)
+    assert smallest_face_containing(P, face)[0] == face
+    assert [c for c, row in _Echelon.affine([pts[i] for i in face]).rows if row[c] < 0] == [0, 1, 2]
+    assert face_polytope(P, face, [pts[i] for i in face]) == build_polytope([pts[i] for i in face])
+
+
+def test_face_hulls_of_points_and_whole_hulls():
+    """A one-point face has no facets; the whole hull read off itself is
+    itself, flat or full."""
+    P = build_polytope(CUBE3.frame)
+    assert face_polytope(P, (5,), [P.points[5]]) == build_polytope([P.points[5]])
+    for Q in (P, build_polytope(STRIP_PAIR.frame), hull([vec(0, 0), vec(2, 2), vec(1, 1)])):
+        everything = range(len(Q.points))
+        assert face_polytope(Q, everything, Q.points) == Q

@@ -18,6 +18,7 @@ from descregions.signomial import (
 
 from descregions import signomial, tracedoc
 from descregions.linalg import lattice
+from descregions.polytope import build_polytope
 from descregions.parsing import parse_signomial
 
 import parse_oracle
@@ -487,3 +488,46 @@ def test_evaluate_log_makes_no_fraction(monkeypatch):
     assert evaluate_log(WIDE16, y) == expected and built == []
     previous_evaluate_log(WIDE16, y)
     assert len(built) == 323
+
+
+def fields(f):
+    """Every field of a signomial, the derived sign indices included."""
+    return (f.dimension, f.coefficients, f.scale, f.frame, f.negative_indices, f.positive_indices)
+
+
+def all_faces(f):
+    """The term indices of every face of f's Newton polytope, the empty face
+    and the whole polytope included: the intersections of facet incidences."""
+    faces, todo = set(), [tuple(range(len(f.frame)))]
+    facets = [g.incident for g in build_polytope(f.frame).facets] if f.frame else []
+    while todo:
+        face = todo.pop()
+        if face not in faces:
+            faces.add(face)
+            todo.extend(tuple(sorted(inc.intersection(face))) for inc in facets)
+    return sorted(faces)
+
+
+@given(st.one_of(signed_supports(), rational_signed_supports()))
+@settings(deadline=None, max_examples=80)
+def test_unchecked_paths_equal_the_public_constructor(f):
+    """``from_terms`` and ``restrict_indices`` skip the constructor's checks
+    of what they already hold; both give the constructor's signomial, field
+    for field, on the least scale, for every face restriction."""
+    assert fields(f) == fields(Signomial(f.dimension, f.coefficients, f.scale, f.frame))
+    for face in all_faces(f):
+        g = restrict_indices(f, face)
+        coefficients = tuple(f.coefficients[i] for i in face)
+        assert fields(g) == fields(Signomial(f.dimension, coefficients, f.scale, tuple(f.frame[i] for i in face)))
+
+
+def test_unchecked_paths_keep_their_own_refusals():
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Signomial.from_terms(0, [])
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Signomial.from_terms(0, [(1, ())])
+    f = Signomial.from_terms(1, [(1, (0,)), (-1, (1,)), (1, (2,))])
+    for indices in ((1, 0), (0, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="indices must be increasing"):
+            restrict_indices(f, indices)
+    assert restrict_indices(f, ()) == Signomial(1, (), 1, ())
