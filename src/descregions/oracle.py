@@ -12,7 +12,9 @@ its exponent entry is nonzero and broadcast into the slab, and the leading
 terms free of axis 0 are summed once for all slabs; both keep every cell's
 operands and their order, so the mask is the full-grid mask bit for bit.
 Each witness is the first cell of its component in row-major order, and the
-witnesses are listed in label order.
+witnesses are listed in label order.  Only the count needs the labelling:
+the one component's witness is the mask's first negative cell, and the
+labels' bounding boxes are found only for two or more components.
 
 numpy and scipy are imported inside the functions that use them, not at the
 top of the module, so that importing the package (and the exact ``certify``,
@@ -120,11 +122,14 @@ def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
     free of axis 0, or none when a term has a negative axis-0 entry.  Every
     cell still sees the same operands in the same order: per term, the nonzero
     exponent entries ``a / L`` (the correctly rounded float of the rational
-    entry) times the cell's coordinates, summed from 0.0 in variable order,
-    then exp, then the coefficient; the terms summed from 0.0 in term order,
-    and the scale summing their magnitudes alike.  Rounded and overflowing
-    cells therefore come out the same on every run, whatever the slab the
-    cell falls in."""
+    entry) times the cell's coordinates, summed in variable order from the
+    first (0.0 + x is x but for the sign of a zero, which exp maps to 1 either
+    way), then exp, then the coefficient; the terms summed from 0.0 in term
+    order, and the scale summing their magnitudes alike: a term whose
+    coefficient is below 0 is subtracted from it, which in IEEE arithmetic is
+    adding its magnitude, infinities, nans and zeros included.  Rounded and
+    overflowing cells therefore come out the same on every run, whatever the
+    slab the cell falls in."""
     import numpy as np
 
     if grid.dimension != f.dimension:
@@ -152,14 +157,18 @@ def negative_mask(f: Signomial, grid: GridSpec) -> np.ndarray:
         c, row, entries = term
         sub = shape(row, b - a)
         t = flat[: math.prod(sub)].reshape(sub)
-        t.fill(0.0)
-        for i, e in entries:
-            t += e[a:b] if i == 0 else e
+        # the sum starts from the first axis term, a constant term's from 0.0
+        first, *rest = [e[a:b] if i == 0 else e for i, e in entries] or [0.0]
+        np.copyto(t, first)
+        for e in rest:
+            t += e
         np.exp(t, out=t)
         t *= c
         v += t
-        np.abs(t, out=t)
-        s += t
+        if c < 0:
+            s -= t
+        else:
+            s += t
 
     with np.errstate(over="ignore", invalid="ignore"):
         # each term's coefficient, frame row and nonzero entries times their axis
@@ -188,7 +197,9 @@ def count_negative_components(f: Signomial, grid: Optional[GridSpec] = None) -> 
     """Count connected components of the sampled negative region, joining
     negative cells that are axis-adjacent (no diagonals).  The witnesses are
     the first cell of each component in row-major order, listed in label
-    order."""
+    order: for one component the mask's first negative cell, and for two or
+    more the first cell in the first axis-0 row of each label's bounding box
+    (``ndimage.find_objects``, one more pass over the labels)."""
     import numpy as np
     from scipy import ndimage
 
@@ -197,12 +208,16 @@ def count_negative_components(f: Signomial, grid: Optional[GridSpec] = None) -> 
     structure = ndimage.generate_binary_structure(grid.dimension, 1)
     labels, count = ndimage.label(mask, structure=structure)
     axes = _axes(grid)
-    witnesses = []
-    for label, box in enumerate(ndimage.find_objects(labels), start=1):
-        # the component's first row-major cell lies in the first axis-0 row of its box
-        first = box[0].start
-        row = labels[(first,) + box[1:]] == label
-        rest = np.unravel_index(np.argmax(row), row.shape)
-        idx = (first,) + tuple(s.start + j for s, j in zip(box[1:], rest))
-        witnesses.append(tuple(float(axes[i][idx[i]]) for i in range(grid.dimension)))
+    cells = []
+    if count == 1:
+        # the only component's first row-major cell is the mask's first negative cell
+        cells.append(np.unravel_index(np.argmax(mask), mask.shape))
+    elif count > 1:
+        for label, box in enumerate(ndimage.find_objects(labels), start=1):
+            # the component's first row-major cell lies in the first axis-0 row of its box
+            first = box[0].start
+            row = labels[(first,) + box[1:]] == label
+            rest = np.unravel_index(np.argmax(row), row.shape)
+            cells.append((first,) + tuple(s.start + j for s, j in zip(box[1:], rest)))
+    witnesses = [tuple(float(axes[i][idx[i]]) for i in range(grid.dimension)) for idx in cells]
     return ComponentReport(int(count), int(np.count_nonzero(mask)), tuple(witnesses), grid)

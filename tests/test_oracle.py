@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from descregions import oracle
+from descregions.certify import certify_connectivity
+from descregions.check import CERTIFIED_AT_MOST_ONE, CERTIFIED_EMPTY, CERTIFIED_EXACTLY_ONE
 from descregions.oracle import (
     GridBudgetExceededError,
     GridSpec,
@@ -18,6 +20,7 @@ from descregions.parsing import parse_signomial
 from descregions.signomial import DEFAULT_TOLERANCE_FACTOR, Signomial, evaluate_log, restrict_indices
 
 import mask_oracle
+from test_corpus_digests import WORKLOADS, corpus
 from fixtures import (
     CUBE3,
     CUBE4,
@@ -211,11 +214,28 @@ LEADING = Signomial.from_terms(
     2, [(-2 * Fraction(1, 10**17), (-1, 0)), (1, (0, 0)), (-1, (0, 1)), (Fraction(1, 10**17), (0, 2))]
 )
 LEADING_GRID = GridSpec(((0.0, 1.0), (-1.0, 1.0)), 3, tolerance_factor=0.0)
+# the negative term's exp overflows from y = 0.71 and the positive term's from
+# y = 1.42: between them a cell is -inf against a scale of inf, beyond them
+# inf - inf, and the scale must add the magnitude of -inf, not -inf itself
+OVERFLOW = Signomial.from_terms(1, [(1, (500,)), (-1, (1000,))])
+OVERFLOW_GRID = GridSpec(((0.0, 2.0),), 60)
+# -1/10^400 floats to -0.0, a coefficient that must add to the scale like
+# +0.0; from y = 0.71 its exp overflows and the term is -0.0 * inf = nan
+NEGATIVE_ZERO = Signomial.from_terms(1, [(1, (0,)), (-Fraction(1, 10**400), (1000,)), (-1, (1,))])
+NEGATIVE_ZERO_GRID = GridSpec(((-1.0, 1.0),), 7)
+# (1 - 1/x)^2: its middle term's only exponent entry times the grid's 0.0 is
+# -0.0, the first entry that the term's sum starts from; exp gives 1 for
+# either zero, so the sum is 0 there and the cell is not negative
+NEGATIVE_ENTRY = Signomial.from_terms(1, [(1, (0,)), (-2, (-1,)), (1, (-2,))])
+NEGATIVE_ENTRY_GRID = GridSpec(((-1.0, 1.0),), 3, tolerance_factor=0.0)
 
 
 @given(mask_cases())
 @example((ORDERED, ORDERED_GRID, 1))
 @example((LEADING, LEADING_GRID, 3))
+@example((OVERFLOW, OVERFLOW_GRID, 1))
+@example((NEGATIVE_ZERO, NEGATIVE_ZERO_GRID, 3))
+@example((NEGATIVE_ENTRY, NEGATIVE_ENTRY_GRID, 1))
 @settings(deadline=None, max_examples=300)
 def test_mask_and_report_match_the_full_grid_oracle(case):
     """Slab by slab in place, the mask is the full-grid mask bit for bit and
@@ -321,3 +341,60 @@ def test_count_goes_through_the_module_mask_once(monkeypatch):
     grid = grid2(50)
     report = oracle.count_negative_components(TEN_TERM, grid)
     assert calls == [grid] and report.component_count == 3
+
+
+def _no_find_objects(*args, **kwargs):
+    raise AssertionError("find_objects called")
+
+
+@pytest.mark.parametrize(
+    "f, count",
+    [(parse_signomial("x^2 + y^2 + 1"), 0), (TEN_TERM_UPPER, 1)],
+    ids=["positive", "TEN_TERM_UPPER"],
+)
+def test_at_most_one_component_makes_no_find_objects_pass(monkeypatch, f, count):
+    """With no component there is no witness, and the one component's
+    witness is the mask's first negative cell: neither needs the labels'
+    bounding boxes."""
+    from scipy import ndimage
+
+    monkeypatch.setattr(ndimage, "find_objects", _no_find_objects)
+    grid = grid2(200)
+    report = count_negative_components(f, grid)
+    assert report.component_count == count
+    assert report == mask_oracle.count_negative_components(f, grid)
+
+
+def test_two_or_more_components_place_their_witnesses_by_find_objects(monkeypatch):
+    from scipy import ndimage
+
+    calls = []
+    real = ndimage.find_objects
+    monkeypatch.setattr(ndimage, "find_objects", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    grid = grid2(200)
+    report = count_negative_components(TEN_TERM, grid)
+    assert len(calls) == 1 and report.component_count == 3
+    assert report == mask_oracle.count_negative_components(TEN_TERM, grid)
+
+
+def test_benchmark_oracle_instances_match_the_full_grid_oracle():
+    """The benchmark's oracle gate on the seed-1 ``lowdim-flagged`` and
+    ``cube-recursion`` corpora, certified under the benchmark's configs:
+    every instance whose default grid fits the cap gets the full-grid
+    oracle's report, and every certified outcome allows the count it gets."""
+    allowed = {CERTIFIED_EMPTY: (0,), CERTIFIED_AT_MOST_ONE: (0, 1), CERTIFIED_EXACTLY_ONE: (1,)}
+    counts = []
+    for workload in ("lowdim-flagged", "cube-recursion"):
+        size, config = WORKLOADS[workload]
+        for text in corpus.corpus(workload, 1, size):
+            f = parse_signomial(text)
+            grid = default_grid(f.dimension)
+            if grid.resolution ** grid.dimension > grid.cell_cap:
+                continue
+            report = count_negative_components(f, grid)
+            assert report == mask_oracle.count_negative_components(f, grid), text
+            outcome = certify_connectivity(f, config).outcome
+            if outcome in allowed:
+                assert report.component_count in allowed[outcome], (text, outcome)
+                counts.append(report.component_count)
+    assert counts and set(counts) <= {0, 1}
