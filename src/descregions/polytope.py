@@ -11,10 +11,15 @@ one lazily scaled fraction-free inverse.  The echelon is reduced:
 a point's hull coordinates are its pivot entries minus the base point's,
 and a hull facet normal is lifted back by placing it on the pivot columns,
 so neither direction solves a linear system.  For a flat hull that lift is
-the one supporting normal that is zero off the pivot columns.  Each new
-facet is the positive combination of the two facets sharing its ridge that
-vanishes at the new point; ridges are read from the vertex-facet
-incidences, which insertion keeps up to date.  A facet's normal is a
+the one supporting normal that is zero off the pivot columns.  Insertion
+holds each facet as one flat int row (*normal, -offset), so a point's
+excess is one product with (*p, 1), with its incident points and its
+neighbours, the facets it shares a ridge with.  Each new facet is the
+positive combination of a visible facet and a hidden neighbour that
+vanishes at the new point, and its neighbours through that point are
+found among the facets through it, so an insertion works in proportion
+to the facets it changes (the neighbour lists of Quickhull: Barber,
+Dobkin and Huhdanpaa, ACM TOMS 22(4), 1996).  A facet's normal is a
 coprime integer vector, the same under any positive scaling of the points,
 and its offset an int on the rows.  Vertices, smallest faces with their
 exposing normals and parallel faces with their splits are read off the
@@ -34,9 +39,10 @@ that insertion only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import lcm
 from operator import mul
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .check import _extremes, simplex_halfspaces
 from .linalg import IntVector, _Echelon, dot, primitive_int, sign_canonical
@@ -62,49 +68,103 @@ class Polytope:
 
 def _incremental_facets(
     hp: Sequence[IntVector], init: Sequence[int], budget: Optional[int]
-) -> Optional[List[Tuple[Tuple[IntVector, int], FrozenSet[int]]]]:
-    """Facets (outer primitive normal, offset) of the hull of
-    full-dimensional integer points given in d >= 1 dimensional coordinates,
-    each with the indices of the points on it; None past ``budget``.
+) -> Optional[List[Tuple[IntVector, FrozenSet[int]]]]:
+    """Facets of the hull of full-dimensional integer points given in d >= 1
+    dimensional coordinates, each as the flat row (*n, -a) of its outer
+    primitive normal n and offset a, with the indices of the points on it;
+    None past ``budget``.
 
     Beneath-beyond insertion from the simplex on the d + 1 affinely
-    independent points ``init``.  For a new point p with excess
-    s = n.p - a over each facet, the facets with s > 0 are dropped,
-    those with s = 0 gain p, and every dropped facet v and facet h with s < 0
-    that share a ridge give the new facet (-s_h)(n_v, a_v) + s_v(n_h, a_h),
-    which vanishes at p and on the ridge, divided by the gcd of its entries
-    (that of the normal: the offset is n.p).  Two facets share a ridge exactly
-    when no third facet holds all their common points (at least d - 1 of
-    them), so the new facet's points are those common points plus p."""
+    independent points ``init``, in index order.  A new point p has excess
+    s = row.(*p, 1) over each facet: the facets with s > 0 (visible) are
+    dropped and those with s = 0 gain p.  Each facet keeps its neighbours,
+    the facets it shares a ridge with; every pair of the simplex's facets
+    does.  The horizon is read off them: a visible facet v and a hidden
+    neighbour h (s < 0) give the new facet s_v row_h - s_h row_v, which
+    vanishes at p and on their ridge, divided by the gcd of its entries (that
+    of the normal: the offset is n.p).  Its points are the ridge's plus p,
+    and h is its one neighbour not through p.
+
+    A ridge through p lies on exactly two facets, both through p, so the
+    new and zero-excess facets find their neighbours through p among
+    themselves.  A facet with d points is a simplex: its ridges through p
+    are its d - 1 point sets that hold p (d - 1 of its points are affinely
+    independent), so two such facets that share one, keyed as a bit mask,
+    are neighbours, with no scan.  Every other facet through p (a
+    zero-excess facet has more than d points) meets a simplex facet in a
+    ridge exactly when it holds d - 1 of its points, and another one exactly
+    when their common points are at least d - 1 and no third of them holds
+    them all; a simplex facet holds no d - 1 points that are not its ridge.
+    Zero-excess facets that were neighbours stay so, but two of them can
+    also meet afresh with no new facet between them (in 2-D, p on the lines
+    of two edges removes the edge between them).  So an insertion works in
+    proportion to the facets it changes, besides its excess on each
+    facet."""
     d = len(hp[0])
     assert len(init) == d + 1
 
-    facets: List[Tuple[Tuple[IntVector, int], Set[int]]] = [
-        (h, set(init) - {k})
-        for h, k in zip(simplex_halfspaces([hp[i] for i in init]), init)
-    ]
-    for i in sorted(set(range(len(hp))) - set(init)):
-        if budget is not None and len(facets) > budget:
+    rows: Dict[int, IntVector] = {}
+    incident: Dict[int, Set[int]] = {}
+    neighbours: Dict[int, Set[int]] = {}
+    corners, simplex = set(init), set(range(d + 1))
+    for f, ((normal, offset), k) in enumerate(zip(simplex_halfspaces([hp[k] for k in init]), init)):
+        rows[f] = (*normal, -offset)
+        incident[f] = corners - {k}
+        neighbours[f] = simplex - {f}
+    fresh = d + 1
+    bits = [1 << k for k in range(len(hp))]
+    for i in sorted(set(range(len(hp))) - corners):
+        if budget is not None and len(rows) > budget:
             return None
-        excess = [dot(normal, hp[i]) - offset for (normal, offset), _ in facets]
-        hidden = [(f, s) for f, s in zip(facets, excess) if s < 0]
-        new_facets = []
-        for (hv, inc_v), sv in zip(facets, excess):
-            if sv <= 0:
-                continue
-            for (hh, inc_h), sh in hidden:
-                ridge = inc_v & inc_h
-                if len(ridge) < d - 1 or sum(ridge <= inc for _, inc in facets) > 2:
+        q = (*hp[i], 1)
+        excess = {f: sum(map(mul, row, q)) for f, row in rows.items()}
+        visible = [f for f, s in excess.items() if s > 0]
+        wide = [f for f, s in excess.items() if s == 0]  # the facets through p with more than d points
+        for f in wide:
+            incident[f].add(i)
+        if not visible:
+            continue
+        simplicial = []  # the facets through p with d points
+        for v in visible:
+            sv, row_v, inc_v = excess[v], rows.pop(v), incident.pop(v)
+            for h in neighbours.pop(v):
+                sh = excess[h]
+                if sh > 0:
                     continue
-                h = primitive_int([-sh * a + sv * b for a, b in zip((*hv[0], hv[1]), (*hh[0], hh[1]))])
-                new_facets.append(((h[:-1], h[-1]), ridge | {i}))
-        for (_, inc), s in zip(facets, excess):
-            if s == 0:
-                inc.add(i)
-        facets = [f for f, s in zip(facets, excess) if s <= 0] + new_facets
-    if budget is not None and len(facets) > budget:
+                neighbours[h].discard(v)
+                if sh < 0:
+                    rows[fresh] = primitive_int([sv * b - sh * a for a, b in zip(row_v, rows[h])])
+                    incident[fresh] = inc = inc_v & incident[h]
+                    inc.add(i)
+                    neighbours[fresh] = {h}
+                    neighbours[h].add(fresh)
+                    (simplicial if len(inc) == d else wide).append(fresh)
+                    fresh += 1
+        ridges: Dict[int, int] = {}  # a ridge's d - 1 points, as a bit mask -> a facet with d points on it
+        for a in simplicial:
+            inc_a = incident[a]
+            mask = sum(map(bits.__getitem__, inc_a))
+            for j in inc_a:
+                if j != i:
+                    b = ridges.setdefault(mask ^ bits[j], a)
+                    if b != a:
+                        neighbours[a].add(b)
+                        neighbours[b].add(a)
+        later = set(wide)
+        for a in wide:
+            inc_a, near_a = incident[a], neighbours[a]
+            later.discard(a)
+            for b in [b for b in simplicial if len(incident[b] - inc_a) == 1]:
+                near_a.add(b)
+                neighbours[b].add(a)
+            for b in later - near_a:
+                common = inc_a & incident[b]
+                if len(common) >= d - 1 and sum(common <= incident[g] for g in wide) == 2:
+                    near_a.add(b)
+                    neighbours[b].add(a)
+    if budget is not None and len(rows) > budget:
         return None
-    return [(h, frozenset(inc)) for h, inc in facets]
+    return [(row, frozenset(incident[f])) for f, row in rows.items()]
 
 
 def _lifted_polytope(
@@ -116,14 +176,18 @@ def _lifted_polytope(
     elsewhere, induces the same facet on the rows and stays primitive; the
     offset is its value at a point on the facet.  For a flat hull that
     placed normal is the one supporting normal that is zero off the pivot
-    columns.  Facets are sorted by (normal, offset), the order of the exact
-    values."""
+    columns; a full-dimensional hull pivots on every column, in order, and
+    keeps its normals as they are.  Facets are sorted by (normal, offset),
+    the order of the exact values."""
+    width = len(pts[0])
     lifted = []
-    for normal_h, incident in facets:
-        w = [0] * len(pts[0])
-        for k, a in zip(pivots, normal_h):
-            w[k] = a
-        lifted.append(Facet(tuple(w), dot(w, pts[next(iter(incident))]), incident))
+    for normal, incident in facets:
+        if len(pivots) < width:
+            w = [0] * width
+            for k, a in zip(pivots, normal):
+                w[k] = a
+            normal = tuple(w)
+        lifted.append(Facet(normal, dot(normal, pts[next(iter(incident))]), incident))
     lifted.sort(key=lambda f: (f.normal, f.offset))
     return Polytope(pts, len(pivots), _vertices_from_incidences(len(pts), lifted), tuple(lifted))
 
@@ -147,7 +211,7 @@ def build_polytope(
     hull_facets = _incremental_facets(hp, ech.picked, facet_budget) if pivots else []
     if hull_facets is None:
         return None
-    return _lifted_polytope(pts, pivots, [(normal, inc) for (normal, _), inc in hull_facets])
+    return _lifted_polytope(pts, pivots, [(row[:-1], inc) for row, inc in hull_facets])
 
 
 def face_polytope(P: Polytope, face: Sequence[int], rows: Sequence[Sequence[int]]) -> Polytope:

@@ -1,15 +1,20 @@
 """Inputs within the parser's caps that once made the certifier run away,
-or that drive a search to its budget, and trace documents that once held
-replay for seconds.
+or that drive a search to its budget, trace documents that once held
+replay for seconds, and point sets whose hulls have thousands of facets.
 
 Each input is polynomial text, each document a dict as ``json.loads``
-gives it.  The tests bound the work they take by counted work (simplex
-pivots, recursion nodes, simplex inverses), which repeats exactly, not by
-wall time.
+gives it, each point set a list of int tuples.  The tests bound the work
+they take by counted work (simplex pivots, recursion nodes, simplex
+inverses), which repeats exactly, not by wall time.
+
+``python tests/adversarial.py`` (with ``src`` on the path) prints the facet
+count and build time of the 6-D 40-point sphere hull.
 """
 
 import itertools
+import math
 import random
+import time
 
 
 def parabola_text(terms: int = 400) -> str:
@@ -143,3 +148,28 @@ def simplex_walk_text(terms: int = 80) -> str:
     inner = [(4 * a, 4 * b) for b in range(1, 10) for a in range(1, 10)][: terms - 4]
     signed = [("+", p) for p in corners] + [("-" if i % 7 == 6 else "+", p) for i, p in enumerate(inner)]
     return " ".join(f"{s} x1^{a}*x2^{b}" for s, (a, b) in signed).lstrip("+ ")
+
+
+def sphere_points(d: int, m: int, seed: int, radius: int = 10**5):
+    """m distinct int points near the sphere of ``radius`` about 0 in d
+    dimensions: Gaussian directions drawn by ``random.Random(seed)``, scaled
+    to the radius and rounded.  The points are in general position, so the
+    hull is simplicial, and its facet count grows fast with d: the 7-D
+    60-point set of seed 0 has thousands of facets."""
+    rng = random.Random(seed)
+    points = {}
+    while len(points) < m:
+        g = [rng.gauss(0, 1) for _ in range(d)]
+        norm = math.sqrt(sum(x * x for x in g))
+        points.setdefault(tuple(round(radius * x / norm) for x in g), None)
+    return list(points)
+
+
+if __name__ == "__main__":
+    from descregions.polytope import build_polytope
+
+    points = sphere_points(6, 40, 0)
+    t0 = time.perf_counter()
+    P = build_polytope(points)
+    elapsed = time.perf_counter() - t0
+    print(f"6-D 40-point sphere hull (seed 0): {len(P.facets)} facets, built in {elapsed:.3f} s")

@@ -10,6 +10,7 @@ from descregions.linalg import _Echelon, affine_rank, dot, lattice, vsub
 from descregions.check import _face_split
 from descregions.linalg import primitive_int, sign_canonical
 from descregions.polytope import (
+    _incremental_facets,
     build_polytope,
     face_polytope,
     parallel_face_pairs,
@@ -18,6 +19,8 @@ from descregions.polytope import (
 from descregions.signomial import Signomial, negatives
 
 import hull_oracle
+from adversarial import sphere_points
+from beneath_beyond_oracle import incremental_facets as frozen_incremental_facets
 from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, WIDE16, vec
 from hull_oracle import brute_force_facets, polytope_facets_in_hull_coords
 from lp_oracle import int_system
@@ -509,3 +512,53 @@ def test_face_hulls_of_points_and_whole_hulls():
     for Q in (P, build_polytope(STRIP_PAIR.frame), hull([vec(0, 0), vec(2, 2), vec(1, 1)])):
         everything = range(len(Q.points))
         assert face_polytope(Q, everything, Q.points) == Q
+
+
+# --- insertion against the frozen beneath-beyond loop -------------------------
+
+
+def both_insertions(rows, budget):
+    """``_incremental_facets`` and the frozen loop it replaced on the hull
+    coordinates ``build_polytope`` gives them, each as its sorted
+    (flat row, incidences) pairs or None."""
+    ech = _Echelon.affine(rows)
+    pivots = [c for c, _ in ech.rows]
+    hp = [tuple(p[k] - rows[0][k] for k in pivots) for p in rows]
+    if not pivots:
+        return [], []
+    new = _incremental_facets(hp, ech.picked, budget)
+    old = frozen_incremental_facets(hp, ech.picked, budget)
+    return (
+        None if new is None else sorted(new),
+        None if old is None else sorted(((*normal, -offset), inc) for (normal, offset), inc in old),
+    )
+
+
+# (2, 2) lies on the lines of the edges x = 2 and y = 2 and sees only the
+# edge x + y = 3 between them, so they become neighbours with no new facet
+# between them; (1, 3), inserted last, sees y = 2 alone, and x = 2 is one of
+# its hidden neighbours
+TWO_ZERO_EDGES = [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1), (2, 2), (1, 3)]
+
+
+@given(point_sets(max_size=12).map(lambda pts: lattice(pts)[1]), st.none() | st.integers(1, 40))
+@example(TWO_ZERO_EDGES, None)
+@example(CUBE3.frame, None)
+@example(CUBE4.frame, None)
+@example(CUBE4.frame, 9)
+@example(WIDE16.frame, None)
+@settings(deadline=None, max_examples=300)
+def test_insertion_matches_the_frozen_beneath_beyond_loop(rows, budget):
+    """Neighbour lists give the facets, incidences and budget answers of
+    the loop that paired every visible facet with every hidden one."""
+    new, old = both_insertions(rows, budget)
+    assert new == old
+
+
+@pytest.mark.parametrize("d, facets", [(5, 512), (6, 1504)])
+def test_sphere_hulls_match_the_frozen_beneath_beyond_loop(d, facets):
+    """40 points in general position on a 5-D or 6-D sphere: simplicial
+    hulls with hundreds of facets, whose neighbours through each new point
+    are matched by their ridges alone."""
+    new, old = both_insertions(sphere_points(d, 40, 0), None)
+    assert new == old and len(new) == facets
