@@ -12,9 +12,11 @@ The public constructor checks every field; ``from_terms`` and
 ``restrict_indices``, whose fields hold the invariants by construction,
 derive only the least scale and the sign indices.  The search and
 replay read only the frame, restrict by term index and look a rational
-point up with ``term_index`` (None off f's lattice).  Rational exponents are made only
-where a point leaves: ``exponent(i)`` for a witness (the row itself when
-L = 1), and the ``terms`` and ``support`` views (row / L as Fractions).
+point up with ``term_index`` (None off f's lattice), through an index of
+the frame rows built once per signomial, on its first lookup.  Rational
+exponents are made only where a point leaves: ``exponent(i)`` for a
+witness (the row itself when L = 1), and the ``terms`` and ``support``
+views (row / L as Fractions).
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import gt, lt
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .linalg import IntVector, Vector, affine_rank, lattice, vector
 
@@ -58,8 +59,9 @@ class Signomial:
     """Immutable signomial: ``frame`` holds the exponent vectors times
     ``scale`` L as ints, sorted (the exponents' order, as L > 0) and
     distinct, on the least L, and ``coefficients`` the nonzero coefficients
-    (ints or Fractions) in that order.  The sign indices are derived, so
-    equality, hashing and repr do not see them."""
+    (ints or Fractions) in that order.  The sign indices are derived, and
+    ``term_index``'s row index is built on demand, so equality, hashing and
+    repr see neither."""
 
     dimension: int
     coefficients: Tuple[Number, ...]
@@ -102,10 +104,11 @@ class Signomial:
         if g > 1:  # keep the least scale
             object.__setattr__(self, "scale", self.scale // g)
             object.__setattr__(self, "frame", tuple([tuple([a // g for a in row]) for row in frame]))
-        # a coefficient's sign is its numerator's (an int or a Fraction)
-        negative = [c.numerator < 0 for c in self.coefficients]
-        object.__setattr__(self, "negative_indices", tuple(i for i, neg in enumerate(negative) if neg))
-        object.__setattr__(self, "positive_indices", tuple(i for i, neg in enumerate(negative) if not neg))
+        negative, positive = [], []
+        for i, c in enumerate(self.coefficients):
+            # a coefficient's sign is its numerator's (an int or a Fraction)
+            (negative if c.numerator < 0 else positive).append(i)
+        self.__dict__.update(negative_indices=tuple(negative), positive_indices=tuple(positive))
 
     @classmethod
     def of_terms(cls, dimension: int, terms: Iterable[Term]) -> "Signomial":
@@ -159,13 +162,18 @@ class Signomial:
         return tuple([a.numerator * (L // a.denominator) for a in point])
 
     def term_index(self, point: Sequence[Number]) -> Optional[int]:
-        """The index of the term whose exponent is ``point``, or None."""
+        """The index of the term whose exponent is ``point``, or None.  The
+        frame rows' index is built on the first lookup of a point on f's
+        lattice and kept in the instance's ``__dict__`` (no lock, unlike
+        ``functools.cached_property`` before CPython 3.12), outside the
+        fields, so equality, hashing and repr do not see it."""
         row = self.frame_row(point)
-        return None if row is None else self._row_index.get(row)
-
-    @cached_property
-    def _row_index(self) -> Dict[IntVector, int]:
-        return {row: i for i, row in enumerate(self.frame)}
+        if row is None:
+            return None
+        index = self.__dict__.get("_row_index")
+        if index is None:
+            index = self.__dict__["_row_index"] = {r: i for i, r in enumerate(self.frame)}
+        return index.get(row)
 
 
 def positives(f: Signomial) -> Tuple[Vector, ...]:

@@ -8,12 +8,18 @@ denominator of at least 2.  Any other spelling (a JSON number, ``"+2"``,
 ``" 2"``, ``"2.0"``, ``"2/1"``, ``"4/2"``, ...) makes the document malformed.
 
 Each distinct spelling is read once per document, an integer to an int
-and a ratio to a Fraction.  The input is read under the text format's caps
-(a dimension in 1..MAX_VARIABLE_INDEX, checked before any term is read; each
-distinct exponent entry checked once, by ``exceeds_cap``); its rows go
-through ``lattice`` to the constructor, as in ``Signomial.of_terms``, so an
-integral trace makes no Fraction for an exponent entry, and its int rows
-come back as they are.  The input is written from the frame.
+(without the regex) and a ratio to a Fraction.  The input is read under the
+text format's caps: a dimension in 1..MAX_VARIABLE_INDEX, checked before
+any term is read, and each distinct exponent spelling held to the digit
+caps once, by ``exceeds_cap``, in term order.  An input whose exponent
+spellings are all integers goes to the checking constructor as its int
+rows on scale 1, with no ``lattice`` scan and no Fraction for an exponent
+entry; an input with a ratio goes through ``lattice``, as in
+``Signomial.of_terms``.  The tree is read after the input, and every vector
+it records must have the input's n entries: one of k entries makes the
+document malformed as ``<path>: k entries, not n``, with its path in the
+document, such as ``tree.children.0.edge.beta1``.  The input is written
+from the frame.
 """
 
 from __future__ import annotations
@@ -61,29 +67,37 @@ def _vec(v) -> List[str]:
     return [_fmt(a) for a in v]
 
 
-_CANONICAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
+_RATIO = re.compile(r"(0|-?[1-9][0-9]*)/([2-9]|[1-9][0-9]+)")
 
 
 class _Rationals(dict):
     """One document's rationals by spelling: a spelling not yet in the dict
     is read, checked to be canonical and kept, so each is read once.  An
-    integer spelling becomes an int; a ratio must be in lowest terms."""
+    integer spelling (ASCII digits, an optional '-', no leading zero but
+    "0") becomes an int without the regex; a ratio, read by ``_RATIO``,
+    must be in lowest terms."""
 
     def __missing__(self, text) -> Union[int, Fraction]:
-        match = _CANONICAL.fullmatch(text) if type(text) is str else None
-        if match and match[2] is None:
-            value = int(match[1])
-        else:
-            value = match and Fraction(int(match[1]), int(match[2]))
-            if not match or value.denominator != int(match[2]):
-                raise ValueError(f"not a canonical rational: {text!r:.40}")
+        if type(text) is str and text.isascii():
+            digits = text[text.startswith("-"):]
+            if digits.isdigit() and (digits[0] != "0" or text == "0"):
+                value = self[text] = int(text)
+                return value
+        match = _RATIO.fullmatch(text) if type(text) is str else None
+        value = match and Fraction(int(match[1]), int(match[2]))
+        if not match or value.denominator != int(match[2]):
+            raise ValueError(f"not a canonical rational: {text!r:.40}")
         self[text] = value
         return value
 
 
-def _unvec(v, q: _Rationals) -> Tuple[Union[int, Fraction], ...]:
+def _unvec(v, q: _Rationals, n: Optional[int], path: tuple, *keys) -> Tuple[Union[int, Fraction], ...]:
+    """A vector of the document, at ``path`` and ``keys`` in it: a list of
+    n rationals (of any length when n is None, as for an input row)."""
     if type(v) is not list:
         raise ValueError(f"expected a list of rationals, found {type(v).__name__}")
+    if n is not None and len(v) != n:
+        raise ValueError(f"{'.'.join(map(str, path + keys))}: {len(v)} entries, not {n}")
     return tuple(map(q.__getitem__, v))
 
 
@@ -122,15 +136,21 @@ def _signomial(data: dict, q: _Rationals) -> Signomial:
         raise ValueError(f"dimension {dimension} is not in 1..{MAX_VARIABLE_INDEX}")
     if len(data["terms"]) > MAX_TERMS:
         raise ValueError(f"more than {MAX_TERMS} terms")
-    coefficients, rows, capped = [], [], set()  # capped: the distinct exponent entries within the caps
+    coefficients, rows, capped, integral = [], [], set(), True  # capped: the exponent spellings within the caps
     for t in data["terms"]:
-        row = _unvec(t["exponent"], q)
-        fresh = set(row) - capped
-        if any(map(exceeds_cap, fresh)):
-            raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
-        capped |= fresh
+        spellings = t["exponent"]
+        rows.append(_unvec(spellings, q, None, ()))
+        if not capped.issuperset(spellings):  # a spelling first met here: capped once, in term order
+            for text in spellings:
+                if text not in capped:
+                    a = q[text]
+                    if exceeds_cap(a):
+                        raise ValueError(f"exponent number has more than {MAX_EXPONENT_DIGITS} digits")
+                    integral = integral and type(a) is int
+                    capped.add(text)
         coefficients.append(q[t["coefficient"]])
-        rows.append(row)
+    if integral:  # int rows: the frame as it is, on scale 1
+        return Signomial(dimension, tuple(coefficients), 1, tuple(rows))
     return Signomial(dimension, tuple(coefficients), *lattice(rows))
 
 
@@ -157,13 +177,16 @@ def _simplex_to_json(w: SimplexWitness) -> dict:
     return out
 
 
-def _simplex_from_json(data: dict, q: _Rationals) -> SimplexWitness:
+def _simplex_from_json(data: dict, q: _Rationals, n: Optional[int], path: tuple) -> SimplexWitness:
     interior = data.get("interior_negative")  # absent or null is none, anything else a vector
     return SimplexWitness(
-        vertices=tuple(_unvec(v, q) for v in data["vertices"]),
+        vertices=tuple(_unvec(v, q, n, path, "vertices", i) for i, v in enumerate(data["vertices"])),
         mode=data["mode"],
-        interior_negative=None if interior is None else _unvec(interior, q),
-        halfspaces=tuple((_unvec(h["normal"], q), q[h["offset"]]) for h in data["halfspaces"])
+        interior_negative=None if interior is None else _unvec(interior, q, n, path, "interior_negative"),
+        halfspaces=tuple(
+            (_unvec(h["normal"], q, n, path, "halfspaces", i, "normal"), q[h["offset"]])
+            for i, h in enumerate(data["halfspaces"])
+        )
         if "halfspaces" in data
         else None,
     )
@@ -195,29 +218,32 @@ def _criterion_to_json(cert: CriterionCertificate) -> dict:
     return out
 
 
-def _criterion_from_json(data: dict, q: _Rationals) -> CriterionCertificate:
+def _criterion_from_json(data: dict, q: _Rationals, n: Optional[int], path: tuple) -> CriterionCertificate:
     kind = data["criterion"]
     nonempty = data["nonempty"]
     if type(nonempty) is not bool:
         raise ValueError(f"nonempty is not a JSON boolean: {nonempty!r:.40}")
     witness = None
     if kind in (ONE_NEGATIVE_COEFF, ONE_POSITIVE_COEFF) and "exponent" in data:
-        witness = _unvec(data["exponent"], q)
+        witness = _unvec(data["exponent"], q, n, path, "exponent")
     elif kind == STRICT_SEPARATING:
-        w = data["witness"]
+        w, at = data["witness"], path + ("witness",)
         point = w.get("strict_point")  # absent or null is none, anything else a vector
         witness = SeparatingWitness(
-            _unvec(w["normal"], q), q[w["offset"]], True, None if point is None else _unvec(point, q)
+            _unvec(w["normal"], q, n, at, "normal"),
+            q[w["offset"]],
+            True,
+            None if point is None else _unvec(point, q, n, at, "strict_point"),
         )
     elif kind in (SIMPLEX_NEGATIVES_INSIDE, SIMPLEX_POSITIVES_INSIDE):
-        witness = _simplex_from_json(data["witness"], q)
+        witness = _simplex_from_json(data["witness"], q, n, path + ("witness",))
     elif kind == BOX:
-        w = data["witness"]
+        w, at = data["witness"], path + ("witness",)
         witness = BoxWitness(
-            EnclosingWitness(_unvec(w["normal"], q), q[w["upper"]], q[w["lower"]], True),
-            _unvec(w["beta1"], q),
-            _unvec(w["beta2"], q),
-            _unvec(w["separator_normal"], q),
+            EnclosingWitness(_unvec(w["normal"], q, n, at, "normal"), q[w["upper"]], q[w["lower"]], True),
+            _unvec(w["beta1"], q, n, at, "beta1"),
+            _unvec(w["beta2"], q, n, at, "beta2"),
+            _unvec(w["separator_normal"], q, n, at, "separator_normal"),
             q[w["separator_offset"]],
         )
     return CriterionCertificate(kind, nonempty, witness)
@@ -249,33 +275,40 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(node: dict) -> Certificate:
-    return _certificate(node, _Rationals())
+    return _certificate(node, _Rationals(), None, ("tree",))
 
 
-def _certificate(node: dict, q: _Rationals) -> Certificate:
+def _certificate(node: dict, q: _Rationals, n: Optional[int], path: tuple) -> Certificate:
     kind, outcome = node["kind"], node["outcome"]
     if kind == KIND_CRITERION:
-        return Certificate(kind, outcome, criterion=_criterion_from_json(node, q))
+        return Certificate(kind, outcome, criterion=_criterion_from_json(node, q, n, path))
     if kind == KIND_NEGATIVE_FACE:
         return Certificate(
             kind,
             outcome,
-            normal=_unvec(node["normal"], q),
-            face=tuple(_unvec(p, q) for p in node["face"]),
-            children=tuple(_certificate(c, q) for c in node["children"]),
+            normal=_unvec(node["normal"], q, n, path, "normal"),
+            face=tuple(_unvec(p, q, n, path, "face", i) for i, p in enumerate(node["face"])),
+            children=tuple(_certificate(c, q, n, path + ("children", i)) for i, c in enumerate(node["children"])),
         )
     if kind == KIND_PARALLEL_SPLIT:
         e = node["edge"]
         return Certificate(
             kind,
             outcome,
-            normal=_unvec(node["normal"], q),
-            edge=EdgeWitness(_unvec(e["beta1"], q), _unvec(e["beta2"], q), _unvec(e["functional"], q)),
-            child_nonempty=tuple(
-                NonemptyWitness(_unvec(w["point"], q), _unvec(w["functional"], q))
-                for w in node["child_nonempty"]
+            normal=_unvec(node["normal"], q, n, path, "normal"),
+            edge=EdgeWitness(
+                _unvec(e["beta1"], q, n, path, "edge", "beta1"),
+                _unvec(e["beta2"], q, n, path, "edge", "beta2"),
+                _unvec(e["functional"], q, n, path, "edge", "functional"),
             ),
-            children=tuple(_certificate(c, q) for c in node["children"]),
+            child_nonempty=tuple(
+                NonemptyWitness(
+                    _unvec(w["point"], q, n, path, "child_nonempty", i, "point"),
+                    _unvec(w["functional"], q, n, path, "child_nonempty", i, "functional"),
+                )
+                for i, w in enumerate(node["child_nonempty"])
+            ),
+            children=tuple(_certificate(c, q, n, path + ("children", i)) for i, c in enumerate(node["children"])),
         )
     if kind == KIND_EMPTY:
         return Certificate(kind, outcome)
@@ -356,7 +389,7 @@ def verify_document(doc: dict) -> List[str]:
     try:
         q = _Rationals()
         f = _signomial(doc["input"], q)
-        cert = _certificate(doc["tree"], q)
+        cert = _certificate(doc["tree"], q, f.dimension, ("tree",))
         errors = verify_certificate(f, cert)
     except RecursionError:
         return ["malformed document: trace nested too deeply"]

@@ -11,10 +11,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import cache, reduce
 from operator import getitem
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -169,14 +171,21 @@ def test_malformed_simplex_witnesses_are_named():
 
 def test_malformed_simplex_witnesses_in_a_trace_are_named():
     """The same reasons through ``verify_document``, on the trace of a
-    printed simplex witness with its vertices replaced."""
+    printed simplex witness with its vertices replaced, but for a vertex of
+    the wrong length: the reader refuses the first one by its path."""
     config = CertifyConfig(simplex_witness=SimplexWitness(fixtures.SIMPLEX_VERTICES, MODE_POSITIVES_INSIDE))
     doc = _document(fixtures.SIMPLEX_CONNECTED, config)
     assert doc["tree"]["criterion"] == SIMPLEX_POSITIVES_INSIDE and tracedoc.verify_document(doc) == []
     for vertices, reason in MALFORMED_SIMPLICES:
         mutated = copy.deepcopy(doc)
         mutated["tree"]["witness"]["vertices"] = [[str(a) for a in p] for p in vertices]
-        assert tracedoc.verify_document(mutated) == [f"root: {reason}"]
+        short = [(i, len(p)) for i, p in enumerate(vertices) if len(p) != 2]
+        if short:
+            (i, k), *_ = short
+            reason = f"malformed document: tree.witness.vertices.{i}: {k} entries, not 2"
+        else:
+            reason = f"root: {reason}"
+        assert tracedoc.verify_document(mutated) == [reason]
 
 
 def test_a_simplex_witness_has_its_shape_checked_once(monkeypatch):
@@ -262,9 +271,17 @@ def documents(draw):
 
 
 def _sites(node, path):
-    """(path, kind) of every single-field mutation below ``path``: a
-    rational, a vector, a face's points, the input's terms, a key and a pair
-    of children."""
+    """(path, kind) of every mutation below ``path`` that changes one field:
+    a rational, a vector, a face's points, the input's terms, a key and a
+    pair of children; and the structural ones: any field retyped, an object
+    or list copied onto a sibling that differs, and a rational respelled."""
+    entries = list(node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ())
+    for key, value in entries:
+        yield path + (key,), "retype"
+        if isinstance(value, (dict, list)) and any(
+            isinstance(other, (dict, list)) and other != value for _, other in entries
+        ):
+            yield path + (key,), "subtree"
     if isinstance(node, dict):
         for key, value in node.items():
             yield path + (key,), "key"
@@ -282,6 +299,27 @@ def _sites(node, path):
             yield from _sites(value, path + (i,))
     elif isinstance(node, str) and (isinstance(path[-1], int) or path[-1] in RATIONAL_KEYS):
         yield path, "rational"
+        yield path, "spelling"
+
+
+# the single-field mutations, which the previous replay must answer alike, and
+# the structural ones, which may also make a document malformed
+SINGLE_FIELD = ("rational", "vector", "points", "terms", "key", "children")
+STRUCTURAL = ("retype", "key", "subtree", "spelling")
+# a value of each JSON type: a retyped field takes one of another type
+RETYPES = ([1], [], "x", "", 7, 2.5, True, False, None, {}, {"kind": "empty"})
+# rationals that the reader refuses or that are far past every cap: more
+# digits than int() reads, past the exponent caps, and spellings that
+# str(Fraction) never writes
+SPELLINGS = (
+    "9" * 5000, "9" * 4000, str(2 ** 200), "-" + "7" * 40, "1/" + "3" * 30,
+    "+2", " 2", "2 ", "2/1", "4/2", "-0", "02", "2.0", "2e3", "0x10", "\u0662", "1/-2", "1//2",
+)
+
+
+def _json_type(x) -> type:
+    """The Python type that stands for x's JSON type (an int is a number)."""
+    return float if type(x) is int else type(x)
 
 
 def _field(path) -> str:
@@ -291,15 +329,17 @@ def _field(path) -> str:
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
-def _mutate(doc: dict, data) -> tuple:
-    """One field of ``doc`` changed, and the path of that field: a rational
-    replaced, negated or zeroed, a vector shortened or replaced by another of
-    the document's vectors, a point of a face added, a term of the input
-    dropped, a key dropped or the children swapped.  The field
-    is drawn evenly among the field names of a kind, in the tree three times
-    in four, so that rare fields such as an edge functional come up."""
+def _mutate(doc: dict, data, kinds=SINGLE_FIELD) -> tuple:
+    """One field of ``doc`` changed by a mutation of one of ``kinds``, and
+    the path of that field and the kind: a rational replaced, negated or
+    zeroed, a vector shortened or replaced by another of the document's
+    vectors, a point of a face added, a term of the input dropped, a key
+    dropped, the children swapped, a field retyped, a subtree copied onto a
+    sibling or a rational respelled.  The field is drawn evenly among the
+    field names of a kind, in the tree three times in four, so that rare
+    fields such as an edge functional come up."""
     part = data.draw(st.sampled_from(("tree", "tree", "tree", "input")))
-    sites = list(_sites(doc[part], (part,)))
+    sites = [(p, k) for p, k in _sites(doc[part], (part,)) if k in kinds]
     kind = data.draw(st.sampled_from(sorted({k for _, k in sites})))
     field = data.draw(st.sampled_from(sorted({_field(p) for p, k in sites if k == kind})))
     path = data.draw(st.sampled_from([p for p, k in sites if k == kind and _field(p) == field]))
@@ -311,6 +351,14 @@ def _mutate(doc: dict, data) -> tuple:
     value = parent[last]
     if kind == "key":
         del parent[last]
+    elif kind == "retype":
+        parent[last] = copy.deepcopy(data.draw(st.sampled_from([x for x in RETYPES if _json_type(x) != _json_type(value)])))
+    elif kind == "subtree":
+        siblings = parent.values() if isinstance(parent, dict) else parent
+        siblings = [x for x in siblings if isinstance(x, (dict, list)) and x != value]
+        parent[last] = copy.deepcopy(data.draw(st.sampled_from(siblings)))
+    elif kind == "spelling":
+        parent[last] = data.draw(st.sampled_from(SPELLINGS))
     elif kind == "children":
         value.reverse()
     elif kind == "vector":
@@ -329,7 +377,7 @@ def _mutate(doc: dict, data) -> tuple:
         old = Fraction(value)
         new = data.draw(st.one_of(st.just(-old), st.just(Fraction(0)), RATIONALS.filter(lambda x: x != old)))
         parent[last] = str(new)
-    return doc, path
+    return doc, path, kind
 
 
 def _messages(errors):
@@ -348,8 +396,8 @@ def _previous_replay():
     """``tracedoc.verify_document`` with the previous reader and checker."""
     return mock.patch.multiple(
         tracedoc,
-        _signomial=lambda data, _: replay_oracle.signomial_from_json(data),
-        _certificate=lambda node, _: replay_oracle.certificate_from_json(node),
+        _signomial=lambda data, *_: replay_oracle.signomial_from_json(data),
+        _certificate=lambda node, *_: replay_oracle.certificate_from_json(node),
         verify_certificate=replay_oracle.verify_certificate,
     )
 
@@ -413,6 +461,20 @@ def _replay_path(doc: dict, tree_path) -> str:
     return at
 
 
+def _wrong_length(doc: dict, path) -> Optional[str]:
+    """The reader's message for the field at ``path`` when it is a vector of
+    the tree (a list of strings) whose length is not the input's
+    dimension, else None."""
+    try:
+        value = reduce(getitem, path, doc)
+    except (KeyError, IndexError):
+        return None
+    n = doc["input"]["dimension"]
+    if path[0] != "tree" or type(value) is not list or not all(type(x) is str for x in value) or len(value) == n:
+        return None
+    return f"malformed document: {'.'.join(map(str, path))}: {len(value)} entries, not {n}"
+
+
 @given(documents(), st.data())
 @settings(deadline=None, max_examples=1000, suppress_health_check=[HealthCheck.too_slow])
 def test_tampered_traces_replay_as_before(doc, data):
@@ -421,8 +483,12 @@ def test_tampered_traces_replay_as_before(doc, data):
     in the same messages.  The exponent a one-coefficient criterion records
     is the exception: the previous replay never read it, and replay rejects
     it by name when it is changed or dropped, also where a mutation moves
-    the exponent of the one term of its sign."""
-    tampered, path = _mutate(doc, data)
+    the exponent of the one term of its sign.  A recorded vector of the
+    tree made shorter is malformed, by its path and its length."""
+    tampered, path, _ = _mutate(doc, data)
+    if (message := _wrong_length(tampered, path)) is not None:
+        assert tracedoc.verify_document(tampered) == [message]
+        return
     if path[0] != "tree" or "exponent" not in path:
         _replays_alike(tampered, recorded_exponents=True)
         return
@@ -434,13 +500,67 @@ def test_tampered_traces_replay_as_before(doc, data):
     assert tracedoc.verify_document(tampered) == ([] if tampered == doc else rejected)
 
 
+# a replay of any mutant ends well within this many seconds
+REPLAY_SECONDS = 5.0
+# fields that may be absent, so that null is a value of their type
+OPTIONAL_POINTS = {"strict_point", "interior_negative"}
+
+
+@given(documents(), st.data())
+@settings(deadline=None, max_examples=500, suppress_health_check=[HealthCheck.too_slow])
+def test_structural_mutants_are_malformed_by_name_or_replay_as_before(doc, data):
+    """A field retyped, a key dropped, a subtree copied onto a sibling or a
+    rational respelled (a huge int, or a spelling the writer never makes):
+    replay never raises and ends within REPLAY_SECONDS, and the mutant is
+    either malformed, with the reason named, or replays as the previous
+    replay does.  A rational or a vector retyped is always malformed, but
+    for an optional point made null, which reads as absent."""
+    mutant, path, kind = _mutate(doc, data, STRUCTURAL)
+    start = time.perf_counter()
+    errors = tracedoc.verify_document(mutant)
+    assert time.perf_counter() - start < REPLAY_SECONDS
+    malformed = len(errors) == 1 and errors[0].startswith("malformed document: ") and errors[0] != "malformed document: "
+    event(f"{kind}: {'malformed' if malformed else 'read'}")
+    original = reduce(getitem, path, doc)
+    rational_or_vector = type(original) is str and (isinstance(path[-1], int) or path[-1] in RATIONAL_KEYS) or (
+        type(original) is list and original and all(type(x) is str for x in original)
+    )
+    if kind == "retype" and rational_or_vector and not (path[-1] in OPTIONAL_POINTS and reduce(getitem, path, mutant) is None):
+        assert malformed, (path, errors)
+    if not malformed:
+        assert _replays_alike(mutant, recorded_exponents=True) == errors
+
+
+def _config_mutants(doc: dict):
+    """``doc`` with its ``config`` dropped, retyped, or with one of its
+    values replaced by a value of each JSON type."""
+    dropped = dict(doc)
+    del dropped["config"]
+    yield dropped
+    for value in RETYPES:
+        yield {**doc, "config": value}
+        for key in doc["config"]:
+            yield {**doc, "config": {**doc["config"], key: value}}
+
+
+def test_replay_reads_no_config_key():
+    """Replay's answer on every fixture trace stays the same with the
+    document's ``config`` dropped, retyped or with any of its values
+    replaced: replay reads the witnesses in ``tree`` alone."""
+    for doc in fixture_documents():
+        expected = tracedoc.verify_document(doc)
+        for mutant in _config_mutants(doc):
+            assert tracedoc.verify_document(mutant) == expected, mutant.get("config")
+
+
 # --- the exponent a one-coefficient criterion records -----------------------------
 
 
 def test_a_one_coefficient_criterion_replays_only_its_own_exponent():
     """Replay looks the recorded exponent up as a term of f: a point off the
-    support, of the wrong length, empty, a term of the other sign or no
-    point at all is rejected by name."""
+    support, a term of the other sign or no point at all is rejected by
+    name.  An exponent of the wrong length, empty included, is malformed
+    by its path and its length."""
     for text, sign, others in (
         ("x^2*y + x*y^2 - x*y + 1", "negative", (["7", "7"], ["1"], [], ["2", "1"], None)),
         ("x*y - 1 - x^2 - y^2 - x^2*y^2", "positive", (["0", "0"], ["1", "1", "0"], None)),
@@ -455,22 +575,31 @@ def test_a_one_coefficient_criterion_replays_only_its_own_exponent():
                 tampered["tree"]["exponent"] = exponent
             with _previous_replay():
                 assert tracedoc.verify_document(tampered) == []
-            assert tracedoc.verify_document(tampered) == [f"root: recorded exponent is not the one {sign} exponent"]
+            if exponent is not None and len(exponent) != 2:
+                expected = f"malformed document: tree.exponent: {len(exponent)} entries, not 2"
+            else:
+                expected = f"root: recorded exponent is not the one {sign} exponent"
+            assert tracedoc.verify_document(tampered) == [expected]
 
 
 # --- the length of a recorded functional ------------------------------------------
 
 REPLAY_STDIN = (
     "import json, sys\n"
-    "from descregions import tracedoc\n"
-    "print(json.dumps(tracedoc.verify_document(json.load(sys.stdin))))\n"
+    "from descregions import check, tracedoc\n"
+    "doc = json.load(sys.stdin)\n"
+    "f = tracedoc.signomial_from_json(doc['input'])\n"
+    "cert = tracedoc.certificate_from_json(doc['tree'])\n"
+    "print(json.dumps([tracedoc.verify_document(doc), check.verify_certificate(f, cert)]))\n"
 )
 
 
 def test_a_functional_of_the_wrong_length_is_rejected_by_name_under_python_O():
-    """``frame_values`` checks a functional's length itself, so a separating
-    normal with an extra entry is rejected, with its length named, also
-    under ``python -O``, which drops ``dot``'s assert."""
+    """The reader checks every recorded vector's length against the input's
+    dimension, so a separating normal with an extra entry is malformed, by
+    its path and its length, also under ``python -O``, which drops
+    ``dot``'s assert.  ``frame_values`` still checks a functional's length
+    itself, for a certificate handed in without a document."""
     doc = _document(parse_signomial("x^2 + y^2 - x - y + 1/2*x*y - 1 + x*y"), CertifyConfig())
     doc["tree"]["witness"]["normal"].append("5")
     env = dict(os.environ, PYTHONPATH=str(Path(descregions.__file__).resolve().parents[1]))
@@ -479,7 +608,10 @@ def test_a_functional_of_the_wrong_length_is_rejected_by_name_under_python_O():
             [sys.executable, *flags, "-c", REPLAY_STDIN], input=json.dumps(doc),
             capture_output=True, text=True, env=env, check=True,
         )
-        assert json.loads(proc.stdout) == ["root: criterion witness is malformed: functional has 3 entries, not 2"]
+        assert json.loads(proc.stdout) == [
+            ["malformed document: tree.witness.normal: 3 entries, not 2"],
+            ["root: criterion witness is malformed: functional has 3 entries, not 2"],
+        ]
 
 
 # --- recorded points off the signomial's exponent lattice ------------------------

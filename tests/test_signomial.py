@@ -225,10 +225,11 @@ def test_frame_check_keeps_its_messages():
 
 
 def test_each_signomial_is_framed_once(monkeypatch):
-    """One ``lattice`` call per parse and per read of a trace, and none to
-    restrict an integral signomial, which builds on the frame rows it
-    already holds.  An integral parse or trace hands ``lattice`` int rows,
-    which come back as they are, with scale 1."""
+    """One ``lattice`` call per parse and per read of a trace with a ratio
+    exponent, and none to restrict an integral signomial, which builds on
+    the frame rows it already holds.  An integral parse hands ``lattice``
+    int rows, which come back as they are, with scale 1; an integral trace
+    needs no ``lattice`` call at all, its int rows are the frame."""
     calls = []
     real = lattice
 
@@ -249,11 +250,11 @@ def test_each_signomial_is_framed_once(monkeypatch):
     calls.clear()
     child = restrict_indices(f, [0, 2])
     assert calls == []
-    document = tracedoc.signomial_to_json(f)
-    read = tracedoc.signomial_from_json(document)
-    [(rows, (scale, frame))] = calls
-    assert scale == 1 and all(map(operator.is_, frame, rows))
+    read = tracedoc.signomial_from_json(tracedoc.signomial_to_json(f))
+    assert calls == [] and read.scale == 1
     assert child.frame == (f.frame[0], f.frame[2]) and read == f and read.frame == f.frame
+    assert all(type(a) is int for row in read.frame for a in row)
+    assert tracedoc.signomial_from_json(tracedoc.signomial_to_json(rational)) == rational and len(calls) == 1
 
 
 # --- one lookup from a rational point to its row and term -------------------------
@@ -316,6 +317,40 @@ def test_a_point_off_the_lattice_is_not_rounded_onto_it():
         assert f.frame_row(point) is None and f.term_index(point) is None
     assert f.term_index((F(3, 2),)) == 2 and f.frame_row((F(3, 2),)) == (3,) and f.term_index((1,)) is None
     assert f.term_index((0, 0)) is None and f.term_index(()) is None
+
+
+class _CountedRows(tuple):
+    """Frame rows that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("text", [TEN_TERM_UPPER_TEXT, "3*x^(1/2)*y - 2*x*y^3 + 5 - x^4"], ids=["integral", "ratio"])
+def test_the_row_index_is_built_once_and_is_not_a_field(text):
+    """``term_index`` answers as a scan of the support does, for points on
+    f's lattice, off it, absent from the support and of the wrong length.
+    Its row index is built by one pass over the frame, on the first lookup
+    of a point on the lattice, and never again; equality, hashing and repr
+    do not see it."""
+    f = parse_signomial(text)
+    g = Signomial._valid(f.dimension, f.coefficients, f.scale, _CountedRows(f.frame), shrink=False)
+    g.frame.passes = 0
+    n, support = f.dimension, f.support
+    off_or_wrong = [(F(1, 3),) * n, (F(1, 2 * f.scale),) + (0,) * (n - 1), (0,) * (n - 1), (0,) * (n + 1), ()]
+    on = [f.exponent(i) for i in range(len(f.frame))] + [mu[:-1] + (mu[-1] + 7,) for mu in support]
+    for point in off_or_wrong:
+        assert g.term_index(point) is None
+    assert g.frame.passes == 0 and "_row_index" not in g.__dict__
+    for point in on + off_or_wrong + on:
+        exact = tuple(map(F, point))
+        assert g.term_index(point) == next((i for i, mu in enumerate(support) if mu == exact), None)
+    assert g.frame.passes == 1 and "_row_index" in g.__dict__ and "_row_index" not in f.__dict__
+    assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+    assert [g.term_index(mu) for mu in support] == list(range(len(support))) and g.frame.passes == 1
 
 
 # --- one exponent form: no Term and no Fraction per exponent entry ---------------

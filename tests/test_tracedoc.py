@@ -165,8 +165,9 @@ def test_optional_witness_points_are_read_by_type(f, config, key, reason):
     """A criterion witness's optional point (``strict_point``,
     ``interior_negative``) is none when absent or null.  Anything else is a
     list of rationals, or the document is malformed: a falsy 0, "" or false
-    is not read as absent.  A list of the wrong length, [] included, is no
-    term's exponent, so replay refuses the witness."""
+    is not read as absent.  A list of the wrong length, [] included, is
+    malformed too, by its path and its length.  A point of the right length
+    that is no term's exponent is read, and replay refuses the witness."""
     doc = json.loads(tracedoc.document_to_json(tracedoc.make_document(f, config, certify_connectivity(f, config))))
     point = doc["tree"]["witness"][key]
     assert len(point) == f.dimension and tracedoc.verify_document(doc) == []
@@ -185,7 +186,11 @@ def test_optional_witness_points_are_read_by_type(f, config, key, reason):
     for value in ([], point[:1], point + ["0"]):
         bad = copy.deepcopy(doc)
         bad["tree"]["witness"][key] = value
-        assert tracedoc.verify_document(bad) == [f"root: {reason}"], value
+        expected = f"malformed document: tree.witness.{key}: {len(value)} entries, not {f.dimension}"
+        assert tracedoc.verify_document(bad) == [expected], value
+    bad = copy.deepcopy(doc)
+    bad["tree"]["witness"][key] = ["99"] * f.dimension
+    assert tracedoc.verify_document(bad) == [f"root: {reason}"]
 
 
 def test_deeply_nested_trace_is_reported_not_raised():
