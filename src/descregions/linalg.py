@@ -58,7 +58,7 @@ def is_zero(u: Sequence) -> bool:
 def primitive_int(u: Sequence[int]) -> IntVector:
     """An integer vector divided by the gcd of its entries (direction kept)."""
     g = gcd(*u)
-    return tuple(a // g for a in u) if g > 1 else tuple(u)
+    return tuple([a // g for a in u]) if g > 1 else tuple(u)
 
 
 def sign_canonical(u: Vector) -> Vector:
@@ -94,9 +94,10 @@ class _Echelon:
     @classmethod
     def affine(cls, points: Sequence[IntVector]) -> "_Echelon":
         """The rows spanning the differences to the first point; ``picked``
-        holds the indices of the points that raised the rank, and 0."""
-        ech = cls()
-        ech.picked = [0] + [i for i, p in enumerate(points) if i and ech.add(vsub(p, points[0]))]
+        holds the indices of the points that raised the rank, and 0.  No
+        point is inserted once the rank is the points' width n."""
+        ech, n = cls(), len(points[0]) if points else 0
+        ech.picked = [0] + [i for i, p in enumerate(points) if i and len(ech.rows) < n and ech.add(vsub(p, points[0]))]
         return ech
 
     def add(self, v: Sequence[int]) -> bool:

@@ -31,17 +31,22 @@ once the sum is 0.
 The tableau holds Python integers, column by column: one list per nonbasic
 column and one for the right-hand side, each with its m row entries and the
 phase-I objective's entry last.  The rational dictionary is the integer one
-over a single common denominator d, the determinant of the current basis.
-A pivot is fraction-free (Edmonds 1967, Bareiss 1968, as in Avis's lrs),
-with exact integer divisions, skipped while d is 1: it rebuilds only the
-columns whose entry in the pivot row is nonzero, scales the others when
-the pivot is not d, and gives the entering column to the leaving variable,
-negated with d in the pivot row.  Dropping an artificial deletes its
-column, and the ratio test reads the entering column and the right-hand
-side.  Both answers are checked exactly on the rows before they are
-returned: a witness x = values / d must satisfy every row, as row . values
->= rhs * d, and comes back with (values, d); an infeasible answer carries a
-Farkas certificate y >= 0 with sum y_i coeffs_i = 0 and sum y_i rhs_i > 0.
+over d, the determinant of the current basis, but each column keeps the
+denominator it was last brought to.  A pivot is fraction-free (Edmonds 1967,
+Bareiss 1968, as in Avis's lrs): it rebuilds over the pivot only the columns
+whose entry in the pivot row is nonzero, dividing exactly by their own
+denominator (skipped while it is 1), leaves the others as they are, and
+gives the entering column to the leaving variable, negated with d in the
+pivot row.  A value is brought to d only where it is read: the entering
+column, and the surplus columns' objective entries for a Farkas
+certificate; the pivot that zeroes the objective's right-hand side rebuilds
+that column, so a witness reads it over d.  Bland's rule reads only signs
+and the ratio test one column, so neither sees the denominators.  Dropping
+an artificial deletes its column.  Both answers are checked exactly on the
+rows before they are returned: a witness x = values / d must satisfy every
+row, as row . values >= rhs * d, and comes back with (values, d); an
+infeasible answer carries a Farkas certificate y >= 0 with sum y_i coeffs_i
+= 0 and sum y_i rhs_i > 0.
 The final objective is the sum of the artificials minus the combination y
 of the rows, so y_r is read off the objective entry of s_r's column as its
 reduced cost (0 while s_r is basic).
@@ -134,11 +139,10 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
     rhs.append(-sum([rhs[r] for r in late]))
     cols.append(rhs)
 
-    # The rational dictionary is the tableau over d, the determinant of the
-    # current basis.  Every entry is then a minor of the starting one, so
-    # the divisions of a pivot are exact (Edmonds, Bareiss).  Pivots are
-    # positive, so d stays positive.
-    d, pivots = 1, 0
+    # Column j holds its entries over dens[j], the d it was last brought to.
+    # Over d every entry is a minor of the starting tableau, so the divisions
+    # are exact (Edmonds, Bareiss).  Pivots are positive, and so is every d.
+    d, pivots, dens = 1, 0, [1] * len(cols)
     while rhs[m]:  # until the artificials are all 0, or no pivot lowers their sum
         e = -1  # Bland: the least label whose column lowers the objective
         for j, v in enumerate(labels):
@@ -147,9 +151,10 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
                 e = j
         if e < 0:
             break
-        enter = cols[e]
+        enter, s = cols[e], dens[e]
+        enter = enter if s == d else [a * d // s for a in enter]
         if enter[m] > 0:  # a free unknown entering downwards: negate its column
-            enter = cols[e] = [-a for a in enter]
+            enter = [-a for a in enter]
             labels[e] = ~labels[e]
         leave = -1
         for i in range(m):
@@ -165,45 +170,43 @@ def feasible(system: LinearSystem) -> FeasibilityResult:
         if leave < 0:
             # phase-I objective is bounded below by 0; unbounded cannot occur
             raise RuntimeError("phase-I simplex became unbounded")
-        # one fraction-free exchange: the pivot p becomes the common
-        # denominator in place of d.  A column whose pivot-row entry q is
-        # nonzero is rebuilt and keeps q there; any other is only scaled by
-        # p / d.  The leaving variable takes over column e: minus the old
+        # one fraction-free exchange: the pivot p becomes d.  A column whose
+        # pivot-row entry q is nonzero is rebuilt over p, dividing by its own
+        # denominator s, and keeps q, brought to d, there; any other is left
+        # as it is.  The leaving variable takes over column e: minus the old
         # column, with d in the pivot row.
         p = enter[leave]
         for j, col in enumerate(cols):
-            if j == e:
-                continue
             q = col[leave]
-            if q:
-                if d == 1:
+            if q and j != e:
+                s = dens[j]
+                if s == 1:
                     col = [p * a - q * b for a, b in zip(col, enter)]
                 else:
-                    col = [(p * a - q * b) // d for a, b in zip(col, enter)]
-                col[leave] = q
-                cols[j] = col
-            elif p != d:
-                cols[j] = [p * a // d for a in col] if d != 1 else [p * a for a in col]
+                    col = [(p * a - q * b) // s for a, b in zip(col, enter)]
+                col[leave] = q if s == d else q * d // s
+                cols[j], dens[j] = col, p
         col = [-a for a in enter]
         col[leave] = d
-        cols[e] = col
+        cols[e], dens[e] = col, p
         rhs = cols[-1]
         labels[e], basis[leave] = basis[leave], labels[e]
         d = p
         pivots += 1
         if labels[e] >= n + m:  # an artificial that left is dropped
-            del cols[e], labels[e]
+            del cols[e], labels[e], dens[e]
 
     if rhs[m]:
         # y_r is the reduced cost of s_r, read off its column; a basic s_r costs 0
         y = [0] * m
-        for v, col in zip(labels, cols):
+        for v, col, den in zip(labels, cols, dens):
             if v >= n:
-                y[v - n] = col[m]
+                y[v - n] = col[m] * d // den
         if not _refutes(system, y):
             raise RuntimeError("simplex produced an invalid Farkas certificate")
         return FeasibilityResult(None, tuple(y), pivots)
 
+    # the pivot that zeroed rhs[m] rebuilt the right-hand side, so it is over d
     x = [0] * n
     for b, v in zip(rhs, basis):
         if v < 0:

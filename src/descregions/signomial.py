@@ -176,14 +176,6 @@ class Signomial:
         return index.get(row)
 
 
-def positives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple([vector(f.exponent(i)) for i in f.positive_indices])
-
-
-def negatives(f: Signomial) -> Tuple[Vector, ...]:
-    return tuple([vector(f.exponent(i)) for i in f.negative_indices])
-
-
 def restrict_indices(f: Signomial, indices: Iterable[int]) -> Signomial:
     """Restriction of f to the terms at the given increasing indices, framed
     by f's frame rows at those indices on their least scale.  Rows of a

@@ -63,7 +63,9 @@ from descregions.check import (
 from descregions.linalg import Vector, is_zero, lattice, vector
 from descregions.linalg import dot as _dot
 from descregions.parsing import EXPONENT_BOUND, MAX_EXPONENT_DIGITS, MAX_TERMS
-from descregions.signomial import Signomial, Term, negatives, newton_dim, positives
+from descregions.signomial import Signomial, Term, newton_dim
+
+from signs import negatives, positives
 
 
 def dot(u: Sequence, v: Sequence):

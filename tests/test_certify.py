@@ -22,7 +22,7 @@ from descregions.parsing import parse_signomial
 from descregions.signomial import Signomial
 
 from adversarial import box_budget_text, cube_signs_text
-from test_corpus_digests import WORKLOADS, corpus
+from workloads import WORKLOADS, corpus
 from fixtures import (
     BOX_F,
     CUBE3,

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import descregions
@@ -43,11 +44,12 @@ from descregions.check import (
     verify_simplex_witness,
 )
 from descregions.parsing import parse_signomial
-from descregions.signomial import MAX_EXPONENT_DIGITS, Signomial, negatives, positives
+from descregions.signomial import MAX_EXPONENT_DIGITS, Signomial
 
 import fixtures
 import replay_oracle
 from fixtures import vec
+from signs import negatives, positives
 from strategies import rational_signed_supports, signed_supports
 
 PACKAGE = Path(descregions.__file__).resolve().parent
@@ -139,6 +141,59 @@ def test_box_endpoints_may_lie_on_the_enclosing_hyperplanes():
     box = BoxWitness(pair, (Fraction(6), Fraction(0)), (Fraction(1), Fraction(0)), (0, -1), Fraction(-1))
     cert = CriterionCertificate(BOX, True, box)
     assert verify_criterion(f, cert) is None and replay_oracle.verify_criterion(f, cert) is None
+
+
+def _slab_box(negatives_x, beta1, beta2, separator=((0, -1), -1)) -> tuple:
+    """The support of the test above with negatives at the given x on the
+    row y = 0, and its box criterion on the slab 1 <= x <= 6 with the given
+    ends and segment separator (w, c)."""
+    f = Signomial.from_terms(2, [(-1, (x, 0)) for x in negatives_x] + [(1, (x, 1)) for x in (3, 4)])
+    pair = EnclosingWitness((1, 0), Fraction(6), Fraction(1), True)
+    (w, c) = separator
+    box = BoxWitness(pair, (Fraction(beta1), Fraction(0)), (Fraction(beta2), Fraction(0)), w, Fraction(c))
+    return f, CriterionCertificate(BOX, True, box)
+
+
+@pytest.mark.parametrize(
+    "beta1,beta2",
+    [(1, 0), (7, 6)],
+    ids=["beta1-below-the-slab", "beta2-above-the-slab"],
+)
+def test_a_box_with_one_end_on_the_wrong_side_is_refused(beta1, beta2):
+    """beta1 must lie on or above the slab and beta2 on or below it.  Here
+    one end is on the wrong side and the other is right, and both are
+    strictly above the separator -y <= -1, which holds the positives: only
+    the side test refuses the box."""
+    f, cert = _slab_box((0, 1, 6, 7), beta1, beta2)
+    assert verify_criterion(f, cert) == "box endpoints on wrong sides"
+    assert replay_oracle.verify_criterion(f, cert) == "box endpoints on wrong sides"
+
+
+@pytest.mark.parametrize(
+    "separator",
+    [((1, -3), 1), ((-1, -3), -6)],
+    ids=["beta2-on-the-separator", "beta1-on-the-separator"],
+)
+def test_a_box_end_on_the_segment_separator_is_refused(separator):
+    """Both ends must lie strictly above the separator w . x <= c, which
+    holds the positives (3, 1) and (4, 1): x - 3y <= 1 passes through
+    beta2 = (1, 0) and -x - 3y <= -6 through beta1 = (6, 0), each with the
+    other end strictly above it."""
+    f, cert = _slab_box((0, 1, 6, 7), 6, 1, separator)
+    assert verify_criterion(f, cert) == "segment separator not strict on endpoints"
+    assert replay_oracle.verify_criterion(f, cert) == "segment separator not strict on endpoints"
+
+
+@pytest.mark.parametrize("negatives_x", [(0, 1, 6), (1, 6, 7)], ids=["none-above", "none-below"])
+def test_a_strict_pair_needs_a_negative_strictly_beyond_each_edge(negatives_x):
+    """Negatives on x = 1 and x = 6 lie on the slab's edges, and the only
+    other one lies beyond just one edge: the pair encloses, but not
+    strictly, so neither the pair nor a box on it verifies."""
+    f, cert = _slab_box(negatives_x, 6, 1)
+    assert check.verify_enclosing_pair(f, (1, 0), 6, 1, strict=False)
+    assert not check.verify_enclosing_pair(f, (1, 0), 6, 1, strict=True)
+    assert not replay_oracle.verify_enclosing_pair(f, (1, 0), 6, 1, strict=True)
+    assert verify_criterion(f, cert) == "enclosing pair does not verify"
 
 
 # vertices that cannot span a simplex of the 2-variable SIMPLEX_CONNECTED, and the reason

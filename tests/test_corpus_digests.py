@@ -21,26 +21,16 @@ test pins before and after a change.
 import hashlib
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from descregions.certify import certify_connectivity
-from descregions.check import CertifyConfig
 from descregions.parsing import format_signomial, parse_signomial
 from descregions.signomial import Signomial
 from descregions.tracedoc import document_to_json, make_document
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-import corpus  # noqa: E402
+from workloads import WORKLOADS, corpus
 
-FLAGGED = CertifyConfig(enable_simplex_search=True, enable_box_criterion=True, enable_enclosing_search=True)
-# workload -> (instance count, config), as the benchmark certifies them
-WORKLOADS = {
-    "lowdim-flagged": (28, FLAGGED),
-    "cube-recursion": (26, CertifyConfig()),
-    "wide-hull": (10, CertifyConfig()),
-}
 SEED_1_SHA256 = {
     "lowdim-flagged": "cbad3cf06654cfd71b93dea6e4b7196ac02f060a9481ee8cca78fbd4da162edd",
     "cube-recursion": "0cc1058552ee831fb8f67f12ee6890a3c6f7e6f2258b840c60127d7ceec8857d",

@@ -37,7 +37,7 @@ from descregions.criteria import (
     _simplex_search,
 )
 from descregions import check, criteria, lp, polytope
-from descregions.signomial import Signomial, negatives, positives, restrict_indices
+from descregions.signomial import Signomial, restrict_indices
 from descregions.linalg import affine_rank, dot, lattice, vsub
 from descregions.polytope import build_polytope
 
@@ -59,6 +59,7 @@ from fixtures import (
 )
 from strategies import rational_signed_supports, signed_supports
 from lp_oracle import int_system
+from signs import negatives, positives
 from test_lp import same_path
 
 F = Fraction

@@ -15,7 +15,7 @@ from descregions.linalg import dot, lattice
 from descregions.certify import certify_connectivity
 from descregions.check import CertifyConfig
 from descregions.parsing import parse_signomial
-from descregions.signomial import Signomial, negatives, positives
+from descregions.signomial import Signomial
 
 import fixtures
 import lp_oracle
@@ -23,7 +23,8 @@ import row_lp_oracle
 from lp_oracle import int_system
 from fixtures import BOX_F, TEN_TERM, TEN_TERM_UPPER, vec
 from fm_oracle import fm_feasible
-from test_corpus_digests import WORKLOADS, corpus
+from signs import negatives, positives
+from workloads import WORKLOADS, corpus
 
 F = Fraction
 
@@ -327,10 +328,12 @@ def result_fields(res):
 
 @st.composite
 def int_systems(draw):
-    """0 to 6 unknowns and 0 to 12 int rows, with zero rows and right-hand
-    sides above, at and below 0."""
+    """0 to 6 unknowns and 0 to 12 int rows, with zero rows, about half of
+    the other entries 0, so that columns stay stale across pivots, and
+    right-hand sides above, at and below 0."""
     n = draw(st.integers(0, 6))
-    coeffs = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-6, 6)] * n))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    coeffs = st.one_of(st.just((0,) * n), st.tuples(*[entry] * n))
     rhs = st.one_of(st.integers(1, 6), st.just(0), st.integers(-6, -1))
     return LinearSystem(n, tuple(draw(st.lists(st.tuples(coeffs, rhs), max_size=12))))
 
@@ -345,6 +348,38 @@ def test_column_kernel_walks_the_row_kernels_path(system):
     """The column-major kernel against the row-major one it replaced: the
     same witness, Farkas vector, pivot count and integer witness."""
     assert result_fields(feasible(system)) == result_fields(row_lp_oracle.feasible(system))
+
+
+# systems whose answer reads a column that a pivot left over an older
+# denominator, and their four fields
+STALE_COLUMNS = {
+    # the first pivot, on -2 x_1 >= 2, leaves x_2's column over 1 and makes
+    # d = 2; x_2 then enters, brought to d, for -x_2 >= 3
+    "stale-column-enters": (
+        LinearSystem(2, (((0, -1), 3), ((-2, 0), 2))),
+        ((F(-1), F(-3)), None, 2, ((-2, -6), 2)),
+    ),
+    # 0 x >= 1 keeps its artificial basic: the one pivot, on -2 x >= 2,
+    # leaves the surplus column of 0 x >= 1 over 1, and its multiplier 2 is
+    # read over d = 2
+    "farkas-off-a-stale-surplus": (
+        LinearSystem(1, (((0,), 1), ((-2,), 2))),
+        (None, (2, 0), 1, None),
+    ),
+    # the first pivot, on 3 x_1 >= 0, leaves x_2's column and the right-hand
+    # side over 1 and makes d = 3; the second, on -x_1 - x_2 >= 1, rebuilds
+    # the right-hand side and brings its pivot-row entry 1 to d = 3 there
+    "stale-column-rebuilt": (
+        LinearSystem(2, (((3, 0), 0), ((-1, -1), 1))),
+        ((F(0), F(-1)), None, 2, ((0, -3), 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALE_COLUMNS))
+def test_stale_columns_are_brought_to_d_where_they_are_read(name):
+    system, fields = STALE_COLUMNS[name]
+    assert result_fields(feasible(system)) == fields == result_fields(row_lp_oracle.feasible(system))
 
 
 # seed-1 certify corpora: (LPs solved, pivots made); 73 and 216 on

@@ -20,7 +20,7 @@ from descregions.parsing import parse_signomial
 from descregions.signomial import DEFAULT_TOLERANCE_FACTOR, Signomial, evaluate_log, restrict_indices
 
 import mask_oracle
-from test_corpus_digests import WORKLOADS, corpus
+from workloads import WORKLOADS, corpus
 from fixtures import (
     CUBE3,
     CUBE4,

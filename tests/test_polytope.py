@@ -16,7 +16,7 @@ from descregions.polytope import (
     parallel_face_pairs,
     smallest_face_containing,
 )
-from descregions.signomial import Signomial, negatives
+from descregions.signomial import Signomial
 
 import hull_oracle
 from adversarial import sphere_points
@@ -24,6 +24,7 @@ from beneath_beyond_oracle import incremental_facets as frozen_incremental_facet
 from fixtures import CUBE3, CUBE4, STRIP_PAIR, TEN_TERM, TEN_TERM_LOWER, WIDE16, vec
 from hull_oracle import brute_force_facets, polytope_facets_in_hull_coords
 from lp_oracle import int_system
+from signs import negatives
 from simplex_oracle import hyperplane_normal
 from strategies import point_sets, rational_point_sets
 

@@ -10,9 +10,7 @@ from descregions.signomial import (
     Signomial,
     Term,
     evaluate_log,
-    negatives,
     newton_dim,
-    positives,
     restrict_indices,
 )
 
@@ -22,6 +20,7 @@ from descregions.polytope import build_polytope
 from descregions.parsing import parse_signomial
 
 import parse_oracle
+from signs import negatives, positives
 from strategies import rational_signed_supports, signed_supports
 from fixtures import (
     BOX_TEXT,
